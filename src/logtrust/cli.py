@@ -29,7 +29,6 @@ from .audit import (
 )
 from .errors import LogTrustError, MixedDocumentsError, ScenarioError
 from .events import Document, LogRole, log_from_dict
-from .kernel import backend_name
 from .scengen import generate_scenario
 from .simulator import run_scenario
 from .trust import DEFAULT_TRUST_MODEL, TrustModel, parse_trust_model
@@ -60,6 +59,8 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _print_json(data: Any) -> None:
@@ -158,8 +159,7 @@ def cmd_run(scenario_path: Optional[str], config: CliConfig) -> int:
         name = trace.name or source
         print(
             f"scenario: {name} ({len(trace.snapshots)} commands,"
-            f" mode={trace.mode.value}, trust={trace.trust_model},"
-            f" backend={backend_name()})"
+            f" mode={trace.mode.value}, trust={trace.trust_model})"
         )
         for snapshot in trace.snapshots:
             line = f"[{snapshot.index:2d}] {_describe_command(snapshot.command)}"

@@ -66,20 +66,6 @@ class PeerClock:
         return self.value
 
 
-def next_clock(peer_state) -> int:
-    """Draw the next clock value from whatever holds a peer's counter.
-
-    Accepts a ``PeerClock`` directly or any object exposing one as its
-    ``clock`` attribute, such as a simulator peer state.
-    """
-    if isinstance(peer_state, PeerClock):
-        return peer_state.tick()
-    clock = getattr(peer_state, "clock", None)
-    if isinstance(clock, PeerClock):
-        return clock.tick()
-    raise TypeError("next_clock needs a PeerClock or an object carrying one")
-
-
 @dataclass(frozen=True, slots=True)
 class OriginKey:
     """Stable identity of an obligation across receipt-time re-stamping.
@@ -162,11 +148,6 @@ class Obligation:
 
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
-
-
-def is_performed(event: Event) -> bool:
-    """True for events a peer actually executed (as opposed to obligations)."""
-    return isinstance(event, (PerformedEdit, PerformedShare))
 
 
 def sort_key(event: Event):

@@ -1,37 +1,16 @@
-"""Audit scan backend selection.
+"""The audit scan: which obligation governs each performed action.
 
-Prefers the compiled extension and falls back to the pure-Python kernel
-when the extension is unavailable.  Set ``LOGTRUST_PURE_PY=1`` to force
-the fallback, mainly for benchmarking and differential testing.
+Inputs are parallel integer sequences (peers and verbs pre-encoded as
+small ints), one row per obligation and one per performed action.  Rows
+are grouped by (grantee, verb) and each group is sorted by clock, so an
+action is answered with one binary search over its group: the scan runs
+in O((n + m) log n) for n obligations and m actions.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left
 from typing import Sequence
-
-import numpy as np
-
-from . import _kernel_py
-
-_impl = None
-USING_COMPILED = False
-
-if not os.environ.get("LOGTRUST_PURE_PY"):
-    try:
-        from . import _kernel as _compiled
-    except ImportError:
-        _compiled = None
-    if _compiled is not None:
-        _impl = _compiled
-        USING_COMPILED = True
-
-if _impl is None:
-    _impl = _kernel_py
-
-
-def backend_name() -> str:
-    return "compiled" if USING_COMPILED else "pure-python"
 
 
 def scan_governing(
@@ -44,31 +23,40 @@ def scan_governing(
     act_clock: Sequence[int],
     literal: bool = False,
 ) -> list[int]:
-    """Run the governing-obligation scan on the selected backend.
+    """Per action, the index of the forbid that condemns it, or -1.
 
-    See ``_kernel_py.scan_governing`` for the contract.  Always returns a
-    plain list regardless of backend.
+    Only obligations for the actor and verb with clocks strictly before
+    the action's clock are candidates.  Prose mode: the latest candidate
+    clock governs, and among the candidates at that clock the first deny
+    in row order wins over any permit.  Literal mode: any candidate forbid
+    condemns, permits are ignored, and the last such forbid in row order
+    is reported.
     """
-    if USING_COMPILED:
-        as_arr = lambda seq: np.ascontiguousarray(seq, dtype=np.intc)
-        out = _impl.scan_governing(
-            as_arr(obl_to),
-            as_arr(obl_verb),
-            as_arr(obl_allow),
-            as_arr(obl_clock),
-            as_arr(act_by),
-            as_arr(act_verb),
-            as_arr(act_clock),
-            literal,
-        )
-        return [int(x) for x in out]
-    return _impl.scan_governing(
-        list(obl_to),
-        list(obl_verb),
-        list(obl_allow),
-        list(obl_clock),
-        list(act_by),
-        list(act_verb),
-        list(act_clock),
-        literal,
-    )
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, key in enumerate(zip(obl_to, obl_verb)):
+        groups.setdefault(key, []).append(k)
+
+    # Per group: ascending clocks, and found[i] = the answer for an action
+    # preceded by exactly the first i clocks (found[0] = -1, no candidate).
+    index: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for key, rows in groups.items():
+        rows.sort(key=obl_clock.__getitem__)  # stable: row order within a clock
+        clocks: list[int] = []
+        found = [-1]
+        for k in rows:
+            clock, deny = obl_clock[k], not obl_allow[k]
+            if literal:
+                clocks.append(clock)
+                found.append(max(k, found[-1]) if deny else found[-1])
+            elif not clocks or clocks[-1] != clock:
+                clocks.append(clock)
+                found.append(k if deny else -1)
+            elif deny and found[-1] < 0:
+                found[-1] = k
+        index[key] = (clocks, found)
+
+    result = []
+    for key, clock in zip(zip(act_by, act_verb), act_clock):
+        entry = index.get(key)
+        result.append(-1 if entry is None else entry[1][bisect_left(entry[0], clock)])
+    return result

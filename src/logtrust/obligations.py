@@ -15,9 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyInputError, InternallyConflictingSetError
+from . import kernel
+from .errors import EmptyInputError, InternallyConflictingSetError, MixedRolesError
 from .events import Log, LogRole, Obligation, OriginKey, Verb
-from .errors import MixedRolesError
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +83,6 @@ def compare_atoms(a: ObligationAtom, b: ObligationAtom) -> Ordering:
     if not a.allow and b.allow:
         return Ordering.WEAKER
     return Ordering.INCOMPARABLE
-
-
-def atom_geq(a: ObligationAtom, b: ObligationAtom) -> bool:
-    return compare_atoms(a, b) in (Ordering.STRONGER, Ordering.EQUAL)
 
 
 def detect_conflicts(
@@ -209,26 +205,24 @@ def effective_status(
     """
     if log.role is not LogRole.COMM:
         raise MixedRolesError("status lookups consult communication logs")
-    best_clock = -1
-    deny: Optional[Obligation] = None
-    permit: Optional[Obligation] = None
-    for event in log.entries:
-        if not isinstance(event, Obligation):
-            continue
-        if event.to != peer or event.verb is not verb or event.clock >= at_clock:
-            continue
-        if event.clock > best_clock:
-            best_clock = event.clock
-            deny = None
-            permit = None
-        if event.clock == best_clock:
-            if event.allow:
-                if permit is None:
-                    permit = event
-            elif deny is None:
-                deny = event
-    if deny is not None:
-        return ObligationStatus(Decision.FORBIDDEN, deny.origin, deny.clock)
-    if permit is not None:
-        return ObligationStatus(Decision.PERMITTED, permit.origin, permit.clock)
+    rows = [
+        e
+        for e in log.entries
+        if isinstance(e, Obligation) and e.to == peer and e.verb is verb
+    ]
+    same = [0] * len(rows)
+    clocks = [e.clock for e in rows]
+
+    def first_deny_at_latest(allow: list[int]) -> int:
+        return kernel.scan_governing(same, same, allow, clocks, [0], [0], [at_clock])[0]
+
+    # The scan reports the first deny at the latest candidate clock.  With
+    # the polarities swapped it reports the first permit there instead,
+    # which governs when the real scan found no deny.
+    deny = first_deny_at_latest([int(e.allow) for e in rows])
+    if deny >= 0:
+        return ObligationStatus(Decision.FORBIDDEN, rows[deny].origin, rows[deny].clock)
+    permit = first_deny_at_latest([int(not e.allow) for e in rows])
+    if permit >= 0:
+        return ObligationStatus(Decision.PERMITTED, rows[permit].origin, rows[permit].clock)
     return UNSPECIFIED

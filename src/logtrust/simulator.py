@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .audit import (
     AuditMode,
@@ -48,7 +48,6 @@ from .events import (
     event_to_dict,
     make_comment_id,
     merge_logs,
-    next_clock,
     remap_obligations_on_receipt,
 )
 from .obligations import ObligationAtom, validate_set
@@ -213,18 +212,19 @@ class Simulation:
         if len(set(verbs)) != len(verbs):
             raise ValueError("batch verbs must be distinct")
         ordered = sorted(verbs, key=_VERB_RANK.__getitem__)
+        for verb in ordered:
+            if verb is not Verb.CREATE and verb not in EDIT_VERBS:
+                raise ValueError(f"{verb.value} is not an edit verb")
+        actor = self.peer(peer)
         if Verb.CREATE in ordered:
             if doc_id in self._creators:
                 raise LogTrustError(f"document {doc_id!r} already exists")
             self._creators[doc_id] = peer
-            self.peer(peer).workspace[doc_id] = PeerDocState(
+            actor.workspace[doc_id] = PeerDocState(
                 Document(doc_id, peer), empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
             )
-        for verb in ordered:
-            if verb is not Verb.CREATE and verb not in EDIT_VERBS:
-                raise ValueError(f"{verb.value} is not an edit verb")
         state = self.peer_state(peer, doc_id)
-        clock = next_clock(self.peer(peer))
+        clock = actor.clock.tick()
         events = [PerformedEdit(clock, verb, peer) for verb in ordered]
         state.edit_log = _insert_events(state.edit_log, events)
         self._refresh_document(state)
@@ -235,7 +235,7 @@ class Simulation:
         sender: str,
         doc_id: str,
         recipient: str,
-        atoms: Sequence[ObligationAtom],
+        atoms: Iterable[ObligationAtom],
     ) -> int:
         """Share the document with obligations attached.
 
@@ -248,13 +248,14 @@ class Simulation:
         Obligations are mandatory except when sending a document back to
         a peer it was previously received from.
         """
+        atoms = list(atoms)
         state = self.peer_state(sender, doc_id)
         if not recipient:
             raise ValueError("recipient must be non-empty")
         if recipient == sender:
             raise SelfShareError(f"{sender} cannot share {doc_id!r} with itself")
         atom_set = validate_set(atoms)
-        if len(atom_set) != len(list(atoms)):
+        if len(atom_set) != len(atoms):
             raise ValueError("duplicate obligation atoms in share")
         for atom in atom_set:
             if atom.verb not in OBLIGATION_VERBS:
@@ -268,7 +269,7 @@ class Simulation:
                 raise MissingObligationError(
                     f"share from {sender} to {recipient} must carry obligations"
                 )
-        clock = next_clock(self.peer(sender))
+        clock = self.peer(sender).clock.tick()
         origin = OriginKey(sender, recipient, clock)
         new_events: list = [PerformedShare(clock, sender, recipient)]
         for atom in sorted(atom_set, key=lambda a: (_VERB_RANK[a.verb], a.allow)):
@@ -314,7 +315,7 @@ class Simulation:
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
             )
         message = queue.popleft()
-        clock = next_clock(self.peer(recipient))
+        clock = self.peer(recipient).clock.tick()
         remapped = remap_obligations_on_receipt(message.comm_log, recipient, clock)
         if self.holds(recipient, doc_id):
             state = self.peer_state(recipient, doc_id)
@@ -351,36 +352,6 @@ class Simulation:
         self.peer(peer).trust = dict(report.trust)
         self.reports.append(report)
         return report
-
-
-def exec_edit(
-    sim: Simulation,
-    peer: str,
-    doc_id: str,
-    verb: Verb,
-    ignore_obligations: bool = False,
-) -> Simulation:
-    """Apply one edit action to the simulation and return it."""
-    sim.edit(peer, doc_id, verb, ignore_obligations)
-    return sim
-
-
-def exec_share(
-    sim: Simulation,
-    sender: str,
-    to: str,
-    doc_id: str,
-    obligations: Sequence[ObligationAtom],
-) -> Simulation:
-    """Queue one share from ``sender`` to ``to`` and return the simulation."""
-    sim.share(sender, doc_id, to, obligations)
-    return sim
-
-
-def exec_deliver(sim: Simulation, to: str, doc_id: str, sender: str) -> Simulation:
-    """Deliver the oldest pending message on the channel and return the simulation."""
-    sim.deliver(to, sender, doc_id)
-    return sim
 
 
 # ---------------------------------------------------------------------------

@@ -164,3 +164,41 @@ def test_validate_reports_bad_log_events(tmp_path, capsys):
     )
     assert main(["validate", log]) == 2
     assert "events[0]" in capsys.readouterr().err
+
+
+def shift_clocks(path, shift):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for event in payload["events"]:
+        event["clock"] += shift
+        if "origin" in event:
+            event["origin"]["share_clock"] += shift
+    return write_json(path, payload)
+
+
+def test_audit_handles_clocks_beyond_32_bits(tmp_path, capsys):
+    out_dir = tmp_path / "logs"
+    assert main(["run", PAPER, "--export-logs", str(out_dir)]) == 0
+    capsys.readouterr()
+    shift = 2**31
+    edit = shift_clocks(out_dir / "P3_d_edit.json", shift)
+    comm = shift_clocks(out_dir / "P3_d_comm.json", shift)
+    for mode in ("prose", "literal"):
+        code = main(
+            ["audit", edit, comm, "--assessor", "P3", "--format", "json", "--mode", mode]
+        )
+        assert code == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [
+            (v["offender"], v["action_clock"], v["forbid_clock"], v["origin"]["share_clock"])
+            for v in violations
+        ] == [("P2", shift + 2, shift + 1, shift + 2)]
+
+
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["validate", str(deep)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    comm = write_json(tmp_path / "c.json", {"doc_id": "d", "role": "comm", "events": []})
+    assert main(["audit", str(deep), comm, "--assessor", "P1"]) == 2
+    assert "invalid JSON" in capsys.readouterr().err

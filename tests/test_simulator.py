@@ -66,6 +66,14 @@ def test_share_validation():
         sim.share("P1", "d", "P2", [])
 
 
+def test_share_accepts_atoms_as_generator():
+    sim = Simulation()
+    sim.create_doc("P1", "d")
+    assert sim.share("P1", "d", "P2", (atom for atom in READ_OK)) == 2
+    with pytest.raises(ValueError, match="duplicate"):
+        sim.share("P1", "d", "P2", (atom for atom in READ_OK + READ_OK))
+
+
 def test_send_back_without_obligations():
     sim = Simulation()
     sim.create_doc("P1", "d")
@@ -184,6 +192,17 @@ def test_batch_validation():
         sim.batch("P1", "d", [Verb.READ, Verb.READ])
     with pytest.raises(LogTrustError):
         sim.batch("P1", "d", [Verb.CREATE])
+
+
+def test_failed_batch_leaves_no_state():
+    sim = Simulation()
+    with pytest.raises(ValueError):
+        sim.batch("P1", "d", [Verb.CREATE, Verb.SHARE])
+    with pytest.raises(ValueError):
+        sim.batch("", "d", [Verb.CREATE])
+    assert sim.documents() == ()
+    assert not sim.holds("P1", "d")
+    assert sim.peer("P1").clock_counter == 0
 
 
 def test_document_spreads_through_delivery():
