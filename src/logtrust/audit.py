@@ -17,6 +17,7 @@ was granted after a forbid for the same peer and verb.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -226,9 +227,19 @@ def local_trust_assessment(
 
     Without ``prior_trust`` the assessment starts from full trust in every
     peer named in the logs; passing a previous assessment's trust table
-    carries values forward instead.  Each violation instance applies one
+    carries values forward instead; each value must be a finite number in
+    ``[0, model.max_value]``.  Each violation instance applies one
     decrement under ``model``.
     """
+    for peer, value in (prior_trust or {}).items():
+        if not (
+            isinstance(value, (int, float))
+            and math.isfinite(value)
+            and 0.0 <= value <= model.max_value
+        ):
+            raise ValueError(
+                f"prior trust in {peer!r} must lie in [0, {model.max_value:g}], got {value!r}"
+            )
     violations = detect_violations(edit_log, comm_log, doc, mode=mode)
     peers = _peers_in_logs(edit_log, comm_log)
     if assessor:

@@ -113,20 +113,24 @@ def _describe_command(command: dict[str, Any]) -> str:
 def _export_logs(trace, directory: str) -> list[str]:
     """Write every peer's final logs as importable log files."""
     out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if not trace.snapshots:
-        return written
-    for state in trace.snapshots[-1].states:
-        for role in ("edit", "comm"):
-            payload = {
-                "doc_id": state["doc"],
-                "role": role,
-                "events": state[role],
-            }
-            path = out_dir / f"{state['peer']}_{state['doc']}_{role}.json"
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            written.append(str(path))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not trace.snapshots:
+            return written
+        for state in trace.snapshots[-1].states:
+            for role in ("edit", "comm"):
+                payload = {
+                    "doc_id": state["doc"],
+                    "role": role,
+                    "events": state[role],
+                }
+                path = out_dir / f"{state['peer']}_{state['doc']}_{role}.json"
+                path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+                written.append(str(path))
+    except OSError as exc:
+        where = exc.filename or directory
+        raise _CliError(f"{where}: cannot export logs: {exc.strerror or exc}") from None
     return written
 
 

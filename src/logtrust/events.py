@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEventError,
@@ -177,14 +178,15 @@ def dedup_key(event: Event):
 
     Performed events are identified by actor and clock; obligations by
     their origin plus verb and polarity, because an obligation's own clock
-    differs between logs after receipt-time re-stamping.
+    differs between logs after receipt-time re-stamping.  Verbs appear by
+    value, so the key hashes without calling back into ``Enum.__hash__``.
     """
     if isinstance(event, Obligation):
         o = event.origin
-        return ("obl", o.grantor, o.grantee, o.share_clock, event.verb, event.allow)
+        return ("obl", o.grantor, o.grantee, o.share_clock, event.verb.value, event.allow)
     if isinstance(event, PerformedShare):
         return ("share", event.by, event.to, event.clock)
-    return ("edit", event.by, event.clock, event.verb)
+    return ("edit", event.by, event.clock, event.verb.value)
 
 
 def _role_of(event: Event) -> LogRole:
@@ -196,37 +198,93 @@ class Log:
     """An ordered, deduplicated sequence of events with a fixed role.
 
     Edit logs hold only performed edits; communication logs hold performed
-    shares and obligations.  Instances are immutable; mutating operations
+    shares and obligations.  Entries must be in canonical order
+    (``sort_key``) with distinct identities (``dedup_key``); the
+    constructor checks both.  Instances are immutable; mutating operations
     return new logs.
     """
 
     role: LogRole
     entries: tuple[Event, ...] = ()
+    # One (sort_key, dedup_key, event) row per entry, built by the first
+    # log operation that needs it (see _keyed) and reused by every log
+    # derived from this one.  Logs that are only audited never build it.
+    _rows: Optional[tuple[tuple, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        for event in self.entries:
+        seen = set()
+        previous = None
+        for i, event in enumerate(self.entries):
             if _role_of(event) is not self.role:
                 raise MixedRolesError(
                     f"{type(event).__name__} does not belong in a {self.role.value} log"
                 )
+            key = dedup_key(event)
+            if key in seen:
+                raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
+            seen.add(key)
+            current = sort_key(event)
+            if previous is not None and current < previous:
+                raise UnorderedLogError(f"events[{i}] is out of order")
+            previous = current
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
         """Build a log from events in any order, rejecting duplicates."""
-        ordered = sorted(events, key=sort_key)
-        seen = set()
-        for event in ordered:
-            key = dedup_key(event)
-            if key in seen:
-                raise DuplicateEventError(f"duplicate event identity {key}")
-            seen.add(key)
-        return cls(role, tuple(ordered))
+        return cls(role, tuple(sorted(events, key=sort_key)))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+
+_SORT_KEY = itemgetter(0)
+_DEDUP_KEY = itemgetter(1)
+_EVENT = itemgetter(2)
+
+
+def _keyed(log: Log) -> tuple[tuple, ...]:
+    """The log's cached (sort_key, dedup_key, event) rows, built on first use."""
+    rows = log._rows
+    if rows is None:
+        rows = tuple([(sort_key(e), dedup_key(e), e) for e in log.entries])
+        object.__setattr__(log, "_rows", rows)
+    return rows
+
+
+def _from_rows(role: LogRole, rows: tuple[tuple, ...]) -> Log:
+    """A log over rows that are already sorted, distinct and of ``role``.
+
+    Skips the constructor's checks: every caller derives ``rows`` from
+    valid logs and keys only the events it adds.
+    """
+    log = object.__new__(Log)
+    object.__setattr__(log, "role", role)
+    object.__setattr__(log, "entries", tuple(map(_EVENT, rows)))
+    object.__setattr__(log, "_rows", rows)
+    return log
+
+
+def _merged(rows: Sequence[tuple], new: Sequence[tuple]) -> tuple[tuple, ...]:
+    """Sorted rows plus new rows in any order, in canonical order.
+
+    The sort finds the sorted rows as one run and merges the new ones
+    into it, so it costs little more than a merge.
+    """
+    merged = [*rows, *new]
+    merged.sort(key=_SORT_KEY)
+    return tuple(merged)
+
+
+def _select(log: Log, keep: Callable[[Event], bool]) -> Log:
+    """The entries for which ``keep`` holds, in order; ``log`` itself if all do."""
+    rows = _keyed(log)
+    kept = tuple([row for row in rows if keep(row[2])])
+    return log if len(kept) == len(rows) else _from_rows(log.role, kept)
 
 
 def empty_log(role: LogRole) -> Log:
@@ -248,9 +306,8 @@ def append_event(log: Log, event: Event) -> Log:
             f"{type(event).__name__} does not belong in a {log.role.value} log"
         )
     key = dedup_key(event)
-    for existing in log.entries:
-        if dedup_key(existing) == key:
-            raise DuplicateEventError(f"duplicate event identity {key}")
+    if key in set(map(_DEDUP_KEY, _keyed(log))):
+        raise DuplicateEventError(f"duplicate event identity {key}")
     latest_own = max(
         (e.clock for e in log.entries if e.by == event.by), default=0
     )
@@ -268,8 +325,9 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     of events stamped with one clock tick (a share plus its obligations,
     or a batch of edits).
     """
-    merged = list(log.entries)
-    seen = {dedup_key(e) for e in merged}
+    rows = _keyed(log)
+    seen = set(map(_DEDUP_KEY, rows))
+    new = []
     for event in events:
         if _role_of(event) is not log.role:
             raise MixedRolesError(
@@ -279,9 +337,8 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
         if key in seen:
             raise DuplicateEventError(f"duplicate event identity {key}")
         seen.add(key)
-        merged.append(event)
-    merged.sort(key=sort_key)
-    return Log(log.role, tuple(merged))
+        new.append((sort_key(event), key, event))
+    return _from_rows(log.role, _merged(rows, new))
 
 
 def merge_logs(local: Log, received: Log) -> Log:
@@ -291,7 +348,8 @@ def merge_logs(local: Log, received: Log) -> Log:
     wins.  That matters for obligations: the grantor's log keeps the
     grantor-side clock while every other copy in circulation carries the
     grantee's receipt clock, and a peer must not have its settled copy
-    rewritten by a late-arriving duplicate.
+    rewritten by a late-arriving duplicate.  Returns ``local`` itself when
+    ``received`` adds nothing.
 
     Merging is idempotent, and for logs whose shared identities carry
     identical events (the only case arising from normal exchange) it is
@@ -301,14 +359,12 @@ def merge_logs(local: Log, received: Log) -> Log:
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
-    seen = {dedup_key(e) for e in local.entries}
-    merged = list(local.entries)
-    for event in received.entries:
-        if dedup_key(event) not in seen:
-            merged.append(event)
-            seen.add(dedup_key(event))
-    merged.sort(key=sort_key)
-    return Log(local.role, tuple(merged))
+    rows = _keyed(local)
+    seen = set(map(_DEDUP_KEY, rows))
+    new = [row for row in _keyed(received) if row[1] not in seen]
+    if not new:
+        return local
+    return _from_rows(local.role, _merged(rows, new))
 
 
 def remap_obligations_on_receipt(received: Log, receiver: str, receiver_clock: int) -> Log:
@@ -317,27 +373,30 @@ def remap_obligations_on_receipt(received: Log, receiver: str, receiver_clock: i
     Every obligation with ``to == receiver`` gets ``receiver_clock`` (one
     value per receipt, drawn from the receiver's counter).  Obligations
     addressed to other peers, and all performed events, keep their clocks.
-    Origin keys are never touched, so identities survive.
+    Origin keys are never touched, so identities survive.  Returns
+    ``received`` itself when no obligation is addressed to the receiver.
     """
     if received.role is not LogRole.COMM:
         raise MixedRolesError("only communication logs carry obligations to remap")
-    remapped = []
-    for event in received.entries:
+    kept = []
+    restamped = []
+    for row in _keyed(received):
+        event = row[2]
         if isinstance(event, Obligation) and event.to == receiver:
-            remapped.append(
-                Obligation(
-                    clock=receiver_clock,
-                    verb=event.verb,
-                    allow=event.allow,
-                    by=event.by,
-                    to=event.to,
-                    origin=event.origin,
-                )
+            event = Obligation(
+                clock=receiver_clock,
+                verb=event.verb,
+                allow=event.allow,
+                by=event.by,
+                to=event.to,
+                origin=event.origin,
             )
+            restamped.append((sort_key(event), row[1], event))
         else:
-            remapped.append(event)
-    remapped.sort(key=sort_key)
-    return Log(LogRole.COMM, tuple(remapped))
+            kept.append(row)
+    if not restamped:
+        return received
+    return _from_rows(LogRole.COMM, _merged(kept, restamped))
 
 
 @dataclass(frozen=True)
@@ -373,11 +432,6 @@ class Document:
 
 def make_comment_id(author: str, clock: int) -> str:
     return f"{author}:{clock}"
-
-
-def comment_clock(comment_id: str) -> int:
-    """Author-side clock embedded in a comment id."""
-    return int(comment_id.rsplit(":", 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +572,8 @@ def log_from_dict(data: dict, where: str = "log") -> tuple[str, Log]:
         event_from_dict(raw, where=f"{where}: events[{i}]")
         for i, raw in enumerate(raw_events)
     ]
-    seen = set()
-    previous = None
-    for i, event in enumerate(events):
-        key = dedup_key(event)
-        if key in seen:
-            raise DuplicateEventError(f"{where}: events[{i}] duplicates an earlier event")
-        seen.add(key)
-        current = sort_key(event)
-        if previous is not None and current < previous:
-            raise UnorderedLogError(f"{where}: events[{i}] is out of order")
-        previous = current
-    return doc_id, Log(role, tuple(events))
+    try:
+        log = Log(role, tuple(events))
+    except (DuplicateEventError, UnorderedLogError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    return doc_id, log

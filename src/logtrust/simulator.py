@@ -43,7 +43,7 @@ from .events import (
     PerformedShare,
     Verb,
     _insert_events,
-    comment_clock,
+    _select,
     empty_log,
     event_to_dict,
     make_comment_id,
@@ -63,17 +63,20 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     ``(author, "author:clock")``, a delete event removes the author's own
     most recent comment if they have one.  Merged logs and live editing
     agree because both go through this replay.
+
+    An author's comments arrive in clock order, so each author's live
+    comments form a stack whose top is the most recent one.
     """
-    comments: set[tuple[str, str]] = set()
+    comment, delete = Verb.COMMENT, Verb.DELETE_COMMENT  # enum lookups are slow
+    live: dict[str, list[str]] = {}
     for event in edit_log.entries:
-        if event.verb is Verb.COMMENT:
-            comments.add((event.by, make_comment_id(event.by, event.clock)))
-        elif event.verb is Verb.DELETE_COMMENT:
-            own = [cid for author, cid in comments if author == event.by]
+        if event.verb is comment:
+            live.setdefault(event.by, []).append(make_comment_id(event.by, event.clock))
+        elif event.verb is delete:
+            own = live.get(event.by)
             if own:
-                target = max(own, key=comment_clock)
-                comments.discard((event.by, target))
-    return frozenset(comments)
+                own.pop()
+    return frozenset((author, cid) for author, ids in live.items() for cid in ids)
 
 
 @dataclass(frozen=True)
@@ -279,15 +282,9 @@ class Simulation:
         state.comm_log = _insert_events(state.comm_log, new_events)
 
         # The recipient gets the full correspondence history relevant to
-        # it, but not the sender's grants to other peers.
-        outbound = tuple(
-            e
-            for e in state.comm_log
-            if not (
-                isinstance(e, (PerformedShare, Obligation))
-                and e.by == sender
-                and e.to != recipient
-            )
+        # it, but not the sender's grants and shares to other peers.
+        outbound = _select(
+            state.comm_log, lambda e: e.by != sender or e.to == recipient
         )
         message = Message(
             sender=sender,
@@ -295,7 +292,7 @@ class Simulation:
             doc_id=doc_id,
             document=state.document,
             edit_log=state.edit_log,
-            comm_log=Log(LogRole.COMM, outbound),
+            comm_log=outbound,
         )
         key = (sender, recipient, doc_id)
         self._queues.setdefault(key, deque()).append(message)
@@ -319,8 +316,11 @@ class Simulation:
         remapped = remap_obligations_on_receipt(message.comm_log, recipient, clock)
         if self.holds(recipient, doc_id):
             state = self.peer_state(recipient, doc_id)
-            state.edit_log = merge_logs(state.edit_log, message.edit_log)
+            edit_log = merge_logs(state.edit_log, message.edit_log)
             state.comm_log = merge_logs(state.comm_log, remapped)
+            if edit_log is state.edit_log:
+                return clock  # no new edits, so the comment set stands
+            state.edit_log = edit_log
         else:
             state = PeerDocState(
                 Document(doc_id, message.document.creator),
@@ -564,16 +564,77 @@ def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
     return name, tuple(commands)
 
 
+HeldCopy = tuple[str, str, Log, Log, Document]  # (peer, doc, edit, comm, document)
+Channel = tuple[str, str, str, tuple[Message, ...]]  # (from, to, doc, messages)
+
+
+def _event_dicts(log: Log, memo: dict[int, dict]) -> list[dict]:
+    """``event_to_dict`` of every entry, each event serialized once per memo."""
+    out = []
+    for event in log.entries:
+        data = memo.get(id(event))
+        if data is None:
+            data = memo[id(event)] = event_to_dict(event)
+        out.append(data)
+    return out
+
+
+def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[int, dict]) -> list[dict]:
+    return [
+        {
+            "peer": peer,
+            "doc": doc_id,
+            "edit": _event_dicts(edit_log, memo),
+            "comm": _event_dicts(comm_log, memo),
+            "comments": sorted([author, cid] for author, cid in document.comments),
+        }
+        for peer, doc_id, edit_log, comm_log, document in held
+    ]
+
+
+def _queue_dicts(pending: tuple[Channel, ...], memo: dict[int, dict]) -> list[dict]:
+    return [
+        {
+            "from": sender,
+            "to": recipient,
+            "doc": doc_id,
+            "messages": [
+                {
+                    "edit": _event_dicts(m.edit_log, memo),
+                    "comm": _event_dicts(m.comm_log, memo),
+                }
+                for m in messages
+            ],
+        }
+        for sender, recipient, doc_id, messages in pending
+    ]
+
+
 @dataclass(frozen=True)
 class CommandSnapshot:
-    """Full engine state right after one command."""
+    """Full engine state right after one command.
+
+    Logs, documents and messages are immutable, so the snapshot keeps
+    references to them: ``held`` has one ``(peer, doc, edit_log,
+    comm_log, document)`` per held copy, ``pending`` one ``(from, to,
+    doc, messages)`` per non-empty channel, both sorted.  ``states`` and
+    ``queues`` serialize them on each access.
+    """
 
     index: int
     command: dict[str, Any]
     clock: int
-    states: tuple[dict[str, Any], ...]
-    queues: tuple[dict[str, Any], ...]
+    held: tuple[HeldCopy, ...]
+    pending: tuple[Channel, ...]
     report: Optional[dict[str, Any]] = None
+
+    @property
+    def states(self) -> tuple[dict[str, Any], ...]:
+        return tuple(_state_dicts(self.held, {}))
+
+    @property
+    def queues(self) -> tuple[dict[str, Any], ...]:
+        return tuple(_queue_dicts(self.pending, {}))
 
 
 @dataclass(frozen=True)
@@ -587,6 +648,12 @@ class ScenarioTrace:
     reports: tuple[AuditReport, ...]
 
     def to_dict(self) -> dict[str, Any]:
+        """The trace as JSON-ready data.
+
+        Each event is serialized once per call, so every place an event
+        appears in the result holds the same dict.
+        """
+        memo: dict[int, dict] = {}
         return {
             "name": self.name,
             "mode": self.mode.value,
@@ -596,8 +663,8 @@ class ScenarioTrace:
                     "index": s.index,
                     "command": s.command,
                     "clock": s.clock,
-                    "states": list(s.states),
-                    "queues": list(s.queues),
+                    "states": _state_dicts(s.held, memo),
+                    "queues": _queue_dicts(s.pending, memo),
                     "report": s.report,
                 }
                 for s in self.snapshots
@@ -605,47 +672,26 @@ class ScenarioTrace:
         }
 
 
-def _snapshot_states(sim: Simulation) -> tuple[dict[str, Any], ...]:
-    held = sorted(
-        (peer.id, doc_id, state)
-        for peer in sim._peers.values()
-        for doc_id, state in peer.workspace.items()
-    )
-    out = []
-    for peer_id, doc_id, state in held:
-        out.append(
-            {
-                "peer": peer_id,
-                "doc": doc_id,
-                "edit": [event_to_dict(e) for e in state.edit_log],
-                "comm": [event_to_dict(e) for e in state.comm_log],
-                "comments": sorted([author, cid] for author, cid in state.document.comments),
-            }
-        )
-    return tuple(out)
+def apply_command(
+    sim: Simulation, command: ScenarioCommand
+) -> tuple[int, Optional[AuditReport]]:
+    """Run one parsed command on ``sim``.
 
-
-def _snapshot_queues(sim: Simulation) -> tuple[dict[str, Any], ...]:
-    out = []
-    for (sender, recipient, doc_id) in sorted(sim._queues):
-        queue = sim._queues[(sender, recipient, doc_id)]
-        if not queue:
-            continue
-        out.append(
-            {
-                "from": sender,
-                "to": recipient,
-                "doc": doc_id,
-                "messages": [
-                    {
-                        "edit": [event_to_dict(e) for e in m.edit_log],
-                        "comm": [event_to_dict(e) for e in m.comm_log],
-                    }
-                    for m in queue
-                ],
-            }
-        )
-    return tuple(out)
+    Returns the clock value the command drew (0 for an audit) and the
+    audit report (None for every other command).
+    """
+    c = command
+    if c.op == "create":
+        return sim.create_doc(c.peer, c.doc_id), None
+    if c.op == "edit":
+        return sim.edit(c.peer, c.doc_id, c.verb, c.ignore_obligations), None
+    if c.op == "batch":
+        return sim.batch(c.peer, c.doc_id, c.verbs, c.ignore_obligations), None
+    if c.op == "share":
+        return sim.share(c.sender, c.doc_id, c.to, c.obligations), None
+    if c.op == "deliver":
+        return sim.deliver(c.to, c.sender, c.doc_id), None
+    return 0, sim.audit(c.peer, c.doc_id)
 
 
 def run_scenario(
@@ -671,44 +717,26 @@ def run_scenario(
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
     for i, command in enumerate(commands):
-        report_dict = None
         try:
-            if command.op == "create":
-                clock = sim.create_doc(command.peer, command.doc_id)
-            elif command.op == "edit":
-                clock = sim.edit(
-                    command.peer,
-                    command.doc_id,
-                    command.verb,
-                    command.ignore_obligations,
-                )
-            elif command.op == "batch":
-                clock = sim.batch(
-                    command.peer,
-                    command.doc_id,
-                    command.verbs,
-                    command.ignore_obligations,
-                )
-            elif command.op == "share":
-                clock = sim.share(
-                    command.sender, command.doc_id, command.to, command.obligations
-                )
-            elif command.op == "deliver":
-                clock = sim.deliver(command.to, command.sender, command.doc_id)
-            else:
-                report = sim.audit(command.peer, command.doc_id)
-                report_dict = report_to_dict(report)
-                clock = 0
+            clock, report = apply_command(sim, command)
         except (LogTrustError, ValueError) as exc:
             raise ScenarioError(str(exc), index=i) from exc
+        held = sorted(
+            (peer.id, doc_id, state.edit_log, state.comm_log, state.document)
+            for peer in sim._peers.values()
+            for doc_id, state in peer.workspace.items()
+        )
+        pending = [
+            (*channel, tuple(queue)) for channel, queue in sorted(sim._queues.items()) if queue
+        ]
         snapshots.append(
             CommandSnapshot(
                 index=i,
                 command=command.describe(),
                 clock=clock,
-                states=_snapshot_states(sim),
-                queues=_snapshot_queues(sim),
-                report=report_dict,
+                held=tuple(held),
+                pending=tuple(pending),
+                report=None if report is None else report_to_dict(report),
             )
         )
     return ScenarioTrace(

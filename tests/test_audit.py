@@ -187,6 +187,20 @@ def test_assessment_with_prior_trust_and_fixed_model():
     assert report.trust["P1"] == 1.0
 
 
+@pytest.mark.parametrize("value", [7.0, -0.1, 1.0000001, float("nan"), float("inf"), "1"])
+def test_prior_trust_outside_the_model_range_is_rejected(value):
+    with pytest.raises(ValueError, match="prior trust in 'P2'"):
+        local_trust_assessment(
+            BASE_EDIT, empty_log(LogRole.COMM), Document("d", "P1"), "P1",
+            prior_trust={"P2": value},
+        )
+    report = local_trust_assessment(
+        BASE_EDIT, empty_log(LogRole.COMM), Document("d", "P1"), "P1",
+        prior_trust={"P2": 0.0, "P3": 1},
+    )
+    assert report.trust["P2"] == 0.0 and report.trust["P3"] == 1
+
+
 def test_report_to_dict_shape():
     comm = comm_log(obl(1, Verb.COMMENT, False))
     report = local_trust_assessment(BASE_EDIT, comm, Document("d", "P1"), "P1")

@@ -120,6 +120,16 @@ def test_export_then_audit_round_trip(tmp_path, capsys):
     assert report["trust"]["P2"] == 0.5
 
 
+def test_export_to_an_unwritable_directory_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "f"
+    blocker.write_text("a regular file", encoding="utf-8")
+    target = blocker / "out"
+    assert main(["run", PAPER, "--export-logs", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {target}: cannot export logs:")
+
+
 def test_audit_rejects_mismatched_documents(tmp_path, capsys):
     edit = write_json(
         tmp_path / "edit.json",

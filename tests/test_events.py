@@ -92,6 +92,22 @@ def test_from_events_sorts_and_rejects_duplicates():
         Log.from_events(LogRole.EDIT, [a, a])
 
 
+def test_constructor_rejects_out_of_order_entries():
+    create, edit = PerformedEdit(1, Verb.CREATE, "P1"), PerformedEdit(5, Verb.READ, "P1")
+    with pytest.raises(UnorderedLogError, match=r"events\[1\] is out of order"):
+        Log(LogRole.EDIT, (edit, create))
+    assert Log(LogRole.EDIT, (create, edit)).entries == (create, edit)
+
+
+def test_constructor_rejects_duplicate_identities():
+    create, edit = PerformedEdit(1, Verb.CREATE, "P1"), PerformedEdit(5, Verb.READ, "P1")
+    with pytest.raises(DuplicateEventError, match=r"events\[2\] duplicates"):
+        Log(LogRole.EDIT, (create, edit, edit))
+    # one obligation at two receipt clocks is still one identity
+    with pytest.raises(DuplicateEventError):
+        Log(LogRole.COMM, (obl(1), obl(7)))
+
+
 def test_append_event_positions_and_guards():
     log = empty_log(LogRole.EDIT)
     log = append_event(log, PerformedEdit(1, Verb.READ, "P1"))
@@ -130,6 +146,13 @@ def test_merge_keeps_local_copy_on_identity_collision():
     grantee_side = Log(LogRole.COMM, (obl(1),))
     assert merge_logs(grantor_side, grantee_side).entries == (obl(2),)
     assert merge_logs(grantee_side, grantor_side).entries == (obl(1),)
+
+
+def test_log_ops_return_their_input_when_nothing_changes():
+    log = Log.from_events(LogRole.COMM, [obl(2), PerformedShare(2, "P1", "P2")])
+    assert merge_logs(log, log) is log
+    assert merge_logs(log, empty_log(LogRole.COMM)) is log
+    assert remap_obligations_on_receipt(log, "P3", 9) is log
 
 
 def test_remap_rewrites_only_obligations_to_receiver():
@@ -224,15 +247,17 @@ def test_log_from_dict_validates_file():
             event_to_dict(PerformedEdit(1, Verb.CREATE, "P1")),
         ],
     }
-    with pytest.raises(UnorderedLogError):
-        log_from_dict(out_of_order)
+    with pytest.raises(UnorderedLogError, match=r"^f\.json: events\[1\] is out of order$"):
+        log_from_dict(out_of_order, where="f.json")
     duplicated = {
         "doc_id": "d",
         "role": "edit",
         "events": [event_to_dict(PerformedEdit(1, Verb.READ, "P1"))] * 2,
     }
-    with pytest.raises(DuplicateEventError):
-        log_from_dict(duplicated)
+    with pytest.raises(
+        DuplicateEventError, match=r"^f\.json: events\[1\] duplicates an earlier event$"
+    ):
+        log_from_dict(duplicated, where="f.json")
 
 
 def _random_event_pool(rng, size=30):

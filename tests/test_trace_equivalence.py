@@ -1,0 +1,87 @@
+"""Reference snapshots against an eager capture of the engine state.
+
+``run_scenario`` keeps references to the immutable logs, documents and
+messages after each command and serializes them only when asked.
+``EagerCapture`` is an independent reference: it serializes the whole
+engine state right after each command.  The trace is compared with it
+only after the run has finished, so the comparison also shows that later
+commands never alter an earlier snapshot.
+"""
+
+from logtrust import Simulation, event_to_dict, generate_scenario, parse_scenario, run_scenario
+from logtrust.simulator import apply_command
+
+
+class EagerCapture:
+    """Serializes the engine state right after a command.
+
+    Each log is serialized when first seen and the result is reused while
+    the capture keeps the log alive, so a log changed in place after its
+    first capture would no longer match the trace.
+    """
+
+    def __init__(self):
+        self._logs = {}
+
+    def events(self, log):
+        if id(log) not in self._logs:
+            self._logs[id(log)] = (log, [event_to_dict(e) for e in log])
+        return self._logs[id(log)][1]
+
+    def states(self, sim):
+        held = sorted(
+            (peer.id, doc_id, state)
+            for peer in sim._peers.values()
+            for doc_id, state in peer.workspace.items()
+        )
+        return tuple(
+            {
+                "peer": peer_id,
+                "doc": doc_id,
+                "edit": self.events(state.edit_log),
+                "comm": self.events(state.comm_log),
+                "comments": sorted([author, cid] for author, cid in state.document.comments),
+            }
+            for peer_id, doc_id, state in held
+        )
+
+    def queues(self, sim):
+        out = []
+        for (sender, recipient, doc_id) in sorted(sim._queues):
+            queue = sim._queues[(sender, recipient, doc_id)]
+            if not queue:
+                continue
+            out.append(
+                {
+                    "from": sender,
+                    "to": recipient,
+                    "doc": doc_id,
+                    "messages": [
+                        {"edit": self.events(m.edit_log), "comm": self.events(m.comm_log)}
+                        for m in queue
+                    ],
+                }
+            )
+        return tuple(out)
+
+
+def test_reference_snapshots_match_eager_capture():
+    for seed in range(200):
+        data = generate_scenario(seed, max_peers=8, max_commands=80)
+        _, commands = parse_scenario(data)
+        sim = Simulation()
+        capture = EagerCapture()
+        eager = []
+        for command in commands:
+            apply_command(sim, command)
+            eager.append((capture.states(sim), capture.queues(sim)))
+
+        trace = run_scenario(data)
+        serialized = trace.to_dict()["snapshots"]
+        assert len(trace.snapshots) == len(serialized) == len(eager)
+        for k, (states, queues) in enumerate(eager):
+            where = f"seed {seed}, after command {k}"
+            assert trace.snapshots[k].states == states, where
+            assert trace.snapshots[k].queues == queues, where
+            assert serialized[k]["states"] == list(states), where
+            assert serialized[k]["queues"] == list(queues), where
