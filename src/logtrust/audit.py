@@ -27,11 +27,11 @@ from .events import (
     Document,
     Log,
     LogRole,
-    Obligation,
     OriginKey,
     PerformedEdit,
     PerformedShare,
     Verb,
+    _VERB_RANK,
 )
 from .obligations import Decision, ObligationStatus
 from .trust import (
@@ -41,9 +41,6 @@ from .trust import (
     apply_violations,
     initial_trust,
 )
-
-_VERB_RANK = {verb: rank for rank, verb in enumerate(Verb)}
-
 
 class AuditMode(enum.Enum):
     PROSE = "prose"
@@ -144,43 +141,20 @@ def detect_violations(
         raise MixedRolesError("second argument must be a communication log")
     creator = doc.creator if doc is not None else derive_creator(edit_log)
 
-    peers = sorted(_peers_in_logs(edit_log, comm_log))
-    peer_index = {peer: i for i, peer in enumerate(peers)}
-
-    obligations = [e for e in comm_log.entries if isinstance(e, Obligation)]
-    obl_to = [peer_index[o.to] for o in obligations]
-    obl_verb = [_VERB_RANK[o.verb] for o in obligations]
-    obl_allow = [int(o.allow) for o in obligations]
-    obl_clock = [o.clock for o in obligations]
-
-    actions: list[tuple[str, Verb, int]] = []
-    for event in edit_log.entries:
-        if event.by != creator:
-            actions.append((event.by, event.verb, event.clock))
-    for event in comm_log.entries:
-        if isinstance(event, PerformedShare) and event.by != creator:
-            actions.append((event.by, Verb.SHARE, event.clock))
-
-    act_by = [peer_index[a[0]] for a in actions]
-    act_verb = [_VERB_RANK[a[1]] for a in actions]
-    act_clock = [a[2] for a in actions]
-
+    actions = [(e.by, e.verb, e.clock) for e in edit_log.entries if e.by != creator]
+    actions += [
+        (e.by, Verb.SHARE, e.clock)
+        for e in comm_log.entries
+        if isinstance(e, PerformedShare) and e.by != creator
+    ]
     governing = kernel.scan_governing(
-        obl_to,
-        obl_verb,
-        obl_allow,
-        obl_clock,
-        act_by,
-        act_verb,
-        act_clock,
-        literal=(mode is AuditMode.LITERAL),
+        comm_log, actions, literal=(mode is AuditMode.LITERAL)
     )
 
     violations = []
-    for (by, verb, clock), obl_idx in zip(actions, governing):
-        if obl_idx < 0:
+    for (by, verb, clock), source in zip(actions, governing):
+        if source is None or source.allow:
             continue
-        source = obligations[obl_idx]
         status = ObligationStatus(Decision.FORBIDDEN, source.origin, source.clock)
         violations.append(Violation(by, verb, clock, status, source.by))
     violations.sort(key=lambda v: (v.offender, v.action_clock, _VERB_RANK[v.verb]))

@@ -38,7 +38,6 @@ from .trust import DEFAULT_TRUST_MODEL, TrustModel, parse_trust_model
 class CliConfig:
     """Everything a subcommand needs beyond its input paths."""
 
-    subcommand: str
     mode: AuditMode = AuditMode.PROSE
     trust_model: TrustModel = DEFAULT_TRUST_MODEL
     output_format: str = "table"
@@ -224,9 +223,8 @@ def cmd_audit(edit_log_path: str, comm_log_path: str, config: CliConfig) -> int:
     return 1 if report.violations else 0
 
 
-def cmd_validate(path: str, config: CliConfig) -> int:
+def cmd_validate(path: str) -> int:
     """Check a scenario or log file without executing anything."""
-    del config  # validation has no knobs
     data = _load_json(path)
     if isinstance(data, dict) and "commands" in data:
         try:
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
     return CliConfig(
-        subcommand=args.command,
         mode=parse_audit_mode(args.mode) if hasattr(args, "mode") else AuditMode.PROSE,
         trust_model=(
             parse_trust_model(args.trust_model)
@@ -323,11 +320,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_run(args.scenario, config)
         if args.command == "audit":
             return cmd_audit(args.edit_log, args.comm_log, config)
-        return cmd_validate(args.path, config)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return cmd_validate(args.path)
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -482,7 +482,7 @@ def event_from_dict(data: dict, where: str = "event") -> Event:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
     kind = data.get("kind")
-    if kind not in _FIELDS_BY_KIND:
+    if not isinstance(kind, str) or kind not in _FIELDS_BY_KIND:
         raise ValueError(f"{where}: unknown kind {kind!r}")
     expected = _FIELDS_BY_KIND[kind]
     missing = expected - data.keys()

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import kernel
 from .errors import EmptyInputError, InternallyConflictingSetError, MixedRolesError
-from .events import Log, LogRole, Obligation, OriginKey, Verb
+from .events import Log, LogRole, OriginKey, Verb
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,24 +205,8 @@ def effective_status(
     """
     if log.role is not LogRole.COMM:
         raise MixedRolesError("status lookups consult communication logs")
-    rows = [
-        e
-        for e in log.entries
-        if isinstance(e, Obligation) and e.to == peer and e.verb is verb
-    ]
-    same = [0] * len(rows)
-    clocks = [e.clock for e in rows]
-
-    def first_deny_at_latest(allow: list[int]) -> int:
-        return kernel.scan_governing(same, same, allow, clocks, [0], [0], [at_clock])[0]
-
-    # The scan reports the first deny at the latest candidate clock.  With
-    # the polarities swapped it reports the first permit there instead,
-    # which governs when the real scan found no deny.
-    deny = first_deny_at_latest([int(e.allow) for e in rows])
-    if deny >= 0:
-        return ObligationStatus(Decision.FORBIDDEN, rows[deny].origin, rows[deny].clock)
-    permit = first_deny_at_latest([int(not e.allow) for e in rows])
-    if permit >= 0:
-        return ObligationStatus(Decision.PERMITTED, rows[permit].origin, rows[permit].clock)
-    return UNSPECIFIED
+    governing = kernel.scan_governing(log, [(peer, verb, at_clock)])[0]
+    if governing is None:
+        return UNSPECIFIED
+    decision = Decision.PERMITTED if governing.allow else Decision.FORBIDDEN
+    return ObligationStatus(decision, governing.origin, governing.clock)

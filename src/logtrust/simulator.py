@@ -42,6 +42,7 @@ from .events import (
     PerformedEdit,
     PerformedShare,
     Verb,
+    _VERB_RANK,
     _insert_events,
     _select,
     empty_log,
@@ -52,9 +53,6 @@ from .events import (
 )
 from .obligations import ObligationAtom, validate_set
 from .trust import DEFAULT_TRUST_MODEL, TrustModel, TrustTable
-
-_VERB_RANK = {verb: rank for rank, verb in enumerate(Verb)}
-
 
 def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     """Derive the comment set from an edit log.
@@ -702,18 +700,12 @@ def run_scenario(
 ) -> ScenarioTrace:
     """Validate and execute a scenario, returning its full trace.
 
-    Accepts either a scenario document (the JSON object shape) or a bare
-    list of already parsed ScenarioCommand values.  All commands are
-    checked structurally before the first one runs, so a malformed step
-    never leaves a half-executed simulation behind.  Execution errors
-    carry the index of the failing command.
+    All commands are checked structurally (``parse_scenario``) before the
+    first one runs, so a malformed step never leaves a half-executed
+    simulation behind.  Execution errors carry the index of the failing
+    command.
     """
-    if isinstance(data, (list, tuple)) and all(
-        isinstance(c, ScenarioCommand) for c in data
-    ):
-        name, commands = "", tuple(data)
-    else:
-        name, commands = parse_scenario(data)
+    name, commands = parse_scenario(data)
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
     for i, command in enumerate(commands):

@@ -68,6 +68,14 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert "command 0" in capsys.readouterr().err
 
 
+def test_run_and_validate_reject_a_bare_list(tmp_path, capsys):
+    path = write_json(tmp_path / "list.json", [])
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: scenario must be an object\n")
+    assert main(["validate", path]) == 2
+
+
 def test_run_invalid_json_is_line_anchored(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"commands": [\n  {"op" "create"}\n]}', encoding="utf-8")

@@ -24,53 +24,117 @@ ACTION_VERBS = (Verb.READ, Verb.COMMENT, Verb.DELETE_COMMENT)
 OBLIGATION_VERBS = ACTION_VERBS + (Verb.SHARE,)
 
 
-def scan(obl, act, literal):
-    return kernel.scan_governing(
-        obl["to"], obl["verb"], obl["allow"], obl["clock"],
-        act["by"], act["verb"], act["clock"], literal,
-    )
+def comm_log(*specs):
+    """A comm log of obligations to P1, one ``(clock, verb, allow, grantor)`` each.
+
+    Each obligation gets its own share clock, so all are distinct; a share
+    event from P9 is mixed in to show the scan reads obligations only.
+    """
+    events = [PerformedShare(1, "P9", "P1")]
+    for share_clock, (clock, verb, allow, grantor) in enumerate(specs, start=1):
+        origin = OriginKey(grantor, "P1", share_clock)
+        events.append(Obligation(clock, verb, allow, grantor, "P1", origin))
+    return Log.from_events(LogRole.COMM, events)
+
+
+def obligations(log):
+    return [e for e in log if isinstance(e, Obligation)]
+
+
+def edit_log(*actions):
+    """An edit log created by P0 holding ``(clock, verb, by)`` actions."""
+    events = [PerformedEdit(1, Verb.CREATE, "P0")]
+    events += [PerformedEdit(clock, verb, by) for clock, verb, by in actions]
+    return Log.from_events(LogRole.EDIT, events)
 
 
 def test_prose_scan_contract():
-    # obligations: to, verb, allow, clock
-    obl = {
-        "to": [0, 0, 0, 0],
-        "verb": [2, 2, 2, 2],
-        "allow": [1, 0, 1, 0],
-        "clock": [1, 3, 3, 2],
-    }
-    act = {"by": [0, 0, 0], "verb": [2, 2, 2], "clock": [4, 2, 1]}
-    got = scan(obl, act, literal=False)
-    # clock 4: latest candidates at 3 hold a deny (index 1, first in order)
-    # clock 2: only the permit at 1 governs; clock 1: no candidate
-    assert got == [1, -1, -1]
+    log = comm_log(
+        (1, Verb.COMMENT, True, "P2"),
+        (3, Verb.COMMENT, False, "P4"),
+        (3, Verb.COMMENT, True, "P2"),
+        (3, Verb.COMMENT, False, "P3"),
+        (2, Verb.COMMENT, False, "P2"),
+    )
+    permit_1, deny_2, permit_3, deny_3, _ = obligations(log)
+    # at clock 3 the permit comes first in log order, then P3's and P4's denies
+    assert (permit_3.clock, permit_3.allow, deny_3.clock, deny_3.by) == (3, True, 3, "P3")
+    actions = [
+        ("P1", Verb.COMMENT, 4),  # the first deny at the latest clock, 3
+        ("P1", Verb.COMMENT, 3),  # the deny at 2 is latest
+        ("P1", Verb.COMMENT, 2),  # only the permit at 1
+        ("P1", Verb.COMMENT, 1),  # no candidate
+        ("P1", Verb.READ, 4),  # no obligation for the verb
+        ("P2", Verb.COMMENT, 4),  # none for the peer
+    ]
+    assert kernel.scan_governing(log, actions) == [deny_3, deny_2, permit_1, None, None, None]
+
+    edits = edit_log((4, Verb.COMMENT, "P1"), (2, Verb.COMMENT, "P1"))
+    (violation,) = detect_violations(edits, log)
+    assert (violation.action_clock, violation.forbid_clock, violation.grantor) == (4, 3, "P3")
+    assert violation.origin == deny_3.origin
 
 
 def test_prose_scan_deny_wins_tie_regardless_of_order():
-    obl = {"to": [0, 0], "verb": [1, 1], "allow": [1, 0], "clock": [2, 2]}
-    act = {"by": [0], "verb": [1], "clock": [3]}
-    assert scan(obl, act, literal=False) == [1]
-    obl_flipped = {"to": [0, 0], "verb": [1, 1], "allow": [0, 1], "clock": [2, 2]}
-    assert scan(obl_flipped, act, literal=False) == [0]
+    action = [("P1", Verb.COMMENT, 3)]
+    for deny_grantor in ("P2", "P4"):  # sorts before, then after, the permit's P3
+        log = comm_log((2, Verb.COMMENT, True, "P3"), (2, Verb.COMMENT, False, deny_grantor))
+        deny = next(o for o in obligations(log) if not o.allow)
+        assert (obligations(log)[0] is deny) == (deny_grantor == "P2")
+        assert kernel.scan_governing(log, action) == [deny]
+        (violation,) = detect_violations(edit_log((3, Verb.COMMENT, "P1")), log)
+        assert violation.grantor == deny_grantor
 
 
 def test_literal_scan_contract():
-    obl = {
-        "to": [0, 0, 0],
-        "verb": [2, 2, 2],
-        "allow": [0, 1, 0],
-        "clock": [1, 2, 2],
-    }
-    act = {"by": [0, 0], "verb": [2, 2], "clock": [3, 1]}
+    log = comm_log(
+        (1, Verb.DELETE_COMMENT, False, "P2"),
+        (2, Verb.DELETE_COMMENT, True, "P2"),
+        (2, Verb.DELETE_COMMENT, False, "P3"),
+    )
+    deny_1, _, deny_2 = obligations(log)
+    actions = [("P1", Verb.DELETE_COMMENT, 3), ("P1", Verb.DELETE_COMMENT, 1)]
     # any prior forbid condemns; the last one in log order is reported
-    assert scan(obl, act, literal=True) == [2, -1]
+    actions.append(("P1", Verb.DELETE_COMMENT, 2))
+    assert kernel.scan_governing(log, actions, literal=True) == [deny_2, None, deny_1]
 
 
-def test_literal_scan_reports_last_forbid_in_row_order_not_clock_order():
-    obl = {"to": [0, 0], "verb": [0, 0], "allow": [0, 0], "clock": [5, 1]}
-    act = {"by": [0], "verb": [0], "clock": [9]}
-    assert scan(obl, act, literal=True) == [1]
-    assert scan(obl, act, literal=False) == [0]
+def test_literal_scan_reports_latest_earlier_forbid():
+    log = comm_log(
+        (5, Verb.READ, False, "P3"),
+        (1, Verb.READ, False, "P2"),
+        (7, Verb.READ, True, "P2"),
+    )
+    deny_1, deny_5, permit_7 = obligations(log)
+    actions = [("P1", Verb.READ, 9), ("P1", Verb.READ, 3)]
+    assert kernel.scan_governing(log, actions, literal=True) == [deny_5, deny_1]
+    assert kernel.scan_governing(log, actions) == [permit_7, deny_1]
+
+    edits = edit_log((9, Verb.READ, "P1"), (3, Verb.READ, "P1"))
+    literal = detect_violations(edits, log, mode=AuditMode.LITERAL)
+    assert [(v.action_clock, v.forbid_clock, v.grantor) for v in literal] == [
+        (3, 1, "P2"),
+        (9, 5, "P3"),
+    ]
+    (prose,) = detect_violations(edits, log)
+    assert (prose.action_clock, prose.forbid_clock) == (3, 1)
+
+
+def test_prose_scan_returns_governing_permit():
+    log = comm_log(
+        (1, Verb.SHARE, False, "P2"),
+        (4, Verb.SHARE, True, "P3"),
+        (4, Verb.SHARE, True, "P2"),
+    )
+    deny_1, permit_p2, _ = obligations(log)
+    assert kernel.scan_governing(log, [("P1", Verb.SHARE, 5)]) == [permit_p2]
+    assert kernel.scan_governing(log, [("P1", Verb.SHARE, 5)], literal=True) == [deny_1]
+    status = effective_status(log, "P1", Verb.SHARE, 5)
+    assert (status.decision, status.source, status.clock) == (
+        Decision.PERMITTED,
+        permit_p2.origin,
+        4,
+    )
 
 
 def random_logs(rng, n_shares, shift=0):
