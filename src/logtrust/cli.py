@@ -17,6 +17,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
@@ -62,8 +63,87 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
 
 
+def _shared_containers(obj: Any) -> set[int]:
+    """Ids of the dicts, lists and tuples reached more than once in ``obj``."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [obj] if isinstance(obj, (dict, list, tuple)) else []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            shared.add(id(o))
+            continue
+        seen.add(id(o))
+        for child in o.values() if isinstance(o, dict) else o:
+            if isinstance(child, (dict, list, tuple)):
+                stack.append(child)
+    return shared
+
+
+def _dumps(obj: Any) -> str:
+    """Render ``obj`` as ``json.dumps`` does with ``indent=2``.
+
+    Dict keys must be strings.  CPython's C encoder does not run with
+    ``indent`` before 3.13, and a trace holds the same log and state
+    objects in many snapshots, so each container reached more than once
+    is rendered once per depth (the indent depends on the depth) and its
+    text reused.
+    """
+    shared = _shared_containers(obj)
+    texts: dict[tuple[int, int], str] = {}
+    encode = encode_basestring_ascii
+
+    def value(o: Any, depth: int, out: list[str]) -> None:
+        if isinstance(o, str):
+            out.append(encode(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(json.dumps(o))
+        elif isinstance(o, (dict, list, tuple)):
+            if id(o) not in shared:
+                container(o, depth, out)
+                return
+            text = texts.get((id(o), depth))
+            if text is None:
+                parts: list[str] = []
+                container(o, depth, parts)
+                text = texts[id(o), depth] = "".join(parts)
+            out.append(text)
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def container(o: Any, depth: int, out: list[str]) -> None:
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        newline = "\n" + "  " * (depth + 1)
+        separator = "," + newline
+        out.append("{" if is_dict else "[")
+        out.append(newline)
+        for item in o.items() if is_dict else o:
+            if is_dict:
+                out.append(encode(item[0]))
+                out.append(": ")
+                item = item[1]
+            value(item, depth + 1, out)
+            out.append(separator)
+        out[-1] = "\n" + "  " * depth + ("}" if is_dict else "]")
+
+    out: list[str] = []
+    value(obj, 0, out)
+    return "".join(out)
+
+
 def _print_json(data: Any) -> None:
-    print(json.dumps(data, indent=2))
+    print(_dumps(data))
 
 
 def _format_trust(trust: dict[str, float]) -> str:
@@ -110,22 +190,42 @@ def _describe_command(command: dict[str, Any]) -> str:
 
 
 def _export_logs(trace, directory: str) -> list[str]:
-    """Write every peer's final logs as importable log files."""
+    """Write every peer's final logs as importable log files.
+
+    Every name is checked before anything is written: a peer or doc id
+    that could leave the directory, or two held copies whose files would
+    overwrite each other, is an input error.
+    """
+    states = trace.snapshots[-1].states if trace.snapshots else ()
+    owners: dict[str, dict[str, Any]] = {}
+    for state in states:
+        for what in ("peer", "doc"):
+            part = state[what]
+            if part in (".", "..") or any(c in part for c in "/\\\0"):
+                raise _CliError(
+                    f"{directory}: cannot export logs: {what} id {part!r} is not a file name part"
+                )
+        name = f"{state['peer']}_{state['doc']}"
+        other = owners.get(name)
+        if other is not None:
+            raise _CliError(
+                f"{directory}: cannot export logs: {other['peer']!r} holding {other['doc']!r}"
+                f" and {state['peer']!r} holding {state['doc']!r} both write {name}_*.json"
+            )
+        owners[name] = state
     out_dir = Path(directory)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if not trace.snapshots:
-            return written
-        for state in trace.snapshots[-1].states:
+        for name, state in owners.items():
             for role in ("edit", "comm"):
                 payload = {
                     "doc_id": state["doc"],
                     "role": role,
                     "events": state[role],
                 }
-                path = out_dir / f"{state['peer']}_{state['doc']}_{role}.json"
-                path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+                path = out_dir / f"{name}_{role}.json"
+                path.write_text(_dumps(payload) + "\n", encoding="utf-8")
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory

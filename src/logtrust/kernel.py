@@ -35,7 +35,10 @@ def scan_governing(
     for o in comm_log.entries:
         if not isinstance(o, Obligation):
             continue
-        clocks, found = index.setdefault((o.to, o.verb), ([], [None]))
+        entry = index.get((o.to, o.verb))
+        if entry is None:
+            entry = index[o.to, o.verb] = ([], [None])
+        clocks, found = entry
         if literal:
             clocks.append(o.clock)
             found.append(found[-1] if o.allow else o)

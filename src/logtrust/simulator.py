@@ -566,31 +566,46 @@ HeldCopy = tuple[str, str, Log, Log, Document]  # (peer, doc, edit, comm, docume
 Channel = tuple[str, str, str, tuple[Message, ...]]  # (from, to, doc, messages)
 
 
-def _event_dicts(log: Log, memo: dict[int, dict]) -> list[dict]:
-    """``event_to_dict`` of every entry, each event serialized once per memo."""
-    out = []
-    for event in log.entries:
-        data = memo.get(id(event))
-        if data is None:
-            data = memo[id(event)] = event_to_dict(event)
-        out.append(data)
+def _event_dicts(log: Log, memo: dict[int, Any]) -> list[dict]:
+    """``event_to_dict`` of every entry, as one list per log per memo.
+
+    Each event is serialized once per memo too.  The memo is keyed by
+    object id, which is safe while the logs and events outlive it.
+    """
+    out = memo.get(id(log))
+    if out is None:
+        out = memo[id(log)] = []
+        for event in log.entries:
+            data = memo.get(id(event))
+            if data is None:
+                data = memo[id(event)] = event_to_dict(event)
+            out.append(data)
     return out
 
 
-def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[int, dict]) -> list[dict]:
-    return [
-        {
-            "peer": peer,
-            "doc": doc_id,
-            "edit": _event_dicts(edit_log, memo),
-            "comm": _event_dicts(comm_log, memo),
-            "comments": sorted([author, cid] for author, cid in document.comments),
-        }
-        for peer, doc_id, edit_log, comm_log, document in held
-    ]
+def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[Any, Any]) -> list[dict]:
+    """One dict per held copy.
+
+    A copy whose peer, doc, logs and document are the same objects as in
+    an earlier call with the same memo gets that call's dict.
+    """
+    out = []
+    for peer, doc_id, edit_log, comm_log, document in held:
+        key = (peer, doc_id, id(edit_log), id(comm_log), id(document))
+        state = memo.get(key)
+        if state is None:
+            state = memo[key] = {
+                "peer": peer,
+                "doc": doc_id,
+                "edit": _event_dicts(edit_log, memo),
+                "comm": _event_dicts(comm_log, memo),
+                "comments": sorted([author, cid] for author, cid in document.comments),
+            }
+        out.append(state)
+    return out
 
 
-def _queue_dicts(pending: tuple[Channel, ...], memo: dict[int, dict]) -> list[dict]:
+def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dict]:
     return [
         {
             "from": sender,
@@ -648,10 +663,12 @@ class ScenarioTrace:
     def to_dict(self) -> dict[str, Any]:
         """The trace as JSON-ready data.
 
-        Each event is serialized once per call, so every place an event
-        appears in the result holds the same dict.
+        Each event, log and held copy is serialized once per call: every
+        place an event appears holds the same dict, every place a log
+        appears the same list, and a held copy unchanged from an earlier
+        snapshot the same state dict.
         """
-        memo: dict[int, dict] = {}
+        memo: dict[Any, Any] = {}
         return {
             "name": self.name,
             "mode": self.mode.value,

@@ -1,12 +1,19 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from logtrust.cli import main
+from logtrust import AuditMode, Document, generate_scenario, run_scenario
+from logtrust.audit import derive_creator, local_trust_assessment, report_to_dict
+from logtrust.cli import _dumps, main
+from logtrust.events import log_from_dict
 
 from conftest import SCENARIOS
 
 PAPER = str(SCENARIOS / "paper_example.json")
+EMPTY = str(SCENARIOS / "empty.json")
 
 OVERRIDE_SCENARIO = {
     "name": "forgiven-comment",
@@ -220,3 +227,138 @@ def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     comm = write_json(tmp_path / "c.json", {"doc_id": "d", "role": "comm", "events": []})
     assert main(["audit", str(deep), comm, "--assessor", "P1"]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_export_rejects_names_that_leave_the_directory(tmp_path, capsys):
+    out_dir = tmp_path / "logs"
+    for bad in ("../escaped", "/abs", "a\\b", "nul\0", ".", ".."):
+        scenario = write_json(
+            tmp_path / "s.json",
+            {"commands": [{"op": "create", "peer": bad, "doc_id": "d"}]},
+        )
+        assert main(["run", scenario, "--export-logs", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out_dir}: cannot export logs: peer id")
+    scenario = write_json(
+        tmp_path / "s.json",
+        {"commands": [{"op": "create", "peer": "P1", "doc_id": "../d"}]},
+    )
+    assert main(["run", scenario, "--export-logs", str(out_dir)]) == 2
+    assert "doc id '../d'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_export_rejects_colliding_file_names(tmp_path, capsys):
+    scenario = write_json(
+        tmp_path / "s.json",
+        {
+            "commands": [
+                {"op": "create", "peer": "A", "doc_id": "B_c"},
+                {"op": "create", "peer": "A_B", "doc_id": "c"},
+            ]
+        },
+    )
+    out_dir = tmp_path / "logs"
+    assert main(["run", scenario, "--export-logs", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'A' holding 'B_c' and 'A_B' holding 'c' both write A_B_c_*.json" in captured.err
+    assert not out_dir.exists()
+
+
+SPECIAL_STRINGS = ["", "é\u2028\U0001f600", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\t\r\n"]
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63) - 1, max_value=2**63 + 1)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(SPECIAL_STRINGS)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text() | st.sampled_from(SPECIAL_STRINGS), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example(None)
+@example([True, False, None, 2**63, -(2**63), -0.0, 1e16, 1e-7])
+@example([float("nan"), float("inf"), float("-inf")])
+@example({"": [], "a": {}, "b": [[], {}], "c": {"d": [{}]}})
+@example(SPECIAL_STRINGS)
+@example({k: k for k in SPECIAL_STRINGS})
+def test_dumps_matches_json_dumps_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+    # one sub-object aliased at several depths and twice at the same depth
+    aliased = {"a": value, "b": [value, {"c": value}], "d": (value, value), "e": [value]}
+    assert _dumps(aliased) == json.dumps(aliased, indent=2)
+    assert _dumps([aliased, aliased]) == json.dumps([aliased, aliased], indent=2)
+
+
+@pytest.mark.parametrize("mode", ["prose", "literal"])
+def test_run_json_output_equals_json_dumps(mode, capsys):
+    audit_mode = AuditMode(mode)
+    cases = [
+        ([path], json.loads(Path(path).read_text(encoding="utf-8"))) for path in (PAPER, EMPTY)
+    ]
+    cases += [(["--seed", str(seed)], generate_scenario(seed)) for seed in range(30)]
+    for args, scenario in cases:
+        assert main(["run", *args, "--format", "json", "--mode", mode]) == 0
+        expected = json.dumps(run_scenario(scenario, mode=audit_mode).to_dict(), indent=2)
+        assert capsys.readouterr().out == expected + "\n", args
+
+
+def audit_report_dict(edit_path, comm_path, assessor, mode):
+    doc_id, edit_log = log_from_dict(json.loads(edit_path.read_text(encoding="utf-8")))
+    _, comm_log = log_from_dict(json.loads(comm_path.read_text(encoding="utf-8")))
+    creator = derive_creator(edit_log)
+    doc = Document(doc_id, creator) if creator else None
+    report = local_trust_assessment(edit_log, comm_log, doc, assessor, mode=AuditMode(mode))
+    return report_to_dict(dataclasses.replace(report, doc_id=doc_id))
+
+
+def test_audit_json_output_equals_json_dumps(tmp_path, capsys):
+    audited = violations = 0
+    for k, source in enumerate([[PAPER]] + [["--seed", str(seed)] for seed in range(6)]):
+        out_dir = tmp_path / str(k)
+        assert main(["run", *source, "--export-logs", str(out_dir)]) == 0
+        capsys.readouterr()
+        for edit_path in sorted(out_dir.glob("*_edit.json")):
+            comm_path = edit_path.with_name(edit_path.name.replace("_edit.", "_comm."))
+            assessor = edit_path.name.split("_")[0]
+            for mode in ("prose", "literal"):
+                expected = audit_report_dict(edit_path, comm_path, assessor, mode)
+                code = main(
+                    ["audit", str(edit_path), str(comm_path), "--assessor", assessor,
+                     "--format", "json", "--mode", mode]
+                )
+                assert code == (1 if expected["violations"] else 0)
+                assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+                audited += 1
+                violations += bool(expected["violations"])
+    assert audited > 20 and violations > 0
+
+
+def test_to_dict_shares_unchanged_held_copies(paper_scenario):
+    # the JSON writer renders a shared state dict once, so to_dict must
+    # hand out the same dict exactly when a held copy did not change
+    trace = run_scenario(paper_scenario)
+    snapshots = trace.to_dict()["snapshots"]
+    shared = 0
+    for i in range(1, len(trace.snapshots)):
+        before = {
+            held[:2]: (held, state)
+            for held, state in zip(trace.snapshots[i - 1].held, snapshots[i - 1]["states"])
+        }
+        for held, state in zip(trace.snapshots[i].held, snapshots[i]["states"]):
+            if held[:2] not in before:
+                continue
+            old_held, old_state = before[held[:2]]
+            unchanged = all(a is b for a, b in zip(old_held, held))
+            assert (state is old_state) == unchanged
+            shared += unchanged
+    assert shared > 0
