@@ -57,6 +57,9 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise _CliError(f"{path}: invalid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:

@@ -38,6 +38,12 @@ class Verb(enum.Enum):
     DELETE_COMMENT = "delete_comment"
     SHARE = "share"
 
+    # Members are singletons, so identity hashing is enough, and it runs in
+    # C rather than through Enum.__hash__ for every (peer, verb) dict key.
+    # Like Enum's name hash it differs between processes, so no output
+    # order may depend on it.
+    __hash__ = object.__hash__
+
 
 # Rank used for deterministic ordering; follows declaration order.
 _VERB_RANK = {verb: rank for rank, verb in enumerate(Verb)}
@@ -212,6 +218,11 @@ class Log:
     _rows: Optional[tuple[tuple, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The comment set an edit log replays to (``simulator.replay_comments``),
+    # built on first request.
+    _comments: Optional[frozenset[tuple[str, str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         seen = set()
@@ -349,11 +360,26 @@ def merge_logs(local: Log, received: Log) -> Log:
     grantor-side clock while every other copy in circulation carries the
     grantee's receipt clock, and a peer must not have its settled copy
     rewritten by a late-arriving duplicate.  Returns ``local`` itself when
-    ``received`` adds nothing.
+    ``received`` adds nothing, and ``received`` itself when ``local`` is
+    empty.
 
     Merging is idempotent, and for logs whose shared identities carry
     identical events (the only case arising from normal exchange) it is
     also order-insensitive.
+    """
+    return receive_log(local, received, None, 0)
+
+
+def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) -> Log:
+    """``merge_logs``, re-stamping the obligations new to ``receiver``.
+
+    Of the events whose identity ``local`` does not hold yet, every
+    obligation addressed to ``receiver`` gets ``clock``, one value per
+    receipt drawn from the receiver's counter; other obligations and all
+    performed events keep their clocks.  Origin keys are never touched,
+    so identities survive.  Returns ``local`` itself when ``received``
+    adds nothing, and ``received`` itself when ``local`` is empty and
+    nothing needs re-stamping.
     """
     if local.role is not received.role:
         raise MixedRolesError(
@@ -364,39 +390,15 @@ def merge_logs(local: Log, received: Log) -> Log:
     new = [row for row in _keyed(received) if row[1] not in seen]
     if not new:
         return local
-    return _from_rows(local.role, _merged(rows, new))
-
-
-def remap_obligations_on_receipt(received: Log, receiver: str, receiver_clock: int) -> Log:
-    """Re-stamp incoming obligations addressed to the receiver.
-
-    Every obligation with ``to == receiver`` gets ``receiver_clock`` (one
-    value per receipt, drawn from the receiver's counter).  Obligations
-    addressed to other peers, and all performed events, keep their clocks.
-    Origin keys are never touched, so identities survive.  Returns
-    ``received`` itself when no obligation is addressed to the receiver.
-    """
-    if received.role is not LogRole.COMM:
-        raise MixedRolesError("only communication logs carry obligations to remap")
-    kept = []
-    restamped = []
-    for row in _keyed(received):
-        event = row[2]
+    restamped = False
+    for i, (_, key, event) in enumerate(new):
         if isinstance(event, Obligation) and event.to == receiver:
-            event = Obligation(
-                clock=receiver_clock,
-                verb=event.verb,
-                allow=event.allow,
-                by=event.by,
-                to=event.to,
-                origin=event.origin,
-            )
-            restamped.append((sort_key(event), row[1], event))
-        else:
-            kept.append(row)
-    if not restamped:
+            event = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
+            new[i] = (sort_key(event), key, event)
+            restamped = True
+    if not rows and not restamped:
         return received
-    return _from_rows(LogRole.COMM, _merged(kept, restamped))
+    return _from_rows(local.role, _merged(rows, new))
 
 
 @dataclass(frozen=True)
@@ -417,17 +419,6 @@ class Document:
             raise ValueError("doc_id must be non-empty")
         if not self.creator:
             raise ValueError("creator must be non-empty")
-
-    def with_comment(self, author: str, comment_id: str) -> "Document":
-        return Document(self.doc_id, self.creator, self.comments | {(author, comment_id)})
-
-    def without_comment(self, author: str, comment_id: str) -> "Document":
-        return Document(self.doc_id, self.creator, self.comments - {(author, comment_id)})
-
-    def union_comments(self, other: "Document") -> "Document":
-        if other.doc_id != self.doc_id or other.creator != self.creator:
-            raise ValueError("cannot union comments of different documents")
-        return Document(self.doc_id, self.creator, self.comments | other.comments)
 
 
 def make_comment_id(author: str, clock: int) -> str:

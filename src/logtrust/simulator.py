@@ -49,7 +49,7 @@ from .events import (
     event_to_dict,
     make_comment_id,
     merge_logs,
-    remap_obligations_on_receipt,
+    receive_log,
 )
 from .obligations import ObligationAtom, validate_set
 from .trust import DEFAULT_TRUST_MODEL, TrustModel, TrustTable
@@ -60,11 +60,14 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     Replays the log in canonical order: a comment event adds
     ``(author, "author:clock")``, a delete event removes the author's own
     most recent comment if they have one.  Merged logs and live editing
-    agree because both go through this replay.
+    agree because both go through this replay.  The result is cached on
+    the log, so each log is replayed at most once.
 
     An author's comments arrive in clock order, so each author's live
     comments form a stack whose top is the most recent one.
     """
+    if edit_log._comments is not None:
+        return edit_log._comments
     comment, delete = Verb.COMMENT, Verb.DELETE_COMMENT  # enum lookups are slow
     live: dict[str, list[str]] = {}
     for event in edit_log.entries:
@@ -74,12 +77,14 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
             own = live.get(event.by)
             if own:
                 own.pop()
-    return frozenset((author, cid) for author, ids in live.items() for cid in ids)
+    comments = frozenset((author, cid) for author, ids in live.items() for cid in ids)
+    object.__setattr__(edit_log, "_comments", comments)
+    return comments
 
 
 @dataclass(frozen=True)
 class Message:
-    """One in-flight share: a document snapshot plus the sender's logs.
+    """One in-flight share: the document's creator plus the sender's logs.
 
     The communication log is already filtered to the sender/recipient
     correspondence (see ``Simulation.share``).
@@ -88,7 +93,7 @@ class Message:
     sender: str
     recipient: str
     doc_id: str
-    document: Document
+    creator: str
     edit_log: Log
     comm_log: Log
 
@@ -97,9 +102,15 @@ class Message:
 class PeerDocState:
     """Everything one peer holds for one document."""
 
-    document: Document
+    doc_id: str
+    creator: str
     edit_log: Log
     comm_log: Log
+
+    @property
+    def document(self) -> Document:
+        """The document with the comment set its edit log replays to."""
+        return Document(self.doc_id, self.creator, replay_comments(self.edit_log))
 
 
 @dataclass
@@ -168,10 +179,6 @@ class Simulation:
     def documents(self) -> tuple[str, ...]:
         return tuple(sorted(self._creators))
 
-    def _refresh_document(self, state: PeerDocState) -> None:
-        doc = state.document
-        state.document = Document(doc.doc_id, doc.creator, replay_comments(state.edit_log))
-
     # -- commands -----------------------------------------------------
 
     def create_doc(self, peer: str, doc_id: str) -> int:
@@ -204,8 +211,7 @@ class Simulation:
 
         A batch starting with ``create`` creates the document and applies
         the remaining verbs immediately, all at clock 1.  Verbs execute
-        in canonical verb order so that replaying the log reproduces the
-        same document state.
+        in canonical verb order, the order the edit log replays them in.
         """
         del ignore_obligations  # annotation only, never enforced
         if not verbs:
@@ -222,13 +228,12 @@ class Simulation:
                 raise LogTrustError(f"document {doc_id!r} already exists")
             self._creators[doc_id] = peer
             actor.workspace[doc_id] = PeerDocState(
-                Document(doc_id, peer), empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
+                doc_id, peer, empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
             )
         state = self.peer_state(peer, doc_id)
         clock = actor.clock.tick()
         events = [PerformedEdit(clock, verb, peer) for verb in ordered]
         state.edit_log = _insert_events(state.edit_log, events)
-        self._refresh_document(state)
         return clock
 
     def share(
@@ -288,7 +293,7 @@ class Simulation:
             sender=sender,
             recipient=recipient,
             doc_id=doc_id,
-            document=state.document,
+            creator=state.creator,
             edit_log=state.edit_log,
             comm_log=outbound,
         )
@@ -300,9 +305,10 @@ class Simulation:
         """Receive the oldest pending message on one channel.
 
         Receiving draws one fresh clock value; every obligation in the
-        message addressed to the recipient is re-stamped with it.  Logs
-        are then merged (the recipient's own copies win duplicates) and
-        the document state is rebuilt from the merged edit log.
+        message that is new to the recipient and addressed to it is
+        re-stamped with it.  The logs are merged into the recipient's
+        copy, whose own events win duplicates; a recipient that did not
+        hold the document receives into empty logs.
         """
         queue = self._queues.get((sender, recipient, doc_id))
         if not queue:
@@ -310,24 +316,16 @@ class Simulation:
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
             )
         message = queue.popleft()
-        clock = self.peer(recipient).clock.tick()
-        remapped = remap_obligations_on_receipt(message.comm_log, recipient, clock)
-        if self.holds(recipient, doc_id):
-            state = self.peer_state(recipient, doc_id)
-            edit_log = merge_logs(state.edit_log, message.edit_log)
-            state.comm_log = merge_logs(state.comm_log, remapped)
-            if edit_log is state.edit_log:
-                return clock  # no new edits, so the comment set stands
-            state.edit_log = edit_log
-        else:
-            state = PeerDocState(
-                Document(doc_id, message.document.creator),
-                message.edit_log,
-                remapped,
+        actor = self.peer(recipient)
+        clock = actor.clock.tick()
+        state = actor.workspace.get(doc_id)
+        if state is None:
+            state = actor.workspace[doc_id] = PeerDocState(
+                doc_id, message.creator, empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
             )
-            self.peer(recipient).workspace[doc_id] = state
-            self._creators.setdefault(doc_id, message.document.creator)
-        self._refresh_document(state)
+            self._creators.setdefault(doc_id, message.creator)
+        state.edit_log = merge_logs(state.edit_log, message.edit_log)
+        state.comm_log = receive_log(state.comm_log, message.comm_log, recipient, clock)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:
@@ -342,7 +340,7 @@ class Simulation:
         report = local_trust_assessment(
             state.edit_log,
             state.comm_log,
-            state.document,
+            Document(doc_id, state.creator),
             peer,
             self.trust_model,
             mode=self.mode,
@@ -562,7 +560,7 @@ def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
     return name, tuple(commands)
 
 
-HeldCopy = tuple[str, str, Log, Log, Document]  # (peer, doc, edit, comm, document)
+HeldCopy = tuple[str, str, Log, Log, str]  # (peer, doc, edit, comm, creator)
 Channel = tuple[str, str, str, tuple[Message, ...]]  # (from, to, doc, messages)
 
 
@@ -586,12 +584,12 @@ def _event_dicts(log: Log, memo: dict[int, Any]) -> list[dict]:
 def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[Any, Any]) -> list[dict]:
     """One dict per held copy.
 
-    A copy whose peer, doc, logs and document are the same objects as in
-    an earlier call with the same memo gets that call's dict.
+    A copy whose peer, doc and logs are the same objects as in an earlier
+    call with the same memo gets that call's dict.
     """
     out = []
-    for peer, doc_id, edit_log, comm_log, document in held:
-        key = (peer, doc_id, id(edit_log), id(comm_log), id(document))
+    for peer, doc_id, edit_log, comm_log, _creator in held:
+        key = (peer, doc_id, id(edit_log), id(comm_log))
         state = memo.get(key)
         if state is None:
             state = memo[key] = {
@@ -599,7 +597,7 @@ def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[Any, Any]) -> list[dict]
                 "doc": doc_id,
                 "edit": _event_dicts(edit_log, memo),
                 "comm": _event_dicts(comm_log, memo),
-                "comments": sorted([author, cid] for author, cid in document.comments),
+                "comments": sorted([author, cid] for author, cid in replay_comments(edit_log)),
             }
         out.append(state)
     return out
@@ -627,11 +625,11 @@ def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dic
 class CommandSnapshot:
     """Full engine state right after one command.
 
-    Logs, documents and messages are immutable, so the snapshot keeps
-    references to them: ``held`` has one ``(peer, doc, edit_log,
-    comm_log, document)`` per held copy, ``pending`` one ``(from, to,
-    doc, messages)`` per non-empty channel, both sorted.  ``states`` and
-    ``queues`` serialize them on each access.
+    Logs and messages are immutable, so the snapshot keeps references to
+    them: ``held`` has one ``(peer, doc, edit_log, comm_log, creator)``
+    per held copy, ``pending`` one ``(from, to, doc, messages)`` per
+    non-empty channel, both sorted.  ``states`` and ``queues`` serialize
+    them on each access.
     """
 
     index: int
@@ -731,7 +729,7 @@ def run_scenario(
         except (LogTrustError, ValueError) as exc:
             raise ScenarioError(str(exc), index=i) from exc
         held = sorted(
-            (peer.id, doc_id, state.edit_log, state.comm_log, state.document)
+            (peer.id, doc_id, state.edit_log, state.comm_log, state.creator)
             for peer in sim._peers.values()
             for doc_id, state in peer.workspace.items()
         )

@@ -82,6 +82,24 @@ def oracle_status(comm_events, peer, verb, at_clock):
     return ("permitted", top_clock)
 
 
+def oracle_comments(edit_events):
+    """The comment set a serialized edit log replays to, as sorted pairs.
+
+    Walks the events in log order: a comment adds (author, "author:clock"),
+    and a delete removes the author's live comment with the highest clock,
+    if any.  Returns sorted [author, comment_id] lists, the trace format.
+    """
+    live = []
+    for e in edit_events:
+        if e["verb"] == "comment":
+            live.append((e["by"], e["clock"]))
+        elif e["verb"] == "delete_comment":
+            own = [c for c in live if c[0] == e["by"]]
+            if own:
+                live.remove(max(own, key=lambda c: c[1]))
+    return sorted([author, f"{author}:{clock}"] for author, clock in live)
+
+
 def oracle_trust(violation_offenders, peers, model, arg):
     """Fold violations into trust values, one decrement per instance."""
     trust = {peer: 1.0 for peer in peers}

@@ -229,6 +229,23 @@ def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"commands": [], "name": "caf\xe9"}')
+    edit = write_json(tmp_path / "e.json", {"doc_id": "d", "role": "edit", "events": []})
+    comm = write_json(tmp_path / "c.json", {"doc_id": "d", "role": "comm", "events": []})
+    for argv in (
+        ["run", str(bad)],
+        ["validate", str(bad)],
+        ["audit", str(bad), comm, "--assessor", "P1"],
+        ["audit", edit, str(bad), "--assessor", "P1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: invalid UTF-8: byte 0xe9 (invalid continuation byte)\n"
+
+
 def test_export_rejects_names_that_leave_the_directory(tmp_path, capsys):
     out_dir = tmp_path / "logs"
     for bad in ("../escaped", "/abs", "a\\b", "nul\0", ".", ".."):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logtrust import (
-    Document,
     DuplicateEventError,
     Log,
     LogRole,
@@ -24,9 +23,8 @@ from logtrust import (
     event_to_dict,
     log_from_dict,
     log_to_dict,
-    make_comment_id,
     merge_logs,
-    remap_obligations_on_receipt,
+    receive_log,
     sort_key,
 )
 
@@ -126,6 +124,8 @@ def test_append_event_positions_and_guards():
 def test_merge_requires_same_role():
     with pytest.raises(MixedRolesError):
         merge_logs(empty_log(LogRole.EDIT), empty_log(LogRole.COMM))
+    with pytest.raises(MixedRolesError):
+        receive_log(empty_log(LogRole.EDIT), empty_log(LogRole.COMM), "P2", 1)
 
 
 def test_merge_unions_and_deduplicates():
@@ -152,42 +152,83 @@ def test_log_ops_return_their_input_when_nothing_changes():
     log = Log.from_events(LogRole.COMM, [obl(2), PerformedShare(2, "P1", "P2")])
     assert merge_logs(log, log) is log
     assert merge_logs(log, empty_log(LogRole.COMM)) is log
-    assert remap_obligations_on_receipt(log, "P3", 9) is log
+    assert receive_log(log, log, "P2", 9) is log
 
 
-def test_remap_rewrites_only_obligations_to_receiver():
-    incoming = Log(
+def reference_receive(local, received, receiver, clock):
+    """Union of ``local`` and the received events it lacks, the obligations
+    among those addressed to ``receiver`` re-stamped with ``clock``."""
+    held = {dedup_key(e) for e in local}
+    return Log.from_events(
         LogRole.COMM,
-        tuple(
-            sorted(
-                [
-                    obl(2, Verb.READ, True, "P1", "P2"),
-                    obl(2, Verb.COMMENT, False, "P1", "P3", share_clock=3),
-                    PerformedShare(2, "P1", "P2"),
-                ],
-                key=sort_key,
-            )
-        ),
+        [
+            *local,
+            *(
+                Obligation(clock, e.verb, e.allow, e.by, e.to, e.origin)
+                if isinstance(e, Obligation) and e.to == receiver
+                else e
+                for e in received
+                if dedup_key(e) not in held
+            ),
+        ],
     )
-    remapped = remap_obligations_on_receipt(incoming, "P2", 9)
-    clocks = {dedup_key(e): e.clock for e in remapped}
-    assert clocks[dedup_key(obl(1, Verb.READ, True, "P1", "P2"))] == 9
-    assert clocks[dedup_key(obl(1, Verb.COMMENT, False, "P1", "P3", share_clock=3))] == 2
-    assert clocks[dedup_key(PerformedShare(2, "P1", "P2"))] == 2
-    with pytest.raises(MixedRolesError):
-        remap_obligations_on_receipt(empty_log(LogRole.EDIT), "P2", 1)
 
 
-def test_document_comment_set():
-    doc = Document("d", "P1")
-    doc = doc.with_comment("P1", make_comment_id("P1", 1))
-    doc = doc.with_comment("P2", "P2:2")
-    assert ("P1", "P1:1") in doc.comments
-    assert doc.without_comment("P1", "P1:1").comments == {("P2", "P2:2")}
-    other = Document("d", "P1", frozenset({("P3", "P3:1")}))
-    assert len(doc.union_comments(other).comments) == 3
-    with pytest.raises(ValueError):
-        doc.union_comments(Document("other", "P1"))
+RECEIVE_PEERS = ("P1", "P2", "P3")
+
+
+@st.composite
+def comm_events(draw):
+    # Few identities and many clocks, so two logs drawn independently
+    # often hold one identity at different clocks.
+    by = draw(st.sampled_from(RECEIVE_PEERS))
+    to = draw(st.sampled_from([p for p in RECEIVE_PEERS if p != by]))
+    clock = draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) == 0:
+        return PerformedShare(clock, by, to)
+    return Obligation(
+        clock,
+        draw(st.sampled_from((Verb.READ, Verb.SHARE))),
+        draw(st.booleans()),
+        by,
+        to,
+        OriginKey(by, to, draw(st.integers(1, 2))),
+    )
+
+
+def comm_log(events):
+    unique = {}
+    for event in events:
+        unique.setdefault(dedup_key(event), event)
+    return Log.from_events(LogRole.COMM, unique.values())
+
+
+@given(
+    st.lists(comm_events(), max_size=12),
+    st.lists(comm_events(), max_size=12),
+    st.sampled_from(("independent", "empty", "same")),
+    st.sampled_from(RECEIVE_PEERS),
+    st.integers(1, 9),
+)
+def test_receive_log_matches_reference(local_events, received_events, case, receiver, clock):
+    received = comm_log(received_events)
+    local = {
+        "independent": comm_log(local_events),
+        "empty": empty_log(LogRole.COMM),
+        "same": received,
+    }[case]
+    got = receive_log(local, received, receiver, clock)
+    want = reference_receive(local, received, receiver, clock)
+    assert got == want
+    assert got._rows == tuple((sort_key(e), dedup_key(e), e) for e in got.entries)
+    if len(want) == len(local):
+        assert got is local
+    elif not local.entries and not any(
+        isinstance(e, Obligation) and e.to == receiver for e in received
+    ):
+        assert got is received
+    else:
+        assert got is not local and got is not received
 
 
 @given(

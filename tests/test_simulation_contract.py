@@ -3,8 +3,9 @@
 Hypothesis drives random create, edit, batch, share, deliver and audit
 steps over a few peers and documents.  After every step each held and
 in-flight log must re-validate as a ``Log`` and carry cached rows equal
-to its entries' keys, and every audit must agree with ``tests/oracle.py``
-in both audit modes.
+to its entries' keys, each held comment set must equal the oracle's
+replay of its edit log, and every audit must agree with
+``tests/oracle.py`` in both audit modes.
 """
 
 from hypothesis import settings, strategies as st
@@ -30,7 +31,7 @@ from logtrust import (
     event_to_dict,
     sort_key,
 )
-from oracle import oracle_trust, oracle_violations, violation_tuple
+from oracle import oracle_comments, oracle_trust, oracle_violations, violation_tuple
 
 PEERS = ("P1", "P2", "P3", "P4")
 DOCS = ("d", "e")
@@ -134,6 +135,8 @@ class SimulationMachine(RuleBasedStateMachine):
             state = self.sim.peer_state(peer, doc)
             check_log(state.edit_log)
             check_log(state.comm_log)
+            comments = sorted(map(list, state.document.comments))
+            assert comments == oracle_comments(map(event_to_dict, state.edit_log))
         for channel in self.channels():
             for message in self.sim.pending(*channel):
                 check_log(message.edit_log)

@@ -172,6 +172,20 @@ def test_comment_lifecycle_and_replay():
     ) == 3
 
 
+def test_comments_are_replayed_on_demand_once_per_log():
+    sim = Simulation()
+    sim.batch("P1", "d", [Verb.CREATE, Verb.COMMENT])
+    sim.share("P1", "d", "P2", READ_OK)
+    sim.deliver("P2", "P1", "d")
+    sim.audit("P2", "d")
+    state = sim.peer_state("P2", "d")
+    # neither the engine nor an audit reads the comment set
+    assert state.edit_log._comments is None
+    comments = state.document.comments
+    assert comments == {("P1", "P1:1")}
+    assert replay_comments(state.edit_log) is comments
+
+
 def test_batch_executes_in_canonical_verb_order():
     sim = Simulation()
     sim.create_doc("P1", "d")

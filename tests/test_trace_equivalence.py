@@ -1,15 +1,24 @@
 """Reference snapshots against an eager capture of the engine state.
 
-``run_scenario`` keeps references to the immutable logs, documents and
-messages after each command and serializes them only when asked.
+``run_scenario`` keeps references to the immutable logs and messages
+after each command and serializes them only when asked.
 ``EagerCapture`` is an independent reference: it serializes the whole
-engine state right after each command.  The trace is compared with it
-only after the run has finished, so the comparison also shows that later
-commands never alter an earlier snapshot.
+engine state right after each command, with comment sets from the
+oracle's own replay.  The trace is compared with it only after the run
+has finished, so the comparison also shows that later commands never
+alter an earlier snapshot.
 """
 
+import hashlib
+
 from logtrust import Simulation, event_to_dict, generate_scenario, parse_scenario, run_scenario
+from logtrust.cli import _dumps
 from logtrust.simulator import apply_command
+from oracle import oracle_comments
+
+# SHA-256 over the JSON text (``cli._dumps``) of the traces of generated
+# scenarios 0-199, in seed order.
+TRACES_SHA256 = "03b3f74282720dcf2e8b466f27ba9582fdfab1d521fdd33ea12f9a9ac6309b3f"
 
 
 class EagerCapture:
@@ -40,7 +49,7 @@ class EagerCapture:
                 "doc": doc_id,
                 "edit": self.events(state.edit_log),
                 "comm": self.events(state.comm_log),
-                "comments": sorted([author, cid] for author, cid in state.document.comments),
+                "comments": oracle_comments(self.events(state.edit_log)),
             }
             for peer_id, doc_id, state in held
         )
@@ -85,3 +94,13 @@ def test_reference_snapshots_match_eager_capture():
             assert trace.snapshots[k].queues == queues, where
             assert serialized[k]["states"] == list(states), where
             assert serialized[k]["queues"] == list(queues), where
+
+
+def test_generated_traces_are_byte_identical():
+    # Pins the JSON of 200 generated scenarios: any change to the engine,
+    # the trace or the writer that moves one byte of output fails here.
+    digest = hashlib.sha256()
+    for seed in range(200):
+        trace = run_scenario(generate_scenario(seed, max_peers=8, max_commands=80))
+        digest.update(_dumps(trace.to_dict()).encode())
+    assert digest.hexdigest() == TRACES_SHA256
