@@ -27,13 +27,13 @@ from .events import (
     Document,
     Log,
     LogRole,
+    Obligation,
     OriginKey,
     PerformedEdit,
     PerformedShare,
     Verb,
     _VERB_RANK,
 )
-from .obligations import Decision, ObligationStatus
 from .trust import (
     DEFAULT_TRUST_MODEL,
     TrustModel,
@@ -58,29 +58,34 @@ def parse_audit_mode(text: str) -> AuditMode:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
-    """One performed action that its governing obligation forbade."""
+    """One performed action that its governing obligation forbade.
+
+    ``forbid`` is that obligation as the audited communication log holds
+    it, so its clock lives in the offender's local timeline.
+    """
 
     offender: str
     verb: Verb
     action_clock: int
-    governing: ObligationStatus
-    grantor: str
+    forbid: Obligation
 
     def __post_init__(self):
-        if self.governing.decision is not Decision.FORBIDDEN:
-            raise ValueError("a violation's governing status must be a forbid")
-        if self.governing.clock is None or self.action_clock <= self.governing.clock:
+        if self.forbid.allow:
+            raise ValueError("a violation's governing obligation must be a forbid")
+        if self.action_clock <= self.forbid.clock:
             raise ValueError("the action must come after the forbid that condemns it")
 
     @property
     def forbid_clock(self) -> int:
-        assert self.governing.clock is not None
-        return self.governing.clock
+        return self.forbid.clock
+
+    @property
+    def grantor(self) -> str:
+        return self.forbid.by
 
     @property
     def origin(self) -> OriginKey:
-        assert self.governing.source is not None
-        return self.governing.source
+        return self.forbid.origin
 
 
 @dataclass(frozen=True)
@@ -151,12 +156,11 @@ def detect_violations(
         comm_log, actions, literal=(mode is AuditMode.LITERAL)
     )
 
-    violations = []
-    for (by, verb, clock), source in zip(actions, governing):
-        if source is None or source.allow:
-            continue
-        status = ObligationStatus(Decision.FORBIDDEN, source.origin, source.clock)
-        violations.append(Violation(by, verb, clock, status, source.by))
+    violations = [
+        Violation(by, verb, clock, source)
+        for (by, verb, clock), source in zip(actions, governing)
+        if source is not None and not source.allow
+    ]
     violations.sort(key=lambda v: (v.offender, v.action_clock, _VERB_RANK[v.verb]))
     return tuple(violations)
 

@@ -23,15 +23,15 @@ from typing import Any, Optional
 
 from .audit import (
     AuditMode,
-    derive_creator,
+    AuditReport,
     local_trust_assessment,
     parse_audit_mode,
     report_to_dict,
 )
-from .errors import LogTrustError, MixedDocumentsError, ScenarioError
-from .events import Document, LogRole, log_from_dict
+from .errors import LogTrustError, ScenarioError
+from .events import LogRole, log_from_dict, log_to_dict
 from .scengen import generate_scenario
-from .simulator import run_scenario
+from .simulator import PeerDocState, run_scenario
 from .trust import DEFAULT_TRUST_MODEL, TrustModel, parse_trust_model
 
 
@@ -153,22 +153,21 @@ def _format_trust(trust: dict[str, float]) -> str:
     return "  ".join(f"{peer}={trust[peer]:g}" for peer in sorted(trust))
 
 
-def _print_report_table(report_dict: dict[str, Any], indent: str = "") -> None:
-    violations = report_dict["violations"]
+def _print_report_table(report: AuditReport, indent: str = "") -> None:
     print(
-        f"{indent}assessor={report_dict['assessor']}"
-        f" doc={report_dict['doc_id']}"
-        f" mode={report_dict['mode']}"
-        f" violations={len(violations)}"
+        f"{indent}assessor={report.assessor}"
+        f" doc={report.doc_id}"
+        f" mode={report.mode.value}"
+        f" violations={len(report.violations)}"
     )
-    for v in violations:
+    for v in report.violations:
         print(
-            f"{indent}  {v['offender']} performed {v['verb']} at clock"
-            f" {v['action_clock']} against a forbid from {v['grantor']}"
-            f" (forbid clock {v['forbid_clock']},"
-            f" granted at share clock {v['origin']['share_clock']})"
+            f"{indent}  {v.offender} performed {v.verb.value} at clock"
+            f" {v.action_clock} against a forbid from {v.grantor}"
+            f" (forbid clock {v.forbid_clock},"
+            f" granted at share clock {v.origin.share_clock})"
         )
-    print(f"{indent}  trust: {_format_trust(report_dict['trust'])}")
+    print(f"{indent}  trust: {_format_trust(report.trust)}")
 
 
 def _describe_command(command: dict[str, Any]) -> str:
@@ -199,36 +198,30 @@ def _export_logs(trace, directory: str) -> list[str]:
     that could leave the directory, or two held copies whose files would
     overwrite each other, is an input error.
     """
-    states = trace.snapshots[-1].states if trace.snapshots else ()
-    owners: dict[str, dict[str, Any]] = {}
-    for state in states:
-        for what in ("peer", "doc"):
-            part = state[what]
+    held = trace.snapshots[-1].held if trace.snapshots else ()
+    owners: dict[str, PeerDocState] = {}
+    for copy in held:
+        for what, part in (("peer", copy.peer), ("doc", copy.doc_id)):
             if part in (".", "..") or any(c in part for c in "/\\\0"):
                 raise _CliError(
                     f"{directory}: cannot export logs: {what} id {part!r} is not a file name part"
                 )
-        name = f"{state['peer']}_{state['doc']}"
+        name = f"{copy.peer}_{copy.doc_id}"
         other = owners.get(name)
         if other is not None:
             raise _CliError(
-                f"{directory}: cannot export logs: {other['peer']!r} holding {other['doc']!r}"
-                f" and {state['peer']!r} holding {state['doc']!r} both write {name}_*.json"
+                f"{directory}: cannot export logs: {other.peer!r} holding {other.doc_id!r}"
+                f" and {copy.peer!r} holding {copy.doc_id!r} both write {name}_*.json"
             )
-        owners[name] = state
+        owners[name] = copy
     out_dir = Path(directory)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, state in owners.items():
-            for role in ("edit", "comm"):
-                payload = {
-                    "doc_id": state["doc"],
-                    "role": role,
-                    "events": state[role],
-                }
-                path = out_dir / f"{name}_{role}.json"
-                path.write_text(_dumps(payload) + "\n", encoding="utf-8")
+        for name, copy in owners.items():
+            for log in (copy.edit_log, copy.comm_log):
+                path = out_dir / f"{name}_{log.role.value}.json"
+                path.write_text(_dumps(log_to_dict(log, copy.doc_id)) + "\n", encoding="utf-8")
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory
@@ -296,33 +289,23 @@ def cmd_audit(edit_log_path: str, comm_log_path: str, config: CliConfig) -> int:
     edit_doc, edit_log = _load_log(edit_log_path, LogRole.EDIT)
     comm_doc, comm_log = _load_log(comm_log_path, LogRole.COMM)
     if edit_doc != comm_doc:
-        raise _CliError(
-            str(
-                MixedDocumentsError(
-                    f"logs describe different documents: {edit_doc!r} vs {comm_doc!r}"
-                )
-            )
-        )
+        raise _CliError(f"logs describe different documents: {edit_doc!r} vs {comm_doc!r}")
     try:
-        creator = derive_creator(edit_log)
-        doc = Document(edit_doc, creator) if creator else None
         report = local_trust_assessment(
             edit_log,
             comm_log,
-            doc,
+            None,
             config.assessor,
             config.trust_model,
             mode=config.mode,
         )
     except LogTrustError as exc:
         raise _CliError(f"{edit_log_path}: {exc}") from None
-    if report.doc_id != edit_doc:
-        report = dataclasses.replace(report, doc_id=edit_doc)
-    report_dict = report_to_dict(report)
+    report = dataclasses.replace(report, doc_id=edit_doc)
     if config.output_format == "json":
-        _print_json(report_dict)
+        _print_json(report_to_dict(report))
     else:
-        _print_report_table(report_dict)
+        _print_report_table(report)
     return 1 if report.violations else 0
 
 

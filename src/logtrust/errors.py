@@ -49,10 +49,6 @@ class NoPendingMessageError(LogTrustError):
     """No queued message exists for the requested delivery."""
 
 
-class MixedDocumentsError(LogTrustError):
-    """The edit log and communication log refer to different documents."""
-
-
 class ScenarioError(LogTrustError):
     """A scenario file failed validation or a command failed during execution.
 

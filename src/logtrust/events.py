@@ -61,18 +61,6 @@ class LogRole(enum.Enum):
     COMM = "comm"
 
 
-@dataclass
-class PeerClock:
-    """Per-peer Lamport counter.  Starts at 0; first tick yields 1."""
-
-    value: int = 0
-
-    def tick(self) -> int:
-        """Draw the next clock value and persist it."""
-        self.value += 1
-        return self.value
-
-
 @dataclass(frozen=True, slots=True)
 class OriginKey:
     """Stable identity of an obligation across receipt-time re-stamping.
@@ -312,13 +300,7 @@ def append_event(log: Log, event: Event) -> Log:
     when events are appended one at a time; the simulator stamps
     same-tick groups through a dedicated path instead).
     """
-    if _role_of(event) is not log.role:
-        raise MixedRolesError(
-            f"{type(event).__name__} does not belong in a {log.role.value} log"
-        )
-    key = dedup_key(event)
-    if key in set(map(_DEDUP_KEY, _keyed(log))):
-        raise DuplicateEventError(f"duplicate event identity {key}")
+    appended = _insert_events(log, [event])
     latest_own = max(
         (e.clock for e in log.entries if e.by == event.by), default=0
     )
@@ -326,7 +308,7 @@ def append_event(log: Log, event: Event) -> Log:
         raise OrderViolationError(
             f"{event.by} appended clock {event.clock} after own clock {latest_own}"
         )
-    return _insert_events(log, [event])
+    return appended
 
 
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:

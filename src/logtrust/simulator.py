@@ -12,8 +12,8 @@ engine is fully deterministic, so one scenario always yields one trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .audit import (
     AuditMode,
@@ -38,7 +38,6 @@ from .events import (
     OBLIGATION_VERBS,
     Obligation,
     OriginKey,
-    PeerClock,
     PerformedEdit,
     PerformedShare,
     Verb,
@@ -52,7 +51,7 @@ from .events import (
     receive_log,
 )
 from .obligations import ObligationAtom, validate_set
-from .trust import DEFAULT_TRUST_MODEL, TrustModel, TrustTable
+from .trust import DEFAULT_TRUST_MODEL, TrustModel
 
 def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     """Derive the comment set from an edit log.
@@ -98,14 +97,18 @@ class Message:
     comm_log: Log
 
 
-@dataclass
-class PeerDocState:
-    """Everything one peer holds for one document."""
+class PeerDocState(NamedTuple):
+    """Everything one peer holds for one document.
 
+    Records are immutable: a command that changes a held copy replaces
+    its record once the command has succeeded.
+    """
+
+    peer: str
     doc_id: str
-    creator: str
     edit_log: Log
     comm_log: Log
+    creator: str
 
     @property
     def document(self) -> Document:
@@ -113,27 +116,11 @@ class PeerDocState:
         return Document(self.doc_id, self.creator, replay_comments(self.edit_log))
 
 
-@dataclass
-class PeerState:
-    """One peer's whole world: its clock, workspace, and trust view.
-
-    The clock counter is shared across all documents the peer touches,
-    so every event the peer generates gets a globally fresh value.
-    """
-
-    id: str
-    clock: PeerClock = field(default_factory=PeerClock)
-    workspace: dict[str, PeerDocState] = field(default_factory=dict)
-    trust: TrustTable = field(default_factory=dict)
-
-    @property
-    def clock_counter(self) -> int:
-        return self.clock.value
-
-
 class Simulation:
-    """Deterministic engine: per-peer clocks, logs, and FIFO channels.
+    """Deterministic engine: per-peer clocks, held copies, and FIFO channels.
 
+    Each peer has one Lamport counter, shared across all documents it
+    touches, so every event it generates gets a globally fresh value.
     Message channels are keyed by (sender, recipient, document) and
     delivered explicitly, so a scenario controls interleaving exactly.
     """
@@ -145,39 +132,33 @@ class Simulation:
     ):
         self.mode = mode
         self.trust_model = trust_model
-        self._peers: dict[str, PeerState] = {}
+        self._clocks: dict[str, int] = {}
+        self._held: dict[tuple[str, str], PeerDocState] = {}
         self._queues: dict[tuple[str, str, str], deque[Message]] = {}
-        self._creators: dict[str, str] = {}
-        self.reports: list[AuditReport] = []
 
     # -- state access -------------------------------------------------
 
-    def peer(self, name: str) -> PeerState:
-        if not name:
-            raise ValueError("peer name must be non-empty")
-        state = self._peers.get(name)
-        if state is None:
-            state = self._peers[name] = PeerState(name)
-        return state
+    def clock(self, peer: str) -> int:
+        """The last clock value ``peer`` drew; 0 before its first command."""
+        return self._clocks.get(peer, 0)
 
     def holds(self, peer: str, doc_id: str) -> bool:
-        state = self._peers.get(peer)
-        return state is not None and doc_id in state.workspace
+        return (peer, doc_id) in self._held
 
     def peer_state(self, peer: str, doc_id: str) -> PeerDocState:
-        state = self._peers.get(peer)
-        if state is None or doc_id not in state.workspace:
+        state = self._held.get((peer, doc_id))
+        if state is None:
             raise DocumentNotHeldError(f"{peer} does not hold {doc_id!r}")
-        return state.workspace[doc_id]
+        return state
 
     def pending(self, sender: str, recipient: str, doc_id: str) -> tuple[Message, ...]:
         return tuple(self._queues.get((sender, recipient, doc_id), ()))
 
     def peers(self) -> tuple[str, ...]:
-        return tuple(sorted(p.id for p in self._peers.values() if p.workspace))
+        return tuple(sorted({peer for peer, _ in self._held}))
 
     def documents(self) -> tuple[str, ...]:
-        return tuple(sorted(self._creators))
+        return tuple(sorted({doc_id for _, doc_id in self._held}))
 
     # -- commands -----------------------------------------------------
 
@@ -222,18 +203,21 @@ class Simulation:
         for verb in ordered:
             if verb is not Verb.CREATE and verb not in EDIT_VERBS:
                 raise ValueError(f"{verb.value} is not an edit verb")
-        actor = self.peer(peer)
+        if not peer:
+            raise ValueError("peer name must be non-empty")
         if Verb.CREATE in ordered:
-            if doc_id in self._creators:
+            if doc_id in self.documents():
                 raise LogTrustError(f"document {doc_id!r} already exists")
-            self._creators[doc_id] = peer
-            actor.workspace[doc_id] = PeerDocState(
-                doc_id, peer, empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
+            state = PeerDocState(
+                peer, doc_id, empty_log(LogRole.EDIT), empty_log(LogRole.COMM), peer
             )
-        state = self.peer_state(peer, doc_id)
-        clock = actor.clock.tick()
+        else:
+            state = self.peer_state(peer, doc_id)
+        clock = self.clock(peer) + 1
         events = [PerformedEdit(clock, verb, peer) for verb in ordered]
-        state.edit_log = _insert_events(state.edit_log, events)
+        edit_log = _insert_events(state.edit_log, events)
+        self._clocks[peer] = clock
+        self._held[peer, doc_id] = state._replace(edit_log=edit_log)
         return clock
 
     def share(
@@ -275,20 +259,18 @@ class Simulation:
                 raise MissingObligationError(
                     f"share from {sender} to {recipient} must carry obligations"
                 )
-        clock = self.peer(sender).clock.tick()
+        clock = self.clock(sender) + 1
         origin = OriginKey(sender, recipient, clock)
         new_events: list = [PerformedShare(clock, sender, recipient)]
         for atom in sorted(atom_set, key=lambda a: (_VERB_RANK[a.verb], a.allow)):
             new_events.append(
                 Obligation(clock, atom.verb, atom.allow, sender, recipient, origin)
             )
-        state.comm_log = _insert_events(state.comm_log, new_events)
+        comm_log = _insert_events(state.comm_log, new_events)
 
         # The recipient gets the full correspondence history relevant to
         # it, but not the sender's grants and shares to other peers.
-        outbound = _select(
-            state.comm_log, lambda e: e.by != sender or e.to == recipient
-        )
+        outbound = _select(comm_log, lambda e: e.by != sender or e.to == recipient)
         message = Message(
             sender=sender,
             recipient=recipient,
@@ -297,8 +279,9 @@ class Simulation:
             edit_log=state.edit_log,
             comm_log=outbound,
         )
-        key = (sender, recipient, doc_id)
-        self._queues.setdefault(key, deque()).append(message)
+        self._clocks[sender] = clock
+        self._held[sender, doc_id] = state._replace(comm_log=comm_log)
+        self._queues.setdefault((sender, recipient, doc_id), deque()).append(message)
         return clock
 
     def deliver(self, recipient: str, sender: str, doc_id: str) -> int:
@@ -315,17 +298,22 @@ class Simulation:
             raise NoPendingMessageError(
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
             )
-        message = queue.popleft()
-        actor = self.peer(recipient)
-        clock = actor.clock.tick()
-        state = actor.workspace.get(doc_id)
+        message = queue[0]
+        clock = self.clock(recipient) + 1
+        state = self._held.get((recipient, doc_id))
         if state is None:
-            state = actor.workspace[doc_id] = PeerDocState(
-                doc_id, message.creator, empty_log(LogRole.EDIT), empty_log(LogRole.COMM)
+            state = PeerDocState(
+                recipient,
+                doc_id,
+                empty_log(LogRole.EDIT),
+                empty_log(LogRole.COMM),
+                message.creator,
             )
-            self._creators.setdefault(doc_id, message.creator)
-        state.edit_log = merge_logs(state.edit_log, message.edit_log)
-        state.comm_log = receive_log(state.comm_log, message.comm_log, recipient, clock)
+        edit_log = merge_logs(state.edit_log, message.edit_log)
+        comm_log = receive_log(state.comm_log, message.comm_log, recipient, clock)
+        queue.popleft()
+        self._clocks[recipient] = clock
+        self._held[recipient, doc_id] = state._replace(edit_log=edit_log, comm_log=comm_log)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:
@@ -333,11 +321,10 @@ class Simulation:
 
         Every audit is a fresh assessment of the full logs: trust starts
         at the maximum for all peers and one decrement is applied per
-        violation instance found.  The result replaces the auditing
-        peer's trust table.
+        violation instance found.
         """
         state = self.peer_state(peer, doc_id)
-        report = local_trust_assessment(
+        return local_trust_assessment(
             state.edit_log,
             state.comm_log,
             Document(doc_id, state.creator),
@@ -345,9 +332,6 @@ class Simulation:
             self.trust_model,
             mode=self.mode,
         )
-        self.peer(peer).trust = dict(report.trust)
-        self.reports.append(report)
-        return report
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +544,6 @@ def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
     return name, tuple(commands)
 
 
-HeldCopy = tuple[str, str, Log, Log, str]  # (peer, doc, edit, comm, creator)
 Channel = tuple[str, str, str, tuple[Message, ...]]  # (from, to, doc, messages)
 
 
@@ -581,7 +564,7 @@ def _event_dicts(log: Log, memo: dict[int, Any]) -> list[dict]:
     return out
 
 
-def _state_dicts(held: tuple[HeldCopy, ...], memo: dict[Any, Any]) -> list[dict]:
+def _state_dicts(held: tuple[PeerDocState, ...], memo: dict[Any, Any]) -> list[dict]:
     """One dict per held copy.
 
     A copy whose peer, doc and logs are the same objects as in an earlier
@@ -625,19 +608,20 @@ def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dic
 class CommandSnapshot:
     """Full engine state right after one command.
 
-    Logs and messages are immutable, so the snapshot keeps references to
-    them: ``held`` has one ``(peer, doc, edit_log, comm_log, creator)``
-    per held copy, ``pending`` one ``(from, to, doc, messages)`` per
+    Held copies, logs and messages are immutable, so the snapshot keeps
+    references to them: ``held`` has the engine's ``PeerDocState`` record
+    of each held copy, ``pending`` one ``(from, to, doc, messages)`` per
     non-empty channel, both sorted.  ``states`` and ``queues`` serialize
-    them on each access.
+    them on each access.  ``report`` is the audit report of an audit
+    command.
     """
 
     index: int
     command: dict[str, Any]
     clock: int
-    held: tuple[HeldCopy, ...]
+    held: tuple[PeerDocState, ...]
     pending: tuple[Channel, ...]
-    report: Optional[dict[str, Any]] = None
+    report: Optional[AuditReport] = None
 
     @property
     def states(self) -> tuple[dict[str, Any], ...]:
@@ -656,7 +640,11 @@ class ScenarioTrace:
     mode: AuditMode
     trust_model: str
     snapshots: tuple[CommandSnapshot, ...]
-    reports: tuple[AuditReport, ...]
+
+    @property
+    def reports(self) -> tuple[AuditReport, ...]:
+        """The audit reports, in execution order."""
+        return tuple(s.report for s in self.snapshots if s.report is not None)
 
     def to_dict(self) -> dict[str, Any]:
         """The trace as JSON-ready data.
@@ -678,7 +666,7 @@ class ScenarioTrace:
                     "clock": s.clock,
                     "states": _state_dicts(s.held, memo),
                     "queues": _queue_dicts(s.pending, memo),
-                    "report": s.report,
+                    "report": None if s.report is None else report_to_dict(s.report),
                 }
                 for s in self.snapshots
             ],
@@ -728,11 +716,6 @@ def run_scenario(
             clock, report = apply_command(sim, command)
         except (LogTrustError, ValueError) as exc:
             raise ScenarioError(str(exc), index=i) from exc
-        held = sorted(
-            (peer.id, doc_id, state.edit_log, state.comm_log, state.creator)
-            for peer in sim._peers.values()
-            for doc_id, state in peer.workspace.items()
-        )
         pending = [
             (*channel, tuple(queue)) for channel, queue in sorted(sim._queues.items()) if queue
         ]
@@ -741,9 +724,9 @@ def run_scenario(
                 index=i,
                 command=command.describe(),
                 clock=clock,
-                held=tuple(held),
+                held=tuple(sorted(sim._held.values())),
                 pending=tuple(pending),
-                report=None if report is None else report_to_dict(report),
+                report=report,
             )
         )
     return ScenarioTrace(
@@ -751,5 +734,4 @@ def run_scenario(
         mode=mode,
         trust_model=trust_model.describe(),
         snapshots=tuple(snapshots),
-        reports=tuple(sim.reports),
     )

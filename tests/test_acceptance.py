@@ -10,13 +10,11 @@ import time
 
 from logtrust import (
     AuditMode,
-    Decision,
     Log,
     LogRole,
     MultiplicativeTrust,
     FixedStepTrust,
     Obligation,
-    ObligationStatus,
     OriginKey,
     PerformedEdit,
     Verb,
@@ -25,6 +23,7 @@ from logtrust import (
     detect_violations,
     generate_scenario,
     merge_logs,
+    report_to_dict,
     run_scenario,
 )
 from conftest import logs_from_state
@@ -87,7 +86,7 @@ def test_criterion_1_golden_trace(paper_scenario, paper_golden):
                 f" {expected_queue['from']} -> {expected_queue['to']} deviates"
             )
 
-    assert trace.snapshots[-1].report == paper_golden["final_report"]
+    assert report_to_dict(trace.snapshots[-1].report) == paper_golden["final_report"]
     assert elapsed < 1.0, f"golden trace took {elapsed:.3f}s"
     print(
         f"\nACCEPTANCE CRITERION 1: PASS - golden trace reproduced"
@@ -282,12 +281,8 @@ def test_criterion_4_invariant_suite():
 
 def test_criterion_5_trust_monotonicity_and_exact_halving(paper_scenario):
     def fake_violations(offender, count):
-        status = ObligationStatus(
-            Decision.FORBIDDEN, OriginKey("G", offender, 1), 1
-        )
-        return [
-            Violation(offender, Verb.COMMENT, 2 + i, status, "G") for i in range(count)
-        ]
+        forbid = Obligation(1, Verb.COMMENT, False, "G", offender, OriginKey("G", offender, 1))
+        return [Violation(offender, Verb.COMMENT, 2 + i, forbid) for i in range(count)]
 
     # exactness: one violation under the default model lands on 0.5 exactly
     assert apply_violations(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -379,3 +380,40 @@ def test_to_dict_shares_unchanged_held_copies(paper_scenario):
             assert (state is old_state) == unchanged
             shared += unchanged
     assert shared > 0
+
+
+# SHA-256 over the exit code and stdout of ``run`` (both formats and modes)
+# on the two scenario files and seeds 0-59, the files ``--export-logs``
+# writes for them, and ``audit`` (both formats and modes) on every
+# exported pair.
+CLI_OUTPUT_SHA256 = "553f963771ff676ac6936010070560ed35d64e7c7e1685d4be30b010de6c8a9f"
+
+
+def test_cli_output_is_byte_identical(tmp_path, capsys):
+    # Pins the table, JSON and log-file writers: any change that moves
+    # one byte of what the CLI prints or exports fails here.
+    digest = hashlib.sha256()
+
+    def record(argv):
+        code = main(argv)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+
+    sources = [[PAPER], [EMPTY]] + [["--seed", str(seed)] for seed in range(60)]
+    for k, source in enumerate(sources):
+        out_dir = tmp_path / str(k)
+        for mode in ("prose", "literal"):
+            for fmt in ("table", "json"):
+                export = ["--export-logs", str(out_dir)] if (mode, fmt) == ("prose", "table") else []
+                record(["run", *source, "--mode", mode, "--format", fmt, *export])
+        for path in sorted(out_dir.glob("*.json")):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        for edit_path in sorted(out_dir.glob("*_edit.json")):
+            comm_path = edit_path.with_name(edit_path.name.replace("_edit.", "_comm."))
+            assessor = edit_path.name.split("_")[0]
+            for mode in ("prose", "literal"):
+                for fmt in ("table", "json"):
+                    record(
+                        ["audit", str(edit_path), str(comm_path), "--assessor", assessor,
+                         "--mode", mode, "--format", fmt]
+                    )
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256

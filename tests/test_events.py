@@ -11,7 +11,6 @@ from logtrust import (
     Obligation,
     OrderViolationError,
     OriginKey,
-    PeerClock,
     PerformedEdit,
     PerformedShare,
     UnorderedLogError,
@@ -33,11 +32,6 @@ ORG = OriginKey("P1", "P2", 2)
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
     return Obligation(clock, verb, allow, by, to, OriginKey(by, to, share_clock))
-
-
-def test_peer_clock_counts_from_one():
-    clock = PeerClock()
-    assert [clock.tick(), clock.tick(), clock.tick()] == [1, 2, 3]
 
 
 def test_event_validation():

@@ -27,15 +27,16 @@ READ_OK = [A(Verb.READ, True)]
 
 def test_clocks_count_per_peer():
     sim = Simulation()
+    assert sim.clock("P1") == 0
     assert sim.create_doc("P1", "d") == 1
     assert sim.edit("P1", "d", Verb.READ) == 2
     assert sim.share("P1", "d", "P2", READ_OK) == 3
     # one counter per peer, shared across documents
     assert sim.create_doc("P1", "e") == 4
-    assert sim.peer("P1").clock_counter == 4
+    assert sim.clock("P1") == 4
     # other peers tick independently
     sim.deliver("P2", "P1", "d")
-    assert sim.peer("P2").clock_counter == 1
+    assert sim.clock("P2") == 1
 
 
 def test_create_twice_rejected():
@@ -216,7 +217,7 @@ def test_failed_batch_leaves_no_state():
         sim.batch("", "d", [Verb.CREATE])
     assert sim.documents() == ()
     assert not sim.holds("P1", "d")
-    assert sim.peer("P1").clock_counter == 0
+    assert sim.clock("P1") == 0
 
 
 def test_document_spreads_through_delivery():

@@ -38,39 +38,40 @@ class EagerCapture:
         return self._logs[id(log)][1]
 
     def states(self, sim):
-        held = sorted(
-            (peer.id, doc_id, state)
-            for peer in sim._peers.values()
-            for doc_id, state in peer.workspace.items()
-        )
         return tuple(
             {
-                "peer": peer_id,
+                "peer": peer,
                 "doc": doc_id,
                 "edit": self.events(state.edit_log),
                 "comm": self.events(state.comm_log),
                 "comments": oracle_comments(self.events(state.edit_log)),
             }
-            for peer_id, doc_id, state in held
+            for peer in sim.peers()
+            for doc_id in sim.documents()
+            if sim.holds(peer, doc_id)
+            for state in [sim.peer_state(peer, doc_id)]
         )
 
-    def queues(self, sim):
+    def queues(self, sim, peers):
+        """Every non-empty channel among ``peers``, which must name every recipient."""
         out = []
-        for (sender, recipient, doc_id) in sorted(sim._queues):
-            queue = sim._queues[(sender, recipient, doc_id)]
-            if not queue:
-                continue
-            out.append(
-                {
-                    "from": sender,
-                    "to": recipient,
-                    "doc": doc_id,
-                    "messages": [
-                        {"edit": self.events(m.edit_log), "comm": self.events(m.comm_log)}
-                        for m in queue
-                    ],
-                }
-            )
+        for sender in peers:
+            for recipient in peers:
+                for doc_id in sim.documents():
+                    messages = sim.pending(sender, recipient, doc_id)
+                    if not messages:
+                        continue
+                    out.append(
+                        {
+                            "from": sender,
+                            "to": recipient,
+                            "doc": doc_id,
+                            "messages": [
+                                {"edit": self.events(m.edit_log), "comm": self.events(m.comm_log)}
+                                for m in messages
+                            ],
+                        }
+                    )
         return tuple(out)
 
 
@@ -80,10 +81,11 @@ def test_reference_snapshots_match_eager_capture():
         _, commands = parse_scenario(data)
         sim = Simulation()
         capture = EagerCapture()
+        names = sorted(({c.sender for c in commands} | {c.to for c in commands}) - {None})
         eager = []
         for command in commands:
             apply_command(sim, command)
-            eager.append((capture.states(sim), capture.queues(sim)))
+            eager.append((capture.states(sim), capture.queues(sim, names)))
 
         trace = run_scenario(data)
         serialized = trace.to_dict()["snapshots"]

@@ -1,11 +1,10 @@
 import pytest
 
 from logtrust import (
-    Decision,
     FixedStepTrust,
     MAX_TRUST,
     MultiplicativeTrust,
-    ObligationStatus,
+    Obligation,
     OriginKey,
     TrustModel,
     Verb,
@@ -17,10 +16,11 @@ from logtrust import (
 
 
 def forbidden(offender, action_clock=2, forbid_clock=1, grantor="P1"):
-    status = ObligationStatus(
-        Decision.FORBIDDEN, OriginKey(grantor, offender, forbid_clock), forbid_clock
+    forbid = Obligation(
+        forbid_clock, Verb.COMMENT, False, grantor, offender,
+        OriginKey(grantor, offender, forbid_clock),
     )
-    return Violation(offender, Verb.COMMENT, action_clock, status, grantor)
+    return Violation(offender, Verb.COMMENT, action_clock, forbid)
 
 
 def test_initial_trust_is_full():
