@@ -13,6 +13,7 @@ from logtrust import (
     OriginKey,
     PerformedEdit,
     PerformedShare,
+    Simulation,
     UnorderedLogError,
     Verb,
     append_event,
@@ -32,6 +33,18 @@ ORG = OriginKey("P1", "P2", 2)
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
     return Obligation(clock, verb, allow, by, to, OriginKey(by, to, share_clock))
+
+
+def test_peer_clock_counts_from_one():
+    sim = Simulation()
+    assert sim.clock("P1") == 0
+    clocks = [
+        sim.create_doc("P1", "d"),
+        sim.edit("P1", "d", Verb.READ),
+        sim.edit("P1", "d", Verb.READ),
+    ]
+    assert clocks == [1, 2, 3]
+    assert [e.clock for e in sim.peer_state("P1", "d").edit_log.entries] == [1, 2, 3]
 
 
 def test_event_validation():
