@@ -351,3 +351,189 @@ def test_merge_algebra_on_random_subsets():
         assert ab == merge_logs(b, a)
         assert merge_logs(ab, b) == ab
         assert merge_logs(ab, a) == ab
+
+
+GOOD_EVENT = {
+    "edit": {"clock": 4, "kind": "edit", "verb": "read", "by": "P2"},
+    "share": {"clock": 4, "kind": "share", "verb": "share", "by": "P1", "to": "P2"},
+    "obligation": {
+        "clock": 4,
+        "kind": "obligation",
+        "verb": "comment",
+        "allow": False,
+        "by": "P1",
+        "to": "P2",
+        "origin": {"grantor": "P1", "grantee": "P2", "share_clock": 3},
+    },
+}
+DROP = object()
+
+
+def bad_event(template, /, **changes):
+    """GOOD_EVENT[template] with fields replaced, or removed where the value is DROP."""
+    event = {k: dict(v) if isinstance(v, dict) else v for k, v in GOOD_EVENT[template].items()}
+    for name, value in changes.items():
+        if value is DROP:
+            del event[name]
+        else:
+            event[name] = value
+    return event
+
+
+def bad_origin(**changes):
+    origin = dict(GOOD_EVENT["obligation"]["origin"])
+    for name, value in changes.items():
+        if value is DROP:
+            del origin[name]
+        else:
+            origin[name] = value
+    return bad_event("obligation", origin=origin)
+
+
+ORIGIN_SHAPE = "origin must carry grantor, grantee, share_clock"
+
+# (event at events[1], message after "f.json: events[1]: "); events[0] is
+# a valid event of the log's role, so the position is checked too.
+EVENT_REJECTIONS = [
+    *((raw, "expected an object") for raw in (5, "edit", None, [], [GOOD_EVENT["edit"]])),
+    (bad_event("edit", kind=DROP), "unknown kind None"),
+    (bad_event("edit", kind="bogus"), "unknown kind 'bogus'"),
+    (bad_event("edit", kind="Edit"), "unknown kind 'Edit'"),
+    (bad_event("edit", kind=5), "unknown kind 5"),
+    (bad_event("edit", kind=[]), "unknown kind []"),
+    (bad_event("edit", kind={}), "unknown kind {}"),
+    (bad_event("edit", by=DROP), "missing fields ['by']"),
+    (bad_event("obligation", to=DROP, allow=DROP), "missing fields ['allow', 'to']"),
+    (bad_event("edit", to="P1"), "unexpected fields ['to']"),
+    (bad_event("share", allow=True, note=""), "unexpected fields ['allow', 'note']"),
+    (bad_event("share", to=DROP, note=""), "missing fields ['to']"),
+    *(
+        (bad_event(kind, clock=clock), "clock must be a positive integer")
+        for kind in ("edit", "share", "obligation")
+        for clock in (0, -3, True, False, 1.5, 4.0, "1", None, [])
+    ),
+    *(
+        (bad_event(kind, verb=verb), f"unknown verb {verb!r}")
+        for kind in ("edit", "share", "obligation")
+        for verb in ([], {}, "destroy", "READ", None, 2)
+    ),
+    *(
+        (bad_event(kind, by=by), "by must be a non-empty string")
+        for kind in ("edit", "share", "obligation")
+        for by in ("", 5, None, [])
+    ),
+    *(
+        (bad_event(kind, to=to), "to must be a non-empty string")
+        for kind in ("share", "obligation")
+        for to in ("", 5, None, {})
+    ),
+    (bad_event("share", to="P1"), "cannot share with oneself"),
+    (bad_event("obligation", to="P1"), "grantor and grantee must differ"),
+    (bad_origin(grantee="P1"), "grantor and grantee must differ"),
+    (
+        bad_event("obligation", to="P1", origin={"grantor": "P1", "grantee": "P1", "share_clock": 3}),
+        "grantor and grantee must differ",
+    ),
+    *((bad_event("share", verb=verb), "share events must carry verb 'share'") for verb in ("read", "create")),
+    *(
+        (bad_event("obligation", allow=allow), "allow must be a boolean")
+        for allow in (1, 0, "true", None, [])
+    ),
+    *(
+        (bad_event("obligation", origin=origin), ORIGIN_SHAPE)
+        for origin in (None, 5, "P1", [], ["P1", "P2", 3])
+    ),
+    (bad_origin(grantor=DROP), ORIGIN_SHAPE),
+    (bad_origin(note=1), ORIGIN_SHAPE),
+    (bad_origin(grantor=1), ORIGIN_SHAPE),
+    (bad_origin(grantee=None), ORIGIN_SHAPE),
+    *((bad_origin(share_clock=c), ORIGIN_SHAPE) for c in (True, False, "3", 3.0, None)),
+    *((bad_origin(share_clock=c), "share_clock must be >= 1") for c in (0, -1)),
+    (bad_origin(grantor="P3"), "origin does not match grantor/grantee"),
+    (bad_origin(grantee="P3"), "origin does not match grantor/grantee"),
+    (bad_event("edit", verb="share"), "share actions belong in the communication log"),
+]
+
+
+@pytest.mark.parametrize("raw, message", EVENT_REJECTIONS)
+def test_log_file_event_rejections_are_pinned(raw, message):
+    role = "edit" if isinstance(raw, dict) and raw.get("kind") == "edit" else "comm"
+    first = GOOD_EVENT["edit"] if role == "edit" else dict(GOOD_EVENT["share"], clock=1)
+    first = dict(first, clock=1)
+    data = {"doc_id": "d", "role": role, "events": [first, raw]}
+    with pytest.raises(Exception) as caught:
+        log_from_dict(data, where="f.json")
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"f.json: events[1]: {message}"
+    with pytest.raises(Exception) as caught:
+        event_from_dict(raw, where="e")
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"e: {message}"
+
+
+FILE_REJECTIONS = [
+    (5, ValueError, "f.json: expected an object"),
+    ([], ValueError, "f.json: expected an object"),
+    (
+        {"doc_id": "d", "events": []},
+        ValueError,
+        "f.json: expected exactly the fields ['doc_id', 'events', 'role']",
+    ),
+    (
+        {"doc_id": "d", "role": "edit", "events": [], "x": 1},
+        ValueError,
+        "f.json: expected exactly the fields ['doc_id', 'events', 'role']",
+    ),
+    *(
+        ({"doc_id": doc_id, "role": "edit", "events": []}, ValueError,
+         "f.json: doc_id must be a non-empty string")
+        for doc_id in ("", 5, None)
+    ),
+    *(
+        ({"doc_id": "d", "role": role, "events": []}, ValueError,
+         "f.json: role must be 'edit' or 'comm'")
+        for role in ("Edit", None, 1, [], {})
+    ),
+    *(
+        ({"doc_id": "d", "role": "edit", "events": events}, ValueError,
+         "f.json: events must be an array")
+        for events in ({}, None, "[]")
+    ),
+    (
+        {"doc_id": "d", "role": "edit", "events": [GOOD_EVENT["share"]]},
+        MixedRolesError,
+        "PerformedShare does not belong in a edit log",
+    ),
+    (
+        {"doc_id": "d", "role": "comm", "events": [GOOD_EVENT["obligation"], GOOD_EVENT["edit"]]},
+        MixedRolesError,
+        "PerformedEdit does not belong in a comm log",
+    ),
+    (
+        {"doc_id": "d", "role": "comm", "events": [GOOD_EVENT["share"], GOOD_EVENT["obligation"]]},
+        UnorderedLogError,
+        "f.json: events[1] is out of order",
+    ),
+    (
+        {"doc_id": "d", "role": "comm", "events": [GOOD_EVENT["obligation"], GOOD_EVENT["share"]] * 2},
+        DuplicateEventError,
+        "f.json: events[2] duplicates an earlier event",
+    ),
+    (
+        {
+            "doc_id": "d",
+            "role": "comm",
+            "events": [GOOD_EVENT["obligation"], dict(GOOD_EVENT["obligation"], clock=9)],
+        },
+        DuplicateEventError,
+        "f.json: events[1] duplicates an earlier event",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, error, message", FILE_REJECTIONS)
+def test_log_file_rejections_are_pinned(data, error, message):
+    with pytest.raises(Exception) as caught:
+        log_from_dict(data, where="f.json")
+    assert type(caught.value) is error
+    assert str(caught.value) == message
