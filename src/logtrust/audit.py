@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from . import kernel
@@ -32,7 +33,7 @@ from .events import (
     PerformedEdit,
     PerformedShare,
     Verb,
-    _VERB_RANK,
+    _setters,
 )
 from .trust import (
     DEFAULT_TRUST_MODEL,
@@ -88,6 +89,28 @@ class Violation:
         return self.forbid.origin
 
 
+_SET_OFFENDER, _SET_VERB, _SET_ACTION_CLOCK, _SET_FORBID = _setters(Violation)
+
+
+def _found(offender: str, verb: Verb, action_clock: int, forbid: Obligation) -> Violation:
+    """A Violation the scan found, built without ``__post_init__``.
+
+    The scan only returns obligations that precede the action, and only
+    forbids are kept, so the checks could not fail.
+    """
+    violation = object.__new__(Violation)
+    _SET_OFFENDER(violation, offender)
+    _SET_VERB(violation, verb)
+    _SET_ACTION_CLOCK(violation, action_clock)
+    _SET_FORBID(violation, forbid)
+    return violation
+
+
+_BY = attrgetter("by")
+_TO = attrgetter("to")
+_OFFENDER_AND_CLOCK = attrgetter("offender", "action_clock")
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Everything a local audit produces: violations plus updated trust."""
@@ -114,11 +137,11 @@ def derive_creator(edit_log: Log) -> Optional[str]:
 
 
 def _peers_in_logs(edit_log: Log, comm_log: Log) -> set[str]:
-    return (
-        {e.by for e in edit_log.entries}
-        | {e.by for e in comm_log.entries}
-        | {e.to for e in comm_log.entries if not isinstance(e, PerformedEdit)}
-    )
+    return {
+        *map(_BY, edit_log.entries),
+        *map(_BY, comm_log.entries),
+        *map(_TO, comm_log.entries),
+    }
 
 
 def detect_violations(
@@ -157,11 +180,13 @@ def detect_violations(
     )
 
     violations = [
-        Violation(by, verb, clock, source)
+        _found(by, verb, clock, source)
         for (by, verb, clock), source in zip(actions, governing)
         if source is not None and not source.allow
     ]
-    violations.sort(key=lambda v: (v.offender, v.action_clock, _VERB_RANK[v.verb]))
+    # Each actor's actions are listed in (clock, verb rank) order, edits
+    # before shares, so this stable sort also orders each clock's verbs.
+    violations.sort(key=_OFFENDER_AND_CLOCK)
     return tuple(violations)
 
 

@@ -94,11 +94,17 @@ def _dumps(obj: Any) -> str:
     """
     shared = _shared_containers(obj)
     texts: dict[tuple[int, int], str] = {}
+    # Per depth, the newline and indent that open its lines.
+    newlines: list[str] = []
+    # Per dict key, its text with the ": " that follows it.
+    keys: dict[str, str] = {}
     encode = encode_basestring_ascii
 
     def value(o: Any, depth: int, out: list[str]) -> None:
         if isinstance(o, str):
             out.append(encode(o))
+        elif type(o) is int:  # the common case; bools and other ints below
+            out.append(int.__repr__(o))
         elif o is None:
             out.append("null")
         elif o is True:
@@ -127,18 +133,25 @@ def _dumps(obj: Any) -> str:
         if not o:
             out.append("{}" if is_dict else "[]")
             return
-        newline = "\n" + "  " * (depth + 1)
+        while len(newlines) < depth + 2:
+            newlines.append("\n" + "  " * len(newlines))
+        newline = newlines[depth + 1]
         separator = "," + newline
         out.append("{" if is_dict else "[")
         out.append(newline)
-        for item in o.items() if is_dict else o:
-            if is_dict:
-                out.append(encode(item[0]))
-                out.append(": ")
-                item = item[1]
-            value(item, depth + 1, out)
-            out.append(separator)
-        out[-1] = "\n" + "  " * depth + ("}" if is_dict else "]")
+        if is_dict:
+            for name, item in o.items():
+                text = keys.get(name)
+                if text is None:
+                    text = keys[name] = encode(name) + ": "
+                out.append(text)
+                value(item, depth + 1, out)
+                out.append(separator)
+        else:
+            for item in o:
+                value(item, depth + 1, out)
+                out.append(separator)
+        out[-1] = newlines[depth] + ("}" if is_dict else "]")
 
     out: list[str] = []
     value(obj, 0, out)

@@ -17,7 +17,7 @@ collapse to a single entry each.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -47,6 +47,7 @@ class Verb(enum.Enum):
 
 # Rank used for deterministic ordering; follows declaration order.
 _VERB_RANK = {verb: rank for rank, verb in enumerate(Verb)}
+_VERB_BY_VALUE = {verb.value: verb for verb in Verb}
 
 #: Verbs a peer may perform as plain edits (create is reserved for the
 #: document creator's first action).
@@ -140,9 +141,33 @@ class Obligation:
             raise ValueError("grantor and grantee must differ")
         if self.origin.grantor != self.by or self.origin.grantee != self.to:
             raise ValueError("origin does not match grantor/grantee")
+        if self.verb not in OBLIGATION_VERBS:
+            raise ValueError(f"obligations cannot govern {self.verb.value}")
 
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
+
+
+def _row(event: Event) -> tuple[tuple, tuple, Event]:
+    """``(sort_key(event), dedup_key(event), event)``: the row a ``Log`` keeps per entry."""
+    if isinstance(event, PerformedEdit):
+        key = (event.clock, event.by, 2, _VERB_RANK[event.verb], 0, "", 0)
+        return key, key, event
+    if isinstance(event, Obligation):
+        key = (
+            event.clock,
+            event.by,
+            0,
+            _VERB_RANK[event.verb],
+            int(event.allow),
+            event.to,
+            event.origin.share_clock,
+        )
+        return key, key[1:], event
+    if isinstance(event, PerformedShare):
+        key = (event.clock, event.by, 1, 0, 0, event.to, 0)
+        return key, key, event
+    raise TypeError(f"{type(event).__name__} is not a log event")
 
 
 def sort_key(event: Event):
@@ -152,39 +177,56 @@ def sort_key(event: Event):
     equal (clock, actor).  The trailing payload fields only break ties
     between distinct events sharing all leading components.
     """
-    if isinstance(event, Obligation):
-        return (
-            event.clock,
-            event.by,
-            0,
-            _VERB_RANK[event.verb],
-            int(event.allow),
-            event.to,
-            event.origin.share_clock,
-        )
-    if isinstance(event, PerformedShare):
-        return (event.clock, event.by, 1, 0, 0, event.to, 0)
-    return (event.clock, event.by, 2, _VERB_RANK[event.verb], 0, "", 0)
+    return _row(event)[0]
 
 
 def dedup_key(event: Event):
     """Identity used for log deduplication.
 
-    Performed events are identified by actor and clock; obligations by
-    their origin plus verb and polarity, because an obligation's own clock
-    differs between logs after receipt-time re-stamping.  Verbs appear by
-    value, so the key hashes without calling back into ``Enum.__hash__``.
+    A performed event's sort key already identifies it, so that key is its
+    identity.  An obligation is identified by its origin plus verb and
+    polarity, because its own clock differs between logs after
+    receipt-time re-stamping: its identity is its sort key without the
+    clock (the grantor and grantee are the origin's, and the share clock
+    is the last component).
     """
-    if isinstance(event, Obligation):
-        o = event.origin
-        return ("obl", o.grantor, o.grantee, o.share_clock, event.verb.value, event.allow)
-    if isinstance(event, PerformedShare):
-        return ("share", event.by, event.to, event.clock)
-    return ("edit", event.by, event.clock, event.verb.value)
+    return _row(event)[1]
 
 
-def _role_of(event: Event) -> LogRole:
-    return LogRole.EDIT if isinstance(event, PerformedEdit) else LogRole.COMM
+def _checked_rows(role: LogRole, entries: Iterable[Event]) -> tuple[tuple, ...]:
+    """One (sort_key, dedup_key, event) row per entry, checking the log invariant.
+
+    Raises MixedRolesError for an entry that does not belong in a ``role``
+    log, UnorderedLogError for one that sorts before its predecessor, and
+    DuplicateEventError for a repeated identity, naming the first such
+    entry as ``events[i]``.  A performed event's identity is its sort key,
+    so in sorted entries its duplicates are neighbours; only obligations,
+    whose identity leaves out their clock, need a set of the identities
+    seen.
+    """
+    edit = role is LogRole.EDIT
+    rows = []
+    seen = set()
+    previous = ()
+    for i, event in enumerate(entries):
+        row = _row(event)
+        key = row[0]
+        variant = key[2]  # 0 for obligations, 1 for performed shares, 2 for edits
+        if (variant == 2) is not edit:
+            raise MixedRolesError(
+                f"events[{i}]: {type(event).__name__} does not belong in a {role.value} log"
+            )
+        if variant == 0:
+            if row[1] in seen:
+                raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
+            seen.add(row[1])
+        elif key == previous:
+            raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
+        if key < previous:
+            raise UnorderedLogError(f"events[{i}] is out of order")
+        previous = key
+        rows.append(row)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -200,12 +242,9 @@ class Log:
 
     role: LogRole
     entries: tuple[Event, ...] = ()
-    # One (sort_key, dedup_key, event) row per entry, built by the first
-    # log operation that needs it (see _keyed) and reused by every log
-    # derived from this one.  Logs that are only audited never build it.
-    _rows: Optional[tuple[tuple, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # One (sort_key, dedup_key, event) row per entry: the keys the
+    # constructor's check computes, kept for the log operations.
+    _rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     # The comment set an edit log replays to (``simulator.replay_comments``),
     # built on first request.
     _comments: Optional[frozenset[tuple[str, str]]] = field(
@@ -213,21 +252,7 @@ class Log:
     )
 
     def __post_init__(self):
-        seen = set()
-        previous = None
-        for i, event in enumerate(self.entries):
-            if _role_of(event) is not self.role:
-                raise MixedRolesError(
-                    f"{type(event).__name__} does not belong in a {self.role.value} log"
-                )
-            key = dedup_key(event)
-            if key in seen:
-                raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
-            seen.add(key)
-            current = sort_key(event)
-            if previous is not None and current < previous:
-                raise UnorderedLogError(f"events[{i}] is out of order")
-            previous = current
+        object.__setattr__(self, "_rows", _checked_rows(self.role, self.entries))
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
@@ -244,15 +269,6 @@ class Log:
 _SORT_KEY = itemgetter(0)
 _DEDUP_KEY = itemgetter(1)
 _EVENT = itemgetter(2)
-
-
-def _keyed(log: Log) -> tuple[tuple, ...]:
-    """The log's cached (sort_key, dedup_key, event) rows, built on first use."""
-    rows = log._rows
-    if rows is None:
-        rows = tuple([(sort_key(e), dedup_key(e), e) for e in log.entries])
-        object.__setattr__(log, "_rows", rows)
-    return rows
 
 
 def _from_rows(role: LogRole, rows: tuple[tuple, ...]) -> Log:
@@ -281,7 +297,7 @@ def _merged(rows: Sequence[tuple], new: Sequence[tuple]) -> tuple[tuple, ...]:
 
 def _select(log: Log, keep: Callable[[Event], bool]) -> Log:
     """The entries for which ``keep`` holds, in order; ``log`` itself if all do."""
-    rows = _keyed(log)
+    rows = log._rows
     kept = tuple([row for row in rows if keep(row[2])])
     return log if len(kept) == len(rows) else _from_rows(log.role, kept)
 
@@ -318,19 +334,21 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     of events stamped with one clock tick (a share plus its obligations,
     or a batch of edits).
     """
-    rows = _keyed(log)
+    rows = log._rows
     seen = set(map(_DEDUP_KEY, rows))
+    edit = log.role is LogRole.EDIT
     new = []
     for event in events:
-        if _role_of(event) is not log.role:
+        row = _row(event)
+        identity = row[1]
+        if isinstance(event, PerformedEdit) is not edit:
             raise MixedRolesError(
                 f"{type(event).__name__} does not belong in a {log.role.value} log"
             )
-        key = dedup_key(event)
-        if key in seen:
-            raise DuplicateEventError(f"duplicate event identity {key}")
-        seen.add(key)
-        new.append((sort_key(event), key, event))
+        if identity in seen:
+            raise DuplicateEventError(f"duplicate event {event!r}")
+        seen.add(identity)
+        new.append(row)
     return _from_rows(log.role, _merged(rows, new))
 
 
@@ -367,16 +385,15 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
-    rows = _keyed(local)
+    rows = local._rows
     seen = set(map(_DEDUP_KEY, rows))
-    new = [row for row in _keyed(received) if row[1] not in seen]
+    new = [row for row in received._rows if row[1] not in seen]
     if not new:
         return local
     restamped = False
-    for i, (_, key, event) in enumerate(new):
+    for i, (_, _, event) in enumerate(new):
         if isinstance(event, Obligation) and event.to == receiver:
-            event = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
-            new[i] = (sort_key(event), key, event)
+            new[i] = _row(Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin))
             restamped = True
     if not rows and not restamped:
         return received
@@ -443,71 +460,142 @@ def event_to_dict(event: Event) -> dict:
     }
 
 
+# Per event kind: its field names, the order ``_event`` reads them in.
 _FIELDS_BY_KIND = {
-    "edit": {"clock", "kind", "verb", "by"},
-    "share": {"clock", "kind", "verb", "by", "to"},
-    "obligation": {"clock", "kind", "verb", "allow", "by", "to", "origin"},
+    "edit": ("kind", "clock", "verb", "by"),
+    "share": ("kind", "clock", "verb", "by", "to"),
+    "obligation": ("kind", "clock", "verb", "by", "to", "allow", "origin"),
 }
+_VALUES_BY_KIND = {kind: itemgetter(*names) for kind, names in _FIELDS_BY_KIND.items()}
+_ORIGIN_VALUES = itemgetter("grantor", "grantee", "share_clock")
+
+def _setters(cls) -> tuple:
+    """The slot setters of a frozen dataclass's fields, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+# ``_event`` checks every value the events' ``__post_init__`` would, so it
+# builds them through their slot setters without checking a second time.
+_new = object.__new__
+_EDIT_CLOCK, _EDIT_VERB, _EDIT_BY = _setters(PerformedEdit)
+_SHARE_CLOCK, _SHARE_BY, _SHARE_TO = _setters(PerformedShare)
+_ORIGIN_GRANTOR, _ORIGIN_GRANTEE, _ORIGIN_SHARE_CLOCK = _setters(OriginKey)
+(
+    _OBLIGATION_CLOCK,
+    _OBLIGATION_VERB,
+    _OBLIGATION_ALLOW,
+    _OBLIGATION_BY,
+    _OBLIGATION_TO,
+    _OBLIGATION_ORIGIN,
+) = _setters(Obligation)
+
+
+def _new_edit(clock, verb, by):
+    event = _new(PerformedEdit)
+    _EDIT_CLOCK(event, clock)
+    _EDIT_VERB(event, verb)
+    _EDIT_BY(event, by)
+    return event
+
+
+def _new_share(clock, by, to):
+    event = _new(PerformedShare)
+    _SHARE_CLOCK(event, clock)
+    _SHARE_BY(event, by)
+    _SHARE_TO(event, to)
+    return event
+
+
+def _new_obligation(clock, verb, allow, by, to, grantor, grantee, share_clock):
+    origin = _new(OriginKey)
+    _ORIGIN_GRANTOR(origin, grantor)
+    _ORIGIN_GRANTEE(origin, grantee)
+    _ORIGIN_SHARE_CLOCK(origin, share_clock)
+    event = _new(Obligation)
+    _OBLIGATION_CLOCK(event, clock)
+    _OBLIGATION_VERB(event, verb)
+    _OBLIGATION_ALLOW(event, allow)
+    _OBLIGATION_BY(event, by)
+    _OBLIGATION_TO(event, to)
+    _OBLIGATION_ORIGIN(event, origin)
+    return event
+
+
+def _event(data) -> Event:
+    """Parse one serialized event; a ValueError names its first problem.
+
+    Each fact costs one cheap test, and a message is put together only
+    once a test has failed.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("expected an object")
+    kind = data.get("kind")
+    values_of = _VALUES_BY_KIND.get(kind) if isinstance(kind, str) else None
+    if values_of is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    try:
+        if len(data) != len(_FIELDS_BY_KIND[kind]):
+            raise KeyError
+        values = values_of(data)
+    except KeyError:
+        expected = set(_FIELDS_BY_KIND[kind])
+        missing = expected - data.keys()
+        if missing:
+            raise ValueError(f"missing fields {sorted(missing)}") from None
+        raise ValueError(f"unexpected fields {sorted(data.keys() - expected)}") from None
+    clock = values[1]
+    if type(clock) is not int or clock < 1:
+        raise ValueError("clock must be a positive integer")
+    try:
+        verb = _VERB_BY_VALUE[values[2]]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown verb {values[2]!r}") from None
+    by = values[3]
+    if not isinstance(by, str) or not by:
+        raise ValueError("by must be a non-empty string")
+    if kind == "edit":
+        if verb is Verb.SHARE:
+            raise ValueError("share actions belong in the communication log")
+        return _new_edit(clock, verb, by)
+    to = values[4]
+    if not isinstance(to, str) or not to:
+        raise ValueError("to must be a non-empty string")
+    if kind == "share":
+        if verb is not Verb.SHARE:
+            raise ValueError("share events must carry verb 'share'")
+        if by == to:
+            raise ValueError("cannot share with oneself")
+        return _new_share(clock, by, to)
+    allow = values[5]
+    if not isinstance(allow, bool):
+        raise ValueError("allow must be a boolean")
+    origin = values[6]
+    try:
+        if not isinstance(origin, dict) or len(origin) != 3:
+            raise KeyError
+        grantor, grantee, share_clock = _ORIGIN_VALUES(origin)
+        if not isinstance(grantor, str) or not isinstance(grantee, str) or type(share_clock) is not int:
+            raise KeyError
+    except KeyError:
+        raise ValueError("origin must carry grantor, grantee, share_clock") from None
+    if grantor == grantee:
+        raise ValueError("grantor and grantee must differ")
+    if share_clock < 1:
+        raise ValueError("share_clock must be >= 1")
+    if by == to:
+        raise ValueError("grantor and grantee must differ")
+    if grantor != by or grantee != to:
+        raise ValueError("origin does not match grantor/grantee")
+    if verb not in OBLIGATION_VERBS:
+        raise ValueError(f"obligations cannot govern {verb.value}")
+    return _new_obligation(clock, verb, allow, by, to, grantor, grantee, share_clock)
 
 
 def event_from_dict(data: dict, where: str = "event") -> Event:
     """Parse one serialized event, validating shape and field values."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object")
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _FIELDS_BY_KIND:
-        raise ValueError(f"{where}: unknown kind {kind!r}")
-    expected = _FIELDS_BY_KIND[kind]
-    missing = expected - data.keys()
-    if missing:
-        raise ValueError(f"{where}: missing fields {sorted(missing)}")
-    extra = data.keys() - expected
-    if extra:
-        raise ValueError(f"{where}: unexpected fields {sorted(extra)}")
-    clock = data["clock"]
-    if not isinstance(clock, int) or isinstance(clock, bool) or clock < 1:
-        raise ValueError(f"{where}: clock must be a positive integer")
     try:
-        verb = Verb(data["verb"])
-    except ValueError:
-        raise ValueError(f"{where}: unknown verb {data['verb']!r}") from None
-    by = data["by"]
-    if not isinstance(by, str) or not by:
-        raise ValueError(f"{where}: by must be a non-empty string")
-    try:
-        if kind == "edit":
-            return PerformedEdit(clock=clock, verb=verb, by=by)
-        to = data["to"]
-        if not isinstance(to, str) or not to:
-            raise ValueError(f"{where}: to must be a non-empty string")
-        if kind == "share":
-            if verb is not Verb.SHARE:
-                raise ValueError(f"{where}: share events must carry verb 'share'")
-            return PerformedShare(clock=clock, by=by, to=to)
-        allow = data["allow"]
-        if not isinstance(allow, bool):
-            raise ValueError(f"{where}: allow must be a boolean")
-        origin = data["origin"]
-        if (
-            not isinstance(origin, dict)
-            or origin.keys() != {"grantor", "grantee", "share_clock"}
-            or not isinstance(origin.get("grantor"), str)
-            or not isinstance(origin.get("grantee"), str)
-            or not isinstance(origin.get("share_clock"), int)
-            or isinstance(origin.get("share_clock"), bool)
-        ):
-            raise ValueError(f"{where}: origin must carry grantor, grantee, share_clock")
-        return Obligation(
-            clock=clock,
-            verb=verb,
-            allow=allow,
-            by=by,
-            to=to,
-            origin=OriginKey(origin["grantor"], origin["grantee"], origin["share_clock"]),
-        )
+        return _event(data)
     except ValueError as exc:
-        if str(exc).startswith(where):
-            raise
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -541,12 +629,14 @@ def log_from_dict(data: dict, where: str = "log") -> tuple[str, Log]:
     raw_events = data["events"]
     if not isinstance(raw_events, list):
         raise ValueError(f"{where}: events must be an array")
-    events = [
-        event_from_dict(raw, where=f"{where}: events[{i}]")
-        for i, raw in enumerate(raw_events)
-    ]
+    events = []
+    try:
+        for raw in raw_events:
+            events.append(_event(raw))
+    except ValueError as exc:
+        raise ValueError(f"{where}: events[{len(events)}]: {exc}") from None
     try:
         log = Log(role, tuple(events))
-    except (DuplicateEventError, UnorderedLogError) as exc:
+    except (DuplicateEventError, MixedRolesError, UnorderedLogError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
     return doc_id, log

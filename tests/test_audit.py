@@ -125,11 +125,15 @@ def test_violations_ordered_by_offender_clock_verb():
         obl(1, Verb.COMMENT, False),
         obl(1, Verb.READ, False, share_clock=2),
         obl(1, Verb.COMMENT, False, to="P3"),
+        obl(1, Verb.SHARE, False, share_clock=3),
+        PerformedShare(2, "P2", "P4"),
+        PerformedShare(1, "P3", "P4"),
     )
     violations = detect_violations(edit, comm)
     assert [(v.offender, v.action_clock, v.verb) for v in violations] == [
         ("P2", 2, Verb.READ),
         ("P2", 2, Verb.COMMENT),
+        ("P2", 2, Verb.SHARE),
         ("P3", 3, Verb.COMMENT),
     ]
 

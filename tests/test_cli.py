@@ -192,6 +192,46 @@ def test_validate_reports_bad_log_events(tmp_path, capsys):
     assert "events[0]" in capsys.readouterr().err
 
 
+def test_obligation_over_create_is_an_input_error(tmp_path, capsys):
+    # A forbid on create to P2, then a second create by P2: no share can
+    # carry such an obligation, so the log is bad input, not a violation.
+    edit = write_json(
+        tmp_path / "edit.json",
+        {
+            "doc_id": "d",
+            "role": "edit",
+            "events": [
+                {"clock": 1, "kind": "edit", "verb": "create", "by": "P1"},
+                {"clock": 5, "kind": "edit", "verb": "create", "by": "P2"},
+            ],
+        },
+    )
+    comm = write_json(
+        tmp_path / "comm.json",
+        {
+            "doc_id": "d",
+            "role": "comm",
+            "events": [
+                {"clock": 2, "kind": "share", "verb": "share", "by": "P1", "to": "P2"},
+                {
+                    "clock": 3,
+                    "kind": "obligation",
+                    "verb": "create",
+                    "allow": False,
+                    "by": "P1",
+                    "to": "P2",
+                    "origin": {"grantor": "P1", "grantee": "P2", "share_clock": 2},
+                },
+            ],
+        },
+    )
+    expected = f"error: {comm}: events[1]: obligations cannot govern create\n"
+    for argv in (["audit", edit, comm, "--assessor", "P1"], ["validate", comm]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
+
+
 def shift_clocks(path, shift):
     payload = json.loads(path.read_text(encoding="utf-8"))
     for event in payload["events"]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -458,8 +459,7 @@ EVENT_REJECTIONS = [
 @pytest.mark.parametrize("raw, message", EVENT_REJECTIONS)
 def test_log_file_event_rejections_are_pinned(raw, message):
     role = "edit" if isinstance(raw, dict) and raw.get("kind") == "edit" else "comm"
-    first = GOOD_EVENT["edit"] if role == "edit" else dict(GOOD_EVENT["share"], clock=1)
-    first = dict(first, clock=1)
+    first = dict(GOOD_EVENT["edit" if role == "edit" else "share"], clock=1)
     data = {"doc_id": "d", "role": role, "events": [first, raw]}
     with pytest.raises(Exception) as caught:
         log_from_dict(data, where="f.json")
@@ -502,12 +502,12 @@ FILE_REJECTIONS = [
     (
         {"doc_id": "d", "role": "edit", "events": [GOOD_EVENT["share"]]},
         MixedRolesError,
-        "PerformedShare does not belong in a edit log",
+        "f.json: events[0]: PerformedShare does not belong in a edit log",
     ),
     (
         {"doc_id": "d", "role": "comm", "events": [GOOD_EVENT["obligation"], GOOD_EVENT["edit"]]},
         MixedRolesError,
-        "PerformedEdit does not belong in a comm log",
+        "f.json: events[1]: PerformedEdit does not belong in a comm log",
     ),
     (
         {"doc_id": "d", "role": "comm", "events": [GOOD_EVENT["share"], GOOD_EVENT["obligation"]]},
@@ -537,3 +537,72 @@ def test_log_file_rejections_are_pinned(data, error, message):
         log_from_dict(data, where="f.json")
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_obligations_cannot_govern_create():
+    # No share can carry such an obligation (OBLIGATION_VERBS), so a log
+    # holding one is bad input, like an edit whose verb is share.
+    with pytest.raises(ValueError, match="^obligations cannot govern create$"):
+        obl(1, Verb.CREATE)
+    raw = bad_event("obligation", verb="create")
+    with pytest.raises(ValueError, match=r"^e: obligations cannot govern create$"):
+        event_from_dict(raw, where="e")
+    data = {"doc_id": "d", "role": "comm", "events": [dict(GOOD_EVENT["share"], clock=1), raw]}
+    with pytest.raises(ValueError, match=r"^f\.json: events\[1\]: obligations cannot govern create$"):
+        log_from_dict(data, where="f.json")
+
+
+CLOCK_SHIFT = 2**31
+
+
+def shifted(event, by=CLOCK_SHIFT):
+    """The event with its clock, and an obligation's share clock, moved up by ``by``."""
+    if isinstance(event, Obligation):
+        o = event.origin
+        origin = OriginKey(o.grantor, o.grantee, o.share_clock + by)
+        return dataclasses.replace(event, clock=event.clock + by, origin=origin)
+    return dataclasses.replace(event, clock=event.clock + by)
+
+
+def rejection(build):
+    """(error class, message) of what ``build()`` raises."""
+    with pytest.raises(Exception) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("role", list(LogRole))
+@pytest.mark.parametrize("shift", [0, CLOCK_SHIFT])
+def test_log_file_round_trip_on_random_logs(role, shift):
+    for seed in range(150):
+        rng = random.Random(seed)
+        pool = [
+            shifted(e, shift)
+            for e in _random_event_pool(rng)
+            if isinstance(e, PerformedEdit) == (role is LogRole.EDIT)
+        ]
+        log = Log.from_events(role, rng.sample(pool, rng.randint(0, len(pool))))
+        doc_id, parsed = log_from_dict(log_to_dict(log, "d"))
+        assert (doc_id, parsed) == ("d", log)
+        assert parsed._rows == tuple((sort_key(e), dedup_key(e), e) for e in parsed.entries)
+        assert log._rows == parsed._rows
+
+        broken = []
+        if len(log) >= 2:
+            i = rng.randrange(len(log) - 1)
+            swapped = list(log.entries)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            broken.append(swapped)
+        if log:
+            j = rng.randrange(len(log))
+            duplicated = list(log.entries)
+            duplicated.insert(rng.randint(j, len(log)), log.entries[j])
+            broken.append(duplicated)
+        for entries in broken:
+            error, message = rejection(lambda: Log(role, tuple(entries)))
+            assert error in (DuplicateEventError, UnorderedLogError)
+            data = {"doc_id": "d", "role": role.value, "events": list(map(event_to_dict, entries))}
+            assert rejection(lambda: log_from_dict(data, where="f.json")) == (
+                error,
+                f"f.json: {message}",
+            )
