@@ -606,3 +606,44 @@ def test_log_file_round_trip_on_random_logs(role, shift):
                 error,
                 f"f.json: {message}",
             )
+
+
+PEER_VALUES = st.sampled_from(["P1", "P2", ""])
+
+
+@st.composite
+def raw_events(draw):
+    # Right shape per kind, values drawn near every check's boundary.
+    kind = draw(st.sampled_from(["edit", "share", "obligation"]))
+    raw = {
+        "clock": draw(st.sampled_from([0, 1, 7, True])),
+        "kind": kind,
+        "verb": draw(st.sampled_from([v.value for v in Verb])),
+        "by": draw(PEER_VALUES),
+    }
+    if kind != "edit":
+        raw["to"] = draw(PEER_VALUES)
+    if kind == "obligation":
+        raw["allow"] = draw(st.booleans())
+        raw["origin"] = {
+            "grantor": draw(PEER_VALUES),
+            "grantee": draw(PEER_VALUES),
+            "share_clock": draw(st.sampled_from([0, 1, 3])),
+        }
+    return raw
+
+
+@given(raw_events())
+def test_parsed_events_pass_their_own_checks(raw):
+    # The parser builds events without running __post_init__, so every
+    # event it accepts must also pass the constructors' checks.
+    try:
+        event = event_from_dict(raw)
+    except ValueError:
+        return
+    if isinstance(event, Obligation):
+        o = event.origin
+        assert dataclasses.replace(event, origin=OriginKey(o.grantor, o.grantee, o.share_clock)) == event
+    else:
+        assert dataclasses.replace(event) == event
+    assert event_to_dict(event) == raw
