@@ -16,35 +16,16 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Optional
+from typing import AbstractSet, Any, Optional
 
-from .audit import (
-    AuditMode,
-    AuditReport,
-    local_trust_assessment,
-    parse_audit_mode,
-    report_to_dict,
-)
+from .audit import AuditReport, local_trust_assessment, parse_audit_mode, report_to_dict
 from .errors import LogTrustError, ScenarioError
 from .events import LogRole, log_from_dict, log_to_dict
 from .scengen import generate_scenario
-from .simulator import PeerDocState, run_scenario
-from .trust import DEFAULT_TRUST_MODEL, TrustModel, parse_trust_model
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Everything a subcommand needs beyond its input paths."""
-
-    mode: AuditMode = AuditMode.PROSE
-    trust_model: TrustModel = DEFAULT_TRUST_MODEL
-    output_format: str = "table"
-    assessor: str = ""
-    seed: Optional[int] = None
-    export_dir: Optional[str] = None
+from .simulator import PeerDocState, parse_scenario, run_scenario
+from .trust import DEFAULT_TRUST_MODEL, parse_trust_model
 
 
 class _CliError(Exception):
@@ -66,33 +47,16 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _shared_containers(obj: Any) -> set[int]:
-    """Ids of the dicts, lists and tuples reached more than once in ``obj``."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [obj] if isinstance(obj, (dict, list, tuple)) else []
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            shared.add(id(o))
-            continue
-        seen.add(id(o))
-        for child in o.values() if isinstance(o, dict) else o:
-            if isinstance(child, (dict, list, tuple)):
-                stack.append(child)
-    return shared
-
-
-def _dumps(obj: Any) -> str:
+def _dumps(obj: Any, shared: AbstractSet[int] = frozenset()) -> str:
     """Render ``obj`` as ``json.dumps`` does with ``indent=2``.
 
     Dict keys must be strings.  CPython's C encoder does not run with
     ``indent`` before 3.13, and a trace holds the same log and state
-    objects in many snapshots, so each container reached more than once
-    is rendered once per depth (the indent depends on the depth) and its
-    text reused.
+    objects in many snapshots, so each container whose id is in
+    ``shared`` is rendered once per depth (the indent depends on the
+    depth) and its text reused.  ``shared`` must name only containers
+    that stay alive and unchanged while ``obj`` is written.
     """
-    shared = _shared_containers(obj)
     texts: dict[tuple[int, int], str] = {}
     # Per depth, the newline and indent that open its lines.
     newlines: list[str] = []
@@ -156,10 +120,6 @@ def _dumps(obj: Any) -> str:
     out: list[str] = []
     value(obj, 0, out)
     return "".join(out)
-
-
-def _print_json(data: Any) -> None:
-    print(_dumps(data))
 
 
 def _format_trust(trust: dict[str, float]) -> str:
@@ -242,31 +202,31 @@ def _export_logs(trace, directory: str) -> list[str]:
     return written
 
 
-def cmd_run(scenario_path: Optional[str], config: CliConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Execute a scenario file (or a generated one) and print its trace.
 
     Exits 0 whenever the scenario executes, whether or not its audits
     found violations.
     """
-    if config.seed is not None:
-        scenario = generate_scenario(config.seed)
-        source = f"seed {config.seed}"
+    mode, trust_model = parse_audit_mode(args.mode), parse_trust_model(args.trust_model)
+    if args.seed is not None:
+        scenario = generate_scenario(args.seed)
+        source = f"seed {args.seed}"
     else:
-        assert scenario_path is not None
-        scenario = _load_json(scenario_path)
-        source = scenario_path
+        scenario = _load_json(args.scenario)
+        source = args.scenario
     try:
-        trace = run_scenario(scenario, mode=config.mode, trust_model=config.trust_model)
+        trace = run_scenario(scenario, mode=mode, trust_model=trust_model)
     except ScenarioError as exc:
         raise _CliError(f"{source}: {exc}") from None
 
-    if config.export_dir:
-        written = _export_logs(trace, config.export_dir)
+    if args.export_logs:
+        written = _export_logs(trace, args.export_logs)
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
 
-    if config.output_format == "json":
-        _print_json(trace.to_dict())
+    if args.format == "json":
+        print(_dumps(*trace.to_dict_and_shared()))
     else:
         name = trace.name or source
         print(
@@ -294,29 +254,25 @@ def _load_log(path: str, expected_role: LogRole):
     return doc_id, log
 
 
-def cmd_audit(edit_log_path: str, comm_log_path: str, config: CliConfig) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     """Assess a pair of exported logs and print the audit report.
 
     Exits 0 with no violations, 1 with violations, 2 on input errors.
     """
-    edit_doc, edit_log = _load_log(edit_log_path, LogRole.EDIT)
-    comm_doc, comm_log = _load_log(comm_log_path, LogRole.COMM)
+    mode, trust_model = parse_audit_mode(args.mode), parse_trust_model(args.trust_model)
+    edit_doc, edit_log = _load_log(args.edit_log, LogRole.EDIT)
+    comm_doc, comm_log = _load_log(args.comm_log, LogRole.COMM)
     if edit_doc != comm_doc:
         raise _CliError(f"logs describe different documents: {edit_doc!r} vs {comm_doc!r}")
     try:
         report = local_trust_assessment(
-            edit_log,
-            comm_log,
-            None,
-            config.assessor,
-            config.trust_model,
-            mode=config.mode,
+            edit_log, comm_log, None, args.assessor, trust_model, mode=mode
         )
     except LogTrustError as exc:
-        raise _CliError(f"{edit_log_path}: {exc}") from None
+        raise _CliError(f"{args.edit_log}: {exc}") from None
     report = dataclasses.replace(report, doc_id=edit_doc)
-    if config.output_format == "json":
-        _print_json(report_to_dict(report))
+    if args.format == "json":
+        print(_dumps(report_to_dict(report)))
     else:
         _print_report_table(report)
     return 1 if report.violations else 0
@@ -327,8 +283,6 @@ def cmd_validate(path: str) -> int:
     data = _load_json(path)
     if isinstance(data, dict) and "commands" in data:
         try:
-            from .simulator import parse_scenario
-
             _, commands = parse_scenario(data)
         except ScenarioError as exc:
             raise _CliError(f"{path}: {exc}") from None
@@ -393,32 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        mode=parse_audit_mode(args.mode) if hasattr(args, "mode") else AuditMode.PROSE,
-        trust_model=(
-            parse_trust_model(args.trust_model)
-            if hasattr(args, "trust_model")
-            else DEFAULT_TRUST_MODEL
-        ),
-        output_format=getattr(args, "format", "table"),
-        assessor=getattr(args, "assessor", ""),
-        seed=getattr(args, "seed", None),
-        export_dir=getattr(args, "export_logs", None),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run" and (args.scenario is None) == (args.seed is None):
         parser.error("run needs a scenario file or --seed, but not both")
     try:
-        config = _config_from_args(args)
         if args.command == "run":
-            return cmd_run(args.scenario, config)
+            return cmd_run(args)
         if args.command == "audit":
-            return cmd_audit(args.edit_log, args.comm_log, config)
+            return cmd_audit(args)
         return cmd_validate(args.path)
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ engine is fully deterministic, so one scenario always yields one trace.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
@@ -81,17 +80,22 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     return comments
 
 
+def _checked_id(value: Any, what: str) -> str:
+    """``value`` if it is a usable peer or document id."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} must be a non-empty string")
+    return value
+
+
 @dataclass(frozen=True)
 class Message:
     """One in-flight share: the document's creator plus the sender's logs.
 
+    The channel that carries it names the sender, recipient and document.
     The communication log is already filtered to the sender/recipient
     correspondence (see ``Simulation.share``).
     """
 
-    sender: str
-    recipient: str
-    doc_id: str
     creator: str
     edit_log: Log
     comm_log: Log
@@ -123,6 +127,8 @@ class Simulation:
     touches, so every event it generates gets a globally fresh value.
     Message channels are keyed by (sender, recipient, document) and
     delivered explicitly, so a scenario controls interleaving exactly.
+    A channel is an immutable tuple of messages, replaced by each share
+    and deliver and removed once empty.
     """
 
     def __init__(
@@ -134,7 +140,7 @@ class Simulation:
         self.trust_model = trust_model
         self._clocks: dict[str, int] = {}
         self._held: dict[tuple[str, str], PeerDocState] = {}
-        self._queues: dict[tuple[str, str, str], deque[Message]] = {}
+        self._queues: dict[tuple[str, str, str], tuple[Message, ...]] = {}
 
     # -- state access -------------------------------------------------
 
@@ -152,7 +158,7 @@ class Simulation:
         return state
 
     def pending(self, sender: str, recipient: str, doc_id: str) -> tuple[Message, ...]:
-        return tuple(self._queues.get((sender, recipient, doc_id), ()))
+        return self._queues.get((sender, recipient, doc_id), ())
 
     def peers(self) -> tuple[str, ...]:
         return tuple(sorted({peer for peer, _ in self._held}))
@@ -203,8 +209,8 @@ class Simulation:
         for verb in ordered:
             if verb is not Verb.CREATE and verb not in EDIT_VERBS:
                 raise ValueError(f"{verb.value} is not an edit verb")
-        if not peer:
-            raise ValueError("peer name must be non-empty")
+        _checked_id(peer, "peer")
+        _checked_id(doc_id, "doc_id")
         if Verb.CREATE in ordered:
             if doc_id in self.documents():
                 raise LogTrustError(f"document {doc_id!r} already exists")
@@ -240,8 +246,7 @@ class Simulation:
         """
         atoms = list(atoms)
         state = self.peer_state(sender, doc_id)
-        if not recipient:
-            raise ValueError("recipient must be non-empty")
+        _checked_id(recipient, "recipient")
         if recipient == sender:
             raise SelfShareError(f"{sender} cannot share {doc_id!r} with itself")
         atom_set = validate_set(atoms)
@@ -271,17 +276,11 @@ class Simulation:
         # The recipient gets the full correspondence history relevant to
         # it, but not the sender's grants and shares to other peers.
         outbound = _select(comm_log, lambda e: e.by != sender or e.to == recipient)
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            doc_id=doc_id,
-            creator=state.creator,
-            edit_log=state.edit_log,
-            comm_log=outbound,
-        )
+        message = Message(state.creator, state.edit_log, outbound)
+        channel = (sender, recipient, doc_id)
         self._clocks[sender] = clock
         self._held[sender, doc_id] = state._replace(comm_log=comm_log)
-        self._queues.setdefault((sender, recipient, doc_id), deque()).append(message)
+        self._queues[channel] = self._queues.get(channel, ()) + (message,)
         return clock
 
     def deliver(self, recipient: str, sender: str, doc_id: str) -> int:
@@ -293,8 +292,9 @@ class Simulation:
         copy, whose own events win duplicates; a recipient that did not
         hold the document receives into empty logs.
         """
-        queue = self._queues.get((sender, recipient, doc_id))
-        if not queue:
+        channel = (sender, recipient, doc_id)
+        queue = self._queues.get(channel)
+        if queue is None:
             raise NoPendingMessageError(
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
             )
@@ -311,7 +311,10 @@ class Simulation:
             )
         edit_log = merge_logs(state.edit_log, message.edit_log)
         comm_log = receive_log(state.comm_log, message.comm_log, recipient, clock)
-        queue.popleft()
+        if len(queue) > 1:
+            self._queues[channel] = queue[1:]
+        else:
+            del self._queues[channel]
         self._clocks[recipient] = clock
         self._held[recipient, doc_id] = state._replace(edit_log=edit_log, comm_log=comm_log)
         return clock
@@ -390,10 +393,7 @@ def _require(data: dict, op: str, required: set[str], optional: set[str] = froze
 
 
 def _peer_name(data: dict, field_name: str) -> str:
-    value = data[field_name]
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{field_name} must be a non-empty string")
-    return value
+    return _checked_id(data[field_name], field_name)
 
 
 def _verb(value: Any, allowed: frozenset[Verb], what: str) -> Verb:
@@ -544,14 +544,15 @@ def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
     return name, tuple(commands)
 
 
-Channel = tuple[str, str, str, tuple[Message, ...]]  # (from, to, doc, messages)
+Channel = tuple[tuple[str, str, str], tuple[Message, ...]]  # ((from, to, doc), messages)
 
 
-def _event_dicts(log: Log, memo: dict[int, Any]) -> list[dict]:
+def _event_dicts(log: Log, memo: dict[Any, Any], shared: set[int]) -> list[dict]:
     """``event_to_dict`` of every entry, as one list per log per memo.
 
     Each event is serialized once per memo too.  The memo is keyed by
-    object id, which is safe while the logs and events outlive it.
+    object id, which is safe while the logs and events outlive it.  The
+    id of every list or dict handed out again is added to ``shared``.
     """
     out = memo.get(id(log))
     if out is None:
@@ -560,33 +561,44 @@ def _event_dicts(log: Log, memo: dict[int, Any]) -> list[dict]:
             data = memo.get(id(event))
             if data is None:
                 data = memo[id(event)] = event_to_dict(event)
+            else:
+                shared.add(id(data))
             out.append(data)
+    else:
+        shared.add(id(out))
     return out
 
 
-def _state_dicts(held: tuple[PeerDocState, ...], memo: dict[Any, Any]) -> list[dict]:
+def _state_dicts(
+    held: tuple[PeerDocState, ...], memo: dict[Any, Any], shared: set[int]
+) -> list[dict]:
     """One dict per held copy.
 
     A copy whose peer, doc and logs are the same objects as in an earlier
-    call with the same memo gets that call's dict.
+    call with the same memo gets that call's dict, and its id is added to
+    ``shared``.
     """
     out = []
     for peer, doc_id, edit_log, comm_log, _creator in held:
         key = (peer, doc_id, id(edit_log), id(comm_log))
         state = memo.get(key)
-        if state is None:
+        if state is not None:
+            shared.add(id(state))
+        else:
             state = memo[key] = {
                 "peer": peer,
                 "doc": doc_id,
-                "edit": _event_dicts(edit_log, memo),
-                "comm": _event_dicts(comm_log, memo),
+                "edit": _event_dicts(edit_log, memo, shared),
+                "comm": _event_dicts(comm_log, memo, shared),
                 "comments": sorted([author, cid] for author, cid in replay_comments(edit_log)),
             }
         out.append(state)
     return out
 
 
-def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dict]:
+def _queue_dicts(
+    pending: tuple[Channel, ...], memo: dict[Any, Any], shared: set[int]
+) -> list[dict]:
     return [
         {
             "from": sender,
@@ -594,13 +606,13 @@ def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dic
             "doc": doc_id,
             "messages": [
                 {
-                    "edit": _event_dicts(m.edit_log, memo),
-                    "comm": _event_dicts(m.comm_log, memo),
+                    "edit": _event_dicts(m.edit_log, memo, shared),
+                    "comm": _event_dicts(m.comm_log, memo, shared),
                 }
                 for m in messages
             ],
         }
-        for sender, recipient, doc_id, messages in pending
+        for (sender, recipient, doc_id), messages in pending
     ]
 
 
@@ -608,12 +620,12 @@ def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dic
 class CommandSnapshot:
     """Full engine state right after one command.
 
-    Held copies, logs and messages are immutable, so the snapshot keeps
+    Held copies, logs and channels are immutable, so the snapshot keeps
     references to them: ``held`` has the engine's ``PeerDocState`` record
-    of each held copy, ``pending`` one ``(from, to, doc, messages)`` per
-    non-empty channel, both sorted.  ``states`` and ``queues`` serialize
-    them on each access.  ``report`` is the audit report of an audit
-    command.
+    of each held copy, ``pending`` the engine's ``((from, to, doc),
+    messages)`` item of each non-empty channel, both sorted.  ``states``
+    and ``queues`` serialize them on each access.  ``report`` is the
+    audit report of an audit command.
     """
 
     index: int
@@ -625,11 +637,11 @@ class CommandSnapshot:
 
     @property
     def states(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_state_dicts(self.held, {}))
+        return tuple(_state_dicts(self.held, {}, set()))
 
     @property
     def queues(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_queue_dicts(self.pending, {}))
+        return tuple(_queue_dicts(self.pending, {}, set()))
 
 
 @dataclass(frozen=True)
@@ -647,15 +659,21 @@ class ScenarioTrace:
         return tuple(s.report for s in self.snapshots if s.report is not None)
 
     def to_dict(self) -> dict[str, Any]:
-        """The trace as JSON-ready data.
+        """The trace as JSON-ready data."""
+        return self.to_dict_and_shared()[0]
+
+    def to_dict_and_shared(self) -> tuple[dict[str, Any], set[int]]:
+        """The trace as JSON-ready data, and the ids of its shared containers.
 
         Each event, log and held copy is serialized once per call: every
         place an event appears holds the same dict, every place a log
         appears the same list, and a held copy unchanged from an earlier
-        snapshot the same state dict.
+        snapshot the same state dict.  The set holds the id of each of
+        those dicts and lists that the data reaches more than once.
         """
         memo: dict[Any, Any] = {}
-        return {
+        shared: set[int] = set()
+        data = {
             "name": self.name,
             "mode": self.mode.value,
             "trust_model": self.trust_model,
@@ -664,13 +682,14 @@ class ScenarioTrace:
                     "index": s.index,
                     "command": s.command,
                     "clock": s.clock,
-                    "states": _state_dicts(s.held, memo),
-                    "queues": _queue_dicts(s.pending, memo),
+                    "states": _state_dicts(s.held, memo, shared),
+                    "queues": _queue_dicts(s.pending, memo, shared),
                     "report": None if s.report is None else report_to_dict(s.report),
                 }
                 for s in self.snapshots
             ],
         }
+        return data, shared
 
 
 def apply_command(
@@ -716,16 +735,13 @@ def run_scenario(
             clock, report = apply_command(sim, command)
         except (LogTrustError, ValueError) as exc:
             raise ScenarioError(str(exc), index=i) from exc
-        pending = [
-            (*channel, tuple(queue)) for channel, queue in sorted(sim._queues.items()) if queue
-        ]
         snapshots.append(
             CommandSnapshot(
                 index=i,
                 command=command.describe(),
                 clock=clock,
                 held=tuple(sorted(sim._held.values())),
-                pending=tuple(pending),
+                pending=tuple(sorted(sim._queues.items())),
                 report=report,
             )
         )

@@ -342,6 +342,28 @@ json_values = st.recursive(
 )
 
 
+def shared_containers(obj):
+    """Ids of the dicts, lists and tuples reached more than once in ``obj``.
+
+    The reference for what ``ScenarioTrace.to_dict_and_shared`` declares:
+    a walk of the whole object that does not descend into a container
+    twice.
+    """
+    seen = set()
+    shared = set()
+    stack = [obj] if isinstance(obj, (dict, list, tuple)) else []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            shared.add(id(o))
+            continue
+        seen.add(id(o))
+        for child in o.values() if isinstance(o, dict) else o:
+            if isinstance(child, (dict, list, tuple)):
+                stack.append(child)
+    return shared
+
+
 @given(json_values)
 @example(None)
 @example([True, False, None, 2**63, -(2**63), -0.0, 1e16, 1e-7])
@@ -353,8 +375,21 @@ def test_dumps_matches_json_dumps_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
     # one sub-object aliased at several depths and twice at the same depth
     aliased = {"a": value, "b": [value, {"c": value}], "d": (value, value), "e": [value]}
-    assert _dumps(aliased) == json.dumps(aliased, indent=2)
-    assert _dumps([aliased, aliased]) == json.dumps([aliased, aliased], indent=2)
+    for obj in (aliased, [aliased, aliased]):
+        expected = json.dumps(obj, indent=2)
+        assert _dumps(obj) == expected
+        assert _dumps(obj, shared_containers(obj)) == expected
+
+
+@pytest.mark.parametrize("mode", ["prose", "literal"])
+def test_trace_declares_exactly_the_containers_it_shares(paper_scenario, mode):
+    scenarios = [paper_scenario] + [generate_scenario(seed) for seed in range(60)]
+    declared_any = False
+    for k, scenario in enumerate(scenarios):
+        data, shared = run_scenario(scenario, mode=AuditMode(mode)).to_dict_and_shared()
+        assert shared == shared_containers(data), k
+        declared_any |= bool(shared)
+    assert declared_any
 
 
 @pytest.mark.parametrize("mode", ["prose", "literal"])

@@ -96,6 +96,36 @@ def test_deliver_requires_pending_message():
         sim.deliver("P2", "P1", "d")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        ("create_doc", "P1", ""),
+        ("create_doc", "P1", None),
+        ("create_doc", "P1", 3),
+        ("create_doc", "", "e"),
+        ("create_doc", 7, "e"),
+        ("edit", None, "d", Verb.READ),
+        ("edit", "P1", 3, Verb.READ),
+        ("batch", "P1", "", [Verb.READ, Verb.COMMENT]),
+        ("share", "P1", "d", "", READ_OK),
+        ("share", "P1", "d", 2, READ_OK),
+        ("share", "P1", "d", None, READ_OK),
+    ],
+    ids=lambda call: call[0] + repr(tuple(a for a in call[1:] if not isinstance(a, (Verb, list)))),
+)
+def test_bad_ids_are_rejected_before_any_state_changes(call):
+    sim = Simulation()
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", READ_OK)
+    before = (sim.clock("P1"), sim.documents(), sim.pending("P1", "P2", "d"))
+    method, *args = call
+    with pytest.raises(ValueError, match="must be a non-empty string"):
+        getattr(sim, method)(*args)
+    assert (sim.clock("P1"), sim.documents(), sim.pending("P1", "P2", "d")) == before
+    # the engine can still list and audit everything it holds
+    assert [sim.audit("P1", doc_id).violations for doc_id in sim.documents()] == [()]
+
+
 def test_channels_are_fifo():
     sim = Simulation()
     sim.create_doc("P1", "d")

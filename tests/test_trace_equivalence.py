@@ -104,5 +104,5 @@ def test_generated_traces_are_byte_identical():
     digest = hashlib.sha256()
     for seed in range(200):
         trace = run_scenario(generate_scenario(seed, max_peers=8, max_commands=80))
-        digest.update(_dumps(trace.to_dict()).encode())
+        digest.update(_dumps(*trace.to_dict_and_shared()).encode())
     assert digest.hexdigest() == TRACES_SHA256
