@@ -266,30 +266,108 @@ def test_document_spreads_through_delivery():
 # -- scenario parsing ------------------------------------------------------
 
 
-def test_parse_command_rejects_malformed():
-    bad_commands = [
-        "not an object",
-        {"op": "destroy"},
-        {"op": "create", "peer": "P1"},
-        {"op": "create", "peer": "P1", "doc_id": "d", "verb": "read"},
-        {"op": "edit", "peer": "P1", "doc_id": "d", "verb": "create"},
-        {"op": "edit", "peer": "P1", "doc_id": "d", "verb": "share"},
-        {"op": "batch", "peer": "P1", "doc_id": "d", "verbs": []},
-        {"op": "batch", "peer": "P1", "doc_id": "d", "verbs": ["read", "create"]},
-        {"op": "batch", "peer": "P1", "doc_id": "d", "verbs": ["read", "read"]},
-        {"op": "share", "from": "P1", "to": "P1", "doc_id": "d", "obligations": []},
-        {"op": "share", "from": "P1", "to": "P2", "doc_id": "d",
-         "obligations": [{"verb": "create", "allow": True}]},
-        {"op": "share", "from": "P1", "to": "P2", "doc_id": "d",
-         "obligations": [{"verb": "read", "allow": True}, {"verb": "read", "allow": False}]},
-        {"op": "share", "from": "P1", "to": "P2", "doc_id": "d",
-         "obligations": [{"verb": "read", "allow": "yes"}]},
-        {"op": "deliver", "from": "P1", "doc_id": "d"},
-        {"op": "audit", "peer": "", "doc_id": "d"},
-    ]
-    for raw in bad_commands:
-        with pytest.raises(ValueError):
-            parse_command(raw)
+_OPS_TEXT = "expected one of create, edit, batch, share, deliver, audit"
+_EDIT = {"op": "edit", "peer": "P1", "doc_id": "d"}
+_BATCH = {"op": "batch", "peer": "P1", "doc_id": "d"}
+_SHARE = {"op": "share", "from": "P1", "to": "P2", "doc_id": "d", "obligations": []}
+_DELIVER = {"op": "deliver", "from": "P1", "to": "P2", "doc_id": "d"}
+_AUDIT = {"op": "audit", "peer": "P1", "doc_id": "d"}
+
+
+def _obl(*atoms):
+    return dict(_SHARE, obligations=list(atoms))
+
+
+_READ_OK = {"verb": "read", "allow": True}
+
+# One case per check in parse_command, with the exact message it raises.
+COMMAND_REJECTIONS = [
+    ("not an object", "command must be an object"),
+    (None, "command must be an object"),
+    (["op", "create"], "command must be an object"),
+    ({}, f"unknown op None; {_OPS_TEXT}"),
+    ({"op": "destroy"}, f"unknown op 'destroy'; {_OPS_TEXT}"),
+    ({"op": "Create"}, f"unknown op 'Create'; {_OPS_TEXT}"),
+    ({"op": 3}, f"unknown op 3; {_OPS_TEXT}"),
+    ({"op": []}, f"unknown op []; {_OPS_TEXT}"),
+    ({"op": {}}, f"unknown op {{}}; {_OPS_TEXT}"),
+    ({"op": "create", "peer": "P1"}, "create requires fields ['doc_id']"),
+    ({"op": "create"}, "create requires fields ['doc_id', 'peer']"),
+    ({"op": "create", "peer": "P1", "doc_id": "d", "verb": "read"},
+     "create does not accept fields ['verb']"),
+    ({"op": "create", "peer": "", "doc_id": "d"}, "peer must be a non-empty string"),
+    ({"op": "create", "peer": 1, "doc_id": "d"}, "peer must be a non-empty string"),
+    ({"op": "create", "peer": "P1", "doc_id": None}, "doc_id must be a non-empty string"),
+    (_EDIT, "edit requires fields ['verb']"),
+    (dict(_EDIT, verb="read", obligations=[]), "edit does not accept fields ['obligations']"),
+    (dict(_EDIT, verb="read", peer=["P1"]), "peer must be a non-empty string"),
+    (dict(_EDIT, verb="read", doc_id=""), "doc_id must be a non-empty string"),
+    (dict(_EDIT, verb=3), "an edit verb must be a string"),
+    (dict(_EDIT, verb="launch"), "unknown verb 'launch'"),
+    (dict(_EDIT, verb="READ"), "unknown verb 'READ'"),
+    (dict(_EDIT, verb="create"), "create is not allowed as an edit verb"),
+    (dict(_EDIT, verb="share"), "share is not allowed as an edit verb"),
+    (dict(_EDIT, verb="read", ignore_obligations="yes"), "ignore_obligations must be a boolean"),
+    (dict(_EDIT, verb="read", ignore_obligations=1), "ignore_obligations must be a boolean"),
+    (_BATCH, "batch requires fields ['verbs']"),
+    (dict(_BATCH, verbs=["read"], verb="read"), "batch does not accept fields ['verb']"),
+    (dict(_BATCH, verbs="read"), "verbs must be a non-empty array"),
+    (dict(_BATCH, verbs=[]), "verbs must be a non-empty array"),
+    (dict(_BATCH, verbs=[3]), "a batch verb must be a string"),
+    (dict(_BATCH, verbs=["launch"]), "unknown verb 'launch'"),
+    (dict(_BATCH, verbs=["share"]), "share is not allowed as a batch verb"),
+    (dict(_BATCH, verbs=["read", None]), "a batch verb after the first must be a string"),
+    (dict(_BATCH, verbs=["read", "launch"]), "unknown verb 'launch'"),
+    (dict(_BATCH, verbs=["read", "create"]),
+     "create is not allowed as a batch verb after the first"),
+    (dict(_BATCH, verbs=["read", "read"]), "batch verbs must be distinct"),
+    (dict(_BATCH, verbs=["create", "comment", "comment"]), "batch verbs must be distinct"),
+    (dict(_BATCH, verbs=["read"], ignore_obligations=0), "ignore_obligations must be a boolean"),
+    (dict(_BATCH, verbs=["read"], peer=""), "peer must be a non-empty string"),
+    (dict(_BATCH, verbs=["read"], doc_id=5), "doc_id must be a non-empty string"),
+    ({k: v for k, v in _SHARE.items() if k != "obligations"},
+     "share requires fields ['obligations']"),
+    (dict(_SHARE, ignore_obligations=True), "share does not accept fields ['ignore_obligations']"),
+    (dict(_SHARE, obligations=_READ_OK), "obligations must be an array"),
+    (dict(_SHARE, obligations=None), "obligations must be an array"),
+    (_obl("read"), "each obligation must be {verb, allow}"),
+    (_obl({"verb": "read"}), "each obligation must be {verb, allow}"),
+    (_obl(dict(_READ_OK, by="P1")), "each obligation must be {verb, allow}"),
+    (_obl({"verb": "read", "allow": "yes"}), "obligation allow must be a boolean"),
+    (_obl({"verb": "read", "allow": 1}), "obligation allow must be a boolean"),
+    (_obl({"verb": 3, "allow": True}), "an obligation verb must be a string"),
+    (_obl({"verb": "launch", "allow": True}), "unknown verb 'launch'"),
+    (_obl({"verb": "create", "allow": True}), "create is not allowed as an obligation verb"),
+    (_obl(_READ_OK, _READ_OK), "duplicate obligation atoms"),
+    (_obl(_READ_OK, {"verb": "read", "allow": False}),
+     "set grants and forbids the same verb(s): read"),
+    (_obl(_READ_OK, {"verb": "comment", "allow": True}, {"verb": "comment", "allow": False},
+          {"verb": "read", "allow": False}),
+     "set grants and forbids the same verb(s): comment, read"),
+    (dict(_SHARE, **{"from": ""}), "from must be a non-empty string"),
+    (dict(_SHARE, to=None), "to must be a non-empty string"),
+    (dict(_SHARE, to="P1"), "cannot share with oneself"),
+    (dict(_SHARE, doc_id=""), "doc_id must be a non-empty string"),
+    # the obligations are checked before the peers
+    (dict(_obl({"verb": "read", "allow": None}), to="P1"), "obligation allow must be a boolean"),
+    ({k: v for k, v in _DELIVER.items() if k != "to"}, "deliver requires fields ['to']"),
+    (dict(_DELIVER, obligations=[]), "deliver does not accept fields ['obligations']"),
+    (dict(_DELIVER, **{"from": 1}), "from must be a non-empty string"),
+    (dict(_DELIVER, to=""), "to must be a non-empty string"),
+    (dict(_DELIVER, doc_id=[]), "doc_id must be a non-empty string"),
+    ({"op": "audit", "doc_id": "d"}, "audit requires fields ['peer']"),
+    (dict(_AUDIT, mode="prose"), "audit does not accept fields ['mode']"),
+    (dict(_AUDIT, peer=""), "peer must be a non-empty string"),
+    (dict(_AUDIT, doc_id=False), "doc_id must be a non-empty string"),
+]
+
+
+@pytest.mark.parametrize("raw, message", COMMAND_REJECTIONS)
+def test_parse_command_rejections_are_pinned(raw, message):
+    with pytest.raises(Exception) as caught:
+        parse_command(raw)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
 
 
 def test_parse_scenario_reports_command_index():
