@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEventError,
@@ -293,13 +293,6 @@ def _merged(rows: Sequence[tuple], new: Sequence[tuple]) -> tuple[tuple, ...]:
     merged = [*rows, *new]
     merged.sort(key=_SORT_KEY)
     return tuple(merged)
-
-
-def _select(log: Log, keep: Callable[[Event], bool]) -> Log:
-    """The entries for which ``keep`` holds, in order; ``log`` itself if all do."""
-    rows = log._rows
-    kept = tuple([row for row in rows if keep(row[2])])
-    return log if len(kept) == len(rows) else _from_rows(log.role, kept)
 
 
 def empty_log(role: LogRole) -> Log:

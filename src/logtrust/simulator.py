@@ -12,7 +12,7 @@ engine is fully deterministic, so one scenario always yields one trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .audit import (
     AuditMode,
@@ -41,8 +41,9 @@ from .events import (
     PerformedShare,
     Verb,
     _VERB_RANK,
+    _VERB_BY_VALUE,
+    _from_rows,
     _insert_events,
-    _select,
     empty_log,
     event_to_dict,
     make_comment_id,
@@ -85,6 +86,51 @@ def _checked_id(value: Any, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} must be a non-empty string")
     return value
+
+
+_BATCH_VERBS = EDIT_VERBS | {Verb.CREATE}
+
+
+def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
+    """``verbs`` in canonical verb order, if they make a batch.
+
+    A batch is at least one verb, all distinct, each ``create`` or an
+    edit verb.  Canonical order is the order the edit log replays them in.
+    """
+    verbs = list(verbs)
+    if not verbs:
+        raise ValueError("batch requires at least one verb")
+    for verb in verbs:
+        if not isinstance(verb, Verb):
+            raise ValueError(f"{verb!r} is not a Verb")
+    if len(set(verbs)) != len(verbs):
+        raise ValueError("batch verbs must be distinct")
+    for verb in verbs:
+        if verb not in _BATCH_VERBS:
+            raise ValueError(f"{verb.value} is not an edit verb")
+    return sorted(verbs, key=_VERB_RANK.__getitem__)
+
+
+def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[ObligationAtom]:
+    """``atoms`` in canonical order, if one share may carry them.
+
+    Each must be an ``ObligationAtom`` whose verb is in
+    ``OBLIGATION_VERBS`` and whose ``allow`` is a bool, and none may
+    repeat or conflict with another (InternallyConflictingSetError).
+    """
+    atoms = list(atoms)
+    for atom in atoms:
+        if not isinstance(atom, ObligationAtom) or not isinstance(atom.verb, Verb):
+            raise ValueError(f"{atom!r} is not an obligation atom")
+        if not isinstance(atom.allow, bool):
+            raise ValueError("obligation allow must be a boolean")
+    atom_set = validate_set(atoms)
+    if len(atom_set) != len(atoms):
+        raise ValueError("duplicate obligation atoms")
+    for atom in atoms:
+        if atom.verb not in OBLIGATION_VERBS:
+            raise ValueError(f"{atom.verb.value} cannot appear in an obligation")
+    return sorted(atoms, key=lambda a: (_VERB_RANK[a.verb], a.allow))
 
 
 @dataclass(frozen=True)
@@ -191,7 +237,7 @@ class Simulation:
         self,
         peer: str,
         doc_id: str,
-        verbs: Sequence[Verb],
+        verbs: Iterable[Verb],
         ignore_obligations: bool = False,
     ) -> int:
         """Perform several distinct actions under a single clock value.
@@ -201,14 +247,7 @@ class Simulation:
         in canonical verb order, the order the edit log replays them in.
         """
         del ignore_obligations  # annotation only, never enforced
-        if not verbs:
-            raise ValueError("batch requires at least one verb")
-        if len(set(verbs)) != len(verbs):
-            raise ValueError("batch verbs must be distinct")
-        ordered = sorted(verbs, key=_VERB_RANK.__getitem__)
-        for verb in ordered:
-            if verb is not Verb.CREATE and verb not in EDIT_VERBS:
-                raise ValueError(f"{verb.value} is not an edit verb")
+        ordered = _batch_verbs(verbs)
         _checked_id(peer, "peer")
         _checked_id(doc_id, "doc_id")
         if Verb.CREATE in ordered:
@@ -244,18 +283,12 @@ class Simulation:
         Obligations are mandatory except when sending a document back to
         a peer it was previously received from.
         """
-        atoms = list(atoms)
         state = self.peer_state(sender, doc_id)
         _checked_id(recipient, "recipient")
         if recipient == sender:
             raise SelfShareError(f"{sender} cannot share {doc_id!r} with itself")
-        atom_set = validate_set(atoms)
-        if len(atom_set) != len(atoms):
-            raise ValueError("duplicate obligation atoms in share")
-        for atom in atom_set:
-            if atom.verb not in OBLIGATION_VERBS:
-                raise ValueError(f"{atom.verb.value} cannot appear in an obligation")
-        if not atom_set:
+        atoms = _share_atoms(atoms)
+        if not atoms:
             sent_back = any(
                 isinstance(e, PerformedShare) and e.by == recipient and e.to == sender
                 for e in state.comm_log
@@ -267,7 +300,7 @@ class Simulation:
         clock = self.clock(sender) + 1
         origin = OriginKey(sender, recipient, clock)
         new_events: list = [PerformedShare(clock, sender, recipient)]
-        for atom in sorted(atom_set, key=lambda a: (_VERB_RANK[a.verb], a.allow)):
+        for atom in atoms:
             new_events.append(
                 Obligation(clock, atom.verb, atom.allow, sender, recipient, origin)
             )
@@ -275,7 +308,10 @@ class Simulation:
 
         # The recipient gets the full correspondence history relevant to
         # it, but not the sender's grants and shares to other peers.
-        outbound = _select(comm_log, lambda e: e.by != sender or e.to == recipient)
+        # Rows of a comm log hold its sort key first: actor at [1], recipient at [5].
+        rows = comm_log._rows
+        kept = tuple([row for row in rows if row[0][1] != sender or row[0][5] == recipient])
+        outbound = comm_log if len(kept) == len(rows) else _from_rows(LogRole.COMM, kept)
         message = Message(state.creator, state.edit_log, outbound)
         channel = (sender, recipient, doc_id)
         self._clocks[sender] = clock
@@ -341,170 +377,96 @@ class Simulation:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-_OPS = ("create", "edit", "batch", "share", "deliver", "audit")
-
-
-@dataclass(frozen=True)
-class ScenarioCommand:
-    """One parsed scenario step."""
-
-    op: str
-    peer: Optional[str] = None
-    doc_id: Optional[str] = None
-    verb: Optional[Verb] = None
-    verbs: Optional[tuple[Verb, ...]] = None
-    sender: Optional[str] = None
-    to: Optional[str] = None
-    obligations: Optional[tuple[ObligationAtom, ...]] = None
-    ignore_obligations: bool = False
-
-    def describe(self) -> dict[str, Any]:
-        """Echo of the command as scenario JSON."""
-        out: dict[str, Any] = {"op": self.op}
-        if self.peer is not None:
-            out["peer"] = self.peer
-        if self.sender is not None:
-            out["from"] = self.sender
-        if self.to is not None:
-            out["to"] = self.to
-        if self.doc_id is not None:
-            out["doc_id"] = self.doc_id
-        if self.verb is not None:
-            out["verb"] = self.verb.value
-        if self.verbs is not None:
-            out["verbs"] = [v.value for v in self.verbs]
-        if self.obligations is not None:
-            out["obligations"] = [
-                {"verb": a.verb.value, "allow": a.allow} for a in self.obligations
-            ]
-        if self.ignore_obligations:
-            out["ignore_obligations"] = True
-        return out
-
-
-def _require(data: dict, op: str, required: set[str], optional: set[str] = frozenset()):
-    keys = data.keys() - {"op"}
-    missing = required - keys
-    if missing:
-        raise ValueError(f"{op} requires fields {sorted(missing)}")
-    extra = keys - required - optional
-    if extra:
-        raise ValueError(f"{op} does not accept fields {sorted(extra)}")
-
-
-def _peer_name(data: dict, field_name: str) -> str:
-    return _checked_id(data[field_name], field_name)
+# Each op's fields, in the order the trace echoes them.
+_FIELDS = {
+    "create": ("peer", "doc_id"),
+    "edit": ("peer", "doc_id", "verb"),
+    "batch": ("peer", "doc_id", "verbs"),
+    "share": ("from", "to", "doc_id", "obligations"),
+    "deliver": ("from", "to", "doc_id"),
+    "audit": ("peer", "doc_id"),
+}
 
 
 def _verb(value: Any, allowed: frozenset[Verb], what: str) -> Verb:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string")
-    try:
-        verb = Verb(value)
-    except ValueError:
-        raise ValueError(f"unknown verb {value!r}") from None
+    verb = _VERB_BY_VALUE.get(value)
+    if verb is None:
+        raise ValueError(f"unknown verb {value!r}")
     if verb not in allowed:
         raise ValueError(f"{verb.value} is not allowed as {what}")
     return verb
 
 
-def _ignore_flag(data: dict) -> bool:
-    ignore = data.get("ignore_obligations", False)
-    if not isinstance(ignore, bool):
-        raise ValueError("ignore_obligations must be a boolean")
-    return ignore
+def parse_command(data: Any) -> dict[str, Any]:
+    """Check one scenario command and return it as the trace echoes it.
 
-
-def parse_command(data: Any) -> ScenarioCommand:
-    """Parse and structurally validate a single scenario command."""
+    The result is a new dict of JSON values: ``op``, then the op's fields
+    in ``_FIELDS`` order, then ``"ignore_obligations": true`` when that
+    flag is set.  Raises ValueError on any problem.
+    """
     if not isinstance(data, dict):
         raise ValueError("command must be an object")
     op = data.get("op")
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {', '.join(_OPS)}")
-    if op == "create":
-        _require(data, op, {"peer", "doc_id"})
-        return ScenarioCommand(
-            op=op, peer=_peer_name(data, "peer"), doc_id=_peer_name(data, "doc_id")
-        )
-    if op == "edit":
-        _require(data, op, {"peer", "doc_id", "verb"}, {"ignore_obligations"})
-        return ScenarioCommand(
-            op=op,
-            peer=_peer_name(data, "peer"),
-            doc_id=_peer_name(data, "doc_id"),
-            verb=_verb(data["verb"], EDIT_VERBS, "an edit verb"),
-            ignore_obligations=_ignore_flag(data),
-        )
+    fields = _FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise ValueError(f"unknown op {op!r}; expected one of {', '.join(_FIELDS)}")
+    keys = data.keys() - {"op"}
+    missing = set(fields) - keys
+    if missing:
+        raise ValueError(f"{op} requires fields {sorted(missing)}")
+    extra = keys - set(fields)
+    if op in ("edit", "batch"):
+        extra.discard("ignore_obligations")
+    if extra:
+        raise ValueError(f"{op} does not accept fields {sorted(extra)}")
+    command: dict[str, Any] = {"op": op}
     if op == "batch":
-        _require(data, op, {"peer", "doc_id", "verbs"}, {"ignore_obligations"})
         raw = data["verbs"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("verbs must be a non-empty array")
-        verbs: list[Verb] = []
-        for i, item in enumerate(raw):
-            allowed = EDIT_VERBS | {Verb.CREATE} if i == 0 else EDIT_VERBS
-            what = "a batch verb" if i == 0 else "a batch verb after the first"
-            verbs.append(_verb(item, allowed, what))
-        if len(set(verbs)) != len(verbs):
-            raise ValueError("batch verbs must be distinct")
-        return ScenarioCommand(
-            op=op,
-            peer=_peer_name(data, "peer"),
-            doc_id=_peer_name(data, "doc_id"),
-            verbs=tuple(verbs),
-            ignore_obligations=_ignore_flag(data),
+        _batch_verbs(
+            [_verb(raw[0], _BATCH_VERBS, "a batch verb")]
+            + [_verb(v, EDIT_VERBS, "a batch verb after the first") for v in raw[1:]]
         )
-    if op == "share":
-        _require(data, op, {"from", "to", "doc_id", "obligations"})
+    elif op == "share":
         raw = data["obligations"]
         if not isinstance(raw, list):
             raise ValueError("obligations must be an array")
-        atoms: list[ObligationAtom] = []
+        atoms = []
         for item in raw:
             if not isinstance(item, dict) or item.keys() != {"verb", "allow"}:
                 raise ValueError("each obligation must be {verb, allow}")
-            if not isinstance(item["allow"], bool):
-                raise ValueError("obligation allow must be a boolean")
-            atoms.append(
-                ObligationAtom(
-                    _verb(item["verb"], OBLIGATION_VERBS, "an obligation verb"),
-                    item["allow"],
-                )
-            )
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("duplicate obligation atoms")
+            verb = _verb(item["verb"], OBLIGATION_VERBS, "an obligation verb")
+            atoms.append(ObligationAtom(verb, item["allow"]))
         try:
-            validate_set(atoms)
+            _share_atoms(atoms)
         except InternallyConflictingSetError as exc:
             raise ValueError(str(exc)) from None
-        sender = _peer_name(data, "from")
-        to = _peer_name(data, "to")
-        if sender == to:
+    for name in fields:
+        if name == "doc_id" and op == "share" and command["from"] == command["to"]:
             raise ValueError("cannot share with oneself")
-        return ScenarioCommand(
-            op=op,
-            sender=sender,
-            to=to,
-            doc_id=_peer_name(data, "doc_id"),
-            obligations=tuple(atoms),
-        )
-    if op == "deliver":
-        _require(data, op, {"from", "to", "doc_id"})
-        return ScenarioCommand(
-            op=op,
-            sender=_peer_name(data, "from"),
-            to=_peer_name(data, "to"),
-            doc_id=_peer_name(data, "doc_id"),
-        )
-    _require(data, op, {"peer", "doc_id"})
-    return ScenarioCommand(
-        op=op, peer=_peer_name(data, "peer"), doc_id=_peer_name(data, "doc_id")
-    )
+        value = data[name]
+        if name == "verb":
+            _verb(value, EDIT_VERBS, "an edit verb")
+        elif name == "verbs":
+            value = list(value)
+        elif name == "obligations":
+            value = [{"verb": a["verb"], "allow": a["allow"]} for a in value]
+        else:
+            _checked_id(value, name)
+        command[name] = value
+    ignore = data.get("ignore_obligations", False)
+    if not isinstance(ignore, bool):
+        raise ValueError("ignore_obligations must be a boolean")
+    if ignore:
+        command["ignore_obligations"] = True
+    return command
 
 
-def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
-    """Parse a scenario document into its name and command list.
+def parse_scenario(data: Any) -> tuple[str, tuple[dict[str, Any], ...]]:
+    """Parse a scenario document into its name and ``parse_command`` dicts.
 
     Raises ScenarioError with the offending command index on any
     structural problem; nothing is executed here.
@@ -534,7 +496,7 @@ def parse_scenario(data: Any) -> tuple[str, tuple[ScenarioCommand, ...]]:
         except ValueError as exc:
             raise ScenarioError(str(exc), index=i) from None
         if declared is not None:
-            used = {command.peer, command.sender, command.to} - {None}
+            used = {command[k] for k in ("peer", "from", "to") if k in command}
             unknown = used - set(declared)
             if unknown:
                 raise ScenarioError(
@@ -620,7 +582,8 @@ def _queue_dicts(
 class CommandSnapshot:
     """Full engine state right after one command.
 
-    Held copies, logs and channels are immutable, so the snapshot keeps
+    ``command`` is the command as ``parse_command`` returned it.  Held
+    copies, logs and channels are immutable, so the snapshot keeps
     references to them: ``held`` has the engine's ``PeerDocState`` record
     of each held copy, ``pending`` the engine's ``((from, to, doc),
     messages)`` item of each non-empty channel, both sorted.  ``states``
@@ -693,25 +656,29 @@ class ScenarioTrace:
 
 
 def apply_command(
-    sim: Simulation, command: ScenarioCommand
+    sim: Simulation, command: dict[str, Any]
 ) -> tuple[int, Optional[AuditReport]]:
-    """Run one parsed command on ``sim``.
+    """Run one command, as ``parse_command`` returns it, on ``sim``.
 
     Returns the clock value the command drew (0 for an audit) and the
     audit report (None for every other command).
     """
     c = command
-    if c.op == "create":
-        return sim.create_doc(c.peer, c.doc_id), None
-    if c.op == "edit":
-        return sim.edit(c.peer, c.doc_id, c.verb, c.ignore_obligations), None
-    if c.op == "batch":
-        return sim.batch(c.peer, c.doc_id, c.verbs, c.ignore_obligations), None
-    if c.op == "share":
-        return sim.share(c.sender, c.doc_id, c.to, c.obligations), None
-    if c.op == "deliver":
-        return sim.deliver(c.to, c.sender, c.doc_id), None
-    return 0, sim.audit(c.peer, c.doc_id)
+    op = c["op"]
+    if op == "create":
+        return sim.create_doc(c["peer"], c["doc_id"]), None
+    ignore = c.get("ignore_obligations", False)
+    if op == "edit":
+        return sim.edit(c["peer"], c["doc_id"], _VERB_BY_VALUE[c["verb"]], ignore), None
+    if op == "batch":
+        verbs = [_VERB_BY_VALUE[v] for v in c["verbs"]]
+        return sim.batch(c["peer"], c["doc_id"], verbs, ignore), None
+    if op == "share":
+        atoms = [ObligationAtom(_VERB_BY_VALUE[a["verb"]], a["allow"]) for a in c["obligations"]]
+        return sim.share(c["from"], c["doc_id"], c["to"], atoms), None
+    if op == "deliver":
+        return sim.deliver(c["to"], c["from"], c["doc_id"]), None
+    return 0, sim.audit(c["peer"], c["doc_id"])
 
 
 def run_scenario(
@@ -738,7 +705,7 @@ def run_scenario(
         snapshots.append(
             CommandSnapshot(
                 index=i,
-                command=command.describe(),
+                command=command,
                 clock=clock,
                 held=tuple(sorted(sim._held.values())),
                 pending=tuple(sorted(sim._queues.items())),

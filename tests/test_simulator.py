@@ -126,6 +126,54 @@ def test_bad_ids_are_rejected_before_any_state_changes(call):
     assert [sim.audit("P1", doc_id).violations for doc_id in sim.documents()] == [()]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (("batch", "P1", "d", []), "batch requires at least one verb"),
+        (("batch", "P1", "d", iter([])), "batch requires at least one verb"),
+        (("batch", "P1", "e", ["create"]), "'create' is not a Verb"),
+        (("batch", "P1", "d", [Verb.READ, None]), "None is not a Verb"),
+        (("batch", "P1", "d", [Verb.READ, Verb.READ]), "batch verbs must be distinct"),
+        (("batch", "P1", "d", (v for v in [Verb.READ] * 2)), "batch verbs must be distinct"),
+        (("batch", "P1", "d", [Verb.READ, Verb.SHARE]), "share is not an edit verb"),
+        (("edit", "P1", "d", "comment"), "'comment' is not a Verb"),
+        (("edit", "P1", "d", Verb.SHARE), "share is not an edit verb"),
+        (("share", "P1", "d", "P3", [("read", True)]), "('read', True) is not an obligation atom"),
+        (("share", "P1", "d", "P3", [A("read", True)]),
+         "ObligationAtom(verb='read', allow=True) is not an obligation atom"),
+        (("share", "P1", "d", "P3", [A(Verb.READ, 1)]), "obligation allow must be a boolean"),
+        (("share", "P1", "d", "P3", [A(Verb.READ, None)]), "obligation allow must be a boolean"),
+        (("share", "P1", "d", "P3", [A(Verb.READ, [])]), "obligation allow must be a boolean"),
+        (("share", "P1", "d", "P3", READ_OK * 2), "duplicate obligation atoms"),
+        (("share", "P1", "d", "P3", iter(READ_OK * 2)), "duplicate obligation atoms"),
+        (("share", "P1", "d", "P3", [A(Verb.CREATE, False)]), "create cannot appear in an obligation"),
+    ],
+)
+def test_bad_verbs_and_atoms_are_rejected_before_any_state_changes(call, message):
+    sim = Simulation()
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", READ_OK)
+    before = (sim.clock("P1"), sim.documents(), sim.pending("P1", "P2", "d"))
+    method, *args = call
+    with pytest.raises(Exception) as caught:
+        getattr(sim, method)(*args)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+    assert (sim.clock("P1"), sim.documents(), sim.pending("P1", "P2", "d")) == before
+    assert sim.pending("P1", "P3", "d") == ()
+
+
+def test_batch_and_share_take_any_iterable():
+    by_list, by_generator = Simulation(), Simulation()
+    by_list.batch("P1", "d", [Verb.CREATE, Verb.COMMENT])
+    by_generator.batch("P1", "d", (v for v in [Verb.CREATE, Verb.COMMENT]))
+    atoms = [A(Verb.COMMENT, False), A(Verb.READ, True)]
+    by_list.share("P1", "d", "P2", atoms)
+    by_generator.share("P1", "d", "P2", iter(atoms))
+    assert by_generator.peer_state("P1", "d") == by_list.peer_state("P1", "d")
+    assert by_generator.pending("P1", "P2", "d") == by_list.pending("P1", "P2", "d")
+
+
 def test_channels_are_fifo():
     sim = Simulation()
     sim.create_doc("P1", "d")
@@ -421,8 +469,7 @@ def test_ignore_obligations_is_annotation_only():
             "ignore_obligations": True,
         }
     )
-    assert command.ignore_obligations is True
-    assert command.describe()["ignore_obligations"] is True
+    assert command["ignore_obligations"] is True
 
     # the flag never blocks anything: the same scenario with and without
     # it produces identical logs

@@ -11,7 +11,15 @@ alter an earlier snapshot.
 
 import hashlib
 
-from logtrust import Simulation, event_to_dict, generate_scenario, parse_scenario, run_scenario
+from logtrust import (
+    Simulation,
+    event_to_dict,
+    generate_scenario,
+    parse_command,
+    parse_scenario,
+    run_scenario,
+)
+from logtrust import simulator
 from logtrust.cli import _dumps
 from logtrust.simulator import apply_command
 from oracle import oracle_comments
@@ -81,7 +89,7 @@ def test_reference_snapshots_match_eager_capture():
         _, commands = parse_scenario(data)
         sim = Simulation()
         capture = EagerCapture()
-        names = sorted(({c.sender for c in commands} | {c.to for c in commands}) - {None})
+        names = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
         eager = []
         for command in commands:
             apply_command(sim, command)
@@ -106,3 +114,28 @@ def test_generated_traces_are_byte_identical():
         trace = run_scenario(generate_scenario(seed, max_peers=8, max_commands=80))
         digest.update(_dumps(*trace.to_dict_and_shared()).encode())
     assert digest.hexdigest() == TRACES_SHA256
+
+
+def test_snapshots_echo_the_parsed_commands(paper_scenario, monkeypatch):
+    # A parsed command is its own echo: parsing it again gives it back,
+    # fields in the same order, and each snapshot keeps the very dict.
+    parsed = []
+
+    def spy(data):
+        name, commands = parse_scenario(data)
+        parsed.append(commands)
+        return name, commands
+
+    monkeypatch.setattr(simulator, "parse_scenario", spy)
+    scenarios = [paper_scenario]
+    scenarios += [generate_scenario(seed, max_peers=8, max_commands=80) for seed in range(200)]
+    for data in scenarios:
+        trace = run_scenario(data)
+        commands = parsed.pop()
+        assert len(trace.snapshots) == len(commands) == len(data["commands"])
+        for raw, command, snapshot in zip(data["commands"], commands, trace.snapshots):
+            assert snapshot.command is command
+            assert command is not raw
+            for again in (parse_command(command), parse_command(raw)):
+                assert again == command
+                assert list(again) == list(command)
