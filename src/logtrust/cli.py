@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -347,8 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``main`` builds the parser once per process: building it costs far more
+# than one ``parse_args``, which leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "run" and (args.scenario is None) == (args.seed is None):
         parser.error("run needs a scenario file or --seed, but not both")

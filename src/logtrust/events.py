@@ -17,9 +17,10 @@ collapse to a single entry each.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DuplicateEventError,
@@ -237,7 +238,10 @@ class Log:
     shares and obligations.  Entries must be in canonical order
     (``sort_key``) with distinct identities (``dedup_key``); the
     constructor checks both.  Instances are immutable; mutating operations
-    return new logs.
+    return new logs.  Such an op costs the rows it adds plus a C-level
+    copy of the rest (see ``_spliced``), and the set of identities its
+    duplicate check reads is a private cache that moves to the derived
+    log, so it changes no result.
     """
 
     role: LogRole
@@ -250,9 +254,19 @@ class Log:
     _comments: Optional[frozenset[tuple[str, str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The set of every row's dedup_key, or None.  A log op that needs it
+    # detaches it with one ``vars(log).pop`` (or builds it) and hands it
+    # on to the log it derives, so no two logs ever hold the same set.
+    _keys: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", _checked_rows(self.role, self.entries))
+
+    def __getstate__(self):
+        # A copy (or an unpickled log) must not hold this log's key set.
+        state = dict(vars(self))
+        state.pop("_keys", None)
+        return state
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
@@ -271,28 +285,45 @@ _DEDUP_KEY = itemgetter(1)
 _EVENT = itemgetter(2)
 
 
-def _from_rows(role: LogRole, rows: tuple[tuple, ...]) -> Log:
+def _from_rows(
+    role: LogRole,
+    rows: tuple[tuple, ...],
+    entries: Optional[tuple[Event, ...]] = None,
+    keys: Optional[set] = None,
+) -> Log:
     """A log over rows that are already sorted, distinct and of ``role``.
 
     Skips the constructor's checks: every caller derives ``rows`` from
-    valid logs and keys only the events it adds.
+    valid logs and keys only the events it adds.  ``entries`` and
+    ``keys``, when given, must be the rows' events and identities.
     """
     log = object.__new__(Log)
     object.__setattr__(log, "role", role)
-    object.__setattr__(log, "entries", tuple(map(_EVENT, rows)))
+    object.__setattr__(log, "entries", tuple(map(_EVENT, rows)) if entries is None else entries)
     object.__setattr__(log, "_rows", rows)
+    object.__setattr__(log, "_keys", keys)
     return log
 
 
-def _merged(rows: Sequence[tuple], new: Sequence[tuple]) -> tuple[tuple, ...]:
-    """Sorted rows plus new rows in any order, in canonical order.
+def _spliced(log: Log, new: list[tuple], keys: set) -> Log:
+    """``log`` plus ``new`` rows, whose identities it lacks, holding ``keys``.
 
-    The sort finds the sorted rows as one run and merges the new ones
-    into it, so it costs little more than a merge.
+    Bisection finds the span of ``log``'s rows that the new rows fall
+    into, often none.  Only that span is sorted with them; the rows and
+    entries around it are copied at C level.
     """
-    merged = [*rows, *new]
-    merged.sort(key=_SORT_KEY)
-    return tuple(merged)
+    new.sort(key=_SORT_KEY)
+    rows = log._rows
+    lo = hi = 0
+    if new:
+        lo = bisect_left(rows, new[0][0], key=_SORT_KEY)
+        hi = bisect_left(rows, new[-1][0], lo, key=_SORT_KEY)
+    middle = sorted((*rows[lo:hi], *new), key=_SORT_KEY)
+    out_rows = list(rows)
+    out_rows[lo:hi] = middle
+    out_entries = list(log.entries)
+    out_entries[lo:hi] = map(_EVENT, middle)
+    return _from_rows(log.role, tuple(out_rows), tuple(out_entries), keys)
 
 
 def empty_log(role: LogRole) -> Log:
@@ -323,26 +354,34 @@ def append_event(log: Log, event: Event) -> Log:
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     """Insert events at their sorted positions without order checks.
 
-    Still rejects duplicate identities.  Used by the simulator for groups
-    of events stamped with one clock tick (a share plus its obligations,
-    or a batch of edits).
+    Still rejects duplicate identities, and a rejected insert leaves
+    ``log`` as it was, its key set included.  Used by the simulator for
+    groups of events stamped with one clock tick (a share plus its
+    obligations, or a batch of edits).
     """
-    rows = log._rows
-    seen = set(map(_DEDUP_KEY, rows))
+    taken = vars(log).pop("_keys", None)
+    keys = set(map(_DEDUP_KEY, log._rows)) if taken is None else taken
     edit = log.role is LogRole.EDIT
     new = []
-    for event in events:
-        row = _row(event)
-        identity = row[1]
-        if isinstance(event, PerformedEdit) is not edit:
-            raise MixedRolesError(
-                f"{type(event).__name__} does not belong in a {log.role.value} log"
-            )
-        if identity in seen:
-            raise DuplicateEventError(f"duplicate event {event!r}")
-        seen.add(identity)
-        new.append(row)
-    return _from_rows(log.role, _merged(rows, new))
+    added = set()
+    try:
+        for event in events:
+            row = _row(event)
+            identity = row[1]
+            if isinstance(event, PerformedEdit) is not edit:
+                raise MixedRolesError(
+                    f"{type(event).__name__} does not belong in a {log.role.value} log"
+                )
+            if identity in keys or identity in added:
+                raise DuplicateEventError(f"duplicate event {event!r}")
+            added.add(identity)
+            new.append(row)
+    except (DuplicateEventError, MixedRolesError):
+        if taken is not None:
+            vars(log)["_keys"] = taken
+        raise
+    keys |= added
+    return _spliced(log, new, keys)
 
 
 def merge_logs(local: Log, received: Log) -> Log:
@@ -372,25 +411,29 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     performed events keep their clocks.  Origin keys are never touched,
     so identities survive.  Returns ``local`` itself when ``received``
     adds nothing, and ``received`` itself when ``local`` is empty and
-    nothing needs re-stamping.
+    nothing needs re-stamping.  Besides one pass over ``received``, it
+    costs the rows it adds plus a C-level copy of ``local``'s: the set
+    of ``local``'s identities, a private cache, moves to the result.
     """
     if local.role is not received.role:
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
-    rows = local._rows
-    seen = set(map(_DEDUP_KEY, rows))
-    new = [row for row in received._rows if row[1] not in seen]
+    taken = vars(local).pop("_keys", None)
+    keys = set(map(_DEDUP_KEY, local._rows)) if taken is None else taken
+    new = [row for row in received._rows if row[1] not in keys]
     if not new:
+        vars(local)["_keys"] = keys
         return local
+    keys.update(map(_DEDUP_KEY, new))
     restamped = False
     for i, (_, _, event) in enumerate(new):
         if isinstance(event, Obligation) and event.to == receiver:
             new[i] = _row(Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin))
             restamped = True
-    if not rows and not restamped:
+    if not local.entries and not restamped:
         return received
-    return _from_rows(local.role, _merged(rows, new))
+    return _spliced(local, new, keys)
 
 
 @dataclass(frozen=True)

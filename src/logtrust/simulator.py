@@ -88,6 +88,15 @@ def _checked_id(value: Any, what: str) -> str:
     return value
 
 
+def _listed(values: Any, what: str) -> list:
+    """``values`` as a list, if it is iterable."""
+    try:
+        iterator = iter(values)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, not {type(values).__name__}") from None
+    return list(iterator)
+
+
 _BATCH_VERBS = EDIT_VERBS | {Verb.CREATE}
 
 
@@ -97,7 +106,7 @@ def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
     A batch is at least one verb, all distinct, each ``create`` or an
     edit verb.  Canonical order is the order the edit log replays them in.
     """
-    verbs = list(verbs)
+    verbs = _listed(verbs, "batch verbs")
     if not verbs:
         raise ValueError("batch requires at least one verb")
     for verb in verbs:
@@ -118,7 +127,7 @@ def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[ObligationAtom]:
     ``OBLIGATION_VERBS`` and whose ``allow`` is a bool, and none may
     repeat or conflict with another (InternallyConflictingSetError).
     """
-    atoms = list(atoms)
+    atoms = _listed(atoms, "share atoms")
     for atom in atoms:
         if not isinstance(atom, ObligationAtom) or not isinstance(atom.verb, Verb):
             raise ValueError(f"{atom!r} is not an obligation atom")

@@ -2,12 +2,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from logtrust import Log, LogRole, event_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
+
+# Sizes of the stateful machine in test_simulation_contract.py: ``machine``
+# keeps Tier-1 short, and ``pytest --hypothesis-profile=long`` runs the
+# machine (and every other property test) under ``long``.
+settings.register_profile("machine", max_examples=30, stateful_step_count=40, deadline=None)
+settings.register_profile("long", max_examples=100, stateful_step_count=200, deadline=None)
 
 
 @pytest.fixture()

@@ -1,9 +1,11 @@
 """Brute-force reference implementations for differential testing.
 
 Everything here works on serialized event dicts and deliberately shares
-no code with the library's scan path: candidate filtering is re-derived
-from the rules with plain list comprehensions, so a bug in the library
-kernel cannot hide in the oracle.
+no code with the library: candidate filtering is re-derived from the
+rules with plain list comprehensions, and ``oracle_engine`` keeps each
+held log as a plain list that it re-sorts after every op and scans
+linearly for duplicates, so a bug in the library kernel or log model
+cannot hide in the oracle.
 """
 
 from __future__ import annotations
@@ -123,3 +125,115 @@ def violation_tuple(violation):
         violation.grantor,
         violation.origin.share_clock,
     )
+
+
+# The canonical order, re-derived from the rules: clock, then actor, then
+# obligations before shares before edits, then the verb in declaration
+# order, polarity, grantee and origin share clock.
+_KIND_ORDER = ("obligation", "share", "edit")
+_VERB_ORDER = ("create", "read", "comment", "delete_comment", "share")
+
+
+def _canonical(e):
+    return (
+        e["clock"],
+        e["by"],
+        _KIND_ORDER.index(e["kind"]),
+        _VERB_ORDER.index(e["verb"]),
+        int(e.get("allow", False)),
+        e.get("to", ""),
+        e["origin"]["share_clock"] if e["kind"] == "obligation" else 0,
+    )
+
+
+def _same_event(a, b):
+    """One identity: equal events, or obligations equal apart from their clock."""
+    if a["kind"] == b["kind"] == "obligation":
+        return {**a, "clock": 0} == {**b, "clock": 0}
+    return a == b
+
+
+def _received(local, incoming, receiver, clock):
+    """``local`` plus every incoming event it lacks (a linear scan per event),
+    the obligations among those addressed to ``receiver`` re-stamped with
+    ``clock``, re-sorted."""
+    merged = list(local)
+    for e in incoming:
+        if not any(_same_event(e, x) for x in local):
+            if e["kind"] == "obligation" and e["to"] == receiver:
+                e = {**e, "clock": clock}
+            merged.append(e)
+    return sorted(merged, key=_canonical)
+
+
+def oracle_engine(state, command):
+    """Apply one scenario command, as ``parse_command`` returns it, to ``state``.
+
+    ``state`` starts as ``{}`` and becomes ``{"clocks": {peer: clock},
+    "held": {(peer, doc): {"edit": [...], "comm": [...], "creator": peer}},
+    "queues": {(from, to, doc): [{"edit": [...], "comm": [...], "creator":
+    peer}, ...]}}``, with serialized events in every list; a channel is
+    dropped once empty.  Every op re-sorts the whole list it changes.
+    Returns the clock the command drew (0 for an audit).  Raises
+    ValueError for a share without obligations that does not send the
+    document back to a peer it came from; other bad commands are not
+    modelled.
+    """
+    clocks = state.setdefault("clocks", {})
+    held = state.setdefault("held", {})
+    queues = state.setdefault("queues", {})
+    op = command["op"]
+    if op == "audit":
+        return 0
+    peer = command["to"] if op == "deliver" else command.get("peer", command.get("from"))
+    doc = command["doc_id"]
+    clock = clocks.get(peer, 0) + 1
+    if op == "share":
+        recipient, copy = command["to"], held[peer, doc]
+        sent_back = any(
+            e["kind"] == "share" and e["by"] == recipient and e["to"] == peer
+            for e in copy["comm"]
+        )
+        if not command["obligations"] and not sent_back:
+            raise ValueError(f"share from {peer} to {recipient} must carry obligations")
+        added = [{"clock": clock, "kind": "share", "verb": "share", "by": peer, "to": recipient}]
+        for atom in command["obligations"]:
+            added.append(
+                {
+                    "clock": clock,
+                    "kind": "obligation",
+                    "verb": atom["verb"],
+                    "allow": atom["allow"],
+                    "by": peer,
+                    "to": recipient,
+                    "origin": {"grantor": peer, "grantee": recipient, "share_clock": clock},
+                }
+            )
+        copy["comm"] = sorted(copy["comm"] + added, key=_canonical)
+        outbound = [e for e in copy["comm"] if e["by"] != peer or e["to"] == recipient]
+        message = {"edit": list(copy["edit"]), "comm": outbound, "creator": copy["creator"]}
+        queues.setdefault((peer, recipient, doc), []).append(message)
+    elif op == "deliver":
+        channel = (command["from"], peer, doc)
+        message = queues[channel].pop(0)
+        if not queues[channel]:
+            del queues[channel]
+        copy = held.setdefault(
+            (peer, doc), {"edit": [], "comm": [], "creator": message["creator"]}
+        )
+        copy["edit"] = _received(copy["edit"], message["edit"], None, clock)
+        copy["comm"] = _received(copy["comm"], message["comm"], peer, clock)
+    else:
+        if op == "create":
+            verbs = ["create"]
+        elif op == "edit":
+            verbs = [command["verb"]]
+        else:
+            verbs = command["verbs"]
+        if "create" in verbs:
+            held[peer, doc] = {"edit": [], "comm": [], "creator": peer}
+        copy = held[peer, doc]
+        edits = [{"clock": clock, "kind": "edit", "verb": v, "by": peer} for v in verbs]
+        copy["edit"] = sorted(copy["edit"] + edits, key=_canonical)
+    clocks[peer] = clock
+    return clock

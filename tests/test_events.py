@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -28,8 +30,15 @@ from logtrust import (
     receive_log,
     sort_key,
 )
+from logtrust.events import _insert_events
 
 ORG = OriginKey("P1", "P2", 2)
+
+
+def check_log(log):
+    """``log``'s cached rows and key set (if it holds one) match its entries."""
+    assert log._rows == tuple((sort_key(e), dedup_key(e), e) for e in log.entries)
+    assert log._keys is None or log._keys == {dedup_key(e) for e in log.entries}
 
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
@@ -228,7 +237,7 @@ def test_receive_log_matches_reference(local_events, received_events, case, rece
     got = receive_log(local, received, receiver, clock)
     want = reference_receive(local, received, receiver, clock)
     assert got == want
-    assert got._rows == tuple((sort_key(e), dedup_key(e), e) for e in got.entries)
+    check_log(got)
     if len(want) == len(local):
         assert got is local
     elif not local.entries and not any(
@@ -237,6 +246,114 @@ def test_receive_log_matches_reference(local_events, received_events, case, rece
         assert got is received
     else:
         assert got is not local and got is not received
+
+
+def insert_rejection(log, events):
+    """The error ``_insert_events(log, events)`` must raise, or None."""
+    held = {dedup_key(e) for e in log}
+    for event in events:
+        if isinstance(event, PerformedEdit) is not (log.role is LogRole.EDIT):
+            return MixedRolesError
+        if dedup_key(event) in held:
+            return DuplicateEventError
+        held.add(dedup_key(event))
+    return None
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "receive", "merge")),
+            st.integers(0, 99),
+            st.lists(
+                st.one_of(comm_events(), st.just(PerformedEdit(1, Verb.READ, "P1"))),
+                max_size=4,
+            ),
+            st.sampled_from(RECEIVE_PEERS),
+            st.integers(1, 9),
+        ),
+        max_size=12,
+    )
+)
+def test_chained_log_ops_hand_the_key_set_on(steps):
+    # Each step derives a log from an earlier version, often not the
+    # latest, so two logs derived from one parent are common.
+    versions = [empty_log(LogRole.COMM)]
+    for op, pick, events, receiver, clock in steps:
+        base = versions[pick % len(versions)]
+        if op == "insert":
+            error = insert_rejection(base, events)
+            keys, entries = base._keys, base.entries
+            if error is not None:
+                with pytest.raises(error):
+                    _insert_events(base, events)
+                assert base.entries == entries and base._keys is keys
+                check_log(base)
+                continue
+            got = _insert_events(base, events)
+            want = Log.from_events(LogRole.COMM, [*base, *events])
+        else:
+            received = versions[(pick // 7) % len(versions)]
+            if events and not any(isinstance(e, PerformedEdit) for e in events):
+                received = comm_log(events)
+            if op == "merge":
+                got = merge_logs(base, received)
+                want = reference_receive(base, received, None, 0)
+            else:
+                got = receive_log(base, received, receiver, clock)
+                want = reference_receive(base, received, receiver, clock)
+        assert got == want
+        versions.append(got)
+        distinct = {id(log): log for log in versions}.values()
+        for log in distinct:
+            check_log(log)
+        key_sets = [id(log._keys) for log in distinct if log._keys is not None]
+        assert len(key_sets) == len(set(key_sets))
+
+
+def test_an_insert_moves_the_parents_key_set():
+    first, second, third = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
+    parent = _insert_events(empty_log(LogRole.EDIT), [first])
+    keys = parent._keys
+    child = _insert_events(parent, [second])
+    # the set moved rather than being rebuilt, and the rows were not re-keyed
+    assert child._keys is keys and parent._keys is None
+    assert all(a is b for a, b in zip(child._rows, parent._rows))
+    assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._keys is keys
+    # a parent that gave its set away builds a new one when next used
+    sibling = _insert_events(parent, [third])
+    assert sibling._keys is not keys
+    assert sibling._keys == {dedup_key(first), dedup_key(third)}
+
+
+def test_a_rejected_insert_leaves_the_log_and_its_key_set():
+    share = PerformedShare(2, "P1", "P2")
+    for log in (
+        Log.from_events(LogRole.COMM, [share, obl(2)]),
+        _insert_events(Log(LogRole.COMM), [share, obl(2)]),
+    ):
+        keys = log._keys
+        held = None if keys is None else set(keys)
+        for bad in (
+            [obl(9)],
+            [PerformedShare(3, "P1", "P3"), obl(9)],
+            [PerformedShare(3, "P1", "P3"), PerformedShare(3, "P1", "P3")],
+            [PerformedEdit(3, Verb.READ, "P1")],
+        ):
+            with pytest.raises((DuplicateEventError, MixedRolesError)):
+                _insert_events(log, bad)
+            assert log.entries == (obl(2), share)
+            assert log._keys is keys and (keys is None or keys == held)
+        check_log(_insert_events(log, [PerformedShare(3, "P1", "P3")]))
+
+
+def test_copies_do_not_share_the_key_set():
+    log = _insert_events(empty_log(LogRole.EDIT), [PerformedEdit(1, Verb.READ, "P1")])
+    assert log._keys is not None
+    for copied in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+        assert copied == log and copied._keys is None
+        check_log(_insert_events(copied, [PerformedEdit(2, Verb.READ, "P1")]))
+    assert log._keys == {dedup_key(e) for e in log}
 
 
 @given(
@@ -584,7 +701,7 @@ def test_log_file_round_trip_on_random_logs(role, shift):
         log = Log.from_events(role, rng.sample(pool, rng.randint(0, len(pool))))
         doc_id, parsed = log_from_dict(log_to_dict(log, "d"))
         assert (doc_id, parsed) == ("d", log)
-        assert parsed._rows == tuple((sort_key(e), dedup_key(e), e) for e in parsed.entries)
+        check_log(parsed)
         assert log._rows == parsed._rows
 
         broken = []

@@ -1,13 +1,17 @@
 """Stateful contract test over ``Simulation``.
 
 Hypothesis drives random create, edit, batch, share, deliver and audit
-steps over a few peers and documents.  After every step each held and
-in-flight log must re-validate as a ``Log`` and carry cached rows equal
-to its entries' keys, each held comment set must equal the oracle's
-replay of its edit log, and every audit must agree with
-``tests/oracle.py`` in both audit modes.
+steps over a few peers and documents, and runs each one on
+``tests/oracle.py``'s reference engine too.  After every step each held
+and in-flight log must re-validate as a ``Log``, carry cached rows and
+key set equal to its entries' keys, and serialize to the reference
+engine's list; every clock, channel and comment set must match it; and
+every audit must agree with ``tests/oracle.py`` in both audit modes.
+The machine's sizes are the ``machine`` hypothesis profile's, or the
+``long`` one's under ``--hypothesis-profile=long`` (``tests/conftest.py``).
 """
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -28,10 +32,10 @@ from logtrust import (
     Verb,
     dedup_key,
     detect_violations,
-    event_to_dict,
+    log_to_dict,
     sort_key,
 )
-from oracle import oracle_comments, oracle_trust, oracle_violations, violation_tuple
+from oracle import oracle_comments, oracle_engine, oracle_trust, oracle_violations, violation_tuple
 
 PEERS = ("P1", "P2", "P3", "P4")
 DOCS = ("d", "e")
@@ -43,12 +47,22 @@ def check_log(log):
     Log(log.role, log.entries)  # raises unless sorted, distinct and of one role
     if log.entries:
         assert log._rows == tuple((sort_key(e), dedup_key(e), e) for e in log.entries)
+    assert log._keys is None or log._keys == {dedup_key(e) for e in log.entries}
+
+
+def events(log, doc):
+    return log_to_dict(log, doc)["events"]
 
 
 class SimulationMachine(RuleBasedStateMachine):
     @initialize(mode=st.sampled_from(AuditMode))
     def start(self, mode):
         self.sim = Simulation(mode=mode)
+        self.oracle = {"clocks": {}, "held": {}, "queues": {}}
+
+    def both(self, command, call):
+        """``call()`` on the engine, ``command`` on the reference engine."""
+        assert call() == oracle_engine(self.oracle, command)
 
     def holders(self):
         return [(p, d) for p in PEERS for d in DOCS if self.sim.holds(p, d)]
@@ -71,14 +85,19 @@ class SimulationMachine(RuleBasedStateMachine):
     def create(self, peer, extras, data):
         doc = data.draw(st.sampled_from([d for d in DOCS if d not in self.sim.documents()]))
         if extras:
-            self.sim.batch(peer, doc, [Verb.CREATE, *extras])
+            verbs = [Verb.CREATE, *extras]
+            command = {"op": "batch", "peer": peer, "doc_id": doc, "verbs": [v.value for v in verbs]}
+            self.both(command, lambda: self.sim.batch(peer, doc, verbs))
         else:
-            self.sim.create_doc(peer, doc)
+            command = {"op": "create", "peer": peer, "doc_id": doc}
+            self.both(command, lambda: self.sim.create_doc(peer, doc))
 
     @precondition(lambda self: self.holders())
     @rule(verb=st.sampled_from(EDITS), data=st.data())
     def edit(self, verb, data):
-        self.sim.edit(*data.draw(st.sampled_from(self.holders())), verb)
+        peer, doc = data.draw(st.sampled_from(self.holders()))
+        command = {"op": "edit", "peer": peer, "doc_id": doc, "verb": verb.value}
+        self.both(command, lambda: self.sim.edit(peer, doc, verb))
 
     @precondition(lambda self: self.holders())
     @rule(
@@ -86,7 +105,9 @@ class SimulationMachine(RuleBasedStateMachine):
         data=st.data(),
     )
     def batch(self, verbs, data):
-        self.sim.batch(*data.draw(st.sampled_from(self.holders())), verbs)
+        peer, doc = data.draw(st.sampled_from(self.holders()))
+        command = {"op": "batch", "peer": peer, "doc_id": doc, "verbs": [v.value for v in verbs]}
+        self.both(command, lambda: self.sim.batch(peer, doc, verbs))
 
     @precondition(lambda self: self.holders())
     @rule(
@@ -97,16 +118,41 @@ class SimulationMachine(RuleBasedStateMachine):
         sender, doc = data.draw(st.sampled_from(self.holders()))
         recipient = data.draw(st.sampled_from([p for p in PEERS if p != sender]))
         atoms = [ObligationAtom(verb, allow) for verb, allow in grants.items()]
+        command = {
+            "op": "share",
+            "from": sender,
+            "to": recipient,
+            "doc_id": doc,
+            "obligations": [{"verb": a.verb.value, "allow": a.allow} for a in atoms],
+        }
         try:
-            self.sim.share(sender, doc, recipient, atoms)
+            self.both(command, lambda: self.sim.share(sender, doc, recipient, atoms))
         except MissingObligationError:
             assert not atoms  # only a share that is not a send-back needs them
+            with pytest.raises(ValueError, match="must carry obligations"):
+                oracle_engine(self.oracle, command)
+
+    @precondition(lambda self: self.holders())
+    @rule(
+        op=st.sampled_from(("batch", "share")),
+        bad=st.sampled_from((None, 3, Verb.READ, ObligationAtom(Verb.READ, True))),
+        data=st.data(),
+    )
+    def reject_what_cannot_be_iterated(self, op, bad, data):
+        peer, doc = data.draw(st.sampled_from(self.holders()))
+        recipient = data.draw(st.sampled_from([p for p in PEERS if p != peer]))
+        with pytest.raises(ValueError, match="must be iterable"):
+            if op == "batch":
+                self.sim.batch(peer, doc, bad)
+            else:
+                self.sim.share(peer, doc, recipient, bad)
 
     @precondition(lambda self: self.channels())
     @rule(data=st.data())
     def deliver(self, data):
         sender, recipient, doc = data.draw(st.sampled_from(self.channels()))
-        self.sim.deliver(recipient, sender, doc)
+        command = {"op": "deliver", "from": sender, "to": recipient, "doc_id": doc}
+        self.both(command, lambda: self.sim.deliver(recipient, sender, doc))
 
     @precondition(lambda self: self.holders())
     @rule(data=st.data())
@@ -114,8 +160,8 @@ class SimulationMachine(RuleBasedStateMachine):
         peer, doc = data.draw(st.sampled_from(self.holders()))
         report = self.sim.audit(peer, doc)
         state = self.sim.peer_state(peer, doc)
-        edit = [event_to_dict(e) for e in state.edit_log]
-        comm = [event_to_dict(e) for e in state.comm_log]
+        edit = self.oracle["held"][peer, doc]["edit"]
+        comm = self.oracle["held"][peer, doc]["comm"]
         for mode in AuditMode:
             if mode is self.sim.mode:
                 found = report.violations
@@ -130,20 +176,34 @@ class SimulationMachine(RuleBasedStateMachine):
         assert report.trust == oracle_trust(offenders, sorted(peers), "multiplicative", 0.5)
 
     @invariant()
-    def logs_are_valid_and_keyed(self):
-        for peer, doc in self.holders():
+    def engine_matches_the_reference(self):
+        clocks = self.oracle["clocks"]
+        assert {p: self.sim.clock(p) for p in PEERS} == {p: clocks.get(p, 0) for p in PEERS}
+        logs = []
+        assert set(self.holders()) == set(self.oracle["held"])
+        for (peer, doc), want in self.oracle["held"].items():
             state = self.sim.peer_state(peer, doc)
-            check_log(state.edit_log)
-            check_log(state.comm_log)
+            assert events(state.edit_log, doc) == want["edit"]
+            assert events(state.comm_log, doc) == want["comm"]
+            assert state.creator == want["creator"]
             comments = sorted(map(list, state.document.comments))
-            assert comments == oracle_comments(map(event_to_dict, state.edit_log))
-        for channel in self.channels():
-            for message in self.sim.pending(*channel):
-                check_log(message.edit_log)
-                check_log(message.comm_log)
+            assert comments == oracle_comments(want["edit"])
+            logs += [state.edit_log, state.comm_log]
+        assert set(self.channels()) == set(self.oracle["queues"])
+        for (sender, recipient, doc), want in self.oracle["queues"].items():
+            messages = self.sim.pending(sender, recipient, doc)
+            assert [
+                {"edit": events(m.edit_log, doc), "comm": events(m.comm_log, doc), "creator": m.creator}
+                for m in messages
+            ] == want
+            logs += [log for m in messages for log in (m.edit_log, m.comm_log)]
+        distinct = {id(log): log for log in logs}.values()
+        for log in distinct:
+            check_log(log)
+        key_sets = [id(log._keys) for log in distinct if log._keys is not None]
+        assert len(key_sets) == len(set(key_sets))  # no two logs share a key set
 
 
-SimulationMachine.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=40, deadline=None
-)
+_profile = "long" if settings.get_current_profile_name() == "long" else "machine"
+SimulationMachine.TestCase.settings = settings.get_profile(_profile)
 TestSimulationContract = SimulationMachine.TestCase

@@ -147,6 +147,11 @@ def test_bad_ids_are_rejected_before_any_state_changes(call):
         (("share", "P1", "d", "P3", READ_OK * 2), "duplicate obligation atoms"),
         (("share", "P1", "d", "P3", iter(READ_OK * 2)), "duplicate obligation atoms"),
         (("share", "P1", "d", "P3", [A(Verb.CREATE, False)]), "create cannot appear in an obligation"),
+        (("share", "P1", "d", "P3", None), "share atoms must be iterable, not NoneType"),
+        (("share", "P1", "d", "P3", A(Verb.READ, True)),
+         "share atoms must be iterable, not ObligationAtom"),
+        (("batch", "P1", "d", Verb.READ), "batch verbs must be iterable, not Verb"),
+        (("batch", "P1", "d", None), "batch verbs must be iterable, not NoneType"),
     ],
 )
 def test_bad_verbs_and_atoms_are_rejected_before_any_state_changes(call, message):
