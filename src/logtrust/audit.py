@@ -12,15 +12,21 @@ peer/verb before the action decides, with denies winning ties.
 ``LITERAL`` condemns an action if any earlier forbid for the peer/verb
 exists, regardless of later permits.  The modes agree unless a permit
 was granted after a forbid for the same peer and verb.
+
+``local_trust_assessment`` audits a pair of logs from scratch.
+``CopyAudit`` keeps the audit of one held copy current as events join
+its logs; ``Simulation.audit`` answers with it, and its report equals
+the fresh assessment.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import kernel
 from .errors import MixedRolesError, UnknownCreatorError
@@ -33,6 +39,7 @@ from .events import (
     PerformedEdit,
     PerformedShare,
     Verb,
+    _VERB_RANK,
     _setters,
 )
 from .trust import (
@@ -258,3 +265,112 @@ def local_trust_assessment(
         violations=violations,
         trust=trust,
     )
+
+
+class CopyAudit:
+    """The audit of one held copy, kept current as events join its logs.
+
+    Events added to the copy's logs are queued on ``pending`` and folded
+    in by the next ``report``, whose cost follows them: a new action is
+    one index query, and an obligation that changes its group's index
+    re-decides only that group's actions after the lowest clock it
+    changed.  The report equals ``local_trust_assessment`` over the full
+    logs with the copy's creator, ``assessor`` and ``mode``.  Each event
+    must be queued once, as its log holds it.  The engine draws a fresh
+    clock for every command, so a held copy has at most one action per
+    actor, verb and clock, and that triple keys the violations.
+    """
+
+    __slots__ = (
+        "assessor", "creator", "mode", "pending",
+        "_index", "_actions", "_found", "_order", "_counts", "_peers",
+        "_violations", "_ladder",
+    )
+
+    def __init__(self, assessor: str, creator: str, mode: AuditMode, events: Iterable):
+        self.assessor = assessor
+        self.creator = creator
+        self.mode = mode
+        self.pending = list(events)
+        self._index = kernel.GoverningIndex(mode is AuditMode.LITERAL)
+        # (actor, verb) -> ascending clocks of the audited actions
+        self._actions: dict[tuple[str, Verb], list[int]] = {}
+        # (offender, action clock, verb rank) -> Violation, and its keys in
+        # report order
+        self._found: dict[tuple[str, int, int], Violation] = {}
+        self._order: list[tuple[str, int, int]] = []
+        self._counts: dict[str, int] = {}
+        self._peers = {assessor}
+        self._violations: Optional[tuple[Violation, ...]] = ()
+        # A trust model and its value after 0, 1, 2, ... violations
+        self._ladder: tuple[Optional[TrustModel], list[float]] = (None, [])
+
+    def _decide(self, by: str, verb: Verb, clock: int, forbid: Optional[Obligation]) -> None:
+        """Record that ``forbid`` now decides the action, if it is a forbid."""
+        if forbid is not None and forbid.allow:
+            forbid = None
+        key = (by, clock, _VERB_RANK[verb])
+        held = self._found.get(key)
+        if held is None:
+            if forbid is None:
+                return
+            insort(self._order, key)
+            self._counts[by] = self._counts.get(by, 0) + 1
+        elif forbid is None:
+            del self._found[key]
+            del self._order[bisect_left(self._order, key)]
+            self._counts[by] -= 1
+            self._violations = None
+            return
+        elif held.forbid is forbid:
+            return
+        self._found[key] = _found(by, verb, clock, forbid)
+        self._violations = None
+
+    def _fold(self) -> None:
+        events, self.pending = self.pending, []
+        actions, query, decide = self._actions, self._index.query, self._decide
+        for (by, verb), low in self._index.add(events).items():
+            clocks = actions.get((by, verb), ())
+            for clock in clocks[bisect_right(clocks, low):]:
+                decide(by, verb, clock, query(by, verb, clock))
+        peers, creator, share = self._peers, self.creator, Verb.SHARE
+        for event in events:
+            by = event.by
+            peers.add(by)
+            if isinstance(event, PerformedEdit):
+                verb = event.verb
+            else:
+                peers.add(event.to)
+                if isinstance(event, Obligation):
+                    continue
+                verb = share
+            if by != creator:
+                clock = event.clock
+                clocks = actions.get((by, verb))
+                if clocks is None:
+                    clocks = actions[by, verb] = []
+                insort(clocks, clock)
+                # A new action has no verdict yet, so only a forbid changes one.
+                forbid = query(by, verb, clock)
+                if forbid is not None and not forbid.allow:
+                    decide(by, verb, clock, forbid)
+
+    def report(self, doc_id: str, model: TrustModel = DEFAULT_TRUST_MODEL) -> AuditReport:
+        """The copy's audit report, with trust under ``model``."""
+        if self.pending:
+            self._fold()
+        if self._violations is None:
+            self._violations = tuple(map(self._found.__getitem__, self._order))
+        held_model, ladder = self._ladder
+        if held_model is not model:
+            ladder = [model.max_value]
+            self._ladder = (model, ladder)
+        trust = {}
+        for peer in sorted(self._peers):
+            count = self._counts.get(peer, 0)
+            # apply_violations' fold: one decrement per violation, from the maximum
+            while len(ladder) <= count:
+                ladder.append(model.on_violation(ladder[-1]))
+            trust[peer] = ladder[count]
+        return AuditReport(self.assessor, doc_id, self.mode, self._violations, trust)

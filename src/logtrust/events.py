@@ -338,17 +338,23 @@ def append_event(log: Log, event: Event) -> Log:
     OrderViolationError if the acting peer already has an event in this
     log with an equal or later clock (own clocks must strictly increase
     when events are appended one at a time; the simulator stamps
-    same-tick groups through a dedicated path instead).
+    same-tick groups through a dedicated path instead).  A rejected
+    append leaves ``log`` as it was, its key set included.
     """
-    appended = _insert_events(log, [event])
     latest_own = max(
         (e.clock for e in log.entries if e.by == event.by), default=0
     )
-    if event.clock <= latest_own:
+    # A duplicate, or an event of the other role, is left to the insert
+    # to reject as such; the order is checked before anything moves.
+    if (
+        event.clock <= latest_own
+        and isinstance(event, PerformedEdit) is (log.role is LogRole.EDIT)
+        and dedup_key(event) not in map(_DEDUP_KEY, log._rows)
+    ):
         raise OrderViolationError(
             f"{event.by} appended clock {event.clock} after own clock {latest_own}"
         )
-    return appended
+    return _insert_events(log, [event])
 
 
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:
@@ -415,6 +421,13 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     costs the rows it adds plus a C-level copy of ``local``'s: the set
     of ``local``'s identities, a private cache, moves to the result.
     """
+    return _received(local, received, receiver, clock)[0]
+
+
+def _received(
+    local: Log, received: Log, receiver: Optional[str], clock: int
+) -> tuple[Log, list[tuple]]:
+    """``receive_log``'s result, and the rows it added to ``local``, in log order."""
     if local.role is not received.role:
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
@@ -424,7 +437,7 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     new = [row for row in received._rows if row[1] not in keys]
     if not new:
         vars(local)["_keys"] = keys
-        return local
+        return local, new
     keys.update(map(_DEDUP_KEY, new))
     restamped = False
     for i, (_, _, event) in enumerate(new):
@@ -432,8 +445,8 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
             new[i] = _row(Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin))
             restamped = True
     if not local.entries and not restamped:
-        return received
-    return _spliced(local, new, keys)
+        return received, new
+    return _spliced(local, new, keys), new
 
 
 @dataclass(frozen=True)

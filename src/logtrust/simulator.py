@@ -17,7 +17,7 @@ from typing import Any, Iterable, NamedTuple, Optional
 from .audit import (
     AuditMode,
     AuditReport,
-    local_trust_assessment,
+    CopyAudit,
     report_to_dict,
 )
 from .errors import (
@@ -42,13 +42,13 @@ from .events import (
     Verb,
     _VERB_RANK,
     _VERB_BY_VALUE,
+    _EVENT,
     _from_rows,
     _insert_events,
+    _received,
     empty_log,
     event_to_dict,
     make_comment_id,
-    merge_logs,
-    receive_log,
 )
 from .obligations import ObligationAtom, validate_set
 from .trust import DEFAULT_TRUST_MODEL, TrustModel
@@ -183,7 +183,9 @@ class Simulation:
     Message channels are keyed by (sender, recipient, document) and
     delivered explicitly, so a scenario controls interleaving exactly.
     A channel is an immutable tuple of messages, replaced by each share
-    and deliver and removed once empty.
+    and deliver and removed once empty.  A held copy that has been
+    audited keeps its ``CopyAudit``, which queues the events each
+    command adds to the copy once the command has succeeded.
     """
 
     def __init__(
@@ -196,6 +198,7 @@ class Simulation:
         self._clocks: dict[str, int] = {}
         self._held: dict[tuple[str, str], PeerDocState] = {}
         self._queues: dict[tuple[str, str, str], tuple[Message, ...]] = {}
+        self._audits: dict[tuple[str, str], CopyAudit] = {}
 
     # -- state access -------------------------------------------------
 
@@ -220,6 +223,15 @@ class Simulation:
 
     def documents(self) -> tuple[str, ...]:
         return tuple(sorted({doc_id for _, doc_id in self._held}))
+
+    def _hold(self, state: PeerDocState, *added: Iterable) -> None:
+        """Hold ``state``, and queue each ``added`` run of events for its audit."""
+        key = (state.peer, state.doc_id)
+        self._held[key] = state
+        audit = self._audits.get(key)
+        if audit is not None:
+            for events in added:
+                audit.pending += events
 
     # -- commands -----------------------------------------------------
 
@@ -271,7 +283,7 @@ class Simulation:
         events = [PerformedEdit(clock, verb, peer) for verb in ordered]
         edit_log = _insert_events(state.edit_log, events)
         self._clocks[peer] = clock
-        self._held[peer, doc_id] = state._replace(edit_log=edit_log)
+        self._hold(PeerDocState(peer, doc_id, edit_log, state.comm_log, state.creator), events)
         return clock
 
     def share(
@@ -324,7 +336,7 @@ class Simulation:
         message = Message(state.creator, state.edit_log, outbound)
         channel = (sender, recipient, doc_id)
         self._clocks[sender] = clock
-        self._held[sender, doc_id] = state._replace(comm_log=comm_log)
+        self._hold(PeerDocState(sender, doc_id, state.edit_log, comm_log, state.creator), new_events)
         self._queues[channel] = self._queues.get(channel, ()) + (message,)
         return clock
 
@@ -354,32 +366,34 @@ class Simulation:
                 empty_log(LogRole.COMM),
                 message.creator,
             )
-        edit_log = merge_logs(state.edit_log, message.edit_log)
-        comm_log = receive_log(state.comm_log, message.comm_log, recipient, clock)
+        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0)
+        comm_log, new_comm = _received(state.comm_log, message.comm_log, recipient, clock)
         if len(queue) > 1:
             self._queues[channel] = queue[1:]
         else:
             del self._queues[channel]
         self._clocks[recipient] = clock
-        self._held[recipient, doc_id] = state._replace(edit_log=edit_log, comm_log=comm_log)
+        added = map(_EVENT, new_edits), map(_EVENT, new_comm)
+        self._hold(PeerDocState(recipient, doc_id, edit_log, comm_log, state.creator), *added)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:
         """Run a local trust assessment over everything the peer holds.
 
-        Every audit is a fresh assessment of the full logs: trust starts
+        The report equals a fresh ``local_trust_assessment`` of the full
+        logs under the current ``mode`` and ``trust_model``: trust starts
         at the maximum for all peers and one decrement is applied per
-        violation instance found.
+        violation instance found.  Its cost follows the rows added to the
+        copy since its last audit, not the logs' length: the copy's
+        ``CopyAudit`` folds in only those, and is rebuilt from the full
+        logs on the first audit and after ``mode`` changes.
         """
         state = self.peer_state(peer, doc_id)
-        return local_trust_assessment(
-            state.edit_log,
-            state.comm_log,
-            Document(doc_id, state.creator),
-            peer,
-            self.trust_model,
-            mode=self.mode,
-        )
+        audit = self._audits.get((peer, doc_id))
+        if audit is None or audit.mode is not self.mode:
+            events = (*state.edit_log.entries, *state.comm_log.entries)
+            audit = self._audits[peer, doc_id] = CopyAudit(peer, state.creator, self.mode, events)
+        return audit.report(doc_id, self.trust_model)
 
 
 # ---------------------------------------------------------------------------

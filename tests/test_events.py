@@ -344,6 +344,15 @@ def test_a_rejected_insert_leaves_the_log_and_its_key_set():
                 _insert_events(log, bad)
             assert log.entries == (obl(2), share)
             assert log._keys is keys and (keys is None or keys == held)
+        for event, error in (
+            (PerformedShare(2, "P1", "P3"), OrderViolationError),
+            (share, DuplicateEventError),  # a duplicate, though out of order too
+            (PerformedEdit(1, Verb.READ, "P1"), MixedRolesError),
+        ):
+            with pytest.raises(error):
+                append_event(log, event)
+            assert log.entries == (obl(2), share)
+            assert log._keys is keys and (keys is None or keys == held)
         check_log(_insert_events(log, [PerformedShare(3, "P1", "P3")]))
 
 

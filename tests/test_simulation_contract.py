@@ -6,7 +6,10 @@ steps over a few peers and documents, and runs each one on
 and in-flight log must re-validate as a ``Log``, carry cached rows and
 key set equal to its entries' keys, and serialize to the reference
 engine's list; every clock, channel and comment set must match it; and
-every audit must agree with ``tests/oracle.py`` in both audit modes.
+every audit must equal a fresh ``local_trust_assessment`` of the full
+logs, order and trust included, and agree with ``tests/oracle.py`` in
+both audit modes.  The audit mode and trust model are reassigned between
+steps, as a caller may do.
 The machine's sizes are the ``machine`` hypothesis profile's, or the
 ``long`` one's under ``--hypothesis-profile=long`` (``tests/conftest.py``).
 """
@@ -25,13 +28,17 @@ from logtrust import (
     EDIT_VERBS,
     OBLIGATION_VERBS,
     AuditMode,
+    Document,
+    FixedStepTrust,
     Log,
     MissingObligationError,
+    MultiplicativeTrust,
     ObligationAtom,
     Simulation,
     Verb,
     dedup_key,
     detect_violations,
+    local_trust_assessment,
     log_to_dict,
     sort_key,
 )
@@ -41,6 +48,12 @@ PEERS = ("P1", "P2", "P3", "P4")
 DOCS = ("d", "e")
 EDITS = tuple(v for v in Verb if v in EDIT_VERBS)
 GRANTS = tuple(v for v in Verb if v in OBLIGATION_VERBS)
+# Each trust model with its ``oracle_trust`` arguments
+MODELS = (
+    (MultiplicativeTrust(), ("multiplicative", 0.5)),
+    (FixedStepTrust(), ("fixed", 0.2)),
+    (MultiplicativeTrust(0.25), ("multiplicative", 0.25)),
+)
 
 
 def check_log(log):
@@ -55,10 +68,20 @@ def events(log, doc):
 
 
 class SimulationMachine(RuleBasedStateMachine):
-    @initialize(mode=st.sampled_from(AuditMode))
-    def start(self, mode):
-        self.sim = Simulation(mode=mode)
+    @initialize(mode=st.sampled_from(AuditMode), model=st.sampled_from(MODELS))
+    def start(self, mode, model):
+        self.sim = Simulation(mode=mode, trust_model=model[0])
+        self.oracle_model = model[1]
         self.oracle = {"clocks": {}, "held": {}, "queues": {}}
+
+    @rule(mode=st.sampled_from(AuditMode), model=st.sampled_from(MODELS))
+    def reconfigure(self, mode, model):
+        """Switch the audit mode and trust model, then audit every held copy."""
+        self.sim.mode = mode
+        self.sim.trust_model = model[0]
+        self.oracle_model = model[1]
+        for peer, doc in self.holders():
+            self.check_audit(peer, doc)
 
     def both(self, command, call):
         """``call()`` on the engine, ``command`` on the reference engine."""
@@ -157,9 +180,19 @@ class SimulationMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.holders())
     @rule(data=st.data())
     def audit(self, data):
-        peer, doc = data.draw(st.sampled_from(self.holders()))
+        self.check_audit(*data.draw(st.sampled_from(self.holders())))
+
+    def check_audit(self, peer, doc):
         report = self.sim.audit(peer, doc)
         state = self.sim.peer_state(peer, doc)
+        assert report == local_trust_assessment(
+            state.edit_log,
+            state.comm_log,
+            Document(doc, state.creator),
+            peer,
+            self.sim.trust_model,
+            mode=self.sim.mode,
+        )
         edit = self.oracle["held"][peer, doc]["edit"]
         comm = self.oracle["held"][peer, doc]["comm"]
         for mode in AuditMode:
@@ -173,7 +206,7 @@ class SimulationMachine(RuleBasedStateMachine):
             assert sorted(map(violation_tuple, found)) == sorted(want)
         peers = {e["by"] for e in edit + comm} | {e["to"] for e in comm} | {peer}
         offenders = [v.offender for v in report.violations]
-        assert report.trust == oracle_trust(offenders, sorted(peers), "multiplicative", 0.5)
+        assert report.trust == oracle_trust(offenders, sorted(peers), *self.oracle_model)
 
     @invariant()
     def engine_matches_the_reference(self):
