@@ -13,10 +13,11 @@ peer/verb before the action decides, with denies winning ties.
 exists, regardless of later permits.  The modes agree unless a permit
 was granted after a forbid for the same peer and verb.
 
-``local_trust_assessment`` audits a pair of logs from scratch.
-``CopyAudit`` keeps the audit of one held copy current as events join
-its logs; ``Simulation.audit`` answers with it, and its report equals
-the fresh assessment.
+``CopyAudit`` is the one audit: it decides each action with the
+kernel's ``GoverningIndex`` and keeps its report current as events join
+the logs.  ``detect_violations`` and ``local_trust_assessment`` build
+one over a pair of full logs; ``Simulation.audit`` keeps one per held
+copy and folds in only the rows added since that copy's last audit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import enum
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from . import kernel
@@ -37,7 +37,6 @@ from .events import (
     Obligation,
     OriginKey,
     PerformedEdit,
-    PerformedShare,
     Verb,
     _VERB_RANK,
     _setters,
@@ -47,7 +46,6 @@ from .trust import (
     TrustModel,
     TrustTable,
     apply_violations,
-    initial_trust,
 )
 
 class AuditMode(enum.Enum):
@@ -100,10 +98,10 @@ _SET_OFFENDER, _SET_VERB, _SET_ACTION_CLOCK, _SET_FORBID = _setters(Violation)
 
 
 def _found(offender: str, verb: Verb, action_clock: int, forbid: Obligation) -> Violation:
-    """A Violation the scan found, built without ``__post_init__``.
+    """A Violation the audit found, built without ``__post_init__``.
 
-    The scan only returns obligations that precede the action, and only
-    forbids are kept, so the checks could not fail.
+    The governing index only returns obligations that precede the
+    action, and only forbids are kept, so the checks could not fail.
     """
     violation = object.__new__(Violation)
     _SET_OFFENDER(violation, offender)
@@ -111,11 +109,6 @@ def _found(offender: str, verb: Verb, action_clock: int, forbid: Obligation) -> 
     _SET_ACTION_CLOCK(violation, action_clock)
     _SET_FORBID(violation, forbid)
     return violation
-
-
-_BY = attrgetter("by")
-_TO = attrgetter("to")
-_OFFENDER_AND_CLOCK = attrgetter("offender", "action_clock")
 
 
 @dataclass(frozen=True)
@@ -143,14 +136,6 @@ def derive_creator(edit_log: Log) -> Optional[str]:
     raise UnknownCreatorError("edit log has entries but no create event")
 
 
-def _peers_in_logs(edit_log: Log, comm_log: Log) -> set[str]:
-    return {
-        *map(_BY, edit_log.entries),
-        *map(_BY, comm_log.entries),
-        *map(_TO, comm_log.entries),
-    }
-
-
 def detect_violations(
     edit_log: Log,
     comm_log: Log,
@@ -168,33 +153,10 @@ def detect_violations(
     receiving peer's clock, so both sides of each comparison live in the
     offender's local timeline.
 
-    Results are ordered by offender, then action clock, then verb.
+    Results are ordered by offender, then action clock, then verb, then
+    a share's recipient.
     """
-    if edit_log.role is not LogRole.EDIT:
-        raise MixedRolesError("first argument must be an edit log")
-    if comm_log.role is not LogRole.COMM:
-        raise MixedRolesError("second argument must be a communication log")
-    creator = doc.creator if doc is not None else derive_creator(edit_log)
-
-    actions = [(e.by, e.verb, e.clock) for e in edit_log.entries if e.by != creator]
-    actions += [
-        (e.by, Verb.SHARE, e.clock)
-        for e in comm_log.entries
-        if isinstance(e, PerformedShare) and e.by != creator
-    ]
-    governing = kernel.scan_governing(
-        comm_log, actions, literal=(mode is AuditMode.LITERAL)
-    )
-
-    violations = [
-        _found(by, verb, clock, source)
-        for (by, verb, clock), source in zip(actions, governing)
-        if source is not None and not source.allow
-    ]
-    # Each actor's actions are listed in (clock, verb rank) order, edits
-    # before shares, so this stable sort also orders each clock's verbs.
-    violations.sort(key=_OFFENDER_AND_CLOCK)
-    return tuple(violations)
+    return CopyAudit.of_logs(edit_log, comm_log, doc, "", mode).report("").violations
 
 
 def violation_to_dict(violation: Violation) -> dict:
@@ -236,8 +198,9 @@ def local_trust_assessment(
     """Audit the logs and fold the findings into local trust values.
 
     Without ``prior_trust`` the assessment starts from full trust in every
-    peer named in the logs; passing a previous assessment's trust table
-    carries values forward instead; each value must be a finite number in
+    peer named in the logs, and in ``assessor`` unless it is empty;
+    passing a previous assessment's trust table carries values forward
+    instead; each value must be a finite number in
     ``[0, model.max_value]``.  Each violation instance applies one
     decrement under ``model``.
     """
@@ -250,21 +213,13 @@ def local_trust_assessment(
             raise ValueError(
                 f"prior trust in {peer!r} must lie in [0, {model.max_value:g}], got {value!r}"
             )
-    violations = detect_violations(edit_log, comm_log, doc, mode=mode)
-    peers = _peers_in_logs(edit_log, comm_log)
-    if assessor:
-        peers.add(assessor)
-    trust = initial_trust(sorted(peers), model)
-    if prior_trust is not None:
-        trust.update(prior_trust)
-    trust = apply_violations(trust, violations, model)
-    return AuditReport(
-        assessor=assessor,
-        doc_id=doc.doc_id if doc is not None else "",
-        mode=mode,
-        violations=violations,
-        trust=trust,
+    report = CopyAudit.of_logs(edit_log, comm_log, doc, assessor, mode).report(
+        doc.doc_id if doc is not None else "", model
     )
+    if prior_trust is not None:
+        offenders = [v for v in report.violations if v.offender in prior_trust]
+        report.trust.update(apply_violations(prior_trust, offenders, model))
+    return report
 
 
 class CopyAudit:
@@ -274,52 +229,72 @@ class CopyAudit:
     in by the next ``report``, whose cost follows them: a new action is
     one index query, and an obligation that changes its group's index
     re-decides only that group's actions after the lowest clock it
-    changed.  The report equals ``local_trust_assessment`` over the full
-    logs with the copy's creator, ``assessor`` and ``mode``.  Each event
-    must be queued once, as its log holds it.  The engine draws a fresh
-    clock for every command, so a held copy has at most one action per
-    actor, verb and clock, and that triple keys the violations.
+    changed.  The report does not depend on how the events were split
+    into folds or ordered within one, so a copy built over a pair of full
+    logs is their from-scratch audit.  Each event must be queued once, as
+    its log holds it.  An action is identified by its actor, clock, verb
+    and, for a share, recipient: two shares by one peer at one clock are
+    two actions.
     """
 
     __slots__ = (
         "assessor", "creator", "mode", "pending",
-        "_index", "_actions", "_found", "_order", "_counts", "_peers",
+        "_index", "_actions", "_found", "_order", "_peers",
         "_violations", "_ladder",
     )
 
-    def __init__(self, assessor: str, creator: str, mode: AuditMode, events: Iterable):
+    def __init__(
+        self, assessor: str, creator: Optional[str], mode: AuditMode, events: Iterable
+    ):
         self.assessor = assessor
         self.creator = creator
         self.mode = mode
         self.pending = list(events)
         self._index = kernel.GoverningIndex(mode is AuditMode.LITERAL)
-        # (actor, verb) -> ascending clocks of the audited actions
-        self._actions: dict[tuple[str, Verb], list[int]] = {}
-        # (offender, action clock, verb rank) -> Violation, and its keys in
-        # report order
-        self._found: dict[tuple[str, int, int], Violation] = {}
-        self._order: list[tuple[str, int, int]] = []
-        self._counts: dict[str, int] = {}
-        self._peers = {assessor}
+        # (actor, verb) -> recipient -> ascending clocks of the audited
+        # actions; an edit's recipient is ""
+        self._actions: dict[tuple[str, Verb], dict[str, list[int]]] = {}
+        # (offender, action clock, verb rank, recipient) -> Violation, and
+        # per offender its keys in ascending order
+        self._found: dict[tuple[str, int, int, str], Violation] = {}
+        self._order: dict[str, list[tuple[str, int, int, str]]] = {}
+        self._peers = {assessor} if assessor else set()
         self._violations: Optional[tuple[Violation, ...]] = ()
         # A trust model and its value after 0, 1, 2, ... violations
         self._ladder: tuple[Optional[TrustModel], list[float]] = (None, [])
 
-    def _decide(self, by: str, verb: Verb, clock: int, forbid: Optional[Obligation]) -> None:
+    @classmethod
+    def of_logs(
+        cls, edit_log: Log, comm_log: Log, doc: Optional[Document], assessor: str, mode: AuditMode
+    ) -> "CopyAudit":
+        """The audit of a pair of logs, by ``assessor`` under ``mode``.
+
+        The creator is ``doc``'s when given and derived from the edit log
+        otherwise.
+        """
+        if edit_log.role is not LogRole.EDIT:
+            raise MixedRolesError("first argument must be an edit log")
+        if comm_log.role is not LogRole.COMM:
+            raise MixedRolesError("second argument must be a communication log")
+        creator = doc.creator if doc is not None else derive_creator(edit_log)
+        return cls(assessor, creator, mode, (*edit_log.entries, *comm_log.entries))
+
+    def _decide(
+        self, by: str, verb: Verb, clock: int, to: str, forbid: Optional[Obligation]
+    ) -> None:
         """Record that ``forbid`` now decides the action, if it is a forbid."""
         if forbid is not None and forbid.allow:
             forbid = None
-        key = (by, clock, _VERB_RANK[verb])
+        key = (by, clock, _VERB_RANK[verb], to)
         held = self._found.get(key)
         if held is None:
             if forbid is None:
                 return
-            insort(self._order, key)
-            self._counts[by] = self._counts.get(by, 0) + 1
+            insort(self._order.setdefault(by, []), key)
         elif forbid is None:
             del self._found[key]
-            del self._order[bisect_left(self._order, key)]
-            self._counts[by] -= 1
+            keys = self._order[by]
+            del keys[bisect_left(keys, key)]
             self._violations = None
             return
         elif held.forbid is forbid:
@@ -331,44 +306,52 @@ class CopyAudit:
         events, self.pending = self.pending, []
         actions, query, decide = self._actions, self._index.query, self._decide
         for (by, verb), low in self._index.add(events).items():
-            clocks = actions.get((by, verb), ())
-            for clock in clocks[bisect_right(clocks, low):]:
-                decide(by, verb, clock, query(by, verb, clock))
+            for to, clocks in actions.get((by, verb), {}).items():
+                for clock in clocks[bisect_right(clocks, low):]:
+                    decide(by, verb, clock, to, query(by, verb, clock))
         peers, creator, share = self._peers, self.creator, Verb.SHARE
         for event in events:
             by = event.by
             peers.add(by)
             if isinstance(event, PerformedEdit):
-                verb = event.verb
+                verb, to = event.verb, ""
             else:
-                peers.add(event.to)
+                to = event.to
+                peers.add(to)
                 if isinstance(event, Obligation):
                     continue
                 verb = share
             if by != creator:
                 clock = event.clock
-                clocks = actions.get((by, verb))
+                recipients = actions.get((by, verb))
+                if recipients is None:
+                    recipients = actions[by, verb] = {}
+                clocks = recipients.get(to)
                 if clocks is None:
-                    clocks = actions[by, verb] = []
+                    clocks = recipients[to] = []
                 insort(clocks, clock)
                 # A new action has no verdict yet, so only a forbid changes one.
                 forbid = query(by, verb, clock)
                 if forbid is not None and not forbid.allow:
-                    decide(by, verb, clock, forbid)
+                    decide(by, verb, clock, to, forbid)
 
     def report(self, doc_id: str, model: TrustModel = DEFAULT_TRUST_MODEL) -> AuditReport:
         """The copy's audit report, with trust under ``model``."""
         if self.pending:
             self._fold()
+        order = self._order
         if self._violations is None:
-            self._violations = tuple(map(self._found.__getitem__, self._order))
+            violations: list[Violation] = []
+            for by in sorted(order):
+                violations += map(self._found.__getitem__, order[by])
+            self._violations = tuple(violations)
         held_model, ladder = self._ladder
         if held_model is not model:
             ladder = [model.max_value]
             self._ladder = (model, ladder)
         trust = {}
         for peer in sorted(self._peers):
-            count = self._counts.get(peer, 0)
+            count = len(order.get(peer, ()))
             # apply_violations' fold: one decrement per violation, from the maximum
             while len(ladder) <= count:
                 ladder.append(model.on_violation(ladder[-1]))

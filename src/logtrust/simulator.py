@@ -380,19 +380,20 @@ class Simulation:
     def audit(self, peer: str, doc_id: str) -> AuditReport:
         """Run a local trust assessment over everything the peer holds.
 
-        The report equals a fresh ``local_trust_assessment`` of the full
-        logs under the current ``mode`` and ``trust_model``: trust starts
-        at the maximum for all peers and one decrement is applied per
-        violation instance found.  Its cost follows the rows added to the
-        copy since its last audit, not the logs' length: the copy's
-        ``CopyAudit`` folds in only those, and is rebuilt from the full
-        logs on the first audit and after ``mode`` changes.
+        The copy's ``CopyAudit`` is built over the full logs, as
+        ``local_trust_assessment`` builds one, on the first audit and
+        after ``mode`` changes; later audits fold in only the rows added
+        since the last one, so the cost follows those rows, not the logs'
+        length.  Trust under the current ``trust_model`` starts at the
+        maximum for all peers, and one decrement is applied per violation
+        instance found.
         """
         state = self.peer_state(peer, doc_id)
         audit = self._audits.get((peer, doc_id))
         if audit is None or audit.mode is not self.mode:
-            events = (*state.edit_log.entries, *state.comm_log.entries)
-            audit = self._audits[peer, doc_id] = CopyAudit(peer, state.creator, self.mode, events)
+            document = Document(doc_id, state.creator)
+            audit = CopyAudit.of_logs(state.edit_log, state.comm_log, document, peer, self.mode)
+            self._audits[peer, doc_id] = audit
         return audit.report(doc_id, self.trust_model)
 
 

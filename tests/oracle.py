@@ -11,28 +11,24 @@ cannot hide in the oracle.
 from __future__ import annotations
 
 
-def oracle_violations(edit_events, comm_events, creator, mode="prose"):
-    """All violations in a pair of serialized logs, as comparison tuples.
-
-    Returns a set of (offender, verb, action_clock, forbid_clock,
-    grantor, origin_share_clock).
-    """
-    obligations = [e for e in comm_events if e["kind"] == "obligation"]
+def _oracle_found(edit_events, comm_events, creator, mode):
+    """Each violation as (comparison tuple, recipient), an edit's recipient ""."""
+    # The obligations to each (peer, verb), in log order
+    obligations = {}
+    for e in comm_events:
+        if e["kind"] == "obligation":
+            obligations.setdefault((e["to"], e["verb"]), []).append(e)
     actions = []
     for e in edit_events:
         if e["by"] != creator:
-            actions.append((e["by"], e["verb"], e["clock"]))
+            actions.append((e["by"], e["verb"], e["clock"], ""))
     for e in comm_events:
         if e["kind"] == "share" and e["by"] != creator:
-            actions.append((e["by"], "share", e["clock"]))
+            actions.append((e["by"], "share", e["clock"], e["to"]))
 
-    found = set()
-    for by, verb, clock in actions:
-        candidates = [
-            o
-            for o in obligations
-            if o["to"] == by and o["verb"] == verb and o["clock"] < clock
-        ]
+    found = []
+    for by, verb, clock, to in actions:
+        candidates = [o for o in obligations.get((by, verb), []) if o["clock"] < clock]
         if mode == "prose":
             if not candidates:
                 continue
@@ -49,17 +45,43 @@ def oracle_violations(edit_events, comm_events, creator, mode="prose"):
             source = forbids[-1]
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        found.add(
-            (
-                by,
-                verb,
-                clock,
-                source["clock"],
-                source["by"],
-                source["origin"]["share_clock"],
-            )
+        violation = (
+            by,
+            verb,
+            clock,
+            source["clock"],
+            source["by"],
+            source["origin"]["share_clock"],
         )
+        found.append((violation, to))
     return found
+
+
+def oracle_violations(edit_events, comm_events, creator, mode="prose"):
+    """All violations in a pair of serialized logs, as comparison tuples.
+
+    Returns a set of (offender, verb, action_clock, forbid_clock,
+    grantor, origin_share_clock).
+    """
+    return {violation for violation, _ in _oracle_found(edit_events, comm_events, creator, mode)}
+
+
+def oracle_report(edit_events, comm_events, creator, assessor, mode, model, arg):
+    """An audit of a pair of serialized logs: its violations and trust table.
+
+    Returns the ``oracle_violations`` tuples in report order (offender,
+    action clock, verb in declaration order, then a share's recipient)
+    and ``oracle_trust`` over every peer the logs name, plus the assessor
+    unless it is empty.
+    """
+    found = _oracle_found(edit_events, comm_events, creator, mode)
+    found.sort(key=lambda f: (f[0][0], f[0][2], _VERB_ORDER.index(f[0][1]), f[1]))
+    violations = [violation for violation, _ in found]
+    peers = {e["by"] for e in edit_events + comm_events} | {e["to"] for e in comm_events}
+    if assessor:
+        peers.add(assessor)
+    offenders = [violation[0] for violation in violations]
+    return violations, oracle_trust(offenders, sorted(peers), model, arg)
 
 
 def oracle_status(comm_events, peer, verb, at_clock):

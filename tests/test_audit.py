@@ -205,6 +205,13 @@ def test_prior_trust_outside_the_model_range_is_rejected(value):
     assert report.trust["P2"] == 0.0 and report.trust["P3"] == 1
 
 
+def test_an_empty_assessor_is_not_a_peer_in_the_trust_table():
+    comm = comm_log(obl(1, Verb.COMMENT, False))
+    report = local_trust_assessment(BASE_EDIT, comm, Document("d", "P1"))
+    assert report.assessor == ""
+    assert report.trust == {"P1": 1.0, "P2": 0.5}
+
+
 def test_report_to_dict_shape():
     comm = comm_log(obl(1, Verb.COMMENT, False))
     report = local_trust_assessment(BASE_EDIT, comm, Document("d", "P1"), "P1")

@@ -6,10 +6,22 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from logtrust import AuditMode, Document, generate_scenario, run_scenario
+from logtrust import (
+    AuditMode,
+    Document,
+    Log,
+    LogRole,
+    Obligation,
+    OriginKey,
+    PerformedEdit,
+    PerformedShare,
+    Verb,
+    generate_scenario,
+    run_scenario,
+)
 from logtrust.audit import derive_creator, local_trust_assessment, report_to_dict
 from logtrust.cli import _dumps, main
-from logtrust.events import log_from_dict
+from logtrust.events import log_from_dict, log_to_dict
 
 from conftest import SCENARIOS
 
@@ -258,6 +270,33 @@ def test_audit_handles_clocks_beyond_32_bits(tmp_path, capsys):
             (v["offender"], v["action_clock"], v["forbid_clock"], v["origin"]["share_clock"])
             for v in violations
         ] == [("P2", shift + 2, shift + 1, shift + 2)]
+
+
+def test_forbidden_shares_at_one_clock_are_one_violation_each(tmp_path, capsys):
+    # The engine draws a fresh clock per command, but an exported log may
+    # hold two shares by one peer at one clock, to different recipients.
+    edit = Log.from_events(LogRole.EDIT, [PerformedEdit(1, Verb.CREATE, "P1")])
+    comm = Log.from_events(
+        LogRole.COMM,
+        [
+            PerformedShare(1, "P1", "P2"),
+            Obligation(1, Verb.SHARE, False, "P1", "P2", OriginKey("P1", "P2", 1)),
+            PerformedShare(3, "P2", "P3"),
+            PerformedShare(3, "P2", "P4"),
+        ],
+    )
+    report = local_trust_assessment(edit, comm, None, "P1")
+    assert [(v.offender, v.verb, v.action_clock) for v in report.violations] == [
+        ("P2", Verb.SHARE, 3),
+        ("P2", Verb.SHARE, 3),
+    ]
+    assert report.trust == {"P1": 1.0, "P2": 0.25, "P3": 1.0, "P4": 1.0}
+    edit_path = write_json(tmp_path / "edit.json", log_to_dict(edit, "d"))
+    comm_path = write_json(tmp_path / "comm.json", log_to_dict(comm, "d"))
+    assert main(["audit", edit_path, comm_path, "--assessor", "P1", "--format", "json"]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert len(printed["violations"]) == 2
+    assert printed["trust"]["P2"] == 0.25
 
 
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):

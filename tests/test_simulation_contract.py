@@ -6,10 +6,11 @@ steps over a few peers and documents, and runs each one on
 and in-flight log must re-validate as a ``Log``, carry cached rows and
 key set equal to its entries' keys, and serialize to the reference
 engine's list; every clock, channel and comment set must match it; and
-every audit must equal a fresh ``local_trust_assessment`` of the full
-logs, order and trust included, and agree with ``tests/oracle.py`` in
-both audit modes.  The audit mode and trust model are reassigned between
-steps, as a caller may do.
+every audit must equal ``oracle_report`` over the reference engine's
+logs, order and trust included, and the same audit built over the full
+logs at once (``local_trust_assessment``); ``detect_violations`` in the
+other audit mode must equal the oracle's violations too.  The audit
+mode and trust model are reassigned between steps, as a caller may do.
 The machine's sizes are the ``machine`` hypothesis profile's, or the
 ``long`` one's under ``--hypothesis-profile=long`` (``tests/conftest.py``).
 """
@@ -42,7 +43,7 @@ from logtrust import (
     log_to_dict,
     sort_key,
 )
-from oracle import oracle_comments, oracle_engine, oracle_trust, oracle_violations, violation_tuple
+from oracle import oracle_comments, oracle_engine, oracle_report, violation_tuple
 
 PEERS = ("P1", "P2", "P3", "P4")
 DOCS = ("d", "e")
@@ -185,28 +186,26 @@ class SimulationMachine(RuleBasedStateMachine):
     def check_audit(self, peer, doc):
         report = self.sim.audit(peer, doc)
         state = self.sim.peer_state(peer, doc)
+        document = Document(doc, state.creator)
         assert report == local_trust_assessment(
             state.edit_log,
             state.comm_log,
-            Document(doc, state.creator),
+            document,
             peer,
             self.sim.trust_model,
             mode=self.sim.mode,
         )
-        edit = self.oracle["held"][peer, doc]["edit"]
-        comm = self.oracle["held"][peer, doc]["comm"]
+        held = self.oracle["held"][peer, doc]
         for mode in AuditMode:
+            violations, trust = oracle_report(
+                held["edit"], held["comm"], held["creator"], peer, mode.value, *self.oracle_model
+            )
             if mode is self.sim.mode:
-                found = report.violations
+                assert [violation_tuple(v) for v in report.violations] == violations
+                assert report.trust == trust
             else:
-                found = detect_violations(
-                    state.edit_log, state.comm_log, state.document, mode=mode
-                )
-            want = oracle_violations(edit, comm, state.document.creator, mode.value)
-            assert sorted(map(violation_tuple, found)) == sorted(want)
-        peers = {e["by"] for e in edit + comm} | {e["to"] for e in comm} | {peer}
-        offenders = [v.offender for v in report.violations]
-        assert report.trust == oracle_trust(offenders, sorted(peers), *self.oracle_model)
+                found = detect_violations(state.edit_log, state.comm_log, document, mode=mode)
+                assert [violation_tuple(v) for v in found] == violations
 
     @invariant()
     def engine_matches_the_reference(self):
