@@ -200,13 +200,14 @@ def local_trust_assessment(
     Without ``prior_trust`` the assessment starts from full trust in every
     peer named in the logs, and in ``assessor`` unless it is empty;
     passing a previous assessment's trust table carries values forward
-    instead; each value must be a finite number in
+    instead; each value must be a finite number, not a bool, in
     ``[0, model.max_value]``.  Each violation instance applies one
     decrement under ``model``.
     """
     for peer, value in (prior_trust or {}).items():
         if not (
             isinstance(value, (int, float))
+            and not isinstance(value, bool)
             and math.isfinite(value)
             and 0.0 <= value <= model.max_value
         ):

@@ -16,6 +16,7 @@ collapse to a single entry each.
 
 from __future__ import annotations
 
+import copy
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -239,9 +240,10 @@ class Log:
     (``sort_key``) with distinct identities (``dedup_key``); the
     constructor checks both.  Instances are immutable; mutating operations
     return new logs.  Such an op costs the rows it adds plus a C-level
-    copy of the rest (see ``_spliced``), and the set of identities its
-    duplicate check reads is a private cache that moves to the derived
-    log, so it changes no result.
+    copy of the rest (see ``_spliced``).  The set of identities its
+    duplicate check reads is a private cache: once every check has
+    passed, ``_spliced`` moves it to the derived log, so it changes no
+    result.  Only this module reads a log's rows or its set.
     """
 
     role: LogRole
@@ -254,9 +256,9 @@ class Log:
     _comments: Optional[frozenset[tuple[str, str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # The set of every row's dedup_key, or None.  A log op that needs it
-    # detaches it with one ``vars(log).pop`` (or builds it) and hands it
-    # on to the log it derives, so no two logs ever hold the same set.
+    # The set of every row's dedup_key, or None.  A log op reads it (or
+    # builds one), and ``_spliced`` hands it on to the log it derives, so
+    # no two logs ever hold the same set.
     _keys: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -264,9 +266,7 @@ class Log:
 
     def __getstate__(self):
         # A copy (or an unpickled log) must not hold this log's key set.
-        state = dict(vars(self))
-        state.pop("_keys", None)
-        return state
+        return {name: value for name, value in vars(self).items() if name != "_keys"}
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
@@ -306,12 +306,18 @@ def _from_rows(
 
 
 def _spliced(log: Log, new: list[tuple], keys: set) -> Log:
-    """``log`` plus ``new`` rows, whose identities it lacks, holding ``keys``.
+    """``log`` plus ``new`` rows, whose identities ``keys`` lacks.
 
-    Bisection finds the span of ``log``'s rows that the new rows fall
-    into, often none.  Only that span is sorted with them; the rows and
-    entries around it are copied at C level.
+    ``keys`` holds ``log``'s identities: its own set, or one built from
+    its rows.  This is the one place a set moves, and callers come here
+    only once every check has passed: the set leaves ``log``, takes the
+    new identities, and goes to the result.  Bisection finds the span of
+    ``log``'s rows that the new rows fall into, often none.  Only that
+    span is sorted with them; the rows and entries around it are copied
+    at C level.
     """
+    vars(log).pop("_keys", None)
+    keys.update(map(_DEDUP_KEY, new))
     new.sort(key=_SORT_KEY)
     rows = log._rows
     lo = hi = 0
@@ -344,13 +350,10 @@ def append_event(log: Log, event: Event) -> Log:
     latest_own = max(
         (e.clock for e in log.entries if e.by == event.by), default=0
     )
-    # A duplicate, or an event of the other role, is left to the insert
-    # to reject as such; the order is checked before anything moves.
-    if (
-        event.clock <= latest_own
-        and isinstance(event, PerformedEdit) is (log.role is LogRole.EDIT)
-        and dedup_key(event) not in map(_DEDUP_KEY, log._rows)
-    ):
+    if event.clock <= latest_own:
+        # A duplicate, or an event of the other role, is reported as such.
+        # The copy holds no key set (``Log.__getstate__``), so ``log``'s stays.
+        _insert_events(copy.copy(log), [event])
         raise OrderViolationError(
             f"{event.by} appended clock {event.clock} after own clock {latest_own}"
         )
@@ -365,28 +368,21 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     groups of events stamped with one clock tick (a share plus its
     obligations, or a batch of edits).
     """
-    taken = vars(log).pop("_keys", None)
-    keys = set(map(_DEDUP_KEY, log._rows)) if taken is None else taken
+    keys = vars(log).get("_keys") or set(map(_DEDUP_KEY, log._rows))
     edit = log.role is LogRole.EDIT
     new = []
     added = set()
-    try:
-        for event in events:
-            row = _row(event)
-            identity = row[1]
-            if isinstance(event, PerformedEdit) is not edit:
-                raise MixedRolesError(
-                    f"{type(event).__name__} does not belong in a {log.role.value} log"
-                )
-            if identity in keys or identity in added:
-                raise DuplicateEventError(f"duplicate event {event!r}")
-            added.add(identity)
-            new.append(row)
-    except (DuplicateEventError, MixedRolesError):
-        if taken is not None:
-            vars(log)["_keys"] = taken
-        raise
-    keys |= added
+    for event in events:
+        row = _row(event)
+        identity = row[1]
+        if isinstance(event, PerformedEdit) is not edit:
+            raise MixedRolesError(
+                f"{type(event).__name__} does not belong in a {log.role.value} log"
+            )
+        if identity in keys or identity in added:
+            raise DuplicateEventError(f"duplicate event {event!r}")
+        added.add(identity)
+        new.append(row)
     return _spliced(log, new, keys)
 
 
@@ -418,35 +414,46 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     so identities survive.  Returns ``local`` itself when ``received``
     adds nothing, and ``received`` itself when ``local`` is empty and
     nothing needs re-stamping.  Besides one pass over ``received``, it
-    costs the rows it adds plus a C-level copy of ``local``'s: the set
-    of ``local``'s identities, a private cache, moves to the result.
+    costs the rows it adds plus a C-level copy of ``local``'s; the set
+    of ``local``'s identities, a private cache, moves to the result only
+    when the result is a new log (``_spliced``).
     """
     return _received(local, received, receiver, clock)[0]
 
 
 def _received(
     local: Log, received: Log, receiver: Optional[str], clock: int
-) -> tuple[Log, list[tuple]]:
-    """``receive_log``'s result, and the rows it added to ``local``, in log order."""
+) -> tuple[Log, Iterable[Event]]:
+    """``receive_log``'s result, and the events it added to ``local``, in log order."""
     if local.role is not received.role:
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
-    taken = vars(local).pop("_keys", None)
-    keys = set(map(_DEDUP_KEY, local._rows)) if taken is None else taken
+    keys = vars(local).get("_keys") or set(map(_DEDUP_KEY, local._rows))
     new = [row for row in received._rows if row[1] not in keys]
     if not new:
-        vars(local)["_keys"] = keys
-        return local, new
-    keys.update(map(_DEDUP_KEY, new))
+        return local, ()
     restamped = False
     for i, (_, _, event) in enumerate(new):
         if isinstance(event, Obligation) and event.to == receiver:
             new[i] = _row(Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin))
             restamped = True
     if not local.entries and not restamped:
-        return received, new
-    return _spliced(local, new, keys), new
+        return received, map(_EVENT, new)
+    return _spliced(local, new, keys), map(_EVENT, new)
+
+
+def _outbound(comm_log: Log, sender: str, recipient: str) -> Log:
+    """What a share from ``sender`` to ``recipient`` carries of ``comm_log``.
+
+    The recipient gets the full correspondence history relevant to it,
+    but not the sender's grants and shares to other peers.  Returns
+    ``comm_log`` itself when it keeps every row.
+    """
+    rows = comm_log._rows
+    # A comm log row's sort key holds the actor at [1] and the recipient at [5].
+    kept = tuple([row for row in rows if row[0][1] != sender or row[0][5] == recipient])
+    return comm_log if len(kept) == len(rows) else _from_rows(LogRole.COMM, kept)
 
 
 @dataclass(frozen=True)

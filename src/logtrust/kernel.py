@@ -8,8 +8,10 @@ and in any number of batches: one that arrives in clock order is an
 append, one that arrives late is a bisection, and ``add`` reports the
 lowest clock it changed per group, so a caller that keeps answers can
 re-ask only the actions after it.  An action is answered with one binary
-search over its group.  ``scan_governing`` builds an index over a log and
-queries it, in O((n + m) log n) for n log entries and m actions.
+search over its group, so an index built over a log of n entries answers
+m actions in O((n + m) log n).  The index is the only way the library
+decides an action: ``audit.CopyAudit`` keeps one per audited copy, and
+``obligations.effective_status`` builds one for a single lookup.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Optional
 
-from .events import Event, Log, Obligation, Verb
+from .events import Event, Obligation, Verb
 
 
 class GoverningIndex:
@@ -96,19 +98,3 @@ def _precedes(new: Obligation, held: Obligation, literal: bool) -> bool:
         held.origin.share_clock,
     )
 
-
-def scan_governing(
-    comm_log: Log,
-    actions: Iterable[tuple[str, Verb, int]],
-    literal: bool = False,
-) -> list[Optional[Obligation]]:
-    """Per ``(by, verb, clock)`` action, the obligation that decides it.
-
-    ``GoverningIndex`` states the rules; None means no obligation does.
-    A ``Log`` holds its entries in clock order, so building the index is
-    one append per obligation.
-    """
-    index = GoverningIndex(literal)
-    index.add(comm_log.entries)
-    query = index.query
-    return [query(by, verb, clock) for by, verb, clock in actions]

@@ -4,9 +4,10 @@ An obligation atom is a verb with a polarity: ``comment+`` grants the
 ability to comment, ``comment-`` (``allow=False``) forbids it.  Atoms are
 partially ordered by how much ability they confer, and sets of atoms are
 compared pointwise.  The ordering is what lets a peer reason about
-whether one grant is more permissive than another; compliance checking
-itself only ever needs the per-verb status lookup at the bottom of this
-module.
+whether one grant is more permissive than another.  Compliance itself
+is decided by the kernel's ``GoverningIndex``: the audit keeps one, and
+the per-verb status lookup at the bottom of this module asks one about a
+single action.
 """
 
 from __future__ import annotations
@@ -201,11 +202,14 @@ def effective_status(
     Considers obligations addressed to the peer for the verb with clocks
     strictly before ``at_clock``.  The latest one governs; if a permit and
     a deny carry the same latest clock, the deny governs.  With no
-    candidate at all the verb is unspecified.
+    candidate at all the verb is unspecified.  The answer is one query of
+    a prose-mode ``kernel.GoverningIndex`` over the log.
     """
     if log.role is not LogRole.COMM:
         raise MixedRolesError("status lookups consult communication logs")
-    governing = kernel.scan_governing(log, [(peer, verb, at_clock)])[0]
+    index = kernel.GoverningIndex()
+    index.add(log.entries)
+    governing = index.query(peer, verb, at_clock)
     if governing is None:
         return UNSPECIFIED
     decision = Decision.PERMITTED if governing.allow else Decision.FORBIDDEN

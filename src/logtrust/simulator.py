@@ -42,9 +42,8 @@ from .events import (
     Verb,
     _VERB_RANK,
     _VERB_BY_VALUE,
-    _EVENT,
-    _from_rows,
     _insert_events,
+    _outbound,
     _received,
     empty_log,
     event_to_dict,
@@ -148,7 +147,7 @@ class Message:
 
     The channel that carries it names the sender, recipient and document.
     The communication log is already filtered to the sender/recipient
-    correspondence (see ``Simulation.share``).
+    correspondence (see ``events._outbound``).
     """
 
     creator: str
@@ -326,14 +325,7 @@ class Simulation:
                 Obligation(clock, atom.verb, atom.allow, sender, recipient, origin)
             )
         comm_log = _insert_events(state.comm_log, new_events)
-
-        # The recipient gets the full correspondence history relevant to
-        # it, but not the sender's grants and shares to other peers.
-        # Rows of a comm log hold its sort key first: actor at [1], recipient at [5].
-        rows = comm_log._rows
-        kept = tuple([row for row in rows if row[0][1] != sender or row[0][5] == recipient])
-        outbound = comm_log if len(kept) == len(rows) else _from_rows(LogRole.COMM, kept)
-        message = Message(state.creator, state.edit_log, outbound)
+        message = Message(state.creator, state.edit_log, _outbound(comm_log, sender, recipient))
         channel = (sender, recipient, doc_id)
         self._clocks[sender] = clock
         self._hold(PeerDocState(sender, doc_id, state.edit_log, comm_log, state.creator), new_events)
@@ -373,8 +365,7 @@ class Simulation:
         else:
             del self._queues[channel]
         self._clocks[recipient] = clock
-        added = map(_EVENT, new_edits), map(_EVENT, new_comm)
-        self._hold(PeerDocState(recipient, doc_id, edit_log, comm_log, state.creator), *added)
+        self._hold(PeerDocState(recipient, doc_id, edit_log, comm_log, state.creator), new_edits, new_comm)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:

@@ -12,7 +12,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # Sizes of the stateful machine in test_simulation_contract.py: ``machine``
 # keeps Tier-1 short, and ``pytest --hypothesis-profile=long`` runs the
-# machine (and every other property test) under ``long``.
+# machine under ``long``.  Its ``max_examples=100`` is Hypothesis's
+# default, so ``long`` lengthens only the state machine.
 settings.register_profile("machine", max_examples=30, stateful_step_count=40, deadline=None)
 settings.register_profile("long", max_examples=100, stateful_step_count=200, deadline=None)
 

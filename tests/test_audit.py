@@ -191,7 +191,9 @@ def test_assessment_with_prior_trust_and_fixed_model():
     assert report.trust["P1"] == 1.0
 
 
-@pytest.mark.parametrize("value", [7.0, -0.1, 1.0000001, float("nan"), float("inf"), "1"])
+@pytest.mark.parametrize(
+    "value", [7.0, -0.1, 1.0000001, float("nan"), float("inf"), "1", True, False]
+)
 def test_prior_trust_outside_the_model_range_is_rejected(value):
     with pytest.raises(ValueError, match="prior trust in 'P2'"):
         local_trust_assessment(

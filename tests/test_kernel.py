@@ -16,7 +16,6 @@ from logtrust import (
     detect_violations,
     effective_status,
     event_to_dict,
-    kernel,
 )
 from logtrust.kernel import GoverningIndex
 from oracle import oracle_status, oracle_violations, violation_tuple
@@ -30,7 +29,7 @@ def comm_log(*specs):
     """A comm log of obligations to P1, one ``(clock, verb, allow, grantor)`` each.
 
     Each obligation gets its own share clock, so all are distinct; a share
-    event from P9 is mixed in to show the scan reads obligations only.
+    event from P9 is mixed in to show the index reads obligations only.
     """
     events = [PerformedShare(1, "P9", "P1")]
     for share_clock, (clock, verb, allow, grantor) in enumerate(specs, start=1):
@@ -48,6 +47,13 @@ def edit_log(*actions):
     events = [PerformedEdit(1, Verb.CREATE, "P0")]
     events += [PerformedEdit(clock, verb, by) for clock, verb, by in actions]
     return Log.from_events(LogRole.EDIT, events)
+
+
+def governing(log, actions, literal=False):
+    """Per ``(by, verb, clock)`` action, what an index fed ``log``'s entries answers."""
+    index = GoverningIndex(literal)
+    index.add(log.entries)
+    return [index.query(by, verb, clock) for by, verb, clock in actions]
 
 
 def test_prose_scan_contract():
@@ -69,7 +75,7 @@ def test_prose_scan_contract():
         ("P1", Verb.READ, 4),  # no obligation for the verb
         ("P2", Verb.COMMENT, 4),  # none for the peer
     ]
-    assert kernel.scan_governing(log, actions) == [deny_3, deny_2, permit_1, None, None, None]
+    assert governing(log, actions) == [deny_3, deny_2, permit_1, None, None, None]
 
     edits = edit_log((4, Verb.COMMENT, "P1"), (2, Verb.COMMENT, "P1"))
     (violation,) = detect_violations(edits, log)
@@ -83,7 +89,7 @@ def test_prose_scan_deny_wins_tie_regardless_of_order():
         log = comm_log((2, Verb.COMMENT, True, "P3"), (2, Verb.COMMENT, False, deny_grantor))
         deny = next(o for o in obligations(log) if not o.allow)
         assert (obligations(log)[0] is deny) == (deny_grantor == "P2")
-        assert kernel.scan_governing(log, action) == [deny]
+        assert governing(log, action) == [deny]
         (violation,) = detect_violations(edit_log((3, Verb.COMMENT, "P1")), log)
         assert violation.grantor == deny_grantor
 
@@ -98,7 +104,7 @@ def test_literal_scan_contract():
     actions = [("P1", Verb.DELETE_COMMENT, 3), ("P1", Verb.DELETE_COMMENT, 1)]
     # any prior forbid condemns; the last one in log order is reported
     actions.append(("P1", Verb.DELETE_COMMENT, 2))
-    assert kernel.scan_governing(log, actions, literal=True) == [deny_2, None, deny_1]
+    assert governing(log, actions, literal=True) == [deny_2, None, deny_1]
 
 
 def test_literal_scan_reports_latest_earlier_forbid():
@@ -109,8 +115,8 @@ def test_literal_scan_reports_latest_earlier_forbid():
     )
     deny_1, deny_5, permit_7 = obligations(log)
     actions = [("P1", Verb.READ, 9), ("P1", Verb.READ, 3)]
-    assert kernel.scan_governing(log, actions, literal=True) == [deny_5, deny_1]
-    assert kernel.scan_governing(log, actions) == [permit_7, deny_1]
+    assert governing(log, actions, literal=True) == [deny_5, deny_1]
+    assert governing(log, actions) == [permit_7, deny_1]
 
     edits = edit_log((9, Verb.READ, "P1"), (3, Verb.READ, "P1"))
     literal = detect_violations(edits, log, mode=AuditMode.LITERAL)
@@ -129,8 +135,8 @@ def test_prose_scan_returns_governing_permit():
         (4, Verb.SHARE, True, "P2"),
     )
     deny_1, permit_p2, _ = obligations(log)
-    assert kernel.scan_governing(log, [("P1", Verb.SHARE, 5)]) == [permit_p2]
-    assert kernel.scan_governing(log, [("P1", Verb.SHARE, 5)], literal=True) == [deny_1]
+    assert governing(log, [("P1", Verb.SHARE, 5)]) == [permit_p2]
+    assert governing(log, [("P1", Verb.SHARE, 5)], literal=True) == [deny_1]
     status = effective_status(log, "P1", Verb.SHARE, 5)
     assert (status.decision, status.source, status.clock) == (
         Decision.PERMITTED,
@@ -154,7 +160,7 @@ def test_index_tie_rules_follow_log_order_not_arrival_order():
         assert index.add([deny_p3]) == ({} if literal else {("P1", Verb.READ): 2})
         assert index.query("P1", Verb.READ, 3) is want
         assert index.query("P1", Verb.READ, 2) is None
-        assert kernel.scan_governing(log, [("P1", Verb.READ, 3)], literal) == [want]
+        assert governing(log, [("P1", Verb.READ, 3)], literal) == [want]
 
 
 GRANTEES = ("P1", "P2")
@@ -190,9 +196,10 @@ def obligation_batches(draw):
 
 @given(obligation_batches())
 def test_index_answers_do_not_depend_on_arrival_order(case):
-    """Every answer of an index fed in random order and batches equals the
-    scan of the sorted log and the oracle, and an answer changes only after
-    the lowest clock ``add`` reports for its group."""
+    """Every answer of an index fed in random order and batches equals that
+    of an index fed the sorted log in one ``add``, and the oracle's, and an
+    answer changes only after the lowest clock ``add`` reports for its
+    group."""
     events, batches = case
     log = Log.from_events(LogRole.COMM, events)
     comm = [event_to_dict(e) for e in log]
@@ -206,11 +213,11 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
             arrived += batch
             before, answers = answers, [index.query(*action) for action in actions]
             so_far = Log.from_events(LogRole.COMM, arrived)
-            assert answers == kernel.scan_governing(so_far, actions, literal)
+            assert answers == governing(so_far, actions, literal)
             for (by, verb, clock), old, new in zip(actions, before, answers):
                 if old is not new:
                     assert clock > changed[by, verb]
-        assert answers == kernel.scan_governing(log, actions, literal)
+        assert answers == governing(log, actions, literal)
         mode = "literal" if literal else "prose"
         for (by, verb, clock), got in zip(actions, answers):
             if verb is Verb.SHARE:

@@ -9,7 +9,11 @@ engine's list; every clock, channel and comment set must match it; and
 every audit must equal ``oracle_report`` over the reference engine's
 logs, order and trust included, and the same audit built over the full
 logs at once (``local_trust_assessment``); ``detect_violations`` in the
-other audit mode must equal the oracle's violations too.  The audit
+other audit mode must equal the oracle's violations too.  The logs only
+grow: no held copy loses a row, each message on a channel holds every
+row of the one before it, a deliver leaves the recipient holding every
+row of the message, and the edits of an author that any copy holds are
+a clock prefix of those in the author's own copy.  The audit
 mode and trust model are reassigned between steps, as a caller may do.
 The machine's sizes are the ``machine`` hypothesis profile's, or the
 ``long`` one's under ``--hypothesis-profile=long`` (``tests/conftest.py``).
@@ -68,12 +72,17 @@ def events(log, doc):
     return log_to_dict(log, doc)["events"]
 
 
+def identities(log):
+    return {dedup_key(e) for e in log}
+
+
 class SimulationMachine(RuleBasedStateMachine):
     @initialize(mode=st.sampled_from(AuditMode), model=st.sampled_from(MODELS))
     def start(self, mode, model):
         self.sim = Simulation(mode=mode, trust_model=model[0])
         self.oracle_model = model[1]
         self.oracle = {"clocks": {}, "held": {}, "queues": {}}
+        self.held_ids = {}  # (peer, doc) -> its logs' identities after the last step
 
     @rule(mode=st.sampled_from(AuditMode), model=st.sampled_from(MODELS))
     def reconfigure(self, mode, model):
@@ -175,8 +184,12 @@ class SimulationMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def deliver(self, data):
         sender, recipient, doc = data.draw(st.sampled_from(self.channels()))
+        message = self.sim.pending(sender, recipient, doc)[0]
         command = {"op": "deliver", "from": sender, "to": recipient, "doc_id": doc}
         self.both(command, lambda: self.sim.deliver(recipient, sender, doc))
+        state = self.sim.peer_state(recipient, doc)
+        assert identities(message.edit_log) <= identities(state.edit_log)
+        assert identities(message.comm_log) <= identities(state.comm_log)
 
     @precondition(lambda self: self.holders())
     @rule(data=st.data())
@@ -234,6 +247,31 @@ class SimulationMachine(RuleBasedStateMachine):
             check_log(log)
         key_sets = [id(log._keys) for log in distinct if log._keys is not None]
         assert len(key_sets) == len(set(key_sets))  # no two logs share a key set
+
+    @invariant()
+    def held_copies_and_channels_only_grow(self):
+        held_ids = {}
+        for peer, doc in self.holders():
+            state = self.sim.peer_state(peer, doc)
+            held_ids[peer, doc] = identities(state.edit_log), identities(state.comm_log)
+        for key, (edit, comm) in self.held_ids.items():
+            assert edit <= held_ids[key][0] and comm <= held_ids[key][1]
+        self.held_ids = held_ids
+        for channel in self.channels():
+            messages = self.sim.pending(*channel)
+            for before, after in zip(messages, messages[1:]):
+                assert identities(before.edit_log) <= identities(after.edit_log)
+                assert identities(before.comm_log) <= identities(after.comm_log)
+
+    @invariant()
+    def held_edits_are_a_clock_prefix_of_their_authors(self):
+        for peer, doc in self.holders():
+            held = self.sim.peer_state(peer, doc).edit_log
+            for author in {e.by for e in held} - {peer}:
+                own = self.sim.peer_state(author, doc).edit_log
+                theirs = [e for e in held if e.by == author]
+                top = theirs[-1].clock
+                assert theirs == [e for e in own if e.by == author and e.clock <= top]
 
 
 _profile = "long" if settings.get_current_profile_name() == "long" else "machine"
