@@ -16,7 +16,6 @@ collapse to a single entry each.
 
 from __future__ import annotations
 
-import copy
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -80,8 +79,8 @@ class OriginKey:
     def __post_init__(self):
         if self.grantor == self.grantee:
             raise ValueError("grantor and grantee must differ")
-        if self.share_clock < 1:
-            raise ValueError("share_clock must be >= 1")
+        if type(self.share_clock) is not int or self.share_clock < 1:
+            raise ValueError("share_clock must be a positive integer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,10 +92,12 @@ class PerformedEdit:
     by: str
 
     def __post_init__(self):
-        if self.clock < 1:
-            raise ValueError("clock must be >= 1")
-        if not self.by:
-            raise ValueError("by must be non-empty")
+        if type(self.clock) is not int or self.clock < 1:
+            raise ValueError("clock must be a positive integer")
+        if not isinstance(self.verb, Verb):
+            raise ValueError("verb must be a Verb")
+        if not isinstance(self.by, str) or not self.by:
+            raise ValueError("by must be a non-empty string")
         if self.verb is Verb.SHARE:
             raise ValueError("share actions belong in the communication log")
 
@@ -110,10 +111,10 @@ class PerformedShare:
     to: str
 
     def __post_init__(self):
-        if self.clock < 1:
-            raise ValueError("clock must be >= 1")
-        if not self.by or not self.to:
-            raise ValueError("by and to must be non-empty")
+        if type(self.clock) is not int or self.clock < 1:
+            raise ValueError("clock must be a positive integer")
+        if not isinstance(self.by, str) or not self.by or not isinstance(self.to, str) or not self.to:
+            raise ValueError("by and to must be non-empty strings")
         if self.by == self.to:
             raise ValueError("cannot share with oneself")
 
@@ -135,10 +136,14 @@ class Obligation:
     origin: OriginKey
 
     def __post_init__(self):
-        if self.clock < 1:
-            raise ValueError("clock must be >= 1")
-        if not self.by or not self.to:
-            raise ValueError("by and to must be non-empty")
+        if type(self.clock) is not int or self.clock < 1:
+            raise ValueError("clock must be a positive integer")
+        if not isinstance(self.verb, Verb):
+            raise ValueError("verb must be a Verb")
+        if not isinstance(self.allow, bool):
+            raise ValueError("allow must be a boolean")
+        if not isinstance(self.by, str) or not self.by or not isinstance(self.to, str) or not self.to:
+            raise ValueError("by and to must be non-empty strings")
         if self.by == self.to:
             raise ValueError("grantor and grantee must differ")
         if self.origin.grantor != self.by or self.origin.grantee != self.to:
@@ -241,9 +246,9 @@ class Log:
     constructor checks both.  Instances are immutable; mutating operations
     return new logs.  Such an op costs the rows it adds plus a C-level
     copy of the rest (see ``_spliced``).  The set of identities its
-    duplicate check reads is a private cache: once every check has
-    passed, ``_spliced`` moves it to the derived log, so it changes no
-    result.  Only this module reads a log's rows or its set.
+    duplicate check reads is a private cache, shared down a lineage and
+    valid while its size matches the log's (``_keys_of``), so it changes
+    no result.  Only this module reads a log's private fields.
     """
 
     role: LogRole
@@ -251,22 +256,16 @@ class Log:
     # One (sort_key, dedup_key, event) row per entry: the keys the
     # constructor's check computes, kept for the log operations.
     _rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    # The comment set an edit log replays to (``simulator.replay_comments``),
-    # built on first request.
+    # The comment set an edit log replays to (``replay_comments``), built
+    # on first request.
     _comments: Optional[frozenset[tuple[str, str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # The set of every row's dedup_key, or None.  A log op reads it (or
-    # builds one), and ``_spliced`` hands it on to the log it derives, so
-    # no two logs ever hold the same set.
+    # A superset of every row's dedup_key, or None (see ``_keys_of``).
     _keys: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", _checked_rows(self.role, self.entries))
-
-    def __getstate__(self):
-        # A copy (or an unpickled log) must not hold this log's key set.
-        return {name: value for name, value in vars(self).items() if name != "_keys"}
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
@@ -305,18 +304,24 @@ def _from_rows(
     return log
 
 
+def _keys_of(log: Log) -> set:
+    """``log``'s identities: its set, which starts equal to them and only
+    grows, while its size matches the log's; else a new set."""
+    keys = log._keys
+    if keys is not None and len(keys) == len(log._rows):
+        return keys
+    return set(map(_DEDUP_KEY, log._rows))
+
+
 def _spliced(log: Log, new: list[tuple], keys: set) -> Log:
     """``log`` plus ``new`` rows, whose identities ``keys`` lacks.
 
-    ``keys`` holds ``log``'s identities: its own set, or one built from
-    its rows.  This is the one place a set moves, and callers come here
-    only once every check has passed: the set leaves ``log``, takes the
-    new identities, and goes to the result.  Bisection finds the span of
-    ``log``'s rows that the new rows fall into, often none.  Only that
-    span is sorted with them; the rows and entries around it are copied
-    at C level.
+    ``keys`` is ``_keys_of(log)``.  Callers come here once every check
+    has passed: the set grows by the new identities, and the result
+    shares it with ``log``.  Bisection finds the span of ``log``'s rows
+    that the new rows fall into, often none.  Only that span is sorted
+    with them; the rows and entries around it are copied at C level.
     """
-    vars(log).pop("_keys", None)
     keys.update(map(_DEDUP_KEY, new))
     new.sort(key=_SORT_KEY)
     rows = log._rows
@@ -340,24 +345,22 @@ def append_event(log: Log, event: Event) -> Log:
     """Append a peer's own freshly generated event.
 
     The event lands at its total-order position.  Raises
-    DuplicateEventError if its identity is already present, and
+    DuplicateEventError if its identity is already present, and then
     OrderViolationError if the acting peer already has an event in this
     log with an equal or later clock (own clocks must strictly increase
     when events are appended one at a time; the simulator stamps
     same-tick groups through a dedicated path instead).  A rejected
-    append leaves ``log`` as it was, its key set included.
+    append leaves ``log``'s entries as they were.
     """
+    appended = _insert_events(log, [event])
     latest_own = max(
         (e.clock for e in log.entries if e.by == event.by), default=0
     )
     if event.clock <= latest_own:
-        # A duplicate, or an event of the other role, is reported as such.
-        # The copy holds no key set (``Log.__getstate__``), so ``log``'s stays.
-        _insert_events(copy.copy(log), [event])
         raise OrderViolationError(
             f"{event.by} appended clock {event.clock} after own clock {latest_own}"
         )
-    return _insert_events(log, [event])
+    return appended
 
 
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:
@@ -368,7 +371,7 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     groups of events stamped with one clock tick (a share plus its
     obligations, or a batch of edits).
     """
-    keys = vars(log).get("_keys") or set(map(_DEDUP_KEY, log._rows))
+    keys = _keys_of(log)
     edit = log.role is LogRole.EDIT
     new = []
     added = set()
@@ -414,9 +417,9 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     so identities survive.  Returns ``local`` itself when ``received``
     adds nothing, and ``received`` itself when ``local`` is empty and
     nothing needs re-stamping.  Besides one pass over ``received``, it
-    costs the rows it adds plus a C-level copy of ``local``'s; the set
-    of ``local``'s identities, a private cache, moves to the result only
-    when the result is a new log (``_spliced``).
+    costs the rows it adds plus a C-level copy of ``local``'s; a new
+    result shares and grows ``local``'s set of identities, a private
+    cache (``_spliced``).
     """
     return _received(local, received, receiver, clock)[0]
 
@@ -429,7 +432,7 @@ def _received(
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
-    keys = vars(local).get("_keys") or set(map(_DEDUP_KEY, local._rows))
+    keys = _keys_of(local)
     new = [row for row in received._rows if row[1] not in keys]
     if not new:
         return local, ()
@@ -478,6 +481,34 @@ class Document:
 
 def make_comment_id(author: str, clock: int) -> str:
     return f"{author}:{clock}"
+
+
+def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
+    """Derive the comment set from an edit log.
+
+    Replays the log in canonical order: a comment event adds
+    ``(author, "author:clock")``, a delete event removes the author's own
+    most recent comment if they have one.  Merged logs and live editing
+    agree because both go through this replay.  The result is cached on
+    the log, so each log is replayed at most once.
+
+    An author's comments arrive in clock order, so each author's live
+    comments form a stack whose top is the most recent one.
+    """
+    if edit_log._comments is not None:
+        return edit_log._comments
+    comment, delete = Verb.COMMENT, Verb.DELETE_COMMENT  # enum lookups are slow
+    live: dict[str, list[str]] = {}
+    for event in edit_log.entries:
+        if event.verb is comment:
+            live.setdefault(event.by, []).append(make_comment_id(event.by, event.clock))
+        elif event.verb is delete:
+            own = live.get(event.by)
+            if own:
+                own.pop()
+    comments = frozenset((author, cid) for author, ids in live.items() for cid in ids)
+    object.__setattr__(edit_log, "_comments", comments)
+    return comments
 
 
 # ---------------------------------------------------------------------------

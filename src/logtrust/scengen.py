@@ -20,15 +20,8 @@ def generate_scenario(
     *,
     max_peers: int = 4,
     max_commands: int = 12,
-    allow_overrides: bool = True,
 ) -> dict[str, Any]:
-    """Generate one scenario as a plain JSON-ready dict.
-
-    With ``allow_overrides=False`` no (grantee, verb) pair is ever
-    granted with both polarities anywhere in the scenario, so no peer's
-    log can contain a permit issued on top of an earlier forbid (or vice
-    versa) regardless of delivery order.
-    """
+    """Generate one scenario as a plain JSON-ready dict."""
     if max_peers < 2:
         raise ValueError("need at least two peers")
     if max_commands < 2:
@@ -51,7 +44,6 @@ def generate_scenario(
     holders = {creator}
     queues: dict[tuple[str, str], int] = {}
     received_from: set[tuple[str, str]] = set()
-    pair_polarity: dict[tuple[str, str], bool] = {}
 
     n_commands = rng.randint(max(3, max_commands // 2), max_commands)
     while len(commands) < n_commands:
@@ -82,10 +74,7 @@ def generate_scenario(
             obligations: list[dict[str, Any]] = []
             if not send_back:
                 for verb in rng.sample(_OBLIGATION_VERBS, rng.randint(1, 3)):
-                    allow = rng.random() < 0.6
-                    if not allow_overrides:
-                        allow = pair_polarity.setdefault((recipient, verb), allow)
-                    obligations.append({"verb": verb, "allow": allow})
+                    obligations.append({"verb": verb, "allow": rng.random() < 0.6})
             commands.append(
                 {
                     "op": "share",

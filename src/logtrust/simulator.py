@@ -47,37 +47,10 @@ from .events import (
     _received,
     empty_log,
     event_to_dict,
-    make_comment_id,
+    replay_comments,
 )
 from .obligations import ObligationAtom, validate_set
 from .trust import DEFAULT_TRUST_MODEL, TrustModel
-
-def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
-    """Derive the comment set from an edit log.
-
-    Replays the log in canonical order: a comment event adds
-    ``(author, "author:clock")``, a delete event removes the author's own
-    most recent comment if they have one.  Merged logs and live editing
-    agree because both go through this replay.  The result is cached on
-    the log, so each log is replayed at most once.
-
-    An author's comments arrive in clock order, so each author's live
-    comments form a stack whose top is the most recent one.
-    """
-    if edit_log._comments is not None:
-        return edit_log._comments
-    comment, delete = Verb.COMMENT, Verb.DELETE_COMMENT  # enum lookups are slow
-    live: dict[str, list[str]] = {}
-    for event in edit_log.entries:
-        if event.verb is comment:
-            live.setdefault(event.by, []).append(make_comment_id(event.by, event.clock))
-        elif event.verb is delete:
-            own = live.get(event.by)
-            if own:
-                own.pop()
-    comments = frozenset((author, cid) for author, ids in live.items() for cid in ids)
-    object.__setattr__(edit_log, "_comments", comments)
-    return comments
 
 
 def _checked_id(value: Any, what: str) -> str:

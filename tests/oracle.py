@@ -175,7 +175,7 @@ def _same_event(a, b):
     return a == b
 
 
-def _received(local, incoming, receiver, clock):
+def oracle_receive(local, incoming, receiver, clock):
     """``local`` plus every incoming event it lacks (a linear scan per event),
     the obligations among those addressed to ``receiver`` re-stamped with
     ``clock``, re-sorted."""
@@ -243,8 +243,8 @@ def oracle_engine(state, command):
         copy = held.setdefault(
             (peer, doc), {"edit": [], "comm": [], "creator": message["creator"]}
         )
-        copy["edit"] = _received(copy["edit"], message["edit"], None, clock)
-        copy["comm"] = _received(copy["comm"], message["comm"], peer, clock)
+        copy["edit"] = oracle_receive(copy["edit"], message["edit"], None, clock)
+        copy["comm"] = oracle_receive(copy["comm"], message["comm"], peer, clock)
     else:
         if op == "create":
             verbs = ["create"]

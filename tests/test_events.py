@@ -31,14 +31,19 @@ from logtrust import (
     sort_key,
 )
 from logtrust.events import _insert_events
+from oracle import oracle_receive
 
 ORG = OriginKey("P1", "P2", 2)
 
 
 def check_log(log):
-    """``log``'s cached rows and key set (if it holds one) match its entries."""
+    """``log``'s cached rows match its entries, and its key set (if it holds
+    one) holds their identities, exactly so when it has the log's size."""
     assert log._rows == tuple((sort_key(e), dedup_key(e), e) for e in log.entries)
-    assert log._keys is None or log._keys == {dedup_key(e) for e in log.entries}
+    identities = {dedup_key(e) for e in log.entries}
+    assert log._keys is None or log._keys >= identities
+    if log._keys is not None and len(log._keys) == len(log):
+        assert log._keys == identities
 
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
@@ -68,6 +73,18 @@ def test_event_validation():
         OriginKey("P1", "P1", 1)
     with pytest.raises(ValueError):
         Obligation(1, Verb.READ, True, "P1", "P3", ORG)
+    # values of the wrong type, which a log or the log file format cannot hold
+    for build in (
+        lambda: PerformedEdit(1, "read", "P1"),  # a Log over it raised KeyError
+        lambda: PerformedEdit(True, Verb.READ, "P1"),
+        lambda: PerformedEdit(1.5, Verb.READ, "P1"),
+        lambda: PerformedShare(1, "P1", 2),
+        lambda: Obligation(1, Verb.READ, 1, "P1", "P2", ORG),
+        lambda: Obligation(1, "read", True, "P1", "P2", ORG),
+        lambda: OriginKey("P1", "P2", True),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_sort_key_orders_obligations_before_shares_before_edits():
@@ -172,23 +189,13 @@ def test_log_ops_return_their_input_when_nothing_changes():
     assert receive_log(log, log, "P2", 9) is log
 
 
-def reference_receive(local, received, receiver, clock):
-    """Union of ``local`` and the received events it lacks, the obligations
-    among those addressed to ``receiver`` re-stamped with ``clock``."""
-    held = {dedup_key(e) for e in local}
-    return Log.from_events(
-        LogRole.COMM,
-        [
-            *local,
-            *(
-                Obligation(clock, e.verb, e.allow, e.by, e.to, e.origin)
-                if isinstance(e, Obligation) and e.to == receiver
-                else e
-                for e in received
-                if dedup_key(e) not in held
-            ),
-        ],
-    )
+def serialized(log):
+    return log_to_dict(log, "d")["events"]
+
+
+def expected_receive(local, received, receiver, clock):
+    """What the oracle says ``receive_log`` gives, as serialized events."""
+    return oracle_receive(serialized(local), serialized(received), receiver, clock)
 
 
 RECEIVE_PEERS = ("P1", "P2", "P3")
@@ -235,8 +242,8 @@ def test_receive_log_matches_reference(local_events, received_events, case, rece
         "same": received,
     }[case]
     got = receive_log(local, received, receiver, clock)
-    want = reference_receive(local, received, receiver, clock)
-    assert got == want
+    want = expected_receive(local, received, receiver, clock)
+    assert serialized(got) == want
     check_log(got)
     if len(want) == len(local):
         assert got is local
@@ -284,46 +291,49 @@ def test_chained_log_ops_hand_the_key_set_on(steps):
         if op == "insert":
             error = insert_rejection(base, events)
             keys, entries = base._keys, base.entries
+            held = None if keys is None else set(keys)
             if error is not None:
                 with pytest.raises(error):
                     _insert_events(base, events)
                 assert base.entries == entries and base._keys is keys
+                assert keys is None or keys == held
                 check_log(base)
                 continue
             got = _insert_events(base, events)
-            want = Log.from_events(LogRole.COMM, [*base, *events])
+            assert got == Log.from_events(LogRole.COMM, [*base, *events])
         else:
             received = versions[(pick // 7) % len(versions)]
             if events and not any(isinstance(e, PerformedEdit) for e in events):
                 received = comm_log(events)
             if op == "merge":
                 got = merge_logs(base, received)
-                want = reference_receive(base, received, None, 0)
+                want = expected_receive(base, received, None, 0)
             else:
                 got = receive_log(base, received, receiver, clock)
-                want = reference_receive(base, received, receiver, clock)
-        assert got == want
+                want = expected_receive(base, received, receiver, clock)
+            assert serialized(got) == want
         versions.append(got)
-        distinct = {id(log): log for log in versions}.values()
-        for log in distinct:
+        for log in {id(log): log for log in versions}.values():
             check_log(log)
-        key_sets = [id(log._keys) for log in distinct if log._keys is not None]
-        assert len(key_sets) == len(set(key_sets))
 
 
-def test_an_insert_moves_the_parents_key_set():
+def test_a_derived_log_shares_and_grows_its_parents_key_set():
     first, second, third = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
     parent = _insert_events(empty_log(LogRole.EDIT), [first])
     keys = parent._keys
     child = _insert_events(parent, [second])
-    # the set moved rather than being rebuilt, and the rows were not re-keyed
-    assert child._keys is keys and parent._keys is None
+    # the set was grown rather than rebuilt, and the rows were not re-keyed
+    assert child._keys is keys and parent._keys is keys
+    assert keys == {dedup_key(first), dedup_key(second)}
     assert all(a is b for a, b in zip(child._rows, parent._rows))
     assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._keys is keys
-    # a parent that gave its set away builds a new one when next used
+    # the parent's set is now larger than the parent, so a second
+    # derivation from the parent builds a new one
     sibling = _insert_events(parent, [third])
     assert sibling._keys is not keys
     assert sibling._keys == {dedup_key(first), dedup_key(third)}
+    for log in (parent, child, sibling):
+        check_log(log)
 
 
 def test_a_rejected_insert_leaves_the_log_and_its_key_set():
@@ -352,17 +362,27 @@ def test_a_rejected_insert_leaves_the_log_and_its_key_set():
             with pytest.raises(error):
                 append_event(log, event)
             assert log.entries == (obl(2), share)
-            assert log._keys is keys and (keys is None or keys == held)
-        check_log(_insert_events(log, [PerformedShare(3, "P1", "P3")]))
+            assert log._keys is keys
+            check_log(log)
+        # the stale append's identity may have grown the set, yet the log
+        # does not count it as held
+        late = _insert_events(log, [PerformedShare(2, "P1", "P3")])
+        assert late.entries == (obl(2), share, PerformedShare(2, "P1", "P3"))
+        check_log(late)
 
 
-def test_copies_do_not_share_the_key_set():
-    log = _insert_events(empty_log(LogRole.EDIT), [PerformedEdit(1, Verb.READ, "P1")])
+def test_copies_and_the_original_derive_alike():
+    first, second = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2))
+    log = _insert_events(empty_log(LogRole.EDIT), [first])
     assert log._keys is not None
     for copied in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
-        assert copied == log and copied._keys is None
-        check_log(_insert_events(copied, [PerformedEdit(2, Verb.READ, "P1")]))
-    assert log._keys == {dedup_key(e) for e in log}
+        assert copied == log
+        check_log(copied)
+        for parent in (copied, log):
+            derived = _insert_events(parent, [second])
+            assert derived.entries == (first, second)
+            check_log(derived)
+        check_log(log)
 
 
 @given(
@@ -773,3 +793,37 @@ def test_parsed_events_pass_their_own_checks(raw):
     else:
         assert dataclasses.replace(event) == event
     assert event_to_dict(event) == raw
+
+
+def make_event(kind, clock, verb, allow, by, to, share_clock):
+    if kind == "edit":
+        return PerformedEdit(clock, verb, by)
+    if kind == "share":
+        return PerformedShare(clock, by, to)
+    return Obligation(clock, verb, allow, by, to, OriginKey(by, to, share_clock))
+
+
+CLOCK_VALUES = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.0, 1.5, "1", None]))
+NAME_VALUES = st.one_of(st.sampled_from(["P1", "P2", ""]), st.sampled_from([1, None, b"P1"]))
+
+
+@given(
+    st.sampled_from(["edit", "share", "obligation"]),
+    CLOCK_VALUES,
+    st.one_of(st.sampled_from(Verb), st.sampled_from(["read", "share", None])),
+    st.one_of(st.booleans(), st.sampled_from([0, 1, "yes", None])),
+    NAME_VALUES,
+    NAME_VALUES,
+    CLOCK_VALUES,
+)
+def test_constructed_events_round_trip(kind, clock, verb, allow, by, to, share_clock):
+    # The converse of the test above: the constructors reject with a
+    # ValueError every value that a log, or the log file format, cannot hold.
+    try:
+        event = make_event(kind, clock, verb, allow, by, to, share_clock)
+    except ValueError:
+        return
+    assert event_from_dict(event_to_dict(event)) == event
+    role = LogRole.EDIT if kind == "edit" else LogRole.COMM
+    assert log_from_dict(log_to_dict(Log(role, (event,)), "d")) == ("d", Log(role, (event,)))
+
