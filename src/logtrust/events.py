@@ -77,6 +77,8 @@ class OriginKey:
     share_clock: int
 
     def __post_init__(self):
+        if not isinstance(self.grantor, str) or not self.grantor or not isinstance(self.grantee, str) or not self.grantee:
+            raise ValueError("grantor and grantee must be non-empty strings")
         if self.grantor == self.grantee:
             raise ValueError("grantor and grantee must differ")
         if type(self.share_clock) is not int or self.share_clock < 1:
@@ -146,6 +148,8 @@ class Obligation:
             raise ValueError("by and to must be non-empty strings")
         if self.by == self.to:
             raise ValueError("grantor and grantee must differ")
+        if not isinstance(self.origin, OriginKey):
+            raise ValueError("origin must be an OriginKey")
         if self.origin.grantor != self.by or self.origin.grantee != self.to:
             raise ValueError("origin does not match grantor/grantee")
         if self.verb not in OBLIGATION_VERBS:
@@ -473,9 +477,9 @@ class Document:
     comments: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not self.doc_id:
+        if not isinstance(self.doc_id, str) or not self.doc_id:
             raise ValueError("doc_id must be non-empty")
-        if not self.creator:
+        if not isinstance(self.creator, str) or not self.creator:
             raise ValueError("creator must be non-empty")
 
 

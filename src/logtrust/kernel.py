@@ -10,8 +10,11 @@ lowest clock it changed per group, so a caller that keeps answers can
 re-ask only the actions after it.  An action is answered with one binary
 search over its group, so an index built over a log of n entries answers
 m actions in O((n + m) log n).  The index is the only way the library
-decides an action: ``audit.CopyAudit`` keeps one per audited copy, and
-``obligations.effective_status`` builds one for a single lookup.
+decides an action: ``audit.CopyAudit`` keeps one per audited copy, and a
+caller that wants one answer builds one, passes a communication log's
+entries to ``add`` and makes one ``query``.  That returns the governing
+``Obligation`` itself (its ``allow``, ``origin`` and ``clock``), or None
+when no obligation governs.
 """
 
 from __future__ import annotations

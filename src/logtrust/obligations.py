@@ -1,24 +1,22 @@
-"""Obligation atoms, their strength ordering, and status lookups.
+"""Obligation atoms and their strength ordering.
 
 An obligation atom is a verb with a polarity: ``comment+`` grants the
 ability to comment, ``comment-`` (``allow=False``) forbids it.  Atoms are
 partially ordered by how much ability they confer, and sets of atoms are
 compared pointwise.  The ordering is what lets a peer reason about
-whether one grant is more permissive than another.  Compliance itself
-is decided by the kernel's ``GoverningIndex``: the audit keeps one, and
-the per-verb status lookup at the bottom of this module asks one about a
-single action.
+whether one grant is more permissive than another.  Which obligation
+governs a logged action is not decided here but by
+``kernel.GoverningIndex``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from . import kernel
-from .errors import EmptyInputError, InternallyConflictingSetError, MixedRolesError
-from .events import Log, LogRole, OriginKey, Verb
+from .errors import EmptyInputError, InternallyConflictingSetError
+from .events import Verb
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,48 +167,3 @@ def resolve(atoms: Sequence[ObligationAtom]) -> ObligationAtom:
         if not atom.allow:
             return atom
     return atoms[0]
-
-
-class Decision(enum.Enum):
-    PERMITTED = "permitted"
-    FORBIDDEN = "forbidden"
-    UNSPECIFIED = "unspecified"
-
-
-@dataclass(frozen=True, slots=True)
-class ObligationStatus:
-    """Outcome of asking what a log says about one peer and verb.
-
-    ``source`` identifies the share that carried the governing obligation
-    (None when unspecified) and ``clock`` is the obligation's local clock
-    in the consulted log.
-    """
-
-    decision: Decision
-    source: Optional[OriginKey] = None
-    clock: Optional[int] = None
-
-
-UNSPECIFIED = ObligationStatus(Decision.UNSPECIFIED)
-
-
-def effective_status(
-    log: Log, peer: str, verb: Verb, at_clock: int
-) -> ObligationStatus:
-    """What the communication log says about ``peer`` doing ``verb``.
-
-    Considers obligations addressed to the peer for the verb with clocks
-    strictly before ``at_clock``.  The latest one governs; if a permit and
-    a deny carry the same latest clock, the deny governs.  With no
-    candidate at all the verb is unspecified.  The answer is one query of
-    a prose-mode ``kernel.GoverningIndex`` over the log.
-    """
-    if log.role is not LogRole.COMM:
-        raise MixedRolesError("status lookups consult communication logs")
-    index = kernel.GoverningIndex()
-    index.add(log.entries)
-    governing = index.query(peer, verb, at_clock)
-    if governing is None:
-        return UNSPECIFIED
-    decision = Decision.PERMITTED if governing.allow else Decision.FORBIDDEN
-    return ObligationStatus(decision, governing.origin, governing.clock)

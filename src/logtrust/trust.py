@@ -8,6 +8,7 @@ twice ends up lower than a peer caught once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
 
@@ -26,7 +27,8 @@ class TrustModel(Protocol):
     """A rule for lowering a trust value after one violation.
 
     ``on_violation`` must be strictly decreasing for positive values and
-    must never go below zero or above ``max_value``.
+    must never go below zero or above ``max_value``.  ``parse_trust_model``
+    reads the label ``describe`` returns back to an equal model.
     """
 
     max_value: float
@@ -36,6 +38,12 @@ class TrustModel(Protocol):
 
     def describe(self) -> str:
         ...
+
+
+def _number(value: float) -> str:
+    """``value`` in short ``:g`` form when that parses back to it, else its ``repr``."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +63,7 @@ class MultiplicativeTrust:
         return min(self.max_value, max(0.0, current * self.factor))
 
     def describe(self) -> str:
-        return f"multiplicative:{self.factor:g}"
+        return f"multiplicative:{_number(self.factor)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +78,19 @@ class FixedStepTrust:
             raise ValueError("delta must lie in (0, 1]")
         if not 0.0 < self.max_value <= 1.0:
             raise ValueError("max_value must lie in (0, 1]")
+        # No trust value up to max_value has a wider float spacing, so a
+        # delta of at least that spacing lowers every positive value.
+        if self.delta < math.ulp(self.max_value):
+            raise ValueError(
+                f"delta must be at least {math.ulp(self.max_value)!r}, "
+                "or a violation would leave trust unchanged"
+            )
 
     def on_violation(self, current: float) -> float:
         return min(self.max_value, max(0.0, current - self.delta))
 
     def describe(self) -> str:
-        return f"fixed:{self.delta:g}"
+        return f"fixed:{_number(self.delta)}"
 
 
 DEFAULT_TRUST_MODEL = MultiplicativeTrust()

@@ -122,6 +122,14 @@ def test_trust_model_flag(tmp_path, capsys):
     assert trace["snapshots"][-1]["report"]["trust"]["P2"] == pytest.approx(0.8)
 
 
+def test_trust_model_that_cannot_lower_trust_is_bad_input(capsys):
+    # 1.0 - 1e-17 == 1.0, so P2's violation would leave it at full trust
+    assert main(["run", PAPER, "--trust-model", "fixed:1e-17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid trust model 'fixed:1e-17': delta must be at least")
+
+
 def test_export_then_audit_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "logs"
     assert main(["run", PAPER, "--export-logs", str(out_dir)]) == 0

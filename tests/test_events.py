@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logtrust import (
+    Document,
     DuplicateEventError,
     Log,
     LogRole,
@@ -82,9 +83,27 @@ def test_event_validation():
         lambda: Obligation(1, Verb.READ, 1, "P1", "P2", ORG),
         lambda: Obligation(1, "read", True, "P1", "P2", ORG),
         lambda: OriginKey("P1", "P2", True),
+        lambda: OriginKey(1, 2, 3),
+        lambda: OriginKey("", "P2", 3),
+        lambda: OriginKey("P1", None, 3),
+        # an AttributeError on ``origin.grantor`` before
+        lambda: Obligation(1, Verb.READ, True, "P1", "P2", ("P1", "P2", 2)),
     ):
         with pytest.raises(ValueError):
             build()
+
+
+def test_document_requires_string_ids():
+    assert Document("d", "P1").comments == frozenset()
+    for doc_id, creator, message in (
+        ("", "P1", "doc_id must be non-empty"),
+        (7, "P1", "doc_id must be non-empty"),
+        ("d", "", "creator must be non-empty"),
+        ("d", 5, "creator must be non-empty"),
+        ("d", None, "creator must be non-empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Document(doc_id, creator)
 
 
 def test_sort_key_orders_obligations_before_shares_before_edits():

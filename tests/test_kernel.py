@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from logtrust import (
     AuditMode,
-    Decision,
     Log,
     LogRole,
     Obligation,
@@ -14,7 +13,6 @@ from logtrust import (
     PerformedShare,
     Verb,
     detect_violations,
-    effective_status,
     event_to_dict,
 )
 from logtrust.kernel import GoverningIndex
@@ -47,6 +45,13 @@ def edit_log(*actions):
     events = [PerformedEdit(1, Verb.CREATE, "P0")]
     events += [PerformedEdit(clock, verb, by) for clock, verb, by in actions]
     return Log.from_events(LogRole.EDIT, events)
+
+
+def status(got):
+    """An index answer as ``oracle_status`` states it: (decision, clock or None)."""
+    if got is None:
+        return ("unspecified", None)
+    return ("permitted" if got.allow else "forbidden", got.clock)
 
 
 def governing(log, actions, literal=False):
@@ -137,12 +142,6 @@ def test_prose_scan_returns_governing_permit():
     deny_1, permit_p2, _ = obligations(log)
     assert governing(log, [("P1", Verb.SHARE, 5)]) == [permit_p2]
     assert governing(log, [("P1", Verb.SHARE, 5)], literal=True) == [deny_1]
-    status = effective_status(log, "P1", Verb.SHARE, 5)
-    assert (status.decision, status.source, status.clock) == (
-        Decision.PERMITTED,
-        permit_p2.origin,
-        4,
-    )
 
 
 def test_index_tie_rules_follow_log_order_not_arrival_order():
@@ -232,11 +231,7 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
             if literal:
                 assert got is None or not got.allow
             else:
-                decision = "unspecified" if got is None else "permitted" if got.allow else "forbidden"
-                assert oracle_status(comm, by, verb.value, clock) == (
-                    decision,
-                    None if got is None else got.clock,
-                )
+                assert oracle_status(comm, by, verb.value, clock) == status(got)
 
 
 def random_logs(rng, n_shares, shift=0):
@@ -293,22 +288,18 @@ def test_detect_violations_matches_oracle(n_cases, n_shares, shift):
 
 
 def test_effective_status_matches_oracle():
+    """A prose index's answer for every peer and verb of random logs is the
+    oracle's, and is an obligation of the log to that peer for that verb."""
     rng = random.Random(5)
     for shift in (0, 2**31):
         for _ in range(100):
             _, comm = random_logs(rng, 6, shift)
             comm_events = [event_to_dict(e) for e in comm]
-            for peer in PEERS:
-                for verb in OBLIGATION_VERBS:
-                    at_clock = shift + rng.randint(1, 26)
-                    status = effective_status(comm, peer, verb, at_clock)
-                    expected = oracle_status(comm_events, peer, verb.value, at_clock)
-                    assert (status.decision.value, status.clock) == expected
-                    if status.decision is not Decision.UNSPECIFIED:
-                        assert any(
-                            isinstance(e, Obligation)
-                            and (e.to, e.verb, e.clock) == (peer, verb, status.clock)
-                            and e.origin == status.source
-                            and (e.allow == (status.decision is Decision.PERMITTED))
-                            for e in comm
-                        )
+            actions = [
+                (peer, verb, shift + rng.randint(1, 26)) for peer in PEERS for verb in OBLIGATION_VERBS
+            ]
+            for (peer, verb, at_clock), got in zip(actions, governing(comm, actions)):
+                assert status(got) == oracle_status(comm_events, peer, verb.value, at_clock)
+                if got is not None:
+                    assert got in comm.entries
+                    assert (got.to, got.verb) == (peer, verb)

@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logtrust import (
-    Decision,
     EmptyInputError,
     InternallyConflictingSetError,
     Log,
     LogRole,
-    MixedRolesError,
     Obligation,
     ObligationAtom,
     Ordering,
@@ -19,11 +17,10 @@ from logtrust import (
     compare_atoms,
     compare_sets,
     detect_conflicts,
-    effective_status,
-    empty_log,
     resolve,
     validate_set,
 )
+from logtrust.kernel import GoverningIndex
 
 A = ObligationAtom
 
@@ -196,6 +193,10 @@ def test_resolve_restrictive():
         resolve([A(Verb.READ, True), A(Verb.SHARE, True)])
 
 
+# The effective status of an action: the obligation that a prose-mode
+# ``GoverningIndex`` over the communication log says governs it.
+
+
 def obl(clock, verb, allow, to="P2", share_clock=None):
     share_clock = clock if share_clock is None else share_clock
     return Obligation(clock, verb, allow, "P1", to, OriginKey("P1", to, share_clock))
@@ -205,27 +206,33 @@ def comm(*events):
     return Log.from_events(LogRole.COMM, events)
 
 
+def governing(log, peer, verb, at_clock):
+    index = GoverningIndex()
+    index.add(log.entries)
+    return index.query(peer, verb, at_clock)
+
+
 def test_effective_status_latest_governs():
     log = comm(obl(1, Verb.COMMENT, False), obl(3, Verb.COMMENT, True))
-    assert effective_status(log, "P2", Verb.COMMENT, 5).decision is Decision.PERMITTED
-    assert effective_status(log, "P2", Verb.COMMENT, 2).decision is Decision.FORBIDDEN
+    deny_1, permit_3 = log.entries
+    assert governing(log, "P2", Verb.COMMENT, 5) is permit_3
+    assert governing(log, "P2", Verb.COMMENT, 2) is deny_1
 
 
 def test_effective_status_strictly_before():
     log = comm(obl(3, Verb.COMMENT, False))
+    (deny,) = log.entries
     # an obligation taking effect at the action's own clock does not govern it
-    assert effective_status(log, "P2", Verb.COMMENT, 3).decision is Decision.UNSPECIFIED
-    assert effective_status(log, "P2", Verb.COMMENT, 4).decision is Decision.FORBIDDEN
+    assert governing(log, "P2", Verb.COMMENT, 3) is None
+    assert governing(log, "P2", Verb.COMMENT, 4) is deny
 
 
 def test_effective_status_deny_wins_clock_tie():
-    log = comm(
-        obl(2, Verb.COMMENT, True, share_clock=7),
-        obl(2, Verb.COMMENT, False, share_clock=8),
-    )
-    status = effective_status(log, "P2", Verb.COMMENT, 3)
-    assert status.decision is Decision.FORBIDDEN
-    assert status.clock == 2
+    deny = obl(2, Verb.COMMENT, False, share_clock=8)
+    log = comm(obl(2, Verb.COMMENT, True, share_clock=7), deny)
+    got = governing(log, "P2", Verb.COMMENT, 3)
+    assert got is deny
+    assert (got.allow, got.clock) == (False, 2)
 
 
 def test_effective_status_filters_peer_and_verb():
@@ -234,9 +241,4 @@ def test_effective_status_filters_peer_and_verb():
         obl(1, Verb.READ, False),
         PerformedShare(2, "P1", "P2"),
     )
-    assert effective_status(log, "P2", Verb.COMMENT, 9).decision is Decision.UNSPECIFIED
-
-
-def test_effective_status_requires_comm_log():
-    with pytest.raises(MixedRolesError):
-        effective_status(empty_log(LogRole.EDIT), "P2", Verb.READ, 1)
+    assert governing(log, "P2", Verb.COMMENT, 9) is None

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from logtrust import (
     FixedStepTrust,
@@ -50,6 +53,14 @@ def test_model_parameter_validation():
         FixedStepTrust(0.0)
     with pytest.raises(ValueError):
         FixedStepTrust(1.5)
+    # a step below the float spacing at max_value leaves full trust unchanged
+    assert 1.0 - 1e-17 == 1.0
+    with pytest.raises(ValueError):
+        FixedStepTrust(1e-17)
+    with pytest.raises(ValueError):
+        FixedStepTrust(math.ulp(0.5) / 2, max_value=0.5)
+    smallest = FixedStepTrust(math.ulp(1.0))
+    assert smallest.on_violation(1.0) < 1.0
 
 
 def test_apply_violations_one_decrement_per_instance():
@@ -98,6 +109,20 @@ def test_models_satisfy_protocol():
     assert isinstance(FixedStepTrust(), TrustModel)
 
 
-def test_describe_round_trips():
-    for model in (MultiplicativeTrust(0.25), FixedStepTrust(0.3)):
-        assert parse_trust_model(model.describe()) == model
+@given(
+    st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(MultiplicativeTrust),
+        st.floats(math.ulp(1.0), 1.0).map(FixedStepTrust),
+    )
+)
+@example(MultiplicativeTrust(0.25))
+@example(FixedStepTrust(0.3))
+def test_describe_round_trips(model):
+    assert parse_trust_model(model.describe()) == model
+
+
+def test_describe_keeps_short_labels():
+    assert MultiplicativeTrust().describe() == "multiplicative:0.5"
+    assert FixedStepTrust().describe() == "fixed:0.2"
+    assert FixedStepTrust(1.0).describe() == "fixed:1"
+    assert MultiplicativeTrust(0.123456789).describe() == "multiplicative:0.123456789"
