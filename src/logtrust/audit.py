@@ -62,12 +62,14 @@ def parse_audit_mode(text: str) -> AuditMode:
         ) from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Violation:
     """One performed action that its governing obligation forbade.
 
     ``forbid`` is that obligation as the audited communication log holds
-    it, so its clock lives in the offender's local timeline.
+    it, so its clock lives in the offender's local timeline.  A violation
+    holds only what an audit can find: a forbid addressed to the offender,
+    for the action's verb, before the action.
     """
 
     offender: str
@@ -75,11 +77,17 @@ class Violation:
     action_clock: int
     forbid: Obligation
 
-    def __post_init__(self):
-        if self.forbid.allow:
+    def __init__(self, offender: str, verb: Verb, action_clock: int, forbid: Obligation):
+        if not isinstance(forbid, Obligation) or forbid.allow:
             raise ValueError("a violation's governing obligation must be a forbid")
-        if self.action_clock <= self.forbid.clock:
+        if offender != forbid.to or verb is not forbid.verb:
+            raise ValueError("the forbid must govern the offender's verb")
+        if type(action_clock) is not int or action_clock <= forbid.clock:
             raise ValueError("the action must come after the forbid that condemns it")
+        _SET_OFFENDER(self, offender)
+        _SET_VERB(self, verb)
+        _SET_ACTION_CLOCK(self, action_clock)
+        _SET_FORBID(self, forbid)
 
     @property
     def forbid_clock(self) -> int:
@@ -95,20 +103,6 @@ class Violation:
 
 
 _SET_OFFENDER, _SET_VERB, _SET_ACTION_CLOCK, _SET_FORBID = _setters(Violation)
-
-
-def _found(offender: str, verb: Verb, action_clock: int, forbid: Obligation) -> Violation:
-    """A Violation the audit found, built without ``__post_init__``.
-
-    The governing index only returns obligations that precede the
-    action, and only forbids are kept, so the checks could not fail.
-    """
-    violation = object.__new__(Violation)
-    _SET_OFFENDER(violation, offender)
-    _SET_VERB(violation, verb)
-    _SET_ACTION_CLOCK(violation, action_clock)
-    _SET_FORBID(violation, forbid)
-    return violation
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,7 @@ class CopyAudit:
             return
         elif held.forbid is forbid:
             return
-        self._found[key] = _found(by, verb, clock, forbid)
+        self._found[key] = Violation(by, verb, clock, forbid)
         self._violations = None
 
     def _fold(self) -> None:

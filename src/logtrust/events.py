@@ -63,7 +63,10 @@ class LogRole(enum.Enum):
     COMM = "comm"
 
 
-@dataclass(frozen=True, slots=True)
+_ORIGIN_SHAPE = "origin must carry grantor, grantee, share_clock"
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class OriginKey:
     """Stable identity of an obligation across receipt-time re-stamping.
 
@@ -76,16 +79,21 @@ class OriginKey:
     grantee: str
     share_clock: int
 
-    def __post_init__(self):
-        if not isinstance(self.grantor, str) or not self.grantor or not isinstance(self.grantee, str) or not self.grantee:
-            raise ValueError("grantor and grantee must be non-empty strings")
-        if self.grantor == self.grantee:
+    def __init__(self, grantor: str, grantee: str, share_clock: int):
+        if not isinstance(grantor, str) or not isinstance(grantee, str) or type(share_clock) is not int:
+            raise ValueError(_ORIGIN_SHAPE)
+        if grantor == grantee:
             raise ValueError("grantor and grantee must differ")
-        if type(self.share_clock) is not int or self.share_clock < 1:
-            raise ValueError("share_clock must be a positive integer")
+        if share_clock < 1:
+            raise ValueError("share_clock must be >= 1")
+        if not grantor or not grantee:
+            raise ValueError("grantor and grantee must be non-empty strings")
+        _ORIGIN_GRANTOR(self, grantor)
+        _ORIGIN_GRANTEE(self, grantee)
+        _ORIGIN_SHARE_CLOCK(self, share_clock)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PerformedEdit:
     """A local action a peer actually performed (edit logs only)."""
 
@@ -93,18 +101,21 @@ class PerformedEdit:
     verb: Verb
     by: str
 
-    def __post_init__(self):
-        if type(self.clock) is not int or self.clock < 1:
+    def __init__(self, clock: int, verb: Verb, by: str):
+        if type(clock) is not int or clock < 1:
             raise ValueError("clock must be a positive integer")
-        if not isinstance(self.verb, Verb):
+        if not isinstance(verb, Verb):
             raise ValueError("verb must be a Verb")
-        if not isinstance(self.by, str) or not self.by:
+        if not isinstance(by, str) or not by:
             raise ValueError("by must be a non-empty string")
-        if self.verb is Verb.SHARE:
+        if verb is Verb.SHARE:
             raise ValueError("share actions belong in the communication log")
+        _EDIT_CLOCK(self, clock)
+        _EDIT_VERB(self, verb)
+        _EDIT_BY(self, by)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PerformedShare:
     """A share action a peer actually performed (communication logs only)."""
 
@@ -112,16 +123,21 @@ class PerformedShare:
     by: str
     to: str
 
-    def __post_init__(self):
-        if type(self.clock) is not int or self.clock < 1:
+    def __init__(self, clock: int, by: str, to: str):
+        if type(clock) is not int or clock < 1:
             raise ValueError("clock must be a positive integer")
-        if not isinstance(self.by, str) or not self.by or not isinstance(self.to, str) or not self.to:
-            raise ValueError("by and to must be non-empty strings")
-        if self.by == self.to:
+        if not isinstance(by, str) or not by:
+            raise ValueError("by must be a non-empty string")
+        if not isinstance(to, str) or not to:
+            raise ValueError("to must be a non-empty string")
+        if by == to:
             raise ValueError("cannot share with oneself")
+        _SHARE_CLOCK(self, clock)
+        _SHARE_BY(self, by)
+        _SHARE_TO(self, to)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Obligation:
     """A usage-policy event granted within a share.
 
@@ -137,23 +153,46 @@ class Obligation:
     to: str
     origin: OriginKey
 
-    def __post_init__(self):
-        if type(self.clock) is not int or self.clock < 1:
+    def __init__(self, clock: int, verb: Verb, allow: bool, by: str, to: str, origin: OriginKey):
+        if type(clock) is not int or clock < 1:
             raise ValueError("clock must be a positive integer")
-        if not isinstance(self.verb, Verb):
+        if not isinstance(verb, Verb):
             raise ValueError("verb must be a Verb")
-        if not isinstance(self.allow, bool):
+        if not isinstance(by, str) or not by:
+            raise ValueError("by must be a non-empty string")
+        if not isinstance(to, str) or not to:
+            raise ValueError("to must be a non-empty string")
+        if not isinstance(allow, bool):
             raise ValueError("allow must be a boolean")
-        if not isinstance(self.by, str) or not self.by or not isinstance(self.to, str) or not self.to:
-            raise ValueError("by and to must be non-empty strings")
-        if self.by == self.to:
+        if by == to:
             raise ValueError("grantor and grantee must differ")
-        if not isinstance(self.origin, OriginKey):
+        if not isinstance(origin, OriginKey):
             raise ValueError("origin must be an OriginKey")
-        if self.origin.grantor != self.by or self.origin.grantee != self.to:
+        if origin.grantor != by or origin.grantee != to:
             raise ValueError("origin does not match grantor/grantee")
-        if self.verb not in OBLIGATION_VERBS:
-            raise ValueError(f"obligations cannot govern {self.verb.value}")
+        if verb not in OBLIGATION_VERBS:
+            raise ValueError(f"obligations cannot govern {verb.value}")
+        _OBLIGATION_CLOCK(self, clock)
+        _OBLIGATION_VERB(self, verb)
+        _OBLIGATION_ALLOW(self, allow)
+        _OBLIGATION_BY(self, by)
+        _OBLIGATION_TO(self, to)
+        _OBLIGATION_ORIGIN(self, origin)
+
+
+# Each record's ``__init__`` is its one validator, run alike for code and
+# for the log-file parser (``_event``); once every check has passed, it
+# sets the slots through these setters.
+def _setters(cls) -> tuple:
+    """The slot setters of a frozen dataclass's fields, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_ORIGIN_GRANTOR, _ORIGIN_GRANTEE, _ORIGIN_SHARE_CLOCK = _setters(OriginKey)
+_EDIT_CLOCK, _EDIT_VERB, _EDIT_BY = _setters(PerformedEdit)
+_SHARE_CLOCK, _SHARE_BY, _SHARE_TO = _setters(PerformedShare)
+(_OBLIGATION_CLOCK, _OBLIGATION_VERB, _OBLIGATION_ALLOW,
+ _OBLIGATION_BY, _OBLIGATION_TO, _OBLIGATION_ORIGIN) = _setters(Obligation)
 
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
@@ -558,65 +597,13 @@ _FIELDS_BY_KIND = {
     "obligation": ("kind", "clock", "verb", "by", "to", "allow", "origin"),
 }
 _VALUES_BY_KIND = {kind: itemgetter(*names) for kind, names in _FIELDS_BY_KIND.items()}
-_ORIGIN_VALUES = itemgetter("grantor", "grantee", "share_clock")
-
-def _setters(cls) -> tuple:
-    """The slot setters of a frozen dataclass's fields, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-# ``_event`` checks every value the events' ``__post_init__`` would, so it
-# builds them through their slot setters without checking a second time.
-_new = object.__new__
-_EDIT_CLOCK, _EDIT_VERB, _EDIT_BY = _setters(PerformedEdit)
-_SHARE_CLOCK, _SHARE_BY, _SHARE_TO = _setters(PerformedShare)
-_ORIGIN_GRANTOR, _ORIGIN_GRANTEE, _ORIGIN_SHARE_CLOCK = _setters(OriginKey)
-(
-    _OBLIGATION_CLOCK,
-    _OBLIGATION_VERB,
-    _OBLIGATION_ALLOW,
-    _OBLIGATION_BY,
-    _OBLIGATION_TO,
-    _OBLIGATION_ORIGIN,
-) = _setters(Obligation)
-
-
-def _new_edit(clock, verb, by):
-    event = _new(PerformedEdit)
-    _EDIT_CLOCK(event, clock)
-    _EDIT_VERB(event, verb)
-    _EDIT_BY(event, by)
-    return event
-
-
-def _new_share(clock, by, to):
-    event = _new(PerformedShare)
-    _SHARE_CLOCK(event, clock)
-    _SHARE_BY(event, by)
-    _SHARE_TO(event, to)
-    return event
-
-
-def _new_obligation(clock, verb, allow, by, to, grantor, grantee, share_clock):
-    origin = _new(OriginKey)
-    _ORIGIN_GRANTOR(origin, grantor)
-    _ORIGIN_GRANTEE(origin, grantee)
-    _ORIGIN_SHARE_CLOCK(origin, share_clock)
-    event = _new(Obligation)
-    _OBLIGATION_CLOCK(event, clock)
-    _OBLIGATION_VERB(event, verb)
-    _OBLIGATION_ALLOW(event, allow)
-    _OBLIGATION_BY(event, by)
-    _OBLIGATION_TO(event, to)
-    _OBLIGATION_ORIGIN(event, origin)
-    return event
 
 
 def _event(data) -> Event:
     """Parse one serialized event; a ValueError names its first problem.
 
-    Each fact costs one cheap test, and a message is put together only
-    once a test has failed.
+    Checks only the JSON shape and leaves every value to the events'
+    constructors.  A message is put together only once a test has failed.
     """
     if not isinstance(data, dict):
         raise ValueError("expected an object")
@@ -634,52 +621,24 @@ def _event(data) -> Event:
         if missing:
             raise ValueError(f"missing fields {sorted(missing)}") from None
         raise ValueError(f"unexpected fields {sorted(data.keys() - expected)}") from None
-    clock = values[1]
-    if type(clock) is not int or clock < 1:
-        raise ValueError("clock must be a positive integer")
     try:
         verb = _VERB_BY_VALUE[values[2]]
     except (KeyError, TypeError):
         raise ValueError(f"unknown verb {values[2]!r}") from None
-    by = values[3]
-    if not isinstance(by, str) or not by:
-        raise ValueError("by must be a non-empty string")
     if kind == "edit":
-        if verb is Verb.SHARE:
-            raise ValueError("share actions belong in the communication log")
-        return _new_edit(clock, verb, by)
-    to = values[4]
-    if not isinstance(to, str) or not to:
-        raise ValueError("to must be a non-empty string")
+        return PerformedEdit(values[1], verb, values[3])
     if kind == "share":
         if verb is not Verb.SHARE:
             raise ValueError("share events must carry verb 'share'")
-        if by == to:
-            raise ValueError("cannot share with oneself")
-        return _new_share(clock, by, to)
-    allow = values[5]
-    if not isinstance(allow, bool):
-        raise ValueError("allow must be a boolean")
+        return PerformedShare(values[1], values[3], values[4])
     origin = values[6]
     try:
         if not isinstance(origin, dict) or len(origin) != 3:
             raise KeyError
-        grantor, grantee, share_clock = _ORIGIN_VALUES(origin)
-        if not isinstance(grantor, str) or not isinstance(grantee, str) or type(share_clock) is not int:
-            raise KeyError
+        origin = OriginKey(origin["grantor"], origin["grantee"], origin["share_clock"])
     except KeyError:
-        raise ValueError("origin must carry grantor, grantee, share_clock") from None
-    if grantor == grantee:
-        raise ValueError("grantor and grantee must differ")
-    if share_clock < 1:
-        raise ValueError("share_clock must be >= 1")
-    if by == to:
-        raise ValueError("grantor and grantee must differ")
-    if grantor != by or grantee != to:
-        raise ValueError("origin does not match grantor/grantee")
-    if verb not in OBLIGATION_VERBS:
-        raise ValueError(f"obligations cannot govern {verb.value}")
-    return _new_obligation(clock, verb, allow, by, to, grantor, grantee, share_clock)
+        raise ValueError(_ORIGIN_SHAPE) from None
+    return Obligation(values[1], verb, values[5], values[3], values[4], origin)
 
 
 def event_from_dict(data: dict, where: str = "event") -> Event:

@@ -11,8 +11,11 @@ from __future__ import annotations
 import random
 from typing import Any
 
-_EDIT_VERBS = ("read", "comment", "delete_comment")
-_OBLIGATION_VERBS = ("read", "comment", "delete_comment", "share")
+from .events import EDIT_VERBS, OBLIGATION_VERBS, Verb
+
+# In declaration order: the sets' iteration order differs between processes.
+_EDIT_VERBS = tuple(verb.value for verb in Verb if verb in EDIT_VERBS)
+_OBLIGATION_VERBS = tuple(verb.value for verb in Verb if verb in OBLIGATION_VERBS)
 
 
 def generate_scenario(

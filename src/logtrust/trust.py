@@ -60,7 +60,11 @@ class MultiplicativeTrust:
             raise ValueError("max_value must lie in (0, 1]")
 
     def on_violation(self, current: float) -> float:
-        return min(self.max_value, max(0.0, current * self.factor))
+        lowered = current * self.factor
+        if lowered == current and current > 0.0:
+            # Among subnormals the product can round back up to ``current``.
+            lowered = math.nextafter(current, 0.0)
+        return min(self.max_value, max(0.0, lowered))
 
     def describe(self) -> str:
         return f"multiplicative:{_number(self.factor)}"

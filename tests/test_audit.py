@@ -13,6 +13,7 @@ from logtrust import (
     PerformedShare,
     UnknownCreatorError,
     Verb,
+    Violation,
     derive_creator,
     detect_violations,
     empty_log,
@@ -231,3 +232,28 @@ def test_report_to_dict_shape():
         }
     ]
     assert list(data["trust"]) == sorted(data["trust"])
+
+
+FORBID = obl(3, Verb.COMMENT, False)
+NOT_A_FORBID = "a violation's governing obligation must be a forbid"
+NOT_GOVERNED = "the forbid must govern the offender's verb"
+NOT_AFTER = "the action must come after the forbid that condemns it"
+
+
+@pytest.mark.parametrize(
+    "offender, verb, action_clock, forbid, message",
+    [
+        *(
+            ("P2", Verb.COMMENT, 5, forbid, NOT_A_FORBID)
+            for forbid in (None, ("P1", "P2"), obl(3, Verb.COMMENT, True))
+        ),
+        *((offender, Verb.COMMENT, 5, FORBID, NOT_GOVERNED) for offender in (7, "P1", "P3")),
+        *(("P2", verb, 5, FORBID, NOT_GOVERNED) for verb in ("comment", Verb.READ)),
+        *(("P2", Verb.COMMENT, c, FORBID, NOT_AFTER) for c in (3, 2, True, 4.0, 5.5, "5", None)),
+    ],
+)
+def test_violation_holds_only_what_an_audit_can_find(offender, verb, action_clock, forbid, message):
+    with pytest.raises(Exception) as caught:
+        Violation(offender, verb, action_clock, forbid)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from logtrust import (
     Document,
@@ -800,8 +800,8 @@ def raw_events(draw):
 
 @given(raw_events())
 def test_parsed_events_pass_their_own_checks(raw):
-    # The parser builds events without running __post_init__, so every
-    # event it accepts must also pass the constructors' checks.
+    # Every event the parser accepts passes the constructors' checks
+    # again, compares equal when rebuilt and serializes back to its input.
     try:
         event = event_from_dict(raw)
     except ValueError:
@@ -812,6 +812,60 @@ def test_parsed_events_pass_their_own_checks(raw):
     else:
         assert dataclasses.replace(event) == event
     assert event_to_dict(event) == raw
+
+
+def well_shaped(raw):
+    """Whether ``raw`` has the JSON shape of an event: only its values can be at fault."""
+    if not isinstance(raw, dict) or raw.get("kind") not in list(GOOD_EVENT):
+        return False
+    kind = raw["kind"]
+    if raw.keys() != GOOD_EVENT[kind].keys() or raw["verb"] not in [v.value for v in Verb]:
+        return False
+    if kind != "obligation":
+        return kind == "edit" or raw["verb"] == "share"
+    origin = raw["origin"]
+    return isinstance(origin, dict) and origin.keys() == GOOD_EVENT[kind]["origin"].keys()
+
+
+def constructed(raw):
+    """``raw`` built by the constructors, as a caller of the library would."""
+    clock, verb, by = raw["clock"], Verb(raw["verb"]), raw["by"]
+    if raw["kind"] == "edit":
+        return PerformedEdit(clock, verb, by)
+    if raw["kind"] == "share":
+        return PerformedShare(clock, by, raw["to"])
+    o = raw["origin"]
+    origin = OriginKey(o["grantor"], o["grantee"], o["share_clock"])
+    return Obligation(clock, verb, raw["allow"], by, raw["to"], origin)
+
+
+VALUE_FAULTS = [(raw, message) for raw, message in EVENT_REJECTIONS if well_shaped(raw)]
+
+
+def test_value_faults_cover_every_value_check():
+    assert len(VALUE_FAULTS) == 68
+    assert len({message for _, message in VALUE_FAULTS}) == 10
+
+
+@pytest.mark.parametrize("raw, message", VALUE_FAULTS)
+def test_constructors_reject_value_faults_with_the_parsers_message(raw, message):
+    with pytest.raises(Exception) as caught:
+        constructed(raw)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+@given(raw_events())
+def test_constructors_and_parser_agree_on_raw_events(raw):
+    assume(well_shaped(raw))
+    try:
+        event = event_from_dict(raw, where="e")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            constructed(raw)
+        assert f"e: {caught.value}" == str(exc)
+    else:
+        assert constructed(raw) == event
 
 
 def make_event(kind, clock, verb, allow, by, to, share_clock):

@@ -126,3 +126,31 @@ def test_describe_keeps_short_labels():
     assert FixedStepTrust().describe() == "fixed:0.2"
     assert FixedStepTrust(1.0).describe() == "fixed:1"
     assert MultiplicativeTrust(0.123456789).describe() == "multiplicative:0.123456789"
+
+
+SUBNORMALS = st.integers(1, 2**52 - 1).map(lambda k: k * math.ulp(0.0))
+
+
+@given(SUBNORMALS, st.sampled_from([0.5, 0.75, 0.9, 0.999, 1 - 2**-53]))
+@example(math.ulp(0.0), 0.75)
+@example(2 * math.ulp(0.0), 0.75)
+def test_multiplicative_lowers_every_subnormal(current, factor):
+    # The TrustModel contract: strictly decreasing for positive values,
+    # also where the product rounds back up to the input.
+    lowered = MultiplicativeTrust(factor).on_violation(current)
+    assert 0.0 <= lowered < current
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.75, 0.9])
+def test_multiplicative_reaches_zero_and_keeps_plain_products(factor):
+    # From full trust the value falls to 0, and wherever the plain product
+    # already lowers it the result is that product, bit for bit.
+    model, value = MultiplicativeTrust(factor), 1.0
+    for _ in range(20_000):
+        if value == 0.0:
+            break
+        lowered = model.on_violation(value)
+        if value * factor < value:
+            assert lowered == value * factor
+        value = lowered
+    assert value == 0.0
