@@ -17,7 +17,7 @@ was granted after a forbid for the same peer and verb.
 kernel's ``GoverningIndex`` and keeps its report current as events join
 the logs.  ``detect_violations`` and ``local_trust_assessment`` build
 one over a pair of full logs; ``Simulation.audit`` keeps one per held
-copy and folds in only the rows added since that copy's last audit.
+copy and folds in only the events added since that copy's last audit.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ Exit codes: ``run`` and ``validate`` exit 0 on success and 2 on any
 error; violations found by a scenario's audits are data, not errors.
 ``audit`` exits 0 when the assessment finds no violations, 1 when it
 finds at least one, and 2 on any error, so scripts can branch on it.
+Failing to write the output (a closed pipe, a full disk, no memory) is
+an error too: it exits 2, never 0 or 1.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -360,13 +363,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("run needs a scenario file or --seed, but not both")
     try:
         if args.command == "run":
-            return cmd_run(args)
-        if args.command == "audit":
-            return cmd_audit(args)
-        return cmd_validate(args.path)
+            code = cmd_run(args)
+        elif args.command == "audit":
+            code = cmd_audit(args)
+        else:
+            code = cmd_validate(args.path)
+        sys.stdout.flush()
+        return code
     except (_CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"
+    except OSError as exc:  # input errors arrive as _CliError: a write failed
+        message = f"cannot write output: {exc.strerror or exc}"
+        # Python flushes stdout again at exit; point it at os.devnull first.
+        try:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout without a file descriptor of its own
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except (OSError, ValueError):
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -49,6 +49,7 @@ class Verb(enum.Enum):
 # Rank used for deterministic ordering; follows declaration order.
 _VERB_RANK = {verb: rank for rank, verb in enumerate(Verb)}
 _VERB_BY_VALUE = {verb.value: verb for verb in Verb}
+_SHARE_RANK = _VERB_RANK[Verb.SHARE]
 
 #: Verbs a peer may perform as plain edits (create is reserved for the
 #: document creator's first action).
@@ -100,6 +101,9 @@ class PerformedEdit:
     clock: int
     verb: Verb
     by: str
+    # The event's sort key and identity (``sort_key``, ``dedup_key``).
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _id: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, clock: int, verb: Verb, by: str):
         if type(clock) is not int or clock < 1:
@@ -113,6 +117,9 @@ class PerformedEdit:
         _EDIT_CLOCK(self, clock)
         _EDIT_VERB(self, verb)
         _EDIT_BY(self, by)
+        key = (clock, by, 2, _VERB_RANK[verb], 0, "", 0)
+        _EDIT_KEY(self, key)
+        _EDIT_ID(self, key)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -122,6 +129,8 @@ class PerformedShare:
     clock: int
     by: str
     to: str
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _id: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, clock: int, by: str, to: str):
         if type(clock) is not int or clock < 1:
@@ -135,6 +144,9 @@ class PerformedShare:
         _SHARE_CLOCK(self, clock)
         _SHARE_BY(self, by)
         _SHARE_TO(self, to)
+        key = (clock, by, 1, _SHARE_RANK, 0, to, 0)
+        _SHARE_KEY(self, key)
+        _SHARE_ID(self, key)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -152,6 +164,8 @@ class Obligation:
     by: str
     to: str
     origin: OriginKey
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _id: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, clock: int, verb: Verb, allow: bool, by: str, to: str, origin: OriginKey):
         if type(clock) is not int or clock < 1:
@@ -178,46 +192,30 @@ class Obligation:
         _OBLIGATION_BY(self, by)
         _OBLIGATION_TO(self, to)
         _OBLIGATION_ORIGIN(self, origin)
+        key = (clock, by, 0, _VERB_RANK[verb], int(allow), to, origin.share_clock)
+        _OBLIGATION_KEY(self, key)
+        _OBLIGATION_ID(self, key[1:])
 
 
 # Each record's ``__init__`` is its one validator, run alike for code and
 # for the log-file parser (``_event``); once every check has passed, it
-# sets the slots through these setters.
+# sets the slots through these setters, an event's keys included.
 def _setters(cls) -> tuple:
     """The slot setters of a frozen dataclass's fields, in field order."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 _ORIGIN_GRANTOR, _ORIGIN_GRANTEE, _ORIGIN_SHARE_CLOCK = _setters(OriginKey)
-_EDIT_CLOCK, _EDIT_VERB, _EDIT_BY = _setters(PerformedEdit)
-_SHARE_CLOCK, _SHARE_BY, _SHARE_TO = _setters(PerformedShare)
-(_OBLIGATION_CLOCK, _OBLIGATION_VERB, _OBLIGATION_ALLOW,
- _OBLIGATION_BY, _OBLIGATION_TO, _OBLIGATION_ORIGIN) = _setters(Obligation)
+_EDIT_CLOCK, _EDIT_VERB, _EDIT_BY, _EDIT_KEY, _EDIT_ID = _setters(PerformedEdit)
+_SHARE_CLOCK, _SHARE_BY, _SHARE_TO, _SHARE_KEY, _SHARE_ID = _setters(PerformedShare)
+(_OBLIGATION_CLOCK, _OBLIGATION_VERB, _OBLIGATION_ALLOW, _OBLIGATION_BY,
+ _OBLIGATION_TO, _OBLIGATION_ORIGIN, _OBLIGATION_KEY, _OBLIGATION_ID) = _setters(Obligation)
 
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
-
-
-def _row(event: Event) -> tuple[tuple, tuple, Event]:
-    """``(sort_key(event), dedup_key(event), event)``: the row a ``Log`` keeps per entry."""
-    if isinstance(event, PerformedEdit):
-        key = (event.clock, event.by, 2, _VERB_RANK[event.verb], 0, "", 0)
-        return key, key, event
-    if isinstance(event, Obligation):
-        key = (
-            event.clock,
-            event.by,
-            0,
-            _VERB_RANK[event.verb],
-            int(event.allow),
-            event.to,
-            event.origin.share_clock,
-        )
-        return key, key[1:], event
-    if isinstance(event, PerformedShare):
-        key = (event.clock, event.by, 1, 0, 0, event.to, 0)
-        return key, key, event
-    raise TypeError(f"{type(event).__name__} is not a log event")
+_EVENT_TYPES = (PerformedEdit, PerformedShare, Obligation)
+_KEY = attrgetter("_key")
+_ID = attrgetter("_id")
 
 
 def sort_key(event: Event):
@@ -227,7 +225,9 @@ def sort_key(event: Event):
     equal (clock, actor).  The trailing payload fields only break ties
     between distinct events sharing all leading components.
     """
-    return _row(event)[0]
+    if not isinstance(event, _EVENT_TYPES):
+        raise TypeError(f"{type(event).__name__} is not a log event")
+    return event._key
 
 
 def dedup_key(event: Event):
@@ -240,11 +240,13 @@ def dedup_key(event: Event):
     clock (the grantor and grantee are the origin's, and the share clock
     is the last component).
     """
-    return _row(event)[1]
+    if not isinstance(event, _EVENT_TYPES):
+        raise TypeError(f"{type(event).__name__} is not a log event")
+    return event._id
 
 
-def _checked_rows(role: LogRole, entries: Iterable[Event]) -> tuple[tuple, ...]:
-    """One (sort_key, dedup_key, event) row per entry, checking the log invariant.
+def _check(role: LogRole, entries: Iterable[Event]) -> None:
+    """Check the log invariant over ``entries``.
 
     Raises MixedRolesError for an entry that does not belong in a ``role``
     log, UnorderedLogError for one that sorts before its predecessor, and
@@ -255,28 +257,24 @@ def _checked_rows(role: LogRole, entries: Iterable[Event]) -> tuple[tuple, ...]:
     seen.
     """
     edit = role is LogRole.EDIT
-    rows = []
     seen = set()
     previous = ()
     for i, event in enumerate(entries):
-        row = _row(event)
-        key = row[0]
+        key = sort_key(event)
         variant = key[2]  # 0 for obligations, 1 for performed shares, 2 for edits
         if (variant == 2) is not edit:
             raise MixedRolesError(
                 f"events[{i}]: {type(event).__name__} does not belong in a {role.value} log"
             )
         if variant == 0:
-            if row[1] in seen:
+            if event._id in seen:
                 raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
-            seen.add(row[1])
+            seen.add(event._id)
         elif key == previous:
             raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
         if key < previous:
             raise UnorderedLogError(f"events[{i}] is out of order")
         previous = key
-        rows.append(row)
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -287,28 +285,26 @@ class Log:
     shares and obligations.  Entries must be in canonical order
     (``sort_key``) with distinct identities (``dedup_key``); the
     constructor checks both.  Instances are immutable; mutating operations
-    return new logs.  Such an op costs the rows it adds plus a C-level
-    copy of the rest (see ``_spliced``).  The set of identities its
-    duplicate check reads is a private cache, shared down a lineage and
-    valid while its size matches the log's (``_keys_of``), so it changes
-    no result.  Only this module reads a log's private fields.
+    return new logs, which share their parents' event objects.  Such an op
+    costs the events it adds plus a C-level copy of the rest (see
+    ``_spliced``).  The set of identities its duplicate check reads is a
+    private cache, shared down a lineage and valid while its size matches
+    the log's (``_keys_of``), so it changes no result.  Only this module
+    reads a log's private fields.
     """
 
     role: LogRole
     entries: tuple[Event, ...] = ()
-    # One (sort_key, dedup_key, event) row per entry: the keys the
-    # constructor's check computes, kept for the log operations.
-    _rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     # The comment set an edit log replays to (``replay_comments``), built
     # on first request.
     _comments: Optional[frozenset[tuple[str, str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # A superset of every row's dedup_key, or None (see ``_keys_of``).
+    # A superset of every entry's dedup_key, or None (see ``_keys_of``).
     _keys: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", _checked_rows(self.role, self.entries))
+        _check(self.role, self.entries)
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
@@ -322,27 +318,16 @@ class Log:
         return iter(self.entries)
 
 
-_SORT_KEY = itemgetter(0)
-_DEDUP_KEY = itemgetter(1)
-_EVENT = itemgetter(2)
+def _unchecked(role: LogRole, entries: tuple[Event, ...], keys: Optional[set] = None) -> Log:
+    """A log over entries that are already sorted, distinct and of ``role``.
 
-
-def _from_rows(
-    role: LogRole,
-    rows: tuple[tuple, ...],
-    entries: Optional[tuple[Event, ...]] = None,
-    keys: Optional[set] = None,
-) -> Log:
-    """A log over rows that are already sorted, distinct and of ``role``.
-
-    Skips the constructor's checks: every caller derives ``rows`` from
-    valid logs and keys only the events it adds.  ``entries`` and
-    ``keys``, when given, must be the rows' events and identities.
+    Skips the constructor's checks: every caller derives ``entries`` from
+    valid logs and keys only the events it adds.  ``keys``, when given,
+    must be the entries' identities.
     """
     log = object.__new__(Log)
     object.__setattr__(log, "role", role)
-    object.__setattr__(log, "entries", tuple(map(_EVENT, rows)) if entries is None else entries)
-    object.__setattr__(log, "_rows", rows)
+    object.__setattr__(log, "entries", entries)
     object.__setattr__(log, "_keys", keys)
     return log
 
@@ -351,33 +336,30 @@ def _keys_of(log: Log) -> set:
     """``log``'s identities: its set, which starts equal to them and only
     grows, while its size matches the log's; else a new set."""
     keys = log._keys
-    if keys is not None and len(keys) == len(log._rows):
+    if keys is not None and len(keys) == len(log.entries):
         return keys
-    return set(map(_DEDUP_KEY, log._rows))
+    return set(map(_ID, log.entries))
 
 
-def _spliced(log: Log, new: list[tuple], keys: set) -> Log:
-    """``log`` plus ``new`` rows, whose identities ``keys`` lacks.
+def _spliced(log: Log, new: list[Event], keys: set) -> Log:
+    """``log`` plus ``new`` events, whose identities ``keys`` lacks.
 
     ``keys`` is ``_keys_of(log)``.  Callers come here once every check
     has passed: the set grows by the new identities, and the result
-    shares it with ``log``.  Bisection finds the span of ``log``'s rows
-    that the new rows fall into, often none.  Only that span is sorted
-    with them; the rows and entries around it are copied at C level.
+    shares it with ``log``.  Bisection finds the span of ``log``'s entries
+    that the new events fall into, often none.  Only that span is sorted
+    with them; the entries around it are copied at C level.
     """
-    keys.update(map(_DEDUP_KEY, new))
-    new.sort(key=_SORT_KEY)
-    rows = log._rows
+    keys.update(map(_ID, new))
+    new.sort(key=_KEY)
+    entries = log.entries
     lo = hi = 0
     if new:
-        lo = bisect_left(rows, new[0][0], key=_SORT_KEY)
-        hi = bisect_left(rows, new[-1][0], lo, key=_SORT_KEY)
-    middle = sorted((*rows[lo:hi], *new), key=_SORT_KEY)
-    out_rows = list(rows)
-    out_rows[lo:hi] = middle
-    out_entries = list(log.entries)
-    out_entries[lo:hi] = map(_EVENT, middle)
-    return _from_rows(log.role, tuple(out_rows), tuple(out_entries), keys)
+        lo = bisect_left(entries, new[0]._key, key=_KEY)
+        hi = bisect_left(entries, new[-1]._key, lo, key=_KEY)
+    out = list(entries)
+    out[lo:hi] = sorted((*entries[lo:hi], *new), key=_KEY)
+    return _unchecked(log.role, tuple(out), keys)
 
 
 def empty_log(role: LogRole) -> Log:
@@ -419,8 +401,7 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     new = []
     added = set()
     for event in events:
-        row = _row(event)
-        identity = row[1]
+        identity = dedup_key(event)
         if isinstance(event, PerformedEdit) is not edit:
             raise MixedRolesError(
                 f"{type(event).__name__} does not belong in a {log.role.value} log"
@@ -428,7 +409,7 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
         if identity in keys or identity in added:
             raise DuplicateEventError(f"duplicate event {event!r}")
         added.add(identity)
-        new.append(row)
+        new.append(event)
     return _spliced(log, new, keys)
 
 
@@ -460,7 +441,7 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     so identities survive.  Returns ``local`` itself when ``received``
     adds nothing, and ``received`` itself when ``local`` is empty and
     nothing needs re-stamping.  Besides one pass over ``received``, it
-    costs the rows it adds plus a C-level copy of ``local``'s; a new
+    costs the events it adds plus a C-level copy of ``local``'s; a new
     result shares and grows ``local``'s set of identities, a private
     cache (``_spliced``).
     """
@@ -469,24 +450,24 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
 
 def _received(
     local: Log, received: Log, receiver: Optional[str], clock: int
-) -> tuple[Log, Iterable[Event]]:
+) -> tuple[Log, list[Event]]:
     """``receive_log``'s result, and the events it added to ``local``, in log order."""
     if local.role is not received.role:
         raise MixedRolesError(
             f"cannot merge a {received.role.value} log into a {local.role.value} log"
         )
     keys = _keys_of(local)
-    new = [row for row in received._rows if row[1] not in keys]
+    new = [event for event in received.entries if event._id not in keys]
     if not new:
-        return local, ()
+        return local, new
     restamped = False
-    for i, (_, _, event) in enumerate(new):
+    for i, event in enumerate(new):
         if isinstance(event, Obligation) and event.to == receiver:
-            new[i] = _row(Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin))
+            new[i] = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
             restamped = True
     if not local.entries and not restamped:
-        return received, map(_EVENT, new)
-    return _spliced(local, new, keys), map(_EVENT, new)
+        return received, new
+    return _spliced(local, new, keys), new
 
 
 def _outbound(comm_log: Log, sender: str, recipient: str) -> Log:
@@ -494,12 +475,11 @@ def _outbound(comm_log: Log, sender: str, recipient: str) -> Log:
 
     The recipient gets the full correspondence history relevant to it,
     but not the sender's grants and shares to other peers.  Returns
-    ``comm_log`` itself when it keeps every row.
+    ``comm_log`` itself when it keeps every event.
     """
-    rows = comm_log._rows
-    # A comm log row's sort key holds the actor at [1] and the recipient at [5].
-    kept = tuple([row for row in rows if row[0][1] != sender or row[0][5] == recipient])
-    return comm_log if len(kept) == len(rows) else _from_rows(LogRole.COMM, kept)
+    entries = comm_log.entries
+    kept = tuple([e for e in entries if e.by != sender or e.to == recipient])
+    return comm_log if len(kept) == len(entries) else _unchecked(LogRole.COMM, kept)
 
 
 @dataclass(frozen=True)

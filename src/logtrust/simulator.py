@@ -169,6 +169,7 @@ class Simulation:
         self.trust_model = trust_model
         self._clocks: dict[str, int] = {}
         self._held: dict[tuple[str, str], PeerDocState] = {}
+        self._documents: set[str] = set()  # every doc id in ``_held``
         self._queues: dict[tuple[str, str, str], tuple[Message, ...]] = {}
         self._audits: dict[tuple[str, str], CopyAudit] = {}
 
@@ -194,12 +195,13 @@ class Simulation:
         return tuple(sorted({peer for peer, _ in self._held}))
 
     def documents(self) -> tuple[str, ...]:
-        return tuple(sorted({doc_id for _, doc_id in self._held}))
+        return tuple(sorted(self._documents))
 
     def _hold(self, state: PeerDocState, *added: Iterable) -> None:
         """Hold ``state``, and queue each ``added`` run of events for its audit."""
         key = (state.peer, state.doc_id)
         self._held[key] = state
+        self._documents.add(state.doc_id)
         audit = self._audits.get(key)
         if audit is not None:
             for events in added:
@@ -244,7 +246,7 @@ class Simulation:
         _checked_id(peer, "peer")
         _checked_id(doc_id, "doc_id")
         if Verb.CREATE in ordered:
-            if doc_id in self.documents():
+            if doc_id in self._documents:
                 raise LogTrustError(f"document {doc_id!r} already exists")
             state = PeerDocState(
                 peer, doc_id, empty_log(LogRole.EDIT), empty_log(LogRole.COMM), peer
@@ -346,8 +348,8 @@ class Simulation:
 
         The copy's ``CopyAudit`` is built over the full logs, as
         ``local_trust_assessment`` builds one, on the first audit and
-        after ``mode`` changes; later audits fold in only the rows added
-        since the last one, so the cost follows those rows, not the logs'
+        after ``mode`` changes; later audits fold in only the events added
+        since the last one, so the cost follows those events, not the logs'
         length.  Trust under the current ``trust_model`` starts at the
         maximum for all peers, and one decrement is applied per violation
         instance found.

@@ -4,15 +4,29 @@ Exported logs and generated scenarios are mutated at random: fields and
 events are dropped or duplicated, values are swapped for wrong types,
 huge clocks or NaN.  Whatever the input, ``audit``, ``validate`` and
 ``run`` must exit 0, 1 or 2, and only ``audit`` may exit 1, when it
-reports at least one violation.  A traceback fails the test.
+reports at least one violation.  A traceback fails the test.  So does
+any exit code but 2 when writing the output fails: a closed pipe, a full
+disk or no memory.
 """
 
 import copy
+import errno
+import io
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import logtrust
 from logtrust import event_to_dict, generate_scenario, run_scenario
 from logtrust.cli import main
+
+from conftest import SCENARIOS
 
 # Values swapped in for a field or an element.
 STRANGE = (
@@ -116,3 +130,82 @@ def test_exit_codes_hold_on_mutated_inputs(tmp_path, capsys):
         codes.add(call(capsys, ["run", scenario_path, "--mode", "literal", "--format", "json"]))
     # the mutations reach every outcome, so the contract is not met vacuously
     assert codes == {0, 1, 2}
+
+
+class FailingStdout(io.StringIO):
+    """A stdout that takes ``limit`` characters, then raises ``error`` on every write."""
+
+    def __init__(self, limit, error):
+        super().__init__()
+        self.limit, self.error = limit, error
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise self.error
+        return super().write(text)
+
+
+WRITE_ERRORS = (
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    OSError(errno.ENOSPC, "No space left on device"),
+    MemoryError(),
+)
+
+
+def test_a_failed_write_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    assert main(["run", str(SCENARIOS / "paper_example.json"), "--export-logs", str(tmp_path)]) == 0
+    pair = [str(tmp_path / f"P1_d_{role}.json") for role in ("edit", "comm")]
+    violating = [str(tmp_path / f"P2_d_{role}.json") for role in ("edit", "comm")]
+    commands = [
+        (["run", "--seed", "5"], 0),
+        (["run", "--seed", "5", "--format", "json"], 0),
+        (["audit", *pair, "--assessor", "P1"], 0),
+        (["audit", *pair, "--assessor", "P1", "--format", "json"], 0),
+        (["audit", *violating, "--assessor", "P2"], 1),
+        (["audit", *violating, "--assessor", "P2", "--format", "json"], 1),
+        (["validate", pair[0]], 0),
+    ]
+    capsys.readouterr()
+    for argv, code in commands:
+        assert main(argv) == code, argv
+        size = len(capsys.readouterr().out)
+        for limit in (0, 4096):
+            for error in WRITE_ERRORS:
+                monkeypatch.setattr(sys, "stdout", FailingStdout(limit, error))
+                got = main(argv)
+                monkeypatch.undo()
+                err = capsys.readouterr().err
+                if size <= limit:  # the whole output fits, so nothing fails
+                    assert (got, err) == (code, ""), (argv, limit, error)
+                    continue
+                assert got == 2, (argv, limit, error)
+                assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+def _cli(*argv, **kwargs):
+    """Start ``logtrust`` in a new process over this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(logtrust.__file__).parents[1]))
+    command = [sys.executable, "-m", "logtrust.cli", *argv]
+    return subprocess.Popen(command, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_clean_audit_to_a_full_disk_exits_2(tmp_path, capsys):
+    assert main(["run", str(SCENARIOS / "paper_example.json"), "--export-logs", str(tmp_path)]) == 0
+    capsys.readouterr()
+    pair = [str(tmp_path / f"P1_d_{role}.json") for role in ("edit", "comm")]
+    assert main(["audit", *pair, "--assessor", "P1"]) == 0
+    with open("/dev/full", "w") as full:
+        proc = _cli("audit", *pair, "--assessor", "P1", stdout=full)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs POSIX pipes")
+def test_run_into_a_closed_pipe_exits_2():
+    proc = _cli("run", "--seed", "5", "--format", "json", stdout=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write output: Broken pipe\n"

@@ -25,22 +25,27 @@ from logtrust import (
     empty_log,
     event_from_dict,
     event_to_dict,
+    generate_scenario,
     log_from_dict,
     log_to_dict,
     merge_logs,
     receive_log,
+    run_scenario,
     sort_key,
 )
 from logtrust.events import _insert_events
-from oracle import oracle_receive
+from oracle import _canonical, _same_event, oracle_receive
 
 ORG = OriginKey("P1", "P2", 2)
 
 
 def check_log(log):
-    """``log``'s cached rows match its entries, and its key set (if it holds
-    one) holds their identities, exactly so when it has the log's size."""
-    assert log._rows == tuple((sort_key(e), dedup_key(e), e) for e in log.entries)
+    """Each entry's cached keys are those of a freshly built equal event, and
+    ``log``'s key set (if it holds one) holds their identities, exactly so
+    when it has the log's size."""
+    for e in log.entries:
+        fresh = dataclasses.replace(e)
+        assert (e._key, e._id) == (sort_key(fresh), dedup_key(fresh))
     identities = {dedup_key(e) for e in log.entries}
     assert log._keys is None or log._keys >= identities
     if log._keys is not None and len(log._keys) == len(log):
@@ -341,10 +346,11 @@ def test_a_derived_log_shares_and_grows_its_parents_key_set():
     parent = _insert_events(empty_log(LogRole.EDIT), [first])
     keys = parent._keys
     child = _insert_events(parent, [second])
-    # the set was grown rather than rebuilt, and the rows were not re-keyed
+    # the set was grown rather than rebuilt, and the child holds the
+    # parent's event objects rather than copies
     assert child._keys is keys and parent._keys is keys
     assert keys == {dedup_key(first), dedup_key(second)}
-    assert all(a is b for a, b in zip(child._rows, parent._rows))
+    assert child.entries[0] is parent.entries[0] is first
     assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._keys is keys
     # the parent's set is now larger than the parent, so a second
     # derivation from the parent builds a new one
@@ -502,6 +508,63 @@ def _random_event_pool(rng, size=30):
             seen.add(key)
             pool.append(event)
     return pool
+
+
+def _key_test_events():
+    """Per case, its events: each seed's random pool, then the events of the
+    final held copies of generated seeds 0-59, re-stamped obligations included."""
+    cases = [_random_event_pool(random.Random(seed)) for seed in range(60)]
+    for seed in range(60):
+        held = run_scenario(generate_scenario(seed)).snapshots[-1].held
+        found = {id(e): e for copy_ in held for log in (copy_.edit_log, copy_.comm_log) for e in log}
+        cases.append(list(found.values()))
+    return cases
+
+
+def test_event_keys_match_the_oracle():
+    for events in _key_test_events():
+        raws = [event_to_dict(e) for e in events]
+        for e, raw in zip(events, raws):
+            assert sort_key(e) == _canonical(raw)
+        for a, raw_a in zip(events, raws):
+            for b, raw_b in zip(events, raws):
+                assert (dedup_key(a) == dedup_key(b)) == _same_event(raw_a, raw_b)
+
+
+def test_event_keys_survive_copies_and_replace():
+    for events in _key_test_events():
+        for e in events:
+            for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert (copied._key, copied._id) == (e._key, e._id)
+            moved = dataclasses.replace(e, clock=e.clock + 1)
+            assert sort_key(moved) == _canonical(event_to_dict(moved))
+            assert dedup_key(moved) == (e._id if isinstance(e, Obligation) else sort_key(moved))
+
+
+def test_event_keys_leave_repr_equality_hash_and_match_args():
+    for event, text in (
+        (PerformedEdit(3, Verb.COMMENT, "P1"), "PerformedEdit(clock=3, verb=<Verb.COMMENT: 'comment'>, by='P1')"),
+        (PerformedShare(4, "P2", "P3"), "PerformedShare(clock=4, by='P2', to='P3')"),
+        (
+            obl(5, Verb.SHARE, False, "P2", "P3", share_clock=4),
+            "Obligation(clock=5, verb=<Verb.SHARE: 'share'>, allow=False, by='P2', to='P3',"
+            " origin=OriginKey(grantor='P2', grantee='P3', share_clock=4))",
+        ),
+    ):
+        assert repr(event) == text
+        names = {
+            PerformedEdit: ("clock", "verb", "by"),
+            PerformedShare: ("clock", "by", "to"),
+            Obligation: ("clock", "verb", "allow", "by", "to", "origin"),
+        }[type(event)]
+        assert type(event).__match_args__ == names
+        values = tuple(getattr(event, name) for name in names)
+        assert hash(event) == hash(values)
+        twin = type(event)(*values)
+        assert twin == event and twin is not event
+        # an event equal to another but for its keys is still equal to it
+        object.__setattr__(twin, "_key", ())
+        assert twin == event and hash(twin) == hash(event)
 
 
 def test_merge_algebra_on_random_subsets():
@@ -750,7 +813,7 @@ def test_log_file_round_trip_on_random_logs(role, shift):
         doc_id, parsed = log_from_dict(log_to_dict(log, "d"))
         assert (doc_id, parsed) == ("d", log)
         check_log(parsed)
-        assert log._rows == parsed._rows
+        assert [(e._key, e._id) for e in parsed] == [(e._key, e._id) for e in log]
 
         broken = []
         if len(log) >= 2:

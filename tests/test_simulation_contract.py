@@ -3,21 +3,26 @@
 Hypothesis drives random create, edit, batch, share, deliver and audit
 steps over a few peers and documents, and runs each one on
 ``tests/oracle.py``'s reference engine too.  After every step each held
-and in-flight log must re-validate as a ``Log``, carry cached rows equal
-to its entries' keys and a key set (if any) holding their identities,
-exactly so at the log's size, and serialize to the reference engine's list; every clock, channel and comment set must match it; and
+and in-flight log must re-validate as a ``Log``, hold entries whose cached
+keys equal those of a freshly built equal event and a key set (if any)
+holding their identities, exactly so at the log's size, and serialize to
+the reference engine's list; every clock, channel and comment set must
+match it; and
 every audit must equal ``oracle_report`` over the reference engine's
 logs, order and trust included, and the same audit built over the full
 logs at once (``local_trust_assessment``); ``detect_violations`` in the
 other audit mode must equal the oracle's violations too.  The logs only
-grow: no held copy loses a row, each message on a channel holds every
-row of the one before it, a deliver leaves the recipient holding every
-row of the message, and the edits of an author that any copy holds are
+grow: no held copy loses an event, nor replaces one it held with a new
+object, each message on a channel holds every event of the one before
+it, a deliver leaves the recipient holding every event of the message,
+and the edits of an author that any copy holds are
 a clock prefix of those in the author's own copy.  The audit
 mode and trust model are reassigned between steps, as a caller may do.
 The machine's sizes are the ``machine`` hypothesis profile's, or the
 ``long`` one's under ``--hypothesis-profile=long`` (``tests/conftest.py``).
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -63,8 +68,9 @@ MODELS = (
 
 def check_log(log):
     Log(log.role, log.entries)  # raises unless sorted, distinct and of one role
-    if log.entries:
-        assert log._rows == tuple((sort_key(e), dedup_key(e), e) for e in log.entries)
+    for e in log.entries:
+        fresh = dataclasses.replace(e)  # an equal event whose keys are computed anew
+        assert (e._key, e._id) == (sort_key(fresh), dedup_key(fresh))
     held = identities(log)
     assert log._keys is None or log._keys >= held
     if log._keys is not None and len(log._keys) == len(log):
@@ -86,6 +92,7 @@ class SimulationMachine(RuleBasedStateMachine):
         self.oracle_model = model[1]
         self.oracle = {"clocks": {}, "held": {}, "queues": {}}
         self.held_ids = {}  # (peer, doc) -> its logs' identities after the last step
+        self.held_logs = {}  # (peer, doc) -> its logs after the last step
 
     @rule(mode=st.sampled_from(AuditMode), model=st.sampled_from(MODELS))
     def reconfigure(self, mode, model):
@@ -251,12 +258,19 @@ class SimulationMachine(RuleBasedStateMachine):
     @invariant()
     def held_copies_and_channels_only_grow(self):
         held_ids = {}
+        held_logs = {}
         for peer, doc in self.holders():
             state = self.sim.peer_state(peer, doc)
             held_ids[peer, doc] = identities(state.edit_log), identities(state.comm_log)
+            held_logs[peer, doc] = state.edit_log, state.comm_log
         for key, (edit, comm) in self.held_ids.items():
             assert edit <= held_ids[key][0] and comm <= held_ids[key][1]
+        # a derived log shares its parent's event objects
+        for key, logs in self.held_logs.items():
+            for before, after in zip(logs, held_logs[key]):
+                assert set(map(id, before)) <= set(map(id, after))
         self.held_ids = held_ids
+        self.held_logs = held_logs
         for channel in self.channels():
             messages = self.sim.pending(*channel)
             for before, after in zip(messages, messages[1:]):
