@@ -26,6 +26,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from . import kernel
@@ -39,6 +40,7 @@ from .events import (
     PerformedEdit,
     Verb,
     _VERB_RANK,
+    _arrived,
     _setters,
 )
 from .trust import (
@@ -272,7 +274,7 @@ class CopyAudit:
         if comm_log.role is not LogRole.COMM:
             raise MixedRolesError("second argument must be a communication log")
         creator = doc.creator if doc is not None else derive_creator(edit_log)
-        return cls(assessor, creator, mode, (*edit_log.entries, *comm_log.entries))
+        return cls(assessor, creator, mode, chain(_arrived(edit_log), _arrived(comm_log)))
 
     def _decide(
         self, by: str, verb: Verb, clock: int, to: str, forbid: Optional[Obligation]

@@ -19,8 +19,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     DuplicateEventError,
@@ -277,89 +278,204 @@ def _check(role: LogRole, entries: Iterable[Event]) -> None:
         previous = key
 
 
-@dataclass(frozen=True)
+class _Lineage:
+    """One append-only list of events, in the order they joined it.
+
+    Every log that reads the list is one of its prefixes, and a prefix
+    never changes, so all of them share it.  A log built by the
+    constructor starts a lineage over its entries tuple, which becomes a
+    list when a log first extends it.  ``keys`` is None or the identities
+    of every event in the list.  ``order`` is the first ``len(order)``
+    events in canonical order, the entries of the latest log that built
+    them, or a log whose entries they are (a fork's source, until a read
+    needs them): ``Log.entries`` builds forward from it.
+    """
+
+    __slots__ = ("events", "keys", "order")
+
+    def __init__(
+        self,
+        events: Union[list[Event], tuple[Event, ...]],
+        order: Union[tuple[Event, ...], "Log"] = (),
+    ):
+        self.events = events
+        self.keys: Optional[set] = None
+        self.order = order
+
+
 class Log:
     """An ordered, deduplicated sequence of events with a fixed role.
 
     Edit logs hold only performed edits; communication logs hold performed
     shares and obligations.  Entries must be in canonical order
     (``sort_key``) with distinct identities (``dedup_key``); the
-    constructor checks both.  Instances are immutable; mutating operations
-    return new logs, which share their parents' event objects.  Such an op
-    costs the events it adds plus a C-level copy of the rest (see
-    ``_spliced``).  The set of identities its duplicate check reads is a
-    private cache, shared down a lineage and valid while its size matches
-    the log's (``_keys_of``), so it changes no result.  Only this module
-    reads a log's private fields.
+    constructor takes a tuple of ``entries`` and checks both.  Instances
+    are immutable; mutating operations return new logs, which share their
+    parents' event objects.  Equality, hashing, ``repr``, pickling and
+    copying see the role and the entries alone.
+
+    How a log is stored is private to this module and changes no result.
+    A log is its role and a prefix of a lineage, one list of events in
+    arrival order (``_Lineage``).  Deriving a log appends the events it
+    adds to its parent's list when the parent is the list's head, and
+    otherwise first copies the parent's events into a new list
+    (``_extendable``), so an op costs the events it adds.  ``entries``
+    are built on first read and cached: forward from the lineage's sorted
+    cache, or by sorting an older log's prefix (``_sorted``).  A log's
+    identity set, which its duplicate check reads, is its lineage's, and
+    it holds exactly the log's identities while the log is the head.
     """
 
-    role: LogRole
-    entries: tuple[Event, ...] = ()
-    # The comment set an edit log replays to (``replay_comments``), built
-    # on first request.
-    _comments: Optional[frozenset[tuple[str, str]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # A superset of every entry's dedup_key, or None (see ``_keys_of``).
-    _keys: Optional[set] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_role", "_lineage", "_n", "_entries", "_comments")
+    __match_args__ = ("role", "entries")
 
-    def __post_init__(self):
-        _check(self.role, self.entries)
+    def __init__(self, role: LogRole, entries: Iterable[Event] = ()):
+        entries = tuple(entries)
+        _check(role, entries)
+        _init(self, role, _Lineage(entries, entries), len(entries), entries)
+
+    @property
+    def role(self) -> LogRole:
+        return self._role
 
     @classmethod
     def from_events(cls, role: LogRole, events: Iterable[Event]) -> "Log":
         """Build a log from events in any order, rejecting duplicates."""
         return cls(role, tuple(sorted(events, key=sort_key)))
 
+    @property
+    def entries(self) -> tuple[Event, ...]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = _sorted(self._lineage, self._n)
+        return entries
+
+    @property
+    def _keys(self) -> Optional[set]:
+        """The lineage's identity set, or None: a superset of the log's
+        identities, and exactly them while the log is the lineage's head."""
+        return self._lineage.keys
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def __iter__(self):
         return iter(self.entries)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.role, self.entries) == (other.role, other.entries)
 
-def _unchecked(role: LogRole, entries: tuple[Event, ...], keys: Optional[set] = None) -> Log:
-    """A log over entries that are already sorted, distinct and of ``role``.
+    def __hash__(self):
+        return hash((self.role, self.entries))
 
-    Skips the constructor's checks: every caller derives ``entries`` from
-    valid logs and keys only the events it adds.  ``keys``, when given,
-    must be the entries' identities.
-    """
-    log = object.__new__(Log)
-    object.__setattr__(log, "role", role)
-    object.__setattr__(log, "entries", entries)
-    object.__setattr__(log, "_keys", keys)
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(role={self.role!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.role, self.entries))
+
+
+def _init(
+    log: Log, role: LogRole, lineage: _Lineage, n: int, entries: Optional[tuple] = None
+) -> Log:
+    """Make ``log`` the first ``n`` events of ``lineage``; ``entries``,
+    when given, must be them in canonical order."""
+    log._role = role
+    log._lineage = lineage
+    log._n = n
+    log._entries = entries
+    log._comments = None
     return log
 
 
-def _keys_of(log: Log) -> set:
-    """``log``'s identities: its set, which starts equal to them and only
-    grows, while its size matches the log's; else a new set."""
-    keys = log._keys
-    if keys is not None and len(keys) == len(log.entries):
-        return keys
-    return set(map(_ID, log.entries))
+def _sorted(lineage: _Lineage, n: int) -> tuple[Event, ...]:
+    """The first ``n`` events of ``lineage``, in canonical order.
 
-
-def _spliced(log: Log, new: list[Event], keys: set) -> Log:
-    """``log`` plus ``new`` events, whose identities ``keys`` lacks.
-
-    ``keys`` is ``_keys_of(log)``.  Callers come here once every check
-    has passed: the set grows by the new identities, and the result
-    shares it with ``log``.  Bisection finds the span of ``log``'s entries
-    that the new events fall into, often none.  Only that span is sorted
-    with them; the entries around it are copied at C level.
+    When the lineage's sorted prefix is no longer than ``n`` events, the
+    events past it are sorted and merged into a copy of it, which becomes
+    the lineage's: they go at its end when they sort after it, and
+    otherwise bisection finds the span they fall into, and only that span
+    is sorted with them.  A shorter prefix is sorted on its own.
     """
-    keys.update(map(_ID, new))
-    new.sort(key=_KEY)
-    entries = log.entries
-    lo = hi = 0
-    if new:
-        lo = bisect_left(entries, new[0]._key, key=_KEY)
-        hi = bisect_left(entries, new[-1]._key, lo, key=_KEY)
-    out = list(entries)
-    out[lo:hi] = sorted((*entries[lo:hi], *new), key=_KEY)
-    return _unchecked(log.role, tuple(out), keys)
+    events, order = lineage.events, lineage.order
+    if order.__class__ is not tuple:
+        order = lineage.order = order.entries
+    ordered = len(order)
+    if n < ordered:
+        return tuple(sorted(events[:n], key=_KEY))
+    if n > ordered:
+        new = sorted(events[ordered:n], key=_KEY)
+        if order and new[0]._key < order[-1]._key:
+            lo = bisect_left(order, new[0]._key, key=_KEY)
+            hi = bisect_left(order, new[-1]._key, lo, key=_KEY)
+            new[:0] = order[lo:hi]
+            new.sort(key=_KEY)
+            order = order[:lo] + tuple(new) + order[hi:]
+        else:
+            order += tuple(new)
+        lineage.order = order
+    return order
+
+
+def _arrived(log: Log) -> Iterator[Event]:
+    """``log``'s events in arrival order, for readers that need no order."""
+    return islice(log._lineage.events, log._n)
+
+
+def _fork(log: Log) -> _Lineage:
+    """A new lineage of ``log``'s events, whose sorted prefix is ``log``'s
+    entries: the one place a log's list is copied."""
+    return _Lineage(log._lineage.events[: log._n], log._entries or log)
+
+
+def _detached(log: Log) -> Log:
+    """``log``, equal, over a lineage of its own."""
+    return _init(object.__new__(Log), log._role, _fork(log), log._n, log._entries)
+
+
+def _extendable(log: Log) -> _Lineage:
+    """The lineage a log derived from ``log`` appends to: ``log``'s own
+    when ``log`` is its head, and otherwise a fork of ``log``'s prefix."""
+    lineage = log._lineage
+    return lineage if log._n == len(lineage.events) else _fork(log)
+
+
+def _tip(log: Log) -> tuple[_Lineage, set]:
+    """``_extendable(log)``, and the identities of its events.
+
+    The set is the lineage's, or a new one when it has none yet;
+    ``_appended`` hands a new set to the lineage only once an op has
+    passed every check, so a rejected op changes neither.
+    """
+    lineage = _extendable(log)
+    keys = lineage.keys
+    if keys is None:
+        keys = set(map(_ID, lineage.events))
+    return lineage, keys
+
+
+def _appended(
+    role: LogRole, lineage: _Lineage, new: list[Event], keys: Optional[set] = None
+) -> Log:
+    """The new head of ``lineage``: its events and then ``new``.
+
+    The identities of ``new`` must be distinct and missing from the
+    lineage.  ``keys``, when given, is ``_tip``'s set of the lineage's
+    identities; without it, the lineage's own set, if it has one, is kept
+    up to date.
+    """
+    if keys is None:
+        keys = lineage.keys
+    if keys is not None:
+        keys.update(map(_ID, new))
+        lineage.keys = keys
+    events = lineage.events
+    if events.__class__ is tuple:
+        lineage.events = events = list(events)
+    events += new
+    return _init(object.__new__(Log), role, lineage, len(events))
 
 
 def empty_log(role: LogRole) -> Log:
@@ -375,42 +491,47 @@ def append_event(log: Log, event: Event) -> Log:
     log with an equal or later clock (own clocks must strictly increase
     when events are appended one at a time; the simulator stamps
     same-tick groups through a dedicated path instead).  A rejected
-    append leaves ``log``'s entries as they were.
+    append changes nothing, ``log``'s lineage and identity set included.
     """
-    appended = _insert_events(log, [event])
-    latest_own = max(
-        (e.clock for e in log.entries if e.by == event.by), default=0
-    )
+    lineage, keys = _tip(log)
+    new = _unheld(log._role, keys, [event])
+    latest_own = max((e.clock for e in _arrived(log) if e.by == event.by), default=0)
     if event.clock <= latest_own:
         raise OrderViolationError(
             f"{event.by} appended clock {event.clock} after own clock {latest_own}"
         )
-    return appended
+    return _appended(log._role, lineage, new, keys)
 
 
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:
     """Insert events at their sorted positions without order checks.
 
-    Still rejects duplicate identities, and a rejected insert leaves
-    ``log`` as it was, its key set included.  Used by the simulator for
-    groups of events stamped with one clock tick (a share plus its
-    obligations, or a batch of edits).
+    Still rejects duplicate identities, and a rejected insert changes
+    nothing, ``log``'s lineage and identity set included.  Used by the
+    simulator for groups of events stamped with one clock tick (a share
+    plus its obligations, or a batch of edits).
     """
-    keys = _keys_of(log)
-    edit = log.role is LogRole.EDIT
+    lineage, keys = _tip(log)
+    return _appended(log._role, lineage, _unheld(log._role, keys, events), keys)
+
+
+def _unheld(role: LogRole, keys: set, events: Iterable[Event]) -> list[Event]:
+    """``events`` as a list, if each is of ``role`` and its identity is
+    neither in ``keys`` nor repeated."""
+    edit = role is LogRole.EDIT
     new = []
     added = set()
     for event in events:
         identity = dedup_key(event)
         if isinstance(event, PerformedEdit) is not edit:
             raise MixedRolesError(
-                f"{type(event).__name__} does not belong in a {log.role.value} log"
+                f"{type(event).__name__} does not belong in a {role.value} log"
             )
         if identity in keys or identity in added:
             raise DuplicateEventError(f"duplicate event {event!r}")
         added.add(identity)
         new.append(event)
-    return _spliced(log, new, keys)
+    return new
 
 
 def merge_logs(local: Log, received: Log) -> Log:
@@ -422,7 +543,8 @@ def merge_logs(local: Log, received: Log) -> Log:
     grantee's receipt clock, and a peer must not have its settled copy
     rewritten by a late-arriving duplicate.  Returns ``local`` itself when
     ``received`` adds nothing, and ``received`` itself when ``local`` is
-    empty.
+    empty.  It costs one pass over ``received``'s events plus the events
+    it adds (see ``receive_log``).
 
     Merging is idempotent, and for logs whose shared identities carry
     identical events (the only case arising from normal exchange) it is
@@ -440,46 +562,108 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     performed events keep their clocks.  Origin keys are never touched,
     so identities survive.  Returns ``local`` itself when ``received``
     adds nothing, and ``received`` itself when ``local`` is empty and
-    nothing needs re-stamping.  Besides one pass over ``received``, it
-    costs the events it adds plus a C-level copy of ``local``'s; a new
-    result shares and grows ``local``'s set of identities, a private
-    cache (``_spliced``).
+    nothing needs re-stamping.  Besides one pass over ``received``'s
+    events, in arrival order, it costs the events it adds: a new result
+    appends them to ``local``'s lineage and identity set when ``local`` is
+    the lineage's head, and to a copy of ``local``'s otherwise (see
+    ``Log``).
     """
     return _received(local, received, receiver, clock)[0]
 
 
 def _received(
-    local: Log, received: Log, receiver: Optional[str], clock: int
+    local: Log, received: Log, receiver: Optional[str], clock: int, start: int = 0
 ) -> tuple[Log, list[Event]]:
-    """``receive_log``'s result, and the events it added to ``local``, in log order."""
-    if local.role is not received.role:
+    """``receive_log``'s result, and the events it added to ``local``.
+
+    Reads ``received``'s events in arrival order from the ``start``-th
+    on: ``local`` must hold the ones before (see ``_Channel.unread``).
+    """
+    role = local._role
+    if role is not received._role:
         raise MixedRolesError(
-            f"cannot merge a {received.role.value} log into a {local.role.value} log"
+            f"cannot merge a {received.role.value} log into a {role.value} log"
         )
-    keys = _keys_of(local)
-    new = [event for event in received.entries if event._id not in keys]
+    lineage, keys = _tip(local)
+    new = [e for e in received._lineage.events[start : received._n] if e._id not in keys]
     if not new:
         return local, new
     restamped = False
-    for i, event in enumerate(new):
-        if isinstance(event, Obligation) and event.to == receiver:
-            new[i] = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
-            restamped = True
-    if not local.entries and not restamped:
+    if receiver is not None and role is LogRole.COMM:  # an edit log holds no obligations
+        for i, event in enumerate(new):
+            if event.to == receiver and isinstance(event, Obligation):
+                new[i] = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
+                restamped = True
+    if not local._n and not restamped:
         return received, new
-    return _spliced(local, new, keys), new
+    return _appended(role, lineage, new, keys), new
 
 
-def _outbound(comm_log: Log, sender: str, recipient: str) -> Log:
+class _Channel:
+    """What one channel, from a sender to a recipient for one document,
+    has carried, so that a share or a deliver on it reads only what is new.
+
+    ``sent`` is the communication log of the channel's last share: the
+    sender's lineage ``source`` filtered up to its first ``read`` events
+    (``_outbound``).  The last message delivered on the channel carried
+    the first ``edit_n`` events of the lineage ``edit`` and ``comm_n`` of
+    ``comm``, which the recipient holds, since a copy only grows.
+    ``sent_back`` records that the sender holds a share from the
+    recipient, so it may share back without obligations.
+    """
+
+    __slots__ = ("sent", "source", "read", "edit", "edit_n", "comm", "comm_n", "sent_back")
+
+    def __init__(self):
+        self.sent: Optional[Log] = None
+        self.source: Optional[_Lineage] = None
+        self.read = 0
+        self.edit: Optional[_Lineage] = None
+        self.edit_n = 0
+        self.comm: Optional[_Lineage] = None
+        self.comm_n = 0
+        self.sent_back = False
+
+    def unread(self, edit_log: Log, comm_log: Log) -> tuple[int, int]:
+        """Where a deliver of these logs starts reading each: past the events
+        of the last delivered message when they extend its prefix of one
+        lineage, else at the first event."""
+        edit = self.edit_n if edit_log._lineage is self.edit and self.edit_n <= edit_log._n else 0
+        comm = self.comm_n if comm_log._lineage is self.comm and self.comm_n <= comm_log._n else 0
+        return edit, comm
+
+    def delivered(self, edit_log: Log, comm_log: Log) -> None:
+        """Mark these logs, of a message just delivered, as held by the recipient."""
+        self.edit, self.edit_n = edit_log._lineage, edit_log._n
+        self.comm, self.comm_n = comm_log._lineage, comm_log._n
+
+
+def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> Log:
     """What a share from ``sender`` to ``recipient`` carries of ``comm_log``.
 
     The recipient gets the full correspondence history relevant to it,
-    but not the sender's grants and shares to other peers.  Returns
-    ``comm_log`` itself when it keeps every event.
+    but not the sender's grants and shares to other peers.  That is
+    ``comm_log`` itself while it keeps every event.  When ``comm_log``
+    extends the prefix ``channel`` has filtered, only the events added
+    since are filtered, and those kept are appended to the channel's own
+    log; ``channel`` then records the result.
     """
-    entries = comm_log.entries
-    kept = tuple([e for e in entries if e.by != sender or e.to == recipient])
-    return comm_log if len(kept) == len(entries) else _unchecked(LogRole.COMM, kept)
+    lineage, n = comm_log._lineage, comm_log._n
+    start, out = 0, None
+    if channel.source is lineage and channel.read <= n:
+        start, out = channel.read, channel.sent
+    fresh = lineage.events[start:n]
+    kept = [e for e in fresh if e.by != sender or e.to == recipient]
+    if len(kept) == len(fresh) and (out is None or out._lineage is lineage):
+        out = comm_log
+    elif out is None:
+        out = _appended(LogRole.COMM, _Lineage([]), kept)
+    elif kept or out._lineage is lineage:
+        # the first drop forks ``out`` off the sender's lineage, even when
+        # nothing is kept, since that lineage goes on with the dropped event
+        out = _appended(LogRole.COMM, _extendable(out), kept)
+    channel.sent, channel.source, channel.read = out, lineage, n
+    return out
 
 
 @dataclass(frozen=True)
@@ -530,7 +714,7 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
             if own:
                 own.pop()
     comments = frozenset((author, cid) for author, ids in live.items() for cid in ids)
-    object.__setattr__(edit_log, "_comments", comments)
+    edit_log._comments = comments
     return comments
 
 

@@ -42,6 +42,9 @@ from .events import (
     Verb,
     _VERB_RANK,
     _VERB_BY_VALUE,
+    _Channel,
+    _arrived,
+    _detached,
     _insert_events,
     _outbound,
     _received,
@@ -158,6 +161,13 @@ class Simulation:
     and deliver and removed once empty.  A held copy that has been
     audited keeps its ``CopyAudit``, which queues the events each
     command adds to the copy once the command has succeeded.
+
+    Each channel also keeps a record of what it has carried
+    (``events._Channel``), so that an op reads only what is new on it: a
+    share filters only the sender's communication events added since the
+    channel's last share, and a deliver reads only the events of the
+    message past those of the channel's last delivered message, which the
+    recipient holds, since a copy only grows.
     """
 
     def __init__(
@@ -172,6 +182,7 @@ class Simulation:
         self._documents: set[str] = set()  # every doc id in ``_held``
         self._queues: dict[tuple[str, str, str], tuple[Message, ...]] = {}
         self._audits: dict[tuple[str, str], CopyAudit] = {}
+        self._channels: dict[tuple[str, str, str], _Channel] = {}
 
     # -- state access -------------------------------------------------
 
@@ -283,15 +294,20 @@ class Simulation:
         if recipient == sender:
             raise SelfShareError(f"{sender} cannot share {doc_id!r} with itself")
         atoms = _share_atoms(atoms)
-        if not atoms:
-            sent_back = any(
+        channel = (sender, recipient, doc_id)
+        link = self._channels.get(channel)
+        if link is None:
+            link = self._channels[channel] = _Channel()
+        if not atoms and not link.sent_back:
+            # a copy only grows, so a sender that may share back always may
+            if not any(
                 isinstance(e, PerformedShare) and e.by == recipient and e.to == sender
-                for e in state.comm_log
-            )
-            if not sent_back:
+                for e in _arrived(state.comm_log)
+            ):
                 raise MissingObligationError(
                     f"share from {sender} to {recipient} must carry obligations"
                 )
+            link.sent_back = True
         clock = self.clock(sender) + 1
         origin = OriginKey(sender, recipient, clock)
         new_events: list = [PerformedShare(clock, sender, recipient)]
@@ -300,8 +316,8 @@ class Simulation:
                 Obligation(clock, atom.verb, atom.allow, sender, recipient, origin)
             )
         comm_log = _insert_events(state.comm_log, new_events)
-        message = Message(state.creator, state.edit_log, _outbound(comm_log, sender, recipient))
-        channel = (sender, recipient, doc_id)
+        outbound = _outbound(comm_log, sender, recipient, link)
+        message = Message(state.creator, state.edit_log, outbound)
         self._clocks[sender] = clock
         self._hold(PeerDocState(sender, doc_id, state.edit_log, comm_log, state.creator), new_events)
         self._queues[channel] = self._queues.get(channel, ()) + (message,)
@@ -333,8 +349,19 @@ class Simulation:
                 empty_log(LogRole.COMM),
                 message.creator,
             )
-        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0)
-        comm_log, new_comm = _received(state.comm_log, message.comm_log, recipient, clock)
+        link = self._channels[channel]
+        edit_from, comm_from = link.unread(message.edit_log, message.comm_log)
+        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0, edit_from)
+        comm_log, new_comm = _received(
+            state.comm_log, message.comm_log, recipient, clock, comm_from
+        )
+        # A copy received into empty logs gets lineages of its own, or it
+        # and the sender would extend one list (``events._extendable``).
+        if edit_log is message.edit_log:
+            edit_log = _detached(edit_log)
+        if comm_log is message.comm_log:
+            comm_log = _detached(comm_log)
+        link.delivered(message.edit_log, message.comm_log)
         if len(queue) > 1:
             self._queues[channel] = queue[1:]
         else:

@@ -18,6 +18,27 @@ settings.register_profile("machine", max_examples=30, stateful_step_count=40, de
 settings.register_profile("long", max_examples=100, stateful_step_count=200, deadline=None)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--large", action="store_true", help="run the tests marked large, which Tier-1 skips"
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "large: a whole large scenario against the reference engine (needs --large)"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--large"):
+        return
+    skip = pytest.mark.skip(reason="a large scenario; run with --large")
+    for item in items:
+        if "large" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture()
 def paper_scenario():
     with open(SCENARIOS / "paper_example.json", encoding="utf-8") as handle:

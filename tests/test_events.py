@@ -33,7 +33,7 @@ from logtrust import (
     run_scenario,
     sort_key,
 )
-from logtrust.events import _insert_events
+from logtrust.events import _Channel, _insert_events, _outbound, _received
 from oracle import _canonical, _same_event, oracle_receive
 
 ORG = OriginKey("P1", "P2", 2)
@@ -387,13 +387,136 @@ def test_a_rejected_insert_leaves_the_log_and_its_key_set():
             with pytest.raises(error):
                 append_event(log, event)
             assert log.entries == (obl(2), share)
-            assert log._keys is keys
+            assert log._keys is keys and (keys is None or keys == held)
             check_log(log)
-        # the stale append's identity may have grown the set, yet the log
-        # does not count it as held
+        # the stale append added nothing, so the event may still go in
         late = _insert_events(log, [PerformedShare(2, "P1", "P3")])
         assert late.entries == (obl(2), share, PerformedShare(2, "P1", "P3"))
         check_log(late)
+
+
+def test_a_rejected_append_leaves_the_lineage_for_the_next_op():
+    first, second = PerformedEdit(1, Verb.READ, "P1"), PerformedEdit(2, Verb.READ, "P1")
+    log = _insert_events(empty_log(LogRole.EDIT), [first, second])
+    lineage, keys = log._lineage, log._keys
+    for stale in (PerformedEdit(2, Verb.COMMENT, "P1"), PerformedEdit(1, Verb.COMMENT, "P1")):
+        with pytest.raises(OrderViolationError):
+            append_event(log, stale)
+        assert lineage.events == [first, second]
+        assert keys == {dedup_key(first), dedup_key(second)}
+    # the next op appends to the same list and grows the same set: it
+    # neither forks nor rebuilds, as if the rejected calls never happened
+    third = PerformedEdit(3, Verb.READ, "P1")
+    appended = append_event(log, third)
+    assert appended._lineage is lineage and appended._keys is keys
+    assert lineage.events == [first, second, third] and len(keys) == 3
+    check_log(appended)
+
+
+def test_log_takes_a_tuple_of_its_entries():
+    first, second = PerformedEdit(1, Verb.READ, "P1"), PerformedEdit(2, Verb.READ, "P1")
+    events = [first, second]
+    log = Log(LogRole.EDIT, events)
+    assert log.entries == (first, second) and type(log.entries) is tuple
+    assert log == Log(LogRole.EDIT, (first, second))
+    assert hash(log) == hash(Log(LogRole.EDIT, (first, second)))
+    # the caller's list is not the log's: changing it after the check
+    # cannot reorder or grow the log
+    events.reverse()
+    events.append(PerformedEdit(3, Verb.READ, "P1"))
+    assert log.entries == (first, second) and len(log) == 2
+    Log(LogRole.EDIT, log.entries)  # still passes its own check
+    assert Log(LogRole.EDIT, iter([first])).entries == (first,)
+
+
+def test_a_log_is_immutable():
+    log = Log(LogRole.EDIT, (PerformedEdit(1, Verb.READ, "P1"),))
+    for name in ("role", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(log, name, None)
+        with pytest.raises(AttributeError):
+            delattr(log, name)
+    with pytest.raises(AttributeError):
+        log.size = 2  # a log has no attributes besides its own
+    match log:
+        case Log(LogRole.EDIT, entries):
+            assert entries == log.entries
+        case _:
+            raise AssertionError("a log matches on its role and entries")
+    assert repr(log) == (
+        "Log(role=<LogRole.EDIT: 'edit'>, entries=(PerformedEdit(clock=1,"
+        " verb=<Verb.READ: 'read'>, by='P1'),))"
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(1, 6), st.sampled_from(RECEIVE_PEERS)),
+        max_size=16,
+    )
+)
+def test_every_version_of_a_lineage_reads_its_own_entries(steps):
+    # Versions are derived from earlier ones at random, so some extend
+    # their lineage and some fork; each reads its entries in a random
+    # order, forward from the lineage's sorted cache or behind it.
+    versions = [(empty_log(LogRole.EDIT), [])]
+    for pick, clock, by in steps:
+        base, events = versions[pick % len(versions)]
+        event = PerformedEdit(clock, Verb.READ, by)
+        if event in events:
+            continue
+        versions.append((_insert_events(base, [event]), [*events, event]))
+    for pick, _, _ in reversed(steps):
+        log, events = versions[pick % len(versions)]
+        assert log.entries == Log.from_events(LogRole.EDIT, events).entries
+        assert len(log) == len(events)
+    for log, events in versions:
+        assert log == Log.from_events(LogRole.EDIT, events)
+        check_log(log)
+
+
+def test_a_deliver_reads_past_the_last_message_only_on_its_lineage():
+    a1, a2, a3 = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
+    b1, b2 = (PerformedEdit(c, Verb.READ, "P2") for c in (1, 2))
+    since = _insert_events(empty_log(LogRole.EDIT), [a1, a2])
+    later = _insert_events(since, [a3])
+    comm = empty_log(LogRole.COMM)
+    channel = _Channel()
+    assert channel.unread(later, comm) == (0, 0)  # nothing delivered yet
+    channel.delivered(since, comm)
+    assert channel.unread(later, comm) == (2, 0)
+    assert channel.unread(Log.from_events(LogRole.EDIT, [a1, a2, b2]), comm) == (0, 0)
+    channel.delivered(later, comm)
+    assert channel.unread(since, comm) == (0, 0)  # the mark is past ``since``
+    # ``local`` lacks a1 and a2, so what a receive adds shows what it read
+    local = Log(LogRole.EDIT, (b1,))
+    assert _received(local, later, None, 0, 2)[1] == [a3]
+    assert sorted(_received(local, later, None, 0)[1], key=sort_key) == [a1, a2, a3]
+
+
+def test_an_outbound_filters_only_what_its_source_added():
+    grant = obl(2, by="P1", to="P3", share_clock=2)  # to a third peer: dropped
+    theirs = obl(3, by="P2", to="P1", share_clock=3)
+    events = [PerformedShare(1, "P1", "P2"), obl(1, by="P1", to="P2", share_clock=1)]
+    comm = _insert_events(empty_log(LogRole.COMM), events)
+    channel = _Channel()
+    assert _outbound(comm, "P1", "P2", channel) is comm  # nothing dropped: the sender's own
+    grown = _insert_events(comm, [grant, PerformedShare(2, "P1", "P3"), theirs])
+    assert _outbound(grown, "P1", "P2", channel).entries == (*comm.entries, theirs)
+    # a record of another lineage is no shortcut
+    other = Log.from_events(LogRole.COMM, [grant, theirs])
+    assert _outbound(other, "P1", "P2", channel).entries == (theirs,)
+    # nor is one that has read past an older log of its lineage
+    _outbound(grown, "P1", "P2", channel)
+    assert _outbound(comm, "P1", "P2", channel) is comm
+    # a drop with nothing kept still ends the channel's use of the sender's log
+    base = _insert_events(empty_log(LogRole.COMM), events)
+    channel = _Channel()
+    assert _outbound(base, "P1", "P2", channel) is base
+    dropped = _insert_events(base, [grant])
+    assert _outbound(dropped, "P1", "P2", channel).entries == base.entries
+    later = _insert_events(dropped, [theirs])
+    assert _outbound(later, "P1", "P2", channel).entries == (*base.entries, theirs)
 
 
 def test_copies_and_the_original_derive_alike():
