@@ -55,13 +55,20 @@ def _dumps(obj: Any, shared: AbstractSet[int] = frozenset()) -> str:
     """Render ``obj`` as ``json.dumps`` does with ``indent=2``.
 
     Dict keys must be strings.  CPython's C encoder does not run with
-    ``indent`` before 3.13, and a trace holds the same log and state
-    objects in many snapshots, so each container whose id is in
-    ``shared`` is rendered once per depth (the indent depends on the
-    depth) and its text reused.  ``shared`` must name only containers
-    that stay alive and unchanged while ``obj`` is written.
+    ``indent`` before 3.13, and a trace holds the same log, state and
+    message objects in many snapshots, so each container whose id is in
+    ``shared`` is rendered once, at the depth where it is first met, and
+    its text reused.  At another depth the text differs only in its
+    indent: each ``"\\n"`` gains (or loses) two spaces per level, which
+    one ``str.replace`` does.  That rewrites nothing else, because a
+    raw newline in the text only ever opens an indented line: strings
+    are written through ``encode_basestring_ascii``, which escapes every
+    control character, and a text rendered at depth ``a`` indents every
+    line by at least ``2 * a`` spaces.  ``shared`` must name only
+    containers that stay alive and unchanged while ``obj`` is written.
     """
-    texts: dict[tuple[int, int], str] = {}
+    # Per shared container, the depth it was first met at and its text there.
+    texts: dict[int, tuple[int, str]] = {}
     # Per depth, the newline and indent that open its lines.
     newlines: list[str] = []
     # Per dict key, its text with the ": " that follows it.
@@ -87,11 +94,18 @@ def _dumps(obj: Any, shared: AbstractSet[int] = frozenset()) -> str:
             if id(o) not in shared:
                 container(o, depth, out)
                 return
-            text = texts.get((id(o), depth))
-            if text is None:
+            entry = texts.get(id(o))
+            if entry is None:
                 parts: list[str] = []
                 container(o, depth, parts)
-                text = texts[id(o), depth] = "".join(parts)
+                text = "".join(parts)
+                texts[id(o)] = (depth, text)
+            else:
+                first, text = entry
+                if first < depth:
+                    text = text.replace("\n", "\n" + "  " * (depth - first))
+                elif first > depth:
+                    text = text.replace("\n" + "  " * (first - depth), "\n")
             out.append(text)
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -578,21 +578,40 @@ def _state_dicts(
 def _queue_dicts(
     pending: tuple[Channel, ...], memo: dict[Any, Any], shared: set[int]
 ) -> list[dict]:
-    return [
-        {
-            "from": sender,
-            "to": recipient,
-            "doc": doc_id,
-            "messages": [
-                {
-                    "edit": _event_dicts(m.edit_log, memo, shared),
-                    "comm": _event_dicts(m.comm_log, memo, shared),
-                }
-                for m in messages
-            ],
+    """One dict per non-empty channel, and one per message per memo.
+
+    The engine replaces a channel's messages tuple whenever the channel
+    changes, so a channel with the same tuple object as in an earlier
+    call gets that call's dict.  The id of every dict handed out again
+    is added to ``shared``.
+    """
+    out = []
+    for channel, messages in pending:
+        key = (channel, id(messages))
+        data = memo.get(key)
+        if data is None:
+            data = memo[key] = {
+                "from": channel[0],
+                "to": channel[1],
+                "doc": channel[2],
+                "messages": [_message_dict(m, memo, shared) for m in messages],
+            }
+        else:
+            shared.add(id(data))
+        out.append(data)
+    return out
+
+
+def _message_dict(message: Message, memo: dict[Any, Any], shared: set[int]) -> dict:
+    data = memo.get(id(message))
+    if data is None:
+        data = memo[id(message)] = {
+            "edit": _event_dicts(message.edit_log, memo, shared),
+            "comm": _event_dicts(message.comm_log, memo, shared),
         }
-        for (sender, recipient, doc_id), messages in pending
-    ]
+    else:
+        shared.add(id(data))
+    return data
 
 
 @dataclass(frozen=True)
@@ -645,11 +664,12 @@ class ScenarioTrace:
     def to_dict_and_shared(self) -> tuple[dict[str, Any], set[int]]:
         """The trace as JSON-ready data, and the ids of its shared containers.
 
-        Each event, log and held copy is serialized once per call: every
-        place an event appears holds the same dict, every place a log
-        appears the same list, and a held copy unchanged from an earlier
-        snapshot the same state dict.  The set holds the id of each of
-        those dicts and lists that the data reaches more than once.
+        Each event, log, message and held copy is serialized once per
+        call: every place an event or message appears holds the same
+        dict, every place a log appears the same list, and a held copy
+        or channel unchanged from an earlier snapshot the same dict.  The
+        set holds the id of each of those dicts and lists that the data
+        reaches more than once.
         """
         memo: dict[Any, Any] = {}
         shared: set[int] = set()

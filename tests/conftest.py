@@ -26,7 +26,7 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "large: a whole large scenario against the reference engine (needs --large)"
+        "markers", "large: a whole large scenario, too slow for Tier-1 (needs --large)"
     )
 
 

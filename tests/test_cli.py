@@ -422,7 +422,9 @@ def test_dumps_matches_json_dumps_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
     # one sub-object aliased at several depths and twice at the same depth
     aliased = {"a": value, "b": [value, {"c": value}], "d": (value, value), "e": [value]}
-    for obj in (aliased, [aliased, aliased]):
+    # ... and met first at a depth deeper than a later one
+    deep_first = [{"deep": [[value]], "top": value}, [[[value]], [value], value]]
+    for obj in (aliased, [aliased, aliased], *deep_first):
         expected = json.dumps(obj, indent=2)
         assert _dumps(obj) == expected
         assert _dumps(obj, shared_containers(obj)) == expected
@@ -502,6 +504,44 @@ def test_to_dict_shares_unchanged_held_copies(paper_scenario):
             assert (state is old_state) == unchanged
             shared += unchanged
     assert shared > 0
+
+
+@pytest.mark.parametrize("mode", ["prose", "literal"])
+def test_to_dict_shares_messages_and_unchanged_channels(paper_scenario, mode):
+    # each message is one dict wherever it is pending, and a channel keeps
+    # its dict exactly while its messages tuple is the same object
+    scenarios = [paper_scenario] + [generate_scenario(seed) for seed in range(60)]
+    reused = 0
+    for k, scenario in enumerate(scenarios):
+        trace = run_scenario(scenario, mode=AuditMode(mode))
+        message_dicts = {}
+        before = {}
+        for snapshot, data in zip(trace.snapshots, trace.to_dict()["snapshots"]):
+            now = {}
+            for (channel, messages), queue in zip(snapshot.pending, data["queues"]):
+                assert len(queue["messages"]) == len(messages), k
+                for message, message_data in zip(messages, queue["messages"]):
+                    assert message_dicts.setdefault(id(message), message_data) is message_data, k
+                if channel in before:
+                    old_messages, old_queue = before[channel]
+                    assert (queue is old_queue) == (messages is old_messages), k
+                    reused += messages is old_messages
+                now[channel] = (messages, queue)
+            before = now
+    assert reused > 0
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("mode", ["prose", "literal"])
+def test_run_json_output_equals_json_dumps_on_large_scenarios(mode, tmp_path, capsys):
+    # messages carry long logs here, so many logs and events first met in
+    # a held copy are re-indented where a message carries them
+    for seed in range(3):
+        scenario = generate_scenario(seed, max_peers=8, max_commands=200)
+        path = write_json(tmp_path / f"{seed}.json", scenario)
+        assert main(["run", path, "--format", "json", "--mode", mode]) == 0
+        expected = json.dumps(run_scenario(scenario, mode=AuditMode(mode)).to_dict(), indent=2)
+        assert capsys.readouterr().out == expected + "\n", seed
 
 
 # SHA-256 over the exit code and stdout of ``run`` (both formats and modes)
