@@ -11,7 +11,8 @@ engine is fully deterministic, so one scenario always yields one trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .audit import (
@@ -403,6 +404,13 @@ _FIELDS = {
     "deliver": ("from", "to", "doc_id"),
     "audit": ("peer", "doc_id"),
 }
+# The key sets each op accepts: ``op`` and its fields, and for an edit or a
+# batch also with ``ignore_obligations``.
+_KEYS = {
+    op: (frozenset({"op", *fields}),)
+    + ((frozenset({"op", "ignore_obligations", *fields}),) if op in ("edit", "batch") else ())
+    for op, fields in _FIELDS.items()
+}
 
 
 def _verb(value: Any, allowed: frozenset[Verb], what: str) -> Verb:
@@ -429,14 +437,12 @@ def parse_command(data: Any) -> dict[str, Any]:
     fields = _FIELDS.get(op) if isinstance(op, str) else None
     if fields is None:
         raise ValueError(f"unknown op {op!r}; expected one of {', '.join(_FIELDS)}")
-    keys = data.keys() - {"op"}
-    missing = set(fields) - keys
-    if missing:
-        raise ValueError(f"{op} requires fields {sorted(missing)}")
-    extra = keys - set(fields)
-    if op in ("edit", "batch"):
-        extra.discard("ignore_obligations")
-    if extra:
+    if data.keys() not in _KEYS[op]:
+        keys = data.keys() - {"op"}
+        missing = set(fields) - keys
+        if missing:
+            raise ValueError(f"{op} requires fields {sorted(missing)}")
+        extra = keys - _KEYS[op][-1]  # the widest key set the op accepts
         raise ValueError(f"{op} does not accept fields {sorted(extra)}")
     command: dict[str, Any] = {"op": op}
     if op == "batch":
@@ -506,15 +512,15 @@ def parse_scenario(data: Any) -> tuple[str, tuple[dict[str, Any], ...]]:
         or not all(isinstance(p, str) and p for p in declared)
     ):
         raise ScenarioError("peers must be an array of non-empty strings")
+    known = None if declared is None else set(declared)
     commands = []
     for i, raw in enumerate(raw_commands):
         try:
             command = parse_command(raw)
         except ValueError as exc:
             raise ScenarioError(str(exc), index=i) from None
-        if declared is not None:
-            used = {command[k] for k in ("peer", "from", "to") if k in command}
-            unknown = used - set(declared)
+        if known is not None:
+            unknown = {command[k] for k in ("peer", "from", "to") if k in command} - known
             if unknown:
                 raise ScenarioError(
                     f"undeclared peer(s) {sorted(unknown)}", index=i
@@ -614,25 +620,90 @@ def _message_dict(message: Message, memo: dict[Any, Any], shared: set[int]) -> d
     return data
 
 
-@dataclass(frozen=True)
+class _History:
+    """The engine state after each command of one run, kept as changes.
+
+    ``copies[k]`` is the held copy that command ``k`` changed, or None,
+    and ``channels[k]`` the channel it changed, as ``((from, to, doc),
+    messages)`` with messages None once the channel is empty, or None.
+    ``built`` maps an index to its ``(held, pending)`` tuples: the
+    checkpoints ``run_scenario`` stores, and every state read since.
+    """
+
+    __slots__ = ("copies", "channels", "built")
+
+    def __init__(self) -> None:
+        self.copies: list[Optional[PeerDocState]] = []
+        self.channels: list[Optional[tuple]] = []
+        self.built: dict[int, tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]] = {}
+
+    def state(self, k: int) -> tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]:
+        """``(held, pending)`` after command ``k``, built on first read: by
+        patching the previous state, or else by bringing the nearest earlier
+        built state forward through dicts and sorting once."""
+        built = self.built.get(k)
+        if built is not None:
+            return built
+        base = k - 1
+        while base not in self.built:
+            base -= 1
+        held, pending = self.built[base]
+        if base == k - 1:
+            copy, channel = self.copies[k], self.channels[k]
+            if copy is not None:
+                held = _patched(held, copy[:2], copy)
+            if channel is not None:
+                pending = _patched(pending, channel[:1], None if channel[1] is None else channel)
+        else:
+            copies = {state[:2]: state for state in held}
+            channels = dict(pending)
+            for i in range(base + 1, k + 1):
+                copy, channel = self.copies[i], self.channels[i]
+                if copy is not None:
+                    copies[copy[:2]] = copy
+                if channel is not None:
+                    channels[channel[0]] = channel[1]
+            held = tuple(sorted(copies.values()))
+            pending = tuple(sorted(item for item in channels.items() if item[1] is not None))
+        built = self.built[k] = (held, pending)
+        return built
+
+
+def _patched(items: tuple, key: tuple, item: Any) -> tuple:
+    """``items``, sorted by unique keys, with the item whose key starts
+    with ``key`` replaced by ``item``, or ``item`` inserted in key order,
+    or that item dropped when ``item`` is None."""
+    i = bisect_left(items, key)  # ``key`` sorts just before its own item
+    found = i < len(items) and items[i][: len(key)] == key
+    return items[:i] + ((item,) if item is not None else ()) + items[i + found :]
+
+
+@dataclass(frozen=True, eq=False)
 class CommandSnapshot:
     """Full engine state right after one command.
 
-    ``command`` is the command as ``parse_command`` returned it.  Held
-    copies, logs and channels are immutable, so the snapshot keeps
-    references to them: ``held`` has the engine's ``PeerDocState`` record
-    of each held copy, ``pending`` the engine's ``((from, to, doc),
-    messages)`` item of each non-empty channel, both sorted.  ``states``
-    and ``queues`` serialize them on each access.  ``report`` is the
-    audit report of an audit command.
+    ``command`` is the command as ``parse_command`` returned it, and
+    ``report`` the audit report of an audit command.  ``held`` has the
+    engine's ``PeerDocState`` record of each held copy and ``pending``
+    the ``((from, to, doc), messages)`` item of each non-empty channel,
+    both in key order; ``states`` and ``queues`` serialize them.  The run
+    stores only what each command changed, and builds ``held`` and
+    ``pending`` on first read (``_History.state``).
     """
 
     index: int
     command: dict[str, Any]
     clock: int
-    held: tuple[PeerDocState, ...]
-    pending: tuple[Channel, ...]
-    report: Optional[AuditReport] = None
+    report: Optional[AuditReport]
+    _history: _History = field(repr=False)
+
+    @property
+    def held(self) -> tuple[PeerDocState, ...]:
+        return self._history.state(self.index)[0]
+
+    @property
+    def pending(self) -> tuple[Channel, ...]:
+        return self._history.state(self.index)[1]
 
     @property
     def states(self) -> tuple[dict[str, Any], ...]:
@@ -641,6 +712,13 @@ class CommandSnapshot:
     @property
     def queues(self) -> tuple[dict[str, Any], ...]:
         return tuple(_queue_dicts(self.pending, {}, set()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.command, self.clock, self.held, self.pending, self.report) == (
+            other.index, other.command, other.clock, other.held, other.pending, other.report
+        )
 
 
 @dataclass(frozen=True)
@@ -734,21 +812,31 @@ def run_scenario(
     name, commands = parse_scenario(data)
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
+    history, changes = _History(), 0
     for i, command in enumerate(commands):
         try:
             clock, report = apply_command(sim, command)
         except (LogTrustError, ValueError) as exc:
             raise ScenarioError(str(exc), index=i) from exc
-        snapshots.append(
-            CommandSnapshot(
-                index=i,
-                command=command,
-                clock=clock,
-                held=tuple(sorted(sim._held.values())),
-                pending=tuple(sorted(sim._queues.items())),
-                report=report,
-            )
-        )
+        copy = channel = None
+        op = command["op"]
+        if op == "share" or op == "deliver":
+            key = (command["from"], command["to"], command["doc_id"])
+            channel = (key, sim._queues.get(key))
+            copy = sim._held[key[0] if op == "share" else key[1], key[2]]
+            changes += 2
+        elif op != "audit":
+            copy = sim._held[command["peer"], command["doc_id"]]
+            changes += 1
+        history.copies.append(copy)
+        history.channels.append(channel)
+        # Checkpoint once the changes since the last one exceed the state's
+        # size by 64: checkpoints then store fewer items than the changes,
+        # and a small state is not copied every few commands.
+        if i == 0 or changes >= len(sim._held) + len(sim._queues) + 64:
+            history.built[i] = (tuple(sorted(sim._held.values())), tuple(sorted(sim._queues.items())))
+            changes = 0
+        snapshots.append(CommandSnapshot(i, command, clock, report, history))
     return ScenarioTrace(
         name=name,
         mode=mode,

@@ -3,12 +3,14 @@
 Everything here works on serialized event dicts and deliberately shares
 no code with the library: candidate filtering is re-derived from the
 rules with plain list comprehensions, and ``oracle_engine`` keeps each
-held log as a plain list that it re-sorts after every op and scans
-linearly for duplicates, so a bug in the library kernel or log model
-cannot hide in the oracle.
+held log as a plain list that it re-sorts after every op, and finds
+duplicates by comparing events' JSON text, so a bug in the library kernel
+or log model cannot hide in the oracle.
 """
 
 from __future__ import annotations
+
+import json
 
 
 def _oracle_found(edit_events, comm_events, creator, mode):
@@ -168,20 +170,29 @@ def _canonical(e):
     )
 
 
+def _identity(e):
+    """An event's identity as text: its JSON, an obligation's with clock 0.
+
+    Two events are one when their identities are equal: equal events, or
+    obligations equal apart from their clock.
+    """
+    if e["kind"] == "obligation":
+        e = {**e, "clock": 0}
+    return json.dumps(e, sort_keys=True)
+
+
 def _same_event(a, b):
-    """One identity: equal events, or obligations equal apart from their clock."""
-    if a["kind"] == b["kind"] == "obligation":
-        return {**a, "clock": 0} == {**b, "clock": 0}
-    return a == b
+    return _identity(a) == _identity(b)
 
 
 def oracle_receive(local, incoming, receiver, clock):
-    """``local`` plus every incoming event it lacks (a linear scan per event),
-    the obligations among those addressed to ``receiver`` re-stamped with
-    ``clock``, re-sorted."""
+    """``local`` plus every incoming event it lacks (looked up in a set of
+    ``local``'s identities), the obligations among those addressed to
+    ``receiver`` re-stamped with ``clock``, re-sorted."""
+    held = {_identity(x) for x in local}
     merged = list(local)
     for e in incoming:
-        if not any(_same_event(e, x) for x in local):
+        if _identity(e) not in held:
             if e["kind"] == "obligation" and e["to"] == receiver:
                 e = {**e, "clock": clock}
             merged.append(e)

@@ -1,15 +1,19 @@
 """Reference snapshots against an eager capture of the engine state.
 
-``run_scenario`` keeps references to the immutable logs and messages
-after each command and serializes them only when asked.
-``EagerCapture`` is an independent reference: it serializes the whole
-engine state right after each command, with comment sets from the
-oracle's own replay.  The trace is compared with it only after the run
-has finished, so the comparison also shows that later commands never
-alter an earlier snapshot.
+``run_scenario`` keeps, per command, only the held copy and channel the
+command changed, and builds a snapshot's ``held`` and ``pending`` when
+they are first read.  ``EagerCapture`` is an independent reference: it
+serializes the whole engine state right after each command, read through
+public engine calls, with comment sets from the oracle's own replay.  The
+trace is compared with it only after the run has finished, so the
+comparison also shows that later commands never alter an earlier
+snapshot.
 """
 
 import hashlib
+import json
+
+import pytest
 
 from logtrust import (
     Simulation,
@@ -23,6 +27,7 @@ from logtrust import simulator
 from logtrust.cli import _dumps
 from logtrust.simulator import apply_command
 from oracle import oracle_comments
+from test_large_logs import PREFIX, interleaved
 
 # SHA-256 over the JSON text (``cli._dumps``) of the traces of generated
 # scenarios 0-199, in seed order.
@@ -30,80 +35,147 @@ TRACES_SHA256 = "03b3f74282720dcf2e8b466f27ba9582fdfab1d521fdd33ea12f9a9ac6309b3
 
 
 class EagerCapture:
-    """Serializes the engine state right after a command.
+    """Serializes held copies and channels.
 
-    Each log is serialized when first seen and the result is reused while
-    the capture keeps the log alive, so a log changed in place after its
-    first capture would no longer match the trace.
+    Each log, and the comment set of each edit log, is serialized when
+    first seen and the result is reused while the capture keeps the log
+    alive, so a log changed in place after its first capture would no
+    longer match the trace.  Logs with equal events share one list, so
+    that comparing them is cheap.
     """
 
     def __init__(self):
         self._logs = {}
+        self._lists = {}
+        self._comments = {}
 
     def events(self, log):
         if id(log) not in self._logs:
-            self._logs[id(log)] = (log, [event_to_dict(e) for e in log])
+            events = [event_to_dict(e) for e in log]
+            digest = hashlib.sha256(json.dumps(events).encode()).digest()
+            self._logs[id(log)] = (log, self._lists.setdefault(digest, events))
         return self._logs[id(log)][1]
 
-    def states(self, sim):
+    def comments(self, log):
+        if id(log) not in self._comments:
+            self._comments[id(log)] = oracle_comments(self.events(log))
+        return self._comments[id(log)]
+
+    def engine(self, sim, peers):
+        """The states and queues of every held copy and every non-empty
+        channel among ``peers``, which must name every recipient."""
+        docs = sim.documents()
+        held = [sim.peer_state(p, d) for p in sim.peers() for d in docs if sim.holds(p, d)]
+        pending = [
+            ((sender, recipient, doc_id), sim.pending(sender, recipient, doc_id))
+            for sender in peers
+            for recipient in peers
+            for doc_id in docs
+            if sim.pending(sender, recipient, doc_id)
+        ]
+        return self.states(held), self.queues(pending)
+
+    def states(self, held):
         return tuple(
             {
-                "peer": peer,
-                "doc": doc_id,
+                "peer": state.peer,
+                "doc": state.doc_id,
                 "edit": self.events(state.edit_log),
                 "comm": self.events(state.comm_log),
-                "comments": oracle_comments(self.events(state.edit_log)),
+                "comments": self.comments(state.edit_log),
             }
-            for peer in sim.peers()
-            for doc_id in sim.documents()
-            if sim.holds(peer, doc_id)
-            for state in [sim.peer_state(peer, doc_id)]
+            for state in held
         )
 
-    def queues(self, sim, peers):
-        """Every non-empty channel among ``peers``, which must name every recipient."""
-        out = []
-        for sender in peers:
-            for recipient in peers:
-                for doc_id in sim.documents():
-                    messages = sim.pending(sender, recipient, doc_id)
-                    if not messages:
-                        continue
-                    out.append(
-                        {
-                            "from": sender,
-                            "to": recipient,
-                            "doc": doc_id,
-                            "messages": [
-                                {"edit": self.events(m.edit_log), "comm": self.events(m.comm_log)}
-                                for m in messages
-                            ],
-                        }
-                    )
-        return tuple(out)
+    def queues(self, pending):
+        return tuple(
+            {
+                "from": sender,
+                "to": recipient,
+                "doc": doc_id,
+                "messages": [
+                    {"edit": self.events(m.edit_log), "comm": self.events(m.comm_log)}
+                    for m in messages
+                ],
+            }
+            for (sender, recipient, doc_id), messages in pending
+        )
+
+
+# The orders in which snapshots are read: each order reads a fresh trace,
+# so a read that finds no earlier snapshot built starts from a checkpoint.
+READ_ORDERS = {
+    "front to back": lambda n: range(n),
+    "back to front": lambda n: reversed(range(n)),
+    "last alone": lambda n: [n - 1],
+}
+
+
+def check_snapshots(data, where):
+    """Every snapshot of ``data``'s trace, read in each of ``READ_ORDERS``
+    and serialized by ``to_dict``, equals the eager capture."""
+    _, commands = parse_scenario(data)
+    sim = Simulation()
+    capture = EagerCapture()
+    names = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
+    eager = []
+    for command in commands:
+        apply_command(sim, command)
+        eager.append(capture.engine(sim, names))
+
+    serialized = run_scenario(data).to_dict()["snapshots"]
+    assert len(serialized) == len(eager), where
+    for k, (states, queues) in enumerate(eager):
+        assert serialized[k]["states"] == list(states), (where, k)
+        assert serialized[k]["queues"] == list(queues), (where, k)
+    for order, read in READ_ORDERS.items():
+        trace = run_scenario(data)
+        assert len(trace.snapshots) == len(eager), where
+        for k in read(len(eager)):
+            snapshot = trace.snapshots[k]
+            if order == "last alone":
+                got = (snapshot.states, snapshot.queues)
+            else:
+                got = (capture.states(snapshot.held), capture.queues(snapshot.pending))
+            assert got == eager[k], (where, order, k)
 
 
 def test_reference_snapshots_match_eager_capture():
     for seed in range(200):
-        data = generate_scenario(seed, max_peers=8, max_commands=80)
-        _, commands = parse_scenario(data)
-        sim = Simulation()
-        capture = EagerCapture()
-        names = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
-        eager = []
-        for command in commands:
-            apply_command(sim, command)
-            eager.append((capture.states(sim), capture.queues(sim, names)))
+        check_snapshots(generate_scenario(seed, max_peers=8, max_commands=80), f"seed {seed}")
 
-        trace = run_scenario(data)
-        serialized = trace.to_dict()["snapshots"]
-        assert len(trace.snapshots) == len(serialized) == len(eager)
-        for k, (states, queues) in enumerate(eager):
-            where = f"seed {seed}, after command {k}"
-            assert trace.snapshots[k].states == states, where
-            assert trace.snapshots[k].queues == queues, where
-            assert serialized[k]["states"] == list(states), where
-            assert serialized[k]["queues"] == list(queues), where
+
+def sixteen_documents(limit=None):
+    data = interleaved(16)
+    return {**data, "commands": data["commands"][:limit]}
+
+
+def test_reference_snapshots_of_sixteen_documents_match_eager_capture():
+    check_snapshots(sixteen_documents(PREFIX), "docs16 prefix")
+
+
+@pytest.mark.large
+def test_reference_snapshots_of_a_large_scenario_match_eager_capture():
+    check_snapshots(sixteen_documents(), "docs16")
+
+
+def test_snapshots_store_about_what_their_commands_change():
+    """Before any read, a trace stores each command's changed copy and
+    channel, and a full state at checkpoints spaced by more than the
+    state's size in changes, so a few held copies and channels per
+    command; storing all of them after every command grows as commands
+    times state size, about 70 per command here."""
+    trace = run_scenario(sixteen_documents(PREFIX))
+    history = trace.snapshots[0]._history
+    stored = sum(item is not None for item in history.copies + history.channels)
+    stored += sum(len(held) + len(pending) for held, pending in history.built.values())
+    assert stored <= 3 * len(trace.snapshots), stored
+    # Reading the last snapshot alone builds and keeps its state only.
+    checkpoints = set(history.built)
+    last = len(trace.snapshots) - 1
+    assert last not in checkpoints
+    trace.snapshots[last].held
+    assert set(history.built) == checkpoints | {last}
 
 
 def test_generated_traces_are_byte_identical():
