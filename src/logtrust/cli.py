@@ -22,7 +22,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import AbstractSet, Any, Optional
+from typing import AbstractSet, Any, Optional, TextIO
 
 from .audit import AuditReport, local_trust_assessment, parse_audit_mode, report_to_dict
 from .errors import LogTrustError, ScenarioError
@@ -49,6 +49,14 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def _write(stream: TextIO, text: str) -> None:
+    """Write ``text`` and a newline in pieces of at most 1 MiB of text: one
+    ``write`` of more than 2 GiB can be cut short without an error."""
+    for start in range(0, len(text), 1 << 20):
+        stream.write(text[start : start + (1 << 20)])
+    stream.write("\n")
 
 
 def _dumps(obj: Any, shared: AbstractSet[int] = frozenset()) -> str:
@@ -212,7 +220,8 @@ def _export_logs(trace, directory: str) -> list[str]:
         for name, copy in owners.items():
             for log in (copy.edit_log, copy.comm_log):
                 path = out_dir / f"{name}_{log.role.value}.json"
-                path.write_text(_dumps(log_to_dict(log, copy.doc_id)) + "\n", encoding="utf-8")
+                with path.open("w", encoding="utf-8") as handle:
+                    _write(handle, _dumps(log_to_dict(log, copy.doc_id)))
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory
@@ -244,7 +253,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote {path}", file=sys.stderr)
 
     if args.format == "json":
-        print(_dumps(*trace.to_dict_and_shared()))
+        _write(sys.stdout, _dumps(*trace.to_dict_and_shared()))
     else:
         name = trace.name or source
         print(
@@ -290,7 +299,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise _CliError(f"{args.edit_log}: {exc}") from None
     report = dataclasses.replace(report, doc_id=edit_doc)
     if args.format == "json":
-        print(_dumps(report_to_dict(report)))
+        _write(sys.stdout, _dumps(report_to_dict(report)))
     else:
         _print_report_table(report)
     return 1 if report.violations else 0

@@ -626,8 +626,9 @@ class _History:
     ``copies[k]`` is the held copy that command ``k`` changed, or None,
     and ``channels[k]`` the channel it changed, as ``((from, to, doc),
     messages)`` with messages None once the channel is empty, or None.
-    ``built`` maps an index to its ``(held, pending)`` tuples: the
-    checkpoints ``run_scenario`` stores, and every state read since.
+    ``built`` maps an index to its ``(held, pending)`` tuples: the empty
+    state before the first command (-1), the checkpoints ``run_scenario``
+    stores, and every state read since.
     """
 
     __slots__ = ("copies", "channels", "built")
@@ -635,47 +636,36 @@ class _History:
     def __init__(self) -> None:
         self.copies: list[Optional[PeerDocState]] = []
         self.channels: list[Optional[tuple]] = []
-        self.built: dict[int, tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]] = {}
+        self.built: dict[int, tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]] = {-1: ((), ())}
 
     def state(self, k: int) -> tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]:
-        """``(held, pending)`` after command ``k``, built on first read: by
-        patching the previous state, or else by bringing the nearest earlier
-        built state forward through dicts and sorting once."""
+        """``(held, pending)`` after command ``k``, built on first read: the
+        nearest earlier built state, copied into lists and patched in place
+        with each later command's changes."""
         built = self.built.get(k)
         if built is not None:
             return built
         base = k - 1
         while base not in self.built:
             base -= 1
-        held, pending = self.built[base]
-        if base == k - 1:
-            copy, channel = self.copies[k], self.channels[k]
+        held, pending = map(list, self.built[base])
+        for i in range(base + 1, k + 1):
+            copy, channel = self.copies[i], self.channels[i]
             if copy is not None:
-                held = _patched(held, copy[:2], copy)
+                _patch(held, copy[:2], copy)
             if channel is not None:
-                pending = _patched(pending, channel[:1], None if channel[1] is None else channel)
-        else:
-            copies = {state[:2]: state for state in held}
-            channels = dict(pending)
-            for i in range(base + 1, k + 1):
-                copy, channel = self.copies[i], self.channels[i]
-                if copy is not None:
-                    copies[copy[:2]] = copy
-                if channel is not None:
-                    channels[channel[0]] = channel[1]
-            held = tuple(sorted(copies.values()))
-            pending = tuple(sorted(item for item in channels.items() if item[1] is not None))
-        built = self.built[k] = (held, pending)
+                _patch(pending, channel[:1], None if channel[1] is None else channel)
+        built = self.built[k] = (tuple(held), tuple(pending))
         return built
 
 
-def _patched(items: tuple, key: tuple, item: Any) -> tuple:
-    """``items``, sorted by unique keys, with the item whose key starts
-    with ``key`` replaced by ``item``, or ``item`` inserted in key order,
-    or that item dropped when ``item`` is None."""
+def _patch(items: list, key: tuple, item: Any) -> None:
+    """In ``items``, sorted by unique keys, replace the item whose key
+    starts with ``key`` by ``item``, or insert ``item`` in key order, or
+    drop that item when ``item`` is None."""
     i = bisect_left(items, key)  # ``key`` sorts just before its own item
     found = i < len(items) and items[i][: len(key)] == key
-    return items[:i] + ((item,) if item is not None else ()) + items[i + found :]
+    items[i : i + found] = () if item is None else (item,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,8 +677,10 @@ class CommandSnapshot:
     engine's ``PeerDocState`` record of each held copy and ``pending``
     the ``((from, to, doc), messages)`` item of each non-empty channel,
     both in key order; ``states`` and ``queues`` serialize them.  The run
-    stores only what each command changed, and builds ``held`` and
-    ``pending`` on first read (``_History.state``).
+    stores what each command changed, plus a checkpoint once the commands
+    since the last exceed the state's size by 64; ``held`` and ``pending``
+    are built on first read by patching the nearest built state
+    (``_History.state``).
     """
 
     index: int
@@ -812,7 +804,7 @@ def run_scenario(
     name, commands = parse_scenario(data)
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
-    history, changes = _History(), 0
+    history, checkpoint = _History(), -1
     for i, command in enumerate(commands):
         try:
             clock, report = apply_command(sim, command)
@@ -824,18 +816,16 @@ def run_scenario(
             key = (command["from"], command["to"], command["doc_id"])
             channel = (key, sim._queues.get(key))
             copy = sim._held[key[0] if op == "share" else key[1], key[2]]
-            changes += 2
         elif op != "audit":
             copy = sim._held[command["peer"], command["doc_id"]]
-            changes += 1
         history.copies.append(copy)
         history.channels.append(channel)
-        # Checkpoint once the changes since the last one exceed the state's
-        # size by 64: checkpoints then store fewer items than the changes,
-        # and a small state is not copied every few commands.
-        if i == 0 or changes >= len(sim._held) + len(sim._queues) + 64:
+        # Checkpoint once the commands since the last one exceed the state's
+        # size by 64: a read then patches at most two items for each of that
+        # many commands, and checkpoints store fewer items than the commands.
+        if i - checkpoint > len(sim._held) + len(sim._queues) + 64:
             history.built[i] = (tuple(sorted(sim._held.values())), tuple(sorted(sim._queues.items())))
-            changes = 0
+            checkpoint = i
         snapshots.append(CommandSnapshot(i, command, clock, report, history))
     return ScenarioTrace(
         name=name,

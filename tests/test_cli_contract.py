@@ -24,7 +24,7 @@ import pytest
 
 import logtrust
 from logtrust import event_to_dict, generate_scenario, run_scenario
-from logtrust.cli import main
+from logtrust.cli import _dumps, main
 
 from conftest import SCENARIOS
 
@@ -180,6 +180,34 @@ def test_a_failed_write_exits_2_with_one_error_line(tmp_path, capsys, monkeypatc
                     continue
                 assert got == 2, (argv, limit, error)
                 assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps each piece of text it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_output_is_written_in_pieces_of_at_most_1_mib(tmp_path, monkeypatch):
+    # One write of more than 2 GiB can be cut short without an error, so
+    # the CLI never hands a stream more than 1 MiB of text at once.
+    scenario = generate_scenario(2, max_peers=8, max_commands=100)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    text = _dumps(*run_scenario(scenario).to_dict_and_shared())
+    assert len(text) > 2 << 20  # three pieces and the newline
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", str(path), "--format", "json"]) == 0
+    monkeypatch.undo()
+    assert max(map(len, stdout.pieces)) <= 1 << 20
+    assert "".join(stdout.pieces) == text + "\n"
 
 
 def _cli(*argv, **kwargs):

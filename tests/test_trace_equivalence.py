@@ -159,12 +159,15 @@ def test_reference_snapshots_of_a_large_scenario_match_eager_capture():
     check_snapshots(sixteen_documents(), "docs16")
 
 
-def test_snapshots_store_about_what_their_commands_change():
+def test_snapshots_store_about_what_their_commands_change(monkeypatch):
     """Before any read, a trace stores each command's changed copy and
     channel, and a full state at checkpoints spaced by more than the
-    state's size in changes, so a few held copies and channels per
+    state's size in commands, so a few held copies and channels per
     command; storing all of them after every command grows as commands
-    times state size, about 70 per command here."""
+    times state size, about 70 per command here.  A read patches the
+    nearest built state with at most two items per command since, so
+    checkpoints bound what it applies by the state's size plus 64
+    commands, whichever way the snapshots are read."""
     trace = run_scenario(sixteen_documents(PREFIX))
     history = trace.snapshots[0]._history
     stored = sum(item is not None for item in history.copies + history.channels)
@@ -176,6 +179,20 @@ def test_snapshots_store_about_what_their_commands_change():
     assert last not in checkpoints
     trace.snapshots[last].held
     assert set(history.built) == checkpoints | {last}
+
+    patches = []
+    patch = simulator._patch
+    monkeypatch.setattr(simulator, "_patch", lambda *args: patches.append(args) or patch(*args))
+    for order in ("last alone", "back to front"):
+        trace = run_scenario(sixteen_documents(PREFIX))
+        most = 0
+        for k in READ_ORDERS[order](len(trace.snapshots)):
+            patches.clear()
+            snapshot = trace.snapshots[k]
+            size, applied = len(snapshot.held) + len(snapshot.pending), len(patches)
+            assert applied <= 2 * (size + 64), (order, k, applied, size)
+            most = max(most, applied)
+        assert most > 0, order
 
 
 def test_generated_traces_are_byte_identical():
