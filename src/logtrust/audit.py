@@ -23,10 +23,12 @@ copy and folds in only the events added since that copy's last audit.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional
 
 from . import kernel
@@ -179,6 +181,32 @@ def report_to_dict(report: "AuditReport") -> dict:
         "violations": [violation_to_dict(v) for v in report.violations],
         "trust": {peer: report.trust[peer] for peer in sorted(report.trust)},
     }
+
+
+def _report_json(report: AuditReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, written from the
+    violations with one template each.  The clocks are exact ints (their
+    constructors check), so ``!r`` is ``int.__repr__``."""
+    enc = encode_basestring_ascii
+    items = []
+    for v in report.violations:
+        forbid, origin = v.forbid, v.forbid.origin
+        items.append(
+            f'{{\n      "offender": {enc(v.offender)},\n      "verb": {enc(v.verb.value)},'
+            f'\n      "action_clock": {v.action_clock!r},\n      "forbid_clock": {forbid.clock!r},'
+            f'\n      "grantor": {enc(forbid.by)},\n      "origin": {{'
+            f'\n        "grantor": {enc(origin.grantor)},\n        "grantee": {enc(origin.grantee)},'
+            f'\n        "share_clock": {origin.share_clock!r}\n      }}\n    }}'
+        )
+    pairs = [f"{enc(peer)}: {json.dumps(report.trust[peer])}" for peer in sorted(report.trust)]
+    sep = ",\n    "
+    violations = f"[\n    {sep.join(items)}\n  ]" if items else "[]"
+    trust = f"{{\n    {sep.join(pairs)}\n  }}" if pairs else "{}"
+    return (
+        f'{{\n  "assessor": {enc(report.assessor)},\n  "doc_id": {enc(report.doc_id)},'
+        f'\n  "mode": {enc(report.mode.value)},\n  "violations": {violations},'
+        f'\n  "trust": {trust}\n}}'
+    )
 
 
 def local_trust_assessment(

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import AbstractSet, Any, Optional, TextIO
 
-from .audit import AuditReport, local_trust_assessment, parse_audit_mode, report_to_dict
+from .audit import AuditReport, _report_json, local_trust_assessment, parse_audit_mode
 from .errors import LogTrustError, ScenarioError
 from .events import LogRole, log_from_dict, log_to_dict
 from .scengen import generate_scenario
@@ -299,7 +299,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise _CliError(f"{args.edit_log}: {exc}") from None
     report = dataclasses.replace(report, doc_id=edit_doc)
     if args.format == "json":
-        _write(sys.stdout, _dumps(report_to_dict(report)))
+        _write(sys.stdout, _report_json(report))
     else:
         _print_report_table(report)
     return 1 if report.violations else 0

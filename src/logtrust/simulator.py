@@ -49,6 +49,7 @@ from .events import (
     _insert_events,
     _outbound,
     _received,
+    _setters,
     empty_log,
     event_to_dict,
     replay_comments,
@@ -668,7 +669,7 @@ def _patch(items: list, key: tuple, item: Any) -> None:
     items[i : i + found] = () if item is None else (item,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class CommandSnapshot:
     """Full engine state right after one command.
 
@@ -688,6 +689,16 @@ class CommandSnapshot:
     clock: int
     report: Optional[AuditReport]
     _history: _History = field(repr=False)
+
+    def __init__(
+        self, index: int, command: dict[str, Any], clock: int, report: Optional[AuditReport],
+        _history: _History,
+    ):
+        _SET_INDEX(self, index)
+        _SET_COMMAND(self, command)
+        _SET_CLOCK(self, clock)
+        _SET_REPORT(self, report)
+        _SET_HISTORY(self, _history)
 
     @property
     def held(self) -> tuple[PeerDocState, ...]:
@@ -711,6 +722,9 @@ class CommandSnapshot:
         return (self.index, self.command, self.clock, self.held, self.pending, self.report) == (
             other.index, other.command, other.clock, other.held, other.pending, other.report
         )
+
+
+_SET_INDEX, _SET_COMMAND, _SET_CLOCK, _SET_REPORT, _SET_HISTORY = _setters(CommandSnapshot)
 
 
 @dataclass(frozen=True)

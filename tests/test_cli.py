@@ -7,19 +7,24 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from logtrust import (
+    OBLIGATION_VERBS,
     AuditMode,
+    AuditReport,
     Document,
+    FixedStepTrust,
     Log,
     LogRole,
+    MultiplicativeTrust,
     Obligation,
     OriginKey,
     PerformedEdit,
     PerformedShare,
     Verb,
+    Violation,
     generate_scenario,
     run_scenario,
 )
-from logtrust.audit import derive_creator, local_trust_assessment, report_to_dict
+from logtrust.audit import _report_json, derive_creator, local_trust_assessment, report_to_dict
 from logtrust.cli import _dumps, main
 from logtrust.events import log_from_dict, log_to_dict
 
@@ -483,6 +488,66 @@ def test_audit_json_output_equals_json_dumps(tmp_path, capsys):
                 audited += 1
                 violations += bool(expected["violations"])
     assert audited > 20 and violations > 0
+
+
+def test_audit_json_builds_no_violation_dict(tmp_path, capsys, monkeypatch):
+    # the report is written from the violations themselves; a refactor
+    # back to one dict per violation fails here
+    out_dir = tmp_path / "logs"
+    assert main(["run", PAPER, "--export-logs", str(out_dir)]) == 0
+    capsys.readouterr()
+    edit, comm = out_dir / "P3_d_edit.json", out_dir / "P3_d_comm.json"
+    expected = audit_report_dict(edit, comm, "P3", "prose")
+    assert expected["violations"]
+
+    def no_dict(violation):
+        raise AssertionError("audit --format json built a dict for a violation")
+
+    monkeypatch.setattr("logtrust.audit.violation_to_dict", no_dict)
+    code = main(["audit", str(edit), str(comm), "--assessor", "P3", "--format", "json"])
+    assert code == 1
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+peer_ids = st.sampled_from([s for s in SPECIAL_STRINGS if s]) | st.text(min_size=1)
+any_text = st.sampled_from(SPECIAL_STRINGS) | st.text()
+
+
+@st.composite
+def violations(draw):
+    grantor = draw(peer_ids)
+    offender = draw(peer_ids.filter(lambda peer: peer != grantor))
+    verb = draw(st.sampled_from(sorted(OBLIGATION_VERBS, key=lambda v: v.value)))
+    forbid_clock = draw(st.integers(min_value=1, max_value=2**63 - 1))
+    action_clock = draw(st.integers(min_value=forbid_clock + 1, max_value=2**63))
+    origin = OriginKey(grantor, offender, draw(st.integers(min_value=1, max_value=2**63)))
+    return Violation(
+        offender, verb, action_clock, Obligation(forbid_clock, verb, False, grantor, offender, origin)
+    )
+
+
+@st.composite
+def audit_reports(draw):
+    # MultiplicativeTrust(max_value=1) starts every peer at the int 1
+    models = [MultiplicativeTrust(), FixedStepTrust(), MultiplicativeTrust(max_value=1)]
+    model = draw(st.sampled_from(models))
+    ladder = [model.max_value]
+    while len(ladder) < 12:
+        ladder.append(model.on_violation(ladder[-1]))
+    return AuditReport(
+        draw(any_text),
+        draw(any_text),
+        draw(st.sampled_from(AuditMode)),
+        tuple(draw(st.lists(violations(), max_size=4))),
+        draw(st.dictionaries(any_text, st.sampled_from(ladder), max_size=4)),
+    )
+
+
+@given(audit_reports())
+@example(AuditReport("", "", AuditMode.PROSE, (), {}))
+@example(AuditReport("P1", "d", AuditMode.LITERAL, (), {"P1": 1, "P2": 0.5}))
+def test_report_writer_matches_json_dumps_indent_2(report):
+    assert _report_json(report) == json.dumps(report_to_dict(report), indent=2)
 
 
 def test_to_dict_shares_unchanged_held_copies(paper_scenario):
