@@ -22,11 +22,11 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import AbstractSet, Any, Optional, TextIO
+from typing import Any, Iterable, Optional, TextIO
 
 from .audit import AuditReport, _report_json, local_trust_assessment, parse_audit_mode
 from .errors import LogTrustError, ScenarioError
-from .events import LogRole, log_from_dict, log_to_dict
+from .events import LogRole, _log_json, log_from_dict
 from .scengen import generate_scenario
 from .simulator import PeerDocState, parse_scenario, run_scenario
 from .trust import DEFAULT_TRUST_MODEL, parse_trust_model
@@ -51,101 +51,17 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _write(stream: TextIO, text: str) -> None:
-    """Write ``text`` and a newline in pieces of at most 1 MiB of text: one
-    ``write`` of more than 2 GiB can be cut short without an error."""
-    for start in range(0, len(text), 1 << 20):
-        stream.write(text[start : start + (1 << 20)])
-    stream.write("\n")
-
-
-def _dumps(obj: Any, shared: AbstractSet[int] = frozenset()) -> str:
-    """Render ``obj`` as ``json.dumps`` does with ``indent=2``.
-
-    Dict keys must be strings.  CPython's C encoder does not run with
-    ``indent`` before 3.13, and a trace holds the same log, state and
-    message objects in many snapshots, so each container whose id is in
-    ``shared`` is rendered once, at the depth where it is first met, and
-    its text reused.  At another depth the text differs only in its
-    indent: each ``"\\n"`` gains (or loses) two spaces per level, which
-    one ``str.replace`` does.  That rewrites nothing else, because a
-    raw newline in the text only ever opens an indented line: strings
-    are written through ``encode_basestring_ascii``, which escapes every
-    control character, and a text rendered at depth ``a`` indents every
-    line by at least ``2 * a`` spaces.  ``shared`` must name only
-    containers that stay alive and unchanged while ``obj`` is written.
-    """
-    # Per shared container, the depth it was first met at and its text there.
-    texts: dict[int, tuple[int, str]] = {}
-    # Per depth, the newline and indent that open its lines.
-    newlines: list[str] = []
-    # Per dict key, its text with the ": " that follows it.
-    keys: dict[str, str] = {}
-    encode = encode_basestring_ascii
-
-    def value(o: Any, depth: int, out: list[str]) -> None:
-        if isinstance(o, str):
-            out.append(encode(o))
-        elif type(o) is int:  # the common case; bools and other ints below
-            out.append(int.__repr__(o))
-        elif o is None:
-            out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            out.append(json.dumps(o))
-        elif isinstance(o, (dict, list, tuple)):
-            if id(o) not in shared:
-                container(o, depth, out)
-                return
-            entry = texts.get(id(o))
-            if entry is None:
-                parts: list[str] = []
-                container(o, depth, parts)
-                text = "".join(parts)
-                texts[id(o)] = (depth, text)
-            else:
-                first, text = entry
-                if first < depth:
-                    text = text.replace("\n", "\n" + "  " * (depth - first))
-                elif first > depth:
-                    text = text.replace("\n" + "  " * (first - depth), "\n")
-            out.append(text)
+def _write(stream: TextIO, pieces: Iterable[str]) -> None:
+    """Write each of ``pieces`` as it comes, then a newline, in slices of at
+    most 1 MiB: one ``write`` of over 2 GiB can be cut short without error."""
+    write = stream.write
+    for piece in pieces:
+        if len(piece) <= 1 << 20:
+            write(piece)
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    def container(o: Any, depth: int, out: list[str]) -> None:
-        is_dict = isinstance(o, dict)
-        if not o:
-            out.append("{}" if is_dict else "[]")
-            return
-        while len(newlines) < depth + 2:
-            newlines.append("\n" + "  " * len(newlines))
-        newline = newlines[depth + 1]
-        separator = "," + newline
-        out.append("{" if is_dict else "[")
-        out.append(newline)
-        if is_dict:
-            for name, item in o.items():
-                text = keys.get(name)
-                if text is None:
-                    text = keys[name] = encode(name) + ": "
-                out.append(text)
-                value(item, depth + 1, out)
-                out.append(separator)
-        else:
-            for item in o:
-                value(item, depth + 1, out)
-                out.append(separator)
-        out[-1] = newlines[depth] + ("}" if is_dict else "]")
-
-    out: list[str] = []
-    value(obj, 0, out)
-    return "".join(out)
+            for start in range(0, len(piece), 1 << 20):
+                write(piece[start : start + (1 << 20)])
+    write("\n")
 
 
 def _format_trust(trust: dict[str, float]) -> str:
@@ -220,8 +136,12 @@ def _export_logs(trace, directory: str) -> list[str]:
         for name, copy in owners.items():
             for log in (copy.edit_log, copy.comm_log):
                 path = out_dir / f"{name}_{log.role.value}.json"
+                head = (
+                    f'{{\n  "doc_id": {encode_basestring_ascii(copy.doc_id)},'
+                    f'\n  "role": "{log.role.value}",\n  "events": '
+                )
                 with path.open("w", encoding="utf-8") as handle:
-                    _write(handle, _dumps(log_to_dict(log, copy.doc_id)))
+                    _write(handle, (head, _log_json(log, 1, {}), "\n}"))
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory
@@ -253,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote {path}", file=sys.stderr)
 
     if args.format == "json":
-        _write(sys.stdout, _dumps(*trace.to_dict_and_shared()))
+        _write(sys.stdout, trace.json_pieces())
     else:
         name = trace.name or source
         print(
@@ -299,7 +219,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise _CliError(f"{args.edit_log}: {exc}") from None
     report = dataclasses.replace(report, doc_id=edit_doc)
     if args.format == "json":
-        _write(sys.stdout, _report_json(report))
+        _write(sys.stdout, (_report_json(report),))
     else:
         _print_report_table(report)
     return 1 if report.violations else 0

@@ -20,6 +20,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
@@ -752,6 +753,59 @@ def event_to_dict(event: Event) -> dict:
             "share_clock": event.origin.share_clock,
         },
     }
+
+
+# Per depth, the newline and indent that open a line of ``json.dumps(...,
+# indent=2)`` output nested that deep; a trace nests 10 deep.
+_PADS = tuple("\n" + "  " * depth for depth in range(11))
+
+
+def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> str:
+    """The rendered ``texts`` as a JSON list, or with ``"{}"`` an object, at
+    ``depth``, as ``json.dumps(..., indent=2)`` nests it."""
+    if not texts:
+        return brackets
+    pad = _PADS[depth + 1]
+    return f"{brackets[0]}{pad}{(',' + pad).join(texts)}{_PADS[depth]}{brackets[1]}"
+
+
+def _event_json(event: Event, depth: int) -> str:
+    """``event_to_dict(event)`` as JSON at ``depth``, one template per kind.
+    Clocks are exact ints (the constructors check): ``!r`` is their JSON."""
+    enc, i, o = encode_basestring_ascii, _PADS[depth + 1], _PADS[depth]
+    if isinstance(event, PerformedEdit):
+        return (
+            f'{{{i}"clock": {event.clock!r},{i}"kind": "edit",{i}"verb": {enc(event.verb.value)},'
+            f'{i}"by": {enc(event.by)}{o}}}'
+        )
+    if isinstance(event, PerformedShare):
+        return (
+            f'{{{i}"clock": {event.clock!r},{i}"kind": "share",{i}"verb": "share",'
+            f'{i}"by": {enc(event.by)},{i}"to": {enc(event.to)}{o}}}'
+        )
+    origin, g = event.origin, _PADS[depth + 2]
+    return (
+        f'{{{i}"clock": {event.clock!r},{i}"kind": "obligation",{i}"verb": {enc(event.verb.value)},'
+        f'{i}"allow": {"true" if event.allow else "false"},{i}"by": {enc(event.by)},'
+        f'{i}"to": {enc(event.to)},{i}"origin": {{{g}"grantor": {enc(origin.grantor)},'
+        f'{g}"grantee": {enc(origin.grantee)},{g}"share_clock": {origin.share_clock!r}{i}}}{o}}}'
+    )
+
+
+def _log_json(log: Log, depth: int, texts: dict) -> str:
+    """``log``'s events as a JSON list at ``depth``.  ``texts`` keeps each
+    rendered event and log by ``(id, depth)``, so each is rendered once per
+    depth; the logs and events must outlive it."""
+    text = texts.get((id(log), depth))
+    if text is None:
+        items = []
+        for event in log.entries:
+            item = texts.get((id(event), depth + 1))
+            if item is None:
+                item = texts[id(event), depth + 1] = _event_json(event, depth + 1)
+            items.append(item)
+        text = texts[id(log), depth] = _json_list(items, depth)
+    return text
 
 
 # Per event kind: its field names, the order ``_event`` reads them in.

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .audit import (
     AuditMode,
     AuditReport,
     CopyAudit,
+    _report_json,
     report_to_dict,
 )
 from .errors import (
@@ -44,9 +46,12 @@ from .events import (
     _VERB_RANK,
     _VERB_BY_VALUE,
     _Channel,
+    _PADS,
     _arrived,
     _detached,
     _insert_events,
+    _json_list,
+    _log_json,
     _outbound,
     _received,
     _setters,
@@ -533,12 +538,11 @@ def parse_scenario(data: Any) -> tuple[str, tuple[dict[str, Any], ...]]:
 Channel = tuple[tuple[str, str, str], tuple[Message, ...]]  # ((from, to, doc), messages)
 
 
-def _event_dicts(log: Log, memo: dict[Any, Any], shared: set[int]) -> list[dict]:
+def _event_dicts(log: Log, memo: dict[Any, Any]) -> list[dict]:
     """``event_to_dict`` of every entry, as one list per log per memo.
 
     Each event is serialized once per memo too.  The memo is keyed by
-    object id, which is safe while the logs and events outlive it.  The
-    id of every list or dict handed out again is added to ``shared``.
+    object id, which is safe while the logs and events outlive it.
     """
     out = memo.get(id(log))
     if out is None:
@@ -547,50 +551,38 @@ def _event_dicts(log: Log, memo: dict[Any, Any], shared: set[int]) -> list[dict]
             data = memo.get(id(event))
             if data is None:
                 data = memo[id(event)] = event_to_dict(event)
-            else:
-                shared.add(id(data))
             out.append(data)
-    else:
-        shared.add(id(out))
     return out
 
 
-def _state_dicts(
-    held: tuple[PeerDocState, ...], memo: dict[Any, Any], shared: set[int]
-) -> list[dict]:
+def _state_dicts(held: tuple[PeerDocState, ...], memo: dict[Any, Any]) -> list[dict]:
     """One dict per held copy.
 
     A copy whose peer, doc and logs are the same objects as in an earlier
-    call with the same memo gets that call's dict, and its id is added to
-    ``shared``.
+    call with the same memo gets that call's dict.
     """
     out = []
     for peer, doc_id, edit_log, comm_log, _creator in held:
         key = (peer, doc_id, id(edit_log), id(comm_log))
         state = memo.get(key)
-        if state is not None:
-            shared.add(id(state))
-        else:
+        if state is None:
             state = memo[key] = {
                 "peer": peer,
                 "doc": doc_id,
-                "edit": _event_dicts(edit_log, memo, shared),
-                "comm": _event_dicts(comm_log, memo, shared),
+                "edit": _event_dicts(edit_log, memo),
+                "comm": _event_dicts(comm_log, memo),
                 "comments": sorted([author, cid] for author, cid in replay_comments(edit_log)),
             }
         out.append(state)
     return out
 
 
-def _queue_dicts(
-    pending: tuple[Channel, ...], memo: dict[Any, Any], shared: set[int]
-) -> list[dict]:
+def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dict]:
     """One dict per non-empty channel, and one per message per memo.
 
     The engine replaces a channel's messages tuple whenever the channel
     changes, so a channel with the same tuple object as in an earlier
-    call gets that call's dict.  The id of every dict handed out again
-    is added to ``shared``.
+    call gets that call's dict.
     """
     out = []
     for channel, messages in pending:
@@ -601,23 +593,19 @@ def _queue_dicts(
                 "from": channel[0],
                 "to": channel[1],
                 "doc": channel[2],
-                "messages": [_message_dict(m, memo, shared) for m in messages],
+                "messages": [_message_dict(m, memo) for m in messages],
             }
-        else:
-            shared.add(id(data))
         out.append(data)
     return out
 
 
-def _message_dict(message: Message, memo: dict[Any, Any], shared: set[int]) -> dict:
+def _message_dict(message: Message, memo: dict[Any, Any]) -> dict:
     data = memo.get(id(message))
     if data is None:
         data = memo[id(message)] = {
-            "edit": _event_dicts(message.edit_log, memo, shared),
-            "comm": _event_dicts(message.comm_log, memo, shared),
+            "edit": _event_dicts(message.edit_log, memo),
+            "comm": _event_dicts(message.comm_log, memo),
         }
-    else:
-        shared.add(id(data))
     return data
 
 
@@ -710,11 +698,11 @@ class CommandSnapshot:
 
     @property
     def states(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_state_dicts(self.held, {}, set()))
+        return tuple(_state_dicts(self.held, {}))
 
     @property
     def queues(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_queue_dicts(self.pending, {}, set()))
+        return tuple(_queue_dicts(self.pending, {}))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -742,22 +730,15 @@ class ScenarioTrace:
         return tuple(s.report for s in self.snapshots if s.report is not None)
 
     def to_dict(self) -> dict[str, Any]:
-        """The trace as JSON-ready data."""
-        return self.to_dict_and_shared()[0]
-
-    def to_dict_and_shared(self) -> tuple[dict[str, Any], set[int]]:
-        """The trace as JSON-ready data, and the ids of its shared containers.
+        """The trace as JSON-ready data.
 
         Each event, log, message and held copy is serialized once per
         call: every place an event or message appears holds the same
         dict, every place a log appears the same list, and a held copy
-        or channel unchanged from an earlier snapshot the same dict.  The
-        set holds the id of each of those dicts and lists that the data
-        reaches more than once.
+        or channel unchanged from an earlier snapshot the same dict.
         """
         memo: dict[Any, Any] = {}
-        shared: set[int] = set()
-        data = {
+        return {
             "name": self.name,
             "mode": self.mode.value,
             "trust_model": self.trust_model,
@@ -766,14 +747,98 @@ class ScenarioTrace:
                     "index": s.index,
                     "command": s.command,
                     "clock": s.clock,
-                    "states": _state_dicts(s.held, memo, shared),
-                    "queues": _queue_dicts(s.pending, memo, shared),
+                    "states": _state_dicts(s.held, memo),
+                    "queues": _queue_dicts(s.pending, memo),
                     "report": None if s.report is None else report_to_dict(s.report),
                 }
                 for s in self.snapshots
             ],
         }
-        return data, shared
+
+    def json_pieces(self) -> Iterator[str]:
+        """``json.dumps(self.to_dict(), indent=2)`` in pieces, written from the
+        engine's objects one snapshot at a time: no dict tree, no whole text.
+        ``texts`` keeps each rendered log, event and message by ``(id,
+        depth)``, and each held copy and channel by its ``to_dict`` memo key,
+        so each is rendered once per depth; the trace keeps them all alive."""
+        enc, texts = encode_basestring_ascii, {}
+        p4, p5, p6, p7 = _PADS[4:8]
+
+        def state(copy: PeerDocState) -> str:  # at depth 4
+            peer, doc_id, edit_log, comm_log, _creator = copy
+            key = (peer, doc_id, id(edit_log), id(comm_log))
+            if key not in texts:
+                pairs = sorted(replay_comments(edit_log))
+                comments = [f"[{p7}{enc(author)},{p7}{enc(cid)}{p6}]" for author, cid in pairs]
+                texts[key] = (
+                    f'{{{p5}"peer": {enc(peer)},{p5}"doc": {enc(doc_id)},'
+                    f'{p5}"edit": {_log_json(edit_log, 5, texts)},'
+                    f'{p5}"comm": {_log_json(comm_log, 5, texts)},'
+                    f'{p5}"comments": {_json_list(comments, 5)}{p4}}}'
+                )
+            return texts[key]
+
+        def message(m: Message) -> str:  # at depth 6
+            key = (id(m), 6)
+            if key not in texts:
+                texts[key] = (
+                    f'{{{p7}"edit": {_log_json(m.edit_log, 7, texts)},'
+                    f'{p7}"comm": {_log_json(m.comm_log, 7, texts)}{p6}}}'
+                )
+            return texts[key]
+
+        def queue(item: Channel) -> str:  # at depth 4
+            (sender, recipient, doc_id), messages = item
+            key = (item[0], id(messages))
+            if key not in texts:
+                texts[key] = (
+                    f'{{{p5}"from": {enc(sender)},{p5}"to": {enc(recipient)},'
+                    f'{p5}"doc": {enc(doc_id)},'
+                    f'{p5}"messages": {_json_list([message(m) for m in messages], 5)}{p4}}}'
+                )
+            return texts[key]
+
+        yield (
+            f'{{\n  "name": {enc(self.name)},\n  "mode": {enc(self.mode.value)},'
+            f'\n  "trust_model": {enc(self.trust_model)},\n  "snapshots": '
+        )
+        opening = "["
+        for s in self.snapshots:
+            yield (
+                f'{opening}\n    {{\n      "index": {s.index!r},'
+                f'\n      "command": {_command_json(s.command)},'
+                f'\n      "clock": {s.clock!r},\n      "states": '
+            )
+            yield from _list_pieces(map(state, s.held))
+            yield ',\n      "queues": '
+            yield from _list_pieces(map(queue, s.pending))
+            report = "null" if s.report is None else _report_json(s.report).replace("\n", _PADS[3])
+            yield f',\n      "report": {report}\n    }}'
+            opening = ","
+        yield "\n  ]\n}" if self.snapshots else "[]\n}"
+
+
+def _list_pieces(texts: Iterable[str]) -> Iterator[str]:
+    """The rendered ``texts`` as the pieces of a JSON list at depth 3."""
+    opening = "["
+    for text in texts:
+        yield opening + _PADS[4]
+        yield text
+        opening = ","
+    yield "[]" if opening == "[" else _PADS[3] + "]"
+
+
+def _command_json(value: Any, depth: int = 3) -> str:
+    """A command as ``parse_command`` returns it, as JSON at ``depth``: its
+    values are strings, booleans, and lists of strings or of ``{verb, allow}``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        items = [f'"{name}": {_command_json(item, depth + 1)}' for name, item in value.items()]
+        return _json_list(items, depth, "{}")
+    return _json_list([_command_json(item, depth + 1) for item in value], depth)
 
 
 def apply_command(

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logtrust import (
     OBLIGATION_VERBS,
@@ -21,12 +24,16 @@ from logtrust import (
     PerformedShare,
     Verb,
     Violation,
+    dedup_key,
+    event_to_dict,
     generate_scenario,
+    parse_trust_model,
     run_scenario,
 )
+from logtrust import simulator
 from logtrust.audit import _report_json, derive_creator, local_trust_assessment, report_to_dict
-from logtrust.cli import _dumps, main
-from logtrust.events import log_from_dict, log_to_dict
+from logtrust.cli import main
+from logtrust.events import _PADS, _log_json, log_from_dict, log_to_dict
 
 from conftest import SCENARIOS
 
@@ -378,72 +385,129 @@ def test_export_rejects_colliding_file_names(tmp_path, capsys):
 
 
 SPECIAL_STRINGS = ["", "é\u2028\U0001f600", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\t\r\n"]
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**63) - 1, max_value=2**63 + 1)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-    | st.sampled_from(SPECIAL_STRINGS)
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text() | st.sampled_from(SPECIAL_STRINGS), children, max_size=4),
-    max_leaves=30,
-)
+peer_ids = st.sampled_from([s for s in SPECIAL_STRINGS if s]) | st.text(min_size=1)
+any_text = st.sampled_from(SPECIAL_STRINGS) | st.text()
 
 
-def shared_containers(obj):
-    """Ids of the dicts, lists and tuples reached more than once in ``obj``.
-
-    The reference for what ``ScenarioTrace.to_dict_and_shared`` declares:
-    a walk of the whole object that does not descend into a container
-    twice.
-    """
-    seen = set()
-    shared = set()
-    stack = [obj] if isinstance(obj, (dict, list, tuple)) else []
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            shared.add(id(o))
-            continue
-        seen.add(id(o))
-        for child in o.values() if isinstance(o, dict) else o:
-            if isinstance(child, (dict, list, tuple)):
-                stack.append(child)
-    return shared
-
-
-@given(json_values)
-@example(None)
-@example([True, False, None, 2**63, -(2**63), -0.0, 1e16, 1e-7])
-@example([float("nan"), float("inf"), float("-inf")])
-@example({"": [], "a": {}, "b": [[], {}], "c": {"d": [{}]}})
-@example(SPECIAL_STRINGS)
-@example({k: k for k in SPECIAL_STRINGS})
-def test_dumps_matches_json_dumps_indent_2(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
-    # one sub-object aliased at several depths and twice at the same depth
-    aliased = {"a": value, "b": [value, {"c": value}], "d": (value, value), "e": [value]}
-    # ... and met first at a depth deeper than a later one
-    deep_first = [{"deep": [[value]], "top": value}, [[[value]], [value], value]]
-    for obj in (aliased, [aliased, aliased], *deep_first):
-        expected = json.dumps(obj, indent=2)
-        assert _dumps(obj) == expected
-        assert _dumps(obj, shared_containers(obj)) == expected
+@st.composite
+def logs(draw):
+    """A log of either role, with ids from ``peer_ids`` and clocks past 64 bits."""
+    role = draw(st.sampled_from(LogRole))
+    clocks = st.integers(min_value=1, max_value=2**64)
+    events = {}
+    for _ in range(draw(st.integers(0, 4))):
+        by, to = draw(st.lists(peer_ids, min_size=2, max_size=2, unique=True))
+        if role is LogRole.EDIT:
+            verb = draw(st.sampled_from([v for v in Verb if v is not Verb.SHARE]))
+            event = PerformedEdit(draw(clocks), verb, by)
+        elif draw(st.booleans()):
+            event = PerformedShare(draw(clocks), by, to)
+        else:
+            verb = draw(st.sampled_from(sorted(OBLIGATION_VERBS, key=lambda v: v.value)))
+            origin = OriginKey(by, to, draw(clocks))
+            event = Obligation(draw(clocks), verb, draw(st.booleans()), by, to, origin)
+        events.setdefault(dedup_key(event), event)
+    return Log.from_events(role, events.values())
 
 
-@pytest.mark.parametrize("mode", ["prose", "literal"])
-def test_trace_declares_exactly_the_containers_it_shares(paper_scenario, mode):
-    scenarios = [paper_scenario] + [generate_scenario(seed) for seed in range(60)]
-    declared_any = False
-    for k, scenario in enumerate(scenarios):
-        data, shared = run_scenario(scenario, mode=AuditMode(mode)).to_dict_and_shared()
-        assert shared == shared_containers(data), k
-        declared_any |= bool(shared)
-    assert declared_any
+@given(logs(), st.integers(min_value=0, max_value=7))
+def test_log_writer_matches_json_dumps_indent_2(log, depth):
+    # The event and log templates of ``run --format json`` and
+    # ``--export-logs``, at every depth a trace or a log file nests a log.
+    # Nested, ``json.dumps`` output differs only in its indent, because
+    # every control character in a string is escaped.
+    expected = json.dumps([event_to_dict(e) for e in log.entries], indent=2)
+    assert _log_json(log, depth, {}) == expected.replace("\n", _PADS[depth])
+
+
+EDIT_VERB_VALUES = ["read", "comment", "delete_comment"]
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario that runs, over peers and documents named from
+    ``peer_ids``, with batches and ``ignore_obligations`` edits."""
+    peers = draw(st.lists(peer_ids, min_size=2, max_size=3, unique=True))
+    docs = draw(st.lists(peer_ids, min_size=1, max_size=2, unique=True))
+    edit_verbs = st.lists(st.sampled_from(EDIT_VERB_VALUES), unique=True)
+    holders = {}  # per created document, the peers holding it
+    pending = {}  # per channel, its number of pending messages
+    commands = []
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        uncreated = [doc for doc in docs if doc not in holders]
+        held = [(peer, doc) for doc, peers_of in holders.items() for peer in peers_of]
+        ready = [channel for channel, count in pending.items() if count]
+        op = draw(st.sampled_from(
+            ["create"] * bool(uncreated)
+            + ["edit", "batch", "share", "audit"] * bool(held)
+            + ["deliver"] * bool(ready)
+        ))
+        if op == "create":
+            doc, peer = draw(st.sampled_from(uncreated)), draw(st.sampled_from(peers))
+            holders[doc] = [peer]
+            command = {"op": "create", "peer": peer, "doc_id": doc}
+            if draw(st.booleans()):
+                command = {**command, "op": "batch", "verbs": ["create", *draw(edit_verbs)]}
+        elif op == "deliver":
+            sender, recipient, doc = channel = draw(st.sampled_from(ready))
+            pending[channel] -= 1
+            if recipient not in holders[doc]:
+                holders[doc].append(recipient)
+            command = {"op": "deliver", "from": sender, "to": recipient, "doc_id": doc}
+        elif op == "share":
+            sender, doc = draw(st.sampled_from(held))
+            recipient = draw(st.sampled_from([p for p in peers if p != sender]))
+            verbs = st.lists(st.sampled_from([*EDIT_VERB_VALUES, "share"]), min_size=1, unique=True)
+            obligations = [{"verb": verb, "allow": draw(st.booleans())} for verb in draw(verbs)]
+            command = {"op": "share", "from": sender, "to": recipient, "doc_id": doc}
+            command["obligations"] = obligations
+            pending[sender, recipient, doc] = pending.get((sender, recipient, doc), 0) + 1
+        else:
+            peer, doc = draw(st.sampled_from(held))
+            command = {"op": op, "peer": peer, "doc_id": doc}
+            if op == "edit":
+                command["verb"] = draw(st.sampled_from(EDIT_VERB_VALUES))
+            elif op == "batch":
+                command["verbs"] = draw(edit_verbs.filter(bool))
+            if op != "audit" and draw(st.booleans()):
+                command["ignore_obligations"] = True
+        commands.append(command)
+    return {"name": draw(any_text), "commands": commands}
+
+
+@settings(deadline=None)
+@given(scenarios())
+def test_run_json_writer_matches_to_dict(scenario):
+    # The writer against the data API, on ids that need escaping.
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_json(Path(directory) / "scenario.json", scenario)
+        for mode in ("prose", "literal"):
+            for model in ("multiplicative:0.5", "fixed:0.2"):
+                trace = run_scenario(
+                    scenario, mode=AuditMode(mode), trust_model=parse_trust_model(model)
+                )
+                argv = ["run", path, "--format", "json", "--mode", mode, "--trust-model", model]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                assert (code, out.getvalue()) == (0, json.dumps(trace.to_dict(), indent=2) + "\n")
+
+
+def test_run_json_builds_no_trace_dict(paper_scenario, capsys, monkeypatch):
+    # the trace is written from the engine's objects; a refactor back to
+    # a dict tree fails here
+    cases = [([PAPER], paper_scenario), (["--seed", "5"], generate_scenario(5))]
+    expected = [json.dumps(run_scenario(s).to_dict(), indent=2) + "\n" for _, s in cases]
+    assert all('"report": {' in text for text in expected)
+
+    def no_dict(*args):
+        raise AssertionError("run --format json built a dict")
+
+    for name in ("event_to_dict", "_state_dicts", "report_to_dict"):
+        monkeypatch.setattr(simulator, name, no_dict)
+    for (args, _), text in zip(cases, expected):
+        assert main(["run", *args, "--format", "json"]) == 0
+        assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize("mode", ["prose", "literal"])
@@ -507,10 +571,6 @@ def test_audit_json_builds_no_violation_dict(tmp_path, capsys, monkeypatch):
     code = main(["audit", str(edit), str(comm), "--assessor", "P3", "--format", "json"])
     assert code == 1
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
-
-
-peer_ids = st.sampled_from([s for s in SPECIAL_STRINGS if s]) | st.text(min_size=1)
-any_text = st.sampled_from(SPECIAL_STRINGS) | st.text()
 
 
 @st.composite

@@ -18,13 +18,14 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import logtrust
 from logtrust import event_to_dict, generate_scenario, run_scenario
-from logtrust.cli import _dumps, main
+from logtrust.cli import _write, main
 
 from conftest import SCENARIOS
 
@@ -200,7 +201,7 @@ def test_output_is_written_in_pieces_of_at_most_1_mib(tmp_path, monkeypatch):
     scenario = generate_scenario(2, max_peers=8, max_commands=100)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
-    text = _dumps(*run_scenario(scenario).to_dict_and_shared())
+    text = json.dumps(run_scenario(scenario).to_dict(), indent=2)
     assert len(text) > 2 << 20  # three pieces and the newline
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -208,6 +209,41 @@ def test_output_is_written_in_pieces_of_at_most_1_mib(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert max(map(len, stdout.pieces)) <= 1 << 20
     assert "".join(stdout.pieces) == text + "\n"
+    # a piece longer than 1 MiB is sliced
+    stdout = RecordingStdout()
+    _write(stdout, ["a", "b" * ((2 << 20) + 1), "c"])
+    assert list(map(len, stdout.pieces)) == [1, 1 << 20, 1 << 20, 1, 1, 1]
+    assert stdout.getvalue() == "a" + "b" * ((2 << 20) + 1) + "c\n"
+
+
+class CountingStdout(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_run_json_never_holds_the_whole_trace(tmp_path, monkeypatch):
+    # The trace is written one snapshot at a time, from texts rendered once
+    # per object, so memory stays far below the size of the output.
+    scenario = generate_scenario(2, max_peers=8, max_commands=292)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path), "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert code == 0
+    assert stdout.size > 50_000_000
+    assert peak < stdout.size / 4, (peak, stdout.size)
 
 
 def _cli(*argv, **kwargs):
