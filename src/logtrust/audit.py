@@ -26,6 +26,7 @@ import enum
 import json
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -184,20 +185,26 @@ def report_to_dict(report: "AuditReport") -> dict:
 
 
 def _report_json(report: AuditReport) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, written from the
-    violations with one template each.  The clocks are exact ints (their
-    constructors check), so ``!r`` is ``int.__repr__``."""
+    """``json.dumps(report_to_dict(report), indent=2)``, with all of a violation's
+    text but its action clock rendered once per forbid, which fixes the offender
+    and verb.  Clocks are exact ints (their constructors check), so ``!r`` is
+    ``int.__repr__``."""
     enc = encode_basestring_ascii
-    items = []
+    items, around = [], {}
     for v in report.violations:
-        forbid, origin = v.forbid, v.forbid.origin
-        items.append(
-            f'{{\n      "offender": {enc(v.offender)},\n      "verb": {enc(v.verb.value)},'
-            f'\n      "action_clock": {v.action_clock!r},\n      "forbid_clock": {forbid.clock!r},'
-            f'\n      "grantor": {enc(forbid.by)},\n      "origin": {{'
-            f'\n        "grantor": {enc(origin.grantor)},\n        "grantee": {enc(origin.grantee)},'
-            f'\n        "share_clock": {origin.share_clock!r}\n      }}\n    }}'
-        )
+        forbid = v.forbid
+        parts = around.get(id(forbid))
+        if parts is None:
+            o = forbid.origin
+            parts = around[id(forbid)] = (
+                f'{{\n      "offender": {enc(forbid.to)},\n      "verb": {enc(forbid.verb.value)},'
+                '\n      "action_clock": ',
+                f',\n      "forbid_clock": {forbid.clock!r},\n      "grantor": {enc(forbid.by)},'
+                f'\n      "origin": {{\n        "grantor": {enc(o.grantor)},\n        "grantee": '
+                f'{enc(o.grantee)},\n        "share_clock": {o.share_clock!r}\n      }}\n    }}',
+            )
+        items.append(f"{parts[0]}{v.action_clock!r}{parts[1]}")
+    around.clear()  # free the cache before the joins, which hold the most memory
     pairs = [f"{enc(peer)}: {json.dumps(report.trust[peer])}" for peer in sorted(report.trust)]
     sep = ",\n    "
     violations = f"[\n    {sep.join(items)}\n  ]" if items else "[]"
@@ -254,7 +261,9 @@ class CopyAudit:
     in by the next ``report``, whose cost follows them: a new action is
     one index query, and an obligation that changes its group's index
     re-decides only that group's actions after the lowest clock it
-    changed.  The report does not depend on how the events were split
+    changed.  Each offender's violations are kept in key order, so a
+    changed verdict is one bisection and a report joins one list per
+    offender.  The report does not depend on how the events were split
     into folds or ordered within one, so a copy built over a pair of full
     logs is their from-scratch audit.  Each event must be queued once, as
     its log holds it.  An action is identified by its actor, clock, verb
@@ -264,8 +273,7 @@ class CopyAudit:
 
     __slots__ = (
         "assessor", "creator", "mode", "pending",
-        "_index", "_actions", "_found", "_order", "_peers",
-        "_violations", "_ladder",
+        "_index", "_actions", "_verdicts", "_peers", "_violations", "_ladder",
     )
 
     def __init__(
@@ -279,10 +287,9 @@ class CopyAudit:
         # (actor, verb) -> recipient -> ascending clocks of the audited
         # actions; an edit's recipient is ""
         self._actions: dict[tuple[str, Verb], dict[str, list[int]]] = {}
-        # (offender, action clock, verb rank, recipient) -> Violation, and
-        # per offender its keys in ascending order
-        self._found: dict[tuple[str, int, int, str], Violation] = {}
-        self._order: dict[str, list[tuple[str, int, int, str]]] = {}
+        # offender -> its violations' keys (action clock, verb rank,
+        # recipient) in ascending order, and its violations in that order
+        self._verdicts: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
         self._peers = {assessor} if assessor else set()
         self._violations: Optional[tuple[Violation, ...]] = ()
         # A trust model and its value after 0, 1, 2, ... violations
@@ -310,21 +317,19 @@ class CopyAudit:
         """Record that ``forbid`` now decides the action, if it is a forbid."""
         if forbid is not None and forbid.allow:
             forbid = None
-        key = (by, clock, _VERB_RANK[verb], to)
-        held = self._found.get(key)
+        keys, found = self._verdicts[by]
+        key = (clock, _VERB_RANK[verb], to)
+        i = bisect_left(keys, key)
+        held = found[i].forbid if i < len(keys) and keys[i] == key else None
+        if held is forbid:
+            return
         if held is None:
-            if forbid is None:
-                return
-            insort(self._order.setdefault(by, []), key)
+            keys.insert(i, key)
+            found.insert(i, Violation(by, verb, clock, forbid))
         elif forbid is None:
-            del self._found[key]
-            keys = self._order[by]
-            del keys[bisect_left(keys, key)]
-            self._violations = None
-            return
-        elif held.forbid is forbid:
-            return
-        self._found[key] = Violation(by, verb, clock, forbid)
+            del keys[i], found[i]
+        else:
+            found[i] = Violation(by, verb, clock, forbid)
         self._violations = None
 
     def _fold(self) -> None:
@@ -364,11 +369,11 @@ class CopyAudit:
         """The copy's audit report, with trust under ``model``."""
         if self.pending:
             self._fold()
-        order = self._order
+        verdicts = self._verdicts
         if self._violations is None:
             violations: list[Violation] = []
-            for by in sorted(order):
-                violations += map(self._found.__getitem__, order[by])
+            for by in sorted(verdicts):
+                violations += verdicts[by][1]
             self._violations = tuple(violations)
         held_model, ladder = self._ladder
         if held_model is not model:
@@ -376,7 +381,7 @@ class CopyAudit:
             self._ladder = (model, ladder)
         trust = {}
         for peer in sorted(self._peers):
-            count = len(order.get(peer, ()))
+            count = len(verdicts[peer][1]) if peer in verdicts else 0
             # apply_violations' fold: one decrement per violation, from the maximum
             while len(ladder) <= count:
                 ladder.append(model.on_violation(ladder[-1]))

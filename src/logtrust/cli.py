@@ -49,6 +49,8 @@ def _load_json(path: str) -> Any:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise _CliError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise _CliError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _write(stream: TextIO, pieces: Iterable[str]) -> None:

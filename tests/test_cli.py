@@ -574,16 +574,26 @@ def test_audit_json_builds_no_violation_dict(tmp_path, capsys, monkeypatch):
 
 
 @st.composite
-def violations(draw):
-    grantor = draw(peer_ids)
-    offender = draw(peer_ids.filter(lambda peer: peer != grantor))
-    verb = draw(st.sampled_from(sorted(OBLIGATION_VERBS, key=lambda v: v.value)))
+def forbids(draw, governed):
+    """A forbid for an (offender, verb) drawn from ``governed``."""
+    offender, verb = draw(governed)
+    grantor = draw(peer_ids.filter(lambda peer: peer != offender))
     forbid_clock = draw(st.integers(min_value=1, max_value=2**63 - 1))
-    action_clock = draw(st.integers(min_value=forbid_clock + 1, max_value=2**63))
     origin = OriginKey(grantor, offender, draw(st.integers(min_value=1, max_value=2**63)))
-    return Violation(
-        offender, verb, action_clock, Obligation(forbid_clock, verb, False, grantor, offender, origin)
-    )
+    return Obligation(forbid_clock, verb, False, grantor, offender, origin)
+
+
+@st.composite
+def violations(draw):
+    """Violations that share forbids, over forbids that share an (offender, verb)."""
+    verbs = st.sampled_from(sorted(OBLIGATION_VERBS, key=lambda v: v.value))
+    governed = draw(st.lists(st.tuples(peer_ids, verbs), min_size=1, max_size=3))
+    pool = draw(st.lists(forbids(st.sampled_from(governed)), min_size=1, max_size=4))
+    drawn = []
+    for forbid in draw(st.lists(st.sampled_from(pool), max_size=8)):
+        action_clock = draw(st.integers(min_value=forbid.clock + 1, max_value=2**63))
+        drawn.append(Violation(forbid.to, forbid.verb, action_clock, forbid))
+    return tuple(drawn)
 
 
 @st.composite
@@ -598,7 +608,7 @@ def audit_reports(draw):
         draw(any_text),
         draw(any_text),
         draw(st.sampled_from(AuditMode)),
-        tuple(draw(st.lists(violations(), max_size=4))),
+        draw(violations()),
         draw(st.dictionaries(any_text, st.sampled_from(ladder), max_size=4)),
     )
 

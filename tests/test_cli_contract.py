@@ -15,6 +15,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -131,6 +132,30 @@ def test_exit_codes_hold_on_mutated_inputs(tmp_path, capsys):
         codes.add(call(capsys, ["run", scenario_path, "--mode", "literal", "--format", "json"]))
     # the mutations reach every outcome, so the contract is not met vacuously
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs an int digit limit (Python 3.11+, not disabled)",
+)
+def test_a_clock_past_the_int_digit_limit_is_invalid_json_of_its_file(tmp_path, capsys):
+    edit, comm = exported_pairs()[0]
+    edit_path = write(tmp_path / "edit.json", edit)
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    comm_text = re.sub(r'"clock": \d+', f'"clock": {digits}', json.dumps(comm), count=1)
+    assert digits in comm_text
+    comm_path = tmp_path / "comm.json"
+    comm_path.write_text(comm_text, encoding="utf-8")
+    for argv in (
+        ["audit", edit_path, str(comm_path), "--assessor", "P1"],
+        ["validate", str(comm_path)],
+        ["run", str(comm_path)],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {comm_path}: invalid JSON: Exceeds the limit"), err
+        assert err.count("\n") == 1, err
 
 
 class FailingStdout(io.StringIO):

@@ -1,5 +1,5 @@
 """``Simulation`` on large held logs, against ``tests/oracle.py``'s reference
-engine, and the work its log ops do as the logs grow.
+engine, and the work its log ops and audits do as the logs grow.
 
 A log is a prefix of an append-only lineage, and a share or deliver reads
 only what is new on its channel (``events._outbound``, ``events._received``).
@@ -17,6 +17,7 @@ import pytest
 
 from logtrust import Simulation, generate_scenario, log_to_dict
 from logtrust import events as events_module
+from logtrust.audit import CopyAudit
 from logtrust.simulator import apply_command, parse_scenario
 from oracle import oracle_engine
 
@@ -171,4 +172,51 @@ def test_log_work_grows_about_linearly_with_commands(monkeypatch):
         work[rung] = _CountedList.read
     assert work[500] > 0
     slope = math.log(work[2000] / work[500]) / math.log(2000 / 500)
+    assert slope <= 1.3, (work, slope)
+
+
+class _CountedName(str):
+    """A peer name that counts its hashes while ``counting`` is set."""
+
+    hashes = 0
+    counting = False
+
+    def __hash__(self):
+        _CountedName.hashes += _CountedName.counting
+        return str.__hash__(self)
+
+
+def test_audit_work_grows_about_linearly_with_commands(monkeypatch):
+    """Every keyed lookup an audit makes by a peer or by an action (a verdict,
+    a held action, a peer seen) hashes a peer name.  Counted while
+    ``CopyAudit.report`` folds and assembles, over the first 2,000 and 8,000
+    commands of one scenario, those hashes must grow with a log-log slope of
+    at most 1.3; looking up every violation again in each report that
+    follows a change grows them with a slope of about 1.7."""
+    report = CopyAudit.report
+
+    def counted_report(self, *args):
+        _CountedName.counting = True
+        try:
+            return report(self, *args)
+        finally:
+            _CountedName.counting = False
+
+    monkeypatch.setattr(CopyAudit, "report", counted_report)
+    _, commands = parse_scenario(generate_scenario(3, max_peers=8, max_commands=8700))
+    assert len(commands) >= 8000
+    names = {}
+    for command in commands:
+        for field in ("peer", "from", "to"):
+            if field in command:
+                command[field] = names.setdefault(command[field], _CountedName(command[field]))
+    work = {}
+    for rung in (2000, 8000):
+        _CountedName.hashes = 0
+        sim = Simulation()
+        for command in commands[:rung]:
+            apply_command(sim, command)
+        work[rung] = _CountedName.hashes
+    assert work[2000] > 0
+    slope = math.log(work[8000] / work[2000]) / math.log(8000 / 2000)
     assert slope <= 1.3, (work, slope)
