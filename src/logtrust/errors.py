@@ -29,10 +29,6 @@ class InternallyConflictingSetError(LogTrustError):
     """An obligation set contains both polarities of the same verb."""
 
 
-class EmptyInputError(LogTrustError):
-    """An operation that needs at least one element received none."""
-
-
 class MissingObligationError(LogTrustError):
     """A share carried no obligations and is not a send-back."""
 

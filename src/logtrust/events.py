@@ -285,19 +285,18 @@ class _Lineage:
     Every log that reads the list is one of its prefixes, and a prefix
     never changes, so all of them share it.  A log built by the
     constructor starts a lineage over its entries tuple, which becomes a
-    list when a log first extends it.  ``keys`` is None or the identities
-    of every event in the list.  ``order`` is the first ``len(order)``
-    events in canonical order, the entries of the latest log that built
-    them, or a log whose entries they are (a fork's source, until a read
-    needs them): ``Log.entries`` builds forward from it.
+    list when a log first extends it.  A lineage has one owner that
+    appends to it: in the engine, one held log or one channel.  ``keys``
+    is None or the identities of every event in the list.  ``order`` is
+    the first ``len(order)`` events in canonical order, the entries of
+    the latest log that built them: ``Log.entries`` builds forward from
+    it.
     """
 
     __slots__ = ("events", "keys", "order")
 
     def __init__(
-        self,
-        events: Union[list[Event], tuple[Event, ...]],
-        order: Union[tuple[Event, ...], "Log"] = (),
+        self, events: Union[list[Event], tuple[Event, ...]], order: tuple[Event, ...] = ()
     ):
         self.events = events
         self.keys: Optional[set] = None
@@ -320,9 +319,12 @@ class Log:
     arrival order (``_Lineage``).  Deriving a log appends the events it
     adds to its parent's list when the parent is the list's head, and
     otherwise first copies the parent's events into a new list
-    (``_extendable``), so an op costs the events it adds.  ``entries``
-    are built on first read and cached: forward from the lineage's sorted
-    cache, or by sorting an older log's prefix (``_sorted``).  A log's
+    (``_extendable``), so an op costs the events it adds.  A receive
+    appends to the local log's lineage, never the received one's.  The
+    engine derives only from heads, so it never copies; only a log
+    derived from an older version does.  ``entries`` are built on first
+    read and cached: forward from the lineage's sorted cache, or by
+    sorting an older log's prefix (``_sorted``).  A log's
     identity set, which its duplicate check reads, is its lineage's, and
     it holds exactly the log's identities while the log is the head.
     """
@@ -401,8 +403,6 @@ def _sorted(lineage: _Lineage, n: int) -> tuple[Event, ...]:
     is sorted with them.  A shorter prefix is sorted on its own.
     """
     events, order = lineage.events, lineage.order
-    if order.__class__ is not tuple:
-        order = lineage.order = order.entries
     ordered = len(order)
     if n < ordered:
         return tuple(sorted(events[:n], key=_KEY))
@@ -427,13 +427,9 @@ def _arrived(log: Log) -> Iterator[Event]:
 
 def _fork(log: Log) -> _Lineage:
     """A new lineage of ``log``'s events, whose sorted prefix is ``log``'s
-    entries: the one place a log's list is copied."""
-    return _Lineage(log._lineage.events[: log._n], log._entries or log)
-
-
-def _detached(log: Log) -> Log:
-    """``log``, equal, over a lineage of its own."""
-    return _init(object.__new__(Log), log._role, _fork(log), log._n, log._entries)
+    entries if built: the one place a log's list is copied, for a log
+    derived from an older version."""
+    return _Lineage(log._lineage.events[: log._n], log._entries or ())
 
 
 def _extendable(log: Log) -> _Lineage:
@@ -543,9 +539,8 @@ def merge_logs(local: Log, received: Log) -> Log:
     grantor-side clock while every other copy in circulation carries the
     grantee's receipt clock, and a peer must not have its settled copy
     rewritten by a late-arriving duplicate.  Returns ``local`` itself when
-    ``received`` adds nothing, and ``received`` itself when ``local`` is
-    empty.  It costs one pass over ``received``'s events plus the events
-    it adds (see ``receive_log``).
+    ``received`` adds nothing.  It costs one pass over ``received``'s
+    events plus the events it adds (see ``receive_log``).
 
     Merging is idempotent, and for logs whose shared identities carry
     identical events (the only case arising from normal exchange) it is
@@ -562,12 +557,11 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     receipt drawn from the receiver's counter; other obligations and all
     performed events keep their clocks.  Origin keys are never touched,
     so identities survive.  Returns ``local`` itself when ``received``
-    adds nothing, and ``received`` itself when ``local`` is empty and
-    nothing needs re-stamping.  Besides one pass over ``received``'s
-    events, in arrival order, it costs the events it adds: a new result
-    appends them to ``local``'s lineage and identity set when ``local`` is
-    the lineage's head, and to a copy of ``local``'s otherwise (see
-    ``Log``).
+    adds nothing.  Besides one pass over ``received``'s events, in
+    arrival order, it costs the events it adds: a new result appends
+    them to ``local``'s lineage and identity set when ``local`` is the
+    lineage's head, and to a copy of ``local``'s otherwise (see ``Log``),
+    never to ``received``'s, even when ``local`` is empty.
     """
     return _received(local, received, receiver, clock)[0]
 
@@ -589,14 +583,10 @@ def _received(
     new = [e for e in received._lineage.events[start : received._n] if e._id not in keys]
     if not new:
         return local, new
-    restamped = False
     if receiver is not None and role is LogRole.COMM:  # an edit log holds no obligations
         for i, event in enumerate(new):
             if event.to == receiver and isinstance(event, Obligation):
                 new[i] = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
-                restamped = True
-    if not local._n and not restamped:
-        return received, new
     return _appended(role, lineage, new, keys), new
 
 
@@ -604,11 +594,12 @@ class _Channel:
     """What one channel, from a sender to a recipient for one document,
     has carried, so that a share or a deliver on it reads only what is new.
 
-    ``sent`` is the communication log of the channel's last share: the
-    sender's lineage ``source`` filtered up to its first ``read`` events
-    (``_outbound``).  The last message delivered on the channel carried
-    the first ``edit_n`` events of the lineage ``edit`` and ``comm_n`` of
-    ``comm``, which the recipient holds, since a copy only grows.
+    ``sent`` is the communication log of the channel's last share, over
+    a lineage the channel owns: the sender's lineage ``source`` filtered
+    up to its first ``read`` events (``_outbound``).  The last message
+    delivered on the channel carried the first ``edit_n`` events of the
+    lineage ``edit`` and ``comm_n`` of ``comm``, which the recipient
+    holds, since a copy only grows.
     ``sent_back`` records that the sender holds a share from the
     recipient, so it may share back without obligations.
     """
@@ -643,25 +634,20 @@ def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> 
     """What a share from ``sender`` to ``recipient`` carries of ``comm_log``.
 
     The recipient gets the full correspondence history relevant to it,
-    but not the sender's grants and shares to other peers.  That is
-    ``comm_log`` itself while it keeps every event.  When ``comm_log``
-    extends the prefix ``channel`` has filtered, only the events added
-    since are filtered, and those kept are appended to the channel's own
-    log; ``channel`` then records the result.
+    but not the sender's grants and shares to other peers.  The result is
+    a log over a lineage of the channel's own, made on its first share.
+    When ``comm_log`` extends the prefix ``channel`` has filtered, only
+    the events added since are filtered, and those kept are appended to
+    the channel's log; ``channel`` then records the result.
     """
     lineage, n = comm_log._lineage, comm_log._n
     start, out = 0, None
     if channel.source is lineage and channel.read <= n:
         start, out = channel.read, channel.sent
-    fresh = lineage.events[start:n]
-    kept = [e for e in fresh if e.by != sender or e.to == recipient]
-    if len(kept) == len(fresh) and (out is None or out._lineage is lineage):
-        out = comm_log
-    elif out is None:
+    kept = [e for e in lineage.events[start:n] if e.by != sender or e.to == recipient]
+    if out is None:
         out = _appended(LogRole.COMM, _Lineage([]), kept)
-    elif kept or out._lineage is lineage:
-        # the first drop forks ``out`` off the sender's lineage, even when
-        # nothing is kept, since that lineage goes on with the dropped event
+    elif kept:
         out = _appended(LogRole.COMM, _extendable(out), kept)
     channel.sent, channel.source, channel.read = out, lineage, n
     return out

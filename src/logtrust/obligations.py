@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import EmptyInputError, InternallyConflictingSetError
+from .errors import InternallyConflictingSetError
 from .events import Verb
 
 
@@ -149,21 +149,3 @@ def compare_sets(
     if weaker and not stronger:
         return Ordering.WEAKER
     return Ordering.INCOMPARABLE
-
-
-def resolve(atoms: Sequence[ObligationAtom]) -> ObligationAtom:
-    """Combine several atoms for one verb into the binding one.
-
-    The restrictive reading wins: one deny among the atoms forbids the
-    verb regardless of how many permits accompany it.
-    """
-    if not atoms:
-        raise EmptyInputError("cannot resolve an empty collection of atoms")
-    verbs = {a.verb for a in atoms}
-    if len(verbs) > 1:
-        names = ", ".join(sorted(v.value for v in verbs))
-        raise ValueError(f"atoms must share one verb, got: {names}")
-    for atom in atoms:
-        if not atom.allow:
-            return atom
-    return atoms[0]

@@ -48,7 +48,6 @@ from .events import (
     _Channel,
     _PADS,
     _arrived,
-    _detached,
     _insert_events,
     _json_list,
     _log_json,
@@ -174,7 +173,10 @@ class Simulation:
     share filters only the sender's communication events added since the
     channel's last share, and a deliver reads only the events of the
     message past those of the channel's last delivered message, which the
-    recipient holds, since a copy only grows.
+    recipient holds, since a copy only grows.  Each held log and each
+    channel's outbound log appends only to a lineage of its own
+    (``events._Lineage``), so every message of a channel after its first
+    extends the last one's lineages, and no op copies a log's list.
     """
 
     def __init__(
@@ -201,10 +203,12 @@ class Simulation:
         return (peer, doc_id) in self._held
 
     def peer_state(self, peer: str, doc_id: str) -> PeerDocState:
-        state = self._held.get((peer, doc_id))
-        if state is None:
-            raise DocumentNotHeldError(f"{peer} does not hold {doc_id!r}")
-        return state
+        try:
+            return self._held[peer, doc_id]
+        except (KeyError, TypeError):  # a held copy's ids are valid: only a miss checks them
+            _checked_id(peer, "peer")
+            _checked_id(doc_id, "doc_id")
+            raise DocumentNotHeldError(f"{peer} does not hold {doc_id!r}") from None
 
     def pending(self, sender: str, recipient: str, doc_id: str) -> tuple[Message, ...]:
         return self._queues.get((sender, recipient, doc_id), ())
@@ -261,9 +265,9 @@ class Simulation:
         """
         del ignore_obligations  # annotation only, never enforced
         ordered = _batch_verbs(verbs)
-        _checked_id(peer, "peer")
-        _checked_id(doc_id, "doc_id")
         if Verb.CREATE in ordered:
+            _checked_id(peer, "peer")
+            _checked_id(doc_id, "doc_id")
             if doc_id in self._documents:
                 raise LogTrustError(f"document {doc_id!r} already exists")
             state = PeerDocState(
@@ -340,11 +344,15 @@ class Simulation:
         hold the document receives into empty logs.
         """
         channel = (sender, recipient, doc_id)
-        queue = self._queues.get(channel)
-        if queue is None:
+        try:
+            queue = self._queues[channel]
+        except (KeyError, TypeError):  # a channel's ids are valid: only a miss checks them
+            _checked_id(recipient, "recipient")
+            _checked_id(sender, "sender")
+            _checked_id(doc_id, "doc_id")
             raise NoPendingMessageError(
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
-            )
+            ) from None
         message = queue[0]
         clock = self.clock(recipient) + 1
         state = self._held.get((recipient, doc_id))
@@ -362,12 +370,6 @@ class Simulation:
         comm_log, new_comm = _received(
             state.comm_log, message.comm_log, recipient, clock, comm_from
         )
-        # A copy received into empty logs gets lineages of its own, or it
-        # and the sender would extend one list (``events._extendable``).
-        if edit_log is message.edit_log:
-            edit_log = _detached(edit_log)
-        if comm_log is message.comm_log:
-            comm_log = _detached(comm_log)
         link.delivered(message.edit_log, message.comm_log)
         if len(queue) > 1:
             self._queues[channel] = queue[1:]

@@ -16,6 +16,9 @@ DATA = Path(__file__).resolve().parent / "data"
 # default, so ``long`` lengthens only the state machine.
 settings.register_profile("machine", max_examples=30, stateful_step_count=40, deadline=None)
 settings.register_profile("long", max_examples=100, stateful_step_count=200, deadline=None)
+# ``pytest tests/test_events.py --hypothesis-profile=events`` runs the log
+# property tests (lineage ops, receives, merges) ten times as long.
+settings.register_profile("events", max_examples=1000, deadline=None)
 
 
 def pytest_addoption(parser):

@@ -271,12 +271,10 @@ def test_receive_log_matches_reference(local_events, received_events, case, rece
     check_log(got)
     if len(want) == len(local):
         assert got is local
-    elif not local.entries and not any(
-        isinstance(e, Obligation) and e.to == receiver for e in received
-    ):
-        assert got is received
     else:
+        # a receive into empty logs too appends to the local log's lineage
         assert got is not local and got is not received
+        assert got._lineage is not received._lineage
 
 
 def insert_rejection(log, events):
@@ -500,23 +498,31 @@ def test_an_outbound_filters_only_what_its_source_added():
     events = [PerformedShare(1, "P1", "P2"), obl(1, by="P1", to="P2", share_clock=1)]
     comm = _insert_events(empty_log(LogRole.COMM), events)
     channel = _Channel()
-    assert _outbound(comm, "P1", "P2", channel) is comm  # nothing dropped: the sender's own
+    first = _outbound(comm, "P1", "P2", channel)  # nothing dropped, yet the channel's own
+    assert first.entries == comm.entries and first._lineage is not comm._lineage
     grown = _insert_events(comm, [grant, PerformedShare(2, "P1", "P3"), theirs])
-    assert _outbound(grown, "P1", "P2", channel).entries == (*comm.entries, theirs)
+    second = _outbound(grown, "P1", "P2", channel)
+    assert second.entries == (*comm.entries, theirs)
+    assert second._lineage is first._lineage  # appended to the channel's lineage
+    assert first.entries == comm.entries  # which leaves the earlier message as it was
     # a record of another lineage is no shortcut
     other = Log.from_events(LogRole.COMM, [grant, theirs])
     assert _outbound(other, "P1", "P2", channel).entries == (theirs,)
     # nor is one that has read past an older log of its lineage
     _outbound(grown, "P1", "P2", channel)
-    assert _outbound(comm, "P1", "P2", channel) is comm
-    # a drop with nothing kept still ends the channel's use of the sender's log
+    assert _outbound(comm, "P1", "P2", channel).entries == comm.entries
+    # a drop with nothing kept leaves the channel's log as it is
     base = _insert_events(empty_log(LogRole.COMM), events)
     channel = _Channel()
-    assert _outbound(base, "P1", "P2", channel) is base
+    sent = _outbound(base, "P1", "P2", channel)
     dropped = _insert_events(base, [grant])
-    assert _outbound(dropped, "P1", "P2", channel).entries == base.entries
+    assert _outbound(dropped, "P1", "P2", channel) is sent
     later = _insert_events(dropped, [theirs])
-    assert _outbound(later, "P1", "P2", channel).entries == (*base.entries, theirs)
+    appended = _outbound(later, "P1", "P2", channel)
+    assert appended.entries == (*base.entries, theirs) and appended._lineage is sent._lineage
+    for out in (sent, appended):
+        assert out._lineage is not base._lineage
+        check_log(out)
 
 
 def test_copies_and_the_original_derive_alike():

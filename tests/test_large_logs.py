@@ -17,6 +17,7 @@ import pytest
 
 from logtrust import Simulation, generate_scenario, log_to_dict
 from logtrust import events as events_module
+from logtrust import simulator as simulator_module
 from logtrust.audit import CopyAudit
 from logtrust.simulator import apply_command, parse_scenario
 from oracle import oracle_engine
@@ -77,11 +78,8 @@ def check_against_reference(monkeypatch, scenario, limit=None):
     the reference engine, comparing them every ``CHECK_EVERY`` commands and
     at the end.
 
-    The engine must fork each held log at most once, when a copy is first
-    received into empty logs: the new copy then takes the message's logs
-    onto lineages of its own.  Apart from that, only a share forks, at
-    most once per channel: the channel's log is the sender's own until
-    the filter first drops an event, and then the channel copies it.
+    No command may fork a log: each held copy and each channel appends
+    only to a lineage of its own, so the engine never copies a log's list.
     """
     _, commands = parse_scenario(scenario)
     commands = commands[:limit]
@@ -90,28 +88,10 @@ def check_against_reference(monkeypatch, scenario, limit=None):
     fork = events_module._fork
     monkeypatch.setattr(events_module, "_fork", lambda log: forked.append(log) or fork(log))
     sim, reference = Simulation(), {}
-    forked_channels = set()
     for i, command in enumerate(commands, 1):
-        op, doc, where = command["op"], command["doc_id"], (i, command)
-        if op == "share":
-            sender = sim.peer_state(command["from"], doc)
-        elif op == "deliver":
-            message = sim.pending(command["from"], command["to"], doc)[0]
-            first = not sim.holds(command["to"], doc)
-        before = len(forked)
         clock, _ = apply_command(sim, command)
         assert clock == oracle_engine(reference, command)
-        added = forked[before:]
-        if op == "deliver" and first:
-            assert len({log.role for log in added}) == len(added), where
-            assert all(log is message.edit_log or log is message.comm_log for log in added), where
-        elif op == "share" and added:
-            channel = (command["from"], command["to"], doc)
-            assert len(added) == 1 and channel not in forked_channels, where
-            assert added[0] is not sender.comm_log, where  # the channel's, not the sender's
-            forked_channels.add(channel)
-        else:
-            assert not added, where
+        assert not forked, (i, command)
         if i % CHECK_EVERY == 0 or i == len(commands):
             compare(sim, reference, peers)
     return commands, sim
@@ -136,6 +116,47 @@ def test_a_large_scenario_matches_the_reference_engine(monkeypatch, name):
         if sim.holds(p, d)
     )
     assert largest > (1000 if name != "docs16" else 300)
+
+
+def count_reads_from_the_start(monkeypatch, scenario, limit=None):
+    """Run ``scenario``'s commands (its first ``limit``), checking that a
+    deliver reads a message's two logs from their first event only for
+    the channel's first message; every later message extends the same
+    lineages, so a deliver reads only past the last one.  Returns the
+    number of deliveries."""
+    starts = []
+    received = events_module._received
+
+    def counted(local, message_log, receiver, clock, start):
+        starts.append(start)
+        return received(local, message_log, receiver, clock, start)
+
+    monkeypatch.setattr(simulator_module, "_received", counted)
+    _, commands = parse_scenario(scenario)
+    sim, delivered, deliveries = Simulation(), set(), 0
+    for i, command in enumerate(commands[:limit]):
+        starts.clear()
+        apply_command(sim, command)
+        if command["op"] == "deliver":
+            channel = (command["from"], command["to"], command["doc_id"])
+            first = channel not in delivered
+            delivered.add(channel)
+            deliveries += 1
+            assert starts.count(0) == (2 if first else 0), (i, command, starts)
+    return deliveries
+
+
+def test_only_a_first_message_is_read_from_the_start(monkeypatch):
+    for seed in range(60):
+        scenario = generate_scenario(seed, max_peers=8, max_commands=400)
+        assert count_reads_from_the_start(monkeypatch, scenario) > 0, seed
+    assert count_reads_from_the_start(monkeypatch, SCENARIOS["docs16"](), PREFIX) > 0
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_only_a_first_message_is_read_from_the_start_in_a_large_scenario(monkeypatch, name):
+    assert count_reads_from_the_start(monkeypatch, SCENARIOS[name]()) > 100
 
 
 class _CountedList(list):

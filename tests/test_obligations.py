@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logtrust import (
-    EmptyInputError,
     InternallyConflictingSetError,
     Log,
     LogRole,
@@ -17,7 +16,6 @@ from logtrust import (
     compare_atoms,
     compare_sets,
     detect_conflicts,
-    resolve,
     validate_set,
 )
 from logtrust.kernel import GoverningIndex
@@ -182,15 +180,6 @@ def test_compare_sets_transitive_on_shared_domain(domain, data):
     geq = (Ordering.STRONGER, Ordering.EQUAL)
     if compare_sets(a, b) in geq and compare_sets(b, c) in geq:
         assert compare_sets(a, c) in geq
-
-
-def test_resolve_restrictive():
-    assert resolve([A(Verb.READ, True), A(Verb.READ, False)]) == A(Verb.READ, False)
-    assert resolve([A(Verb.READ, True), A(Verb.READ, True)]) == A(Verb.READ, True)
-    with pytest.raises(EmptyInputError):
-        resolve([])
-    with pytest.raises(ValueError):
-        resolve([A(Verb.READ, True), A(Verb.SHARE, True)])
 
 
 # The effective status of an action: the obligation that a prose-mode

@@ -110,6 +110,16 @@ def test_deliver_requires_pending_message():
         ("share", "P1", "d", "", READ_OK),
         ("share", "P1", "d", 2, READ_OK),
         ("share", "P1", "d", None, READ_OK),
+        ("share", None, "d", "P2", READ_OK),
+        ("share", "P1", "", "P2", READ_OK),
+        ("deliver", None, "P1", "d"),
+        ("deliver", "P2", "", "d"),
+        ("deliver", "P2", "P1", 3),
+        ("audit", "", "d"),
+        ("audit", "P1", None),
+        ("audit", ["P1"], "d"),
+        ("edit", "P1", ["d"], Verb.READ),
+        ("deliver", "P2", ["P1"], "d"),
     ],
     ids=lambda call: call[0] + repr(tuple(a for a in call[1:] if not isinstance(a, (Verb, list)))),
 )
