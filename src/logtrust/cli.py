@@ -143,7 +143,7 @@ def _export_logs(trace, directory: str) -> list[str]:
                     f'\n  "role": "{log.role.value}",\n  "events": '
                 )
                 with path.open("w", encoding="utf-8") as handle:
-                    _write(handle, (head, _log_json(log, 1, {}), "\n}"))
+                    _write(handle, (head, _log_json(log, 1), "\n}"))
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory

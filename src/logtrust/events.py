@@ -420,6 +420,13 @@ def _sorted(lineage: _Lineage, n: int) -> tuple[Event, ...]:
     return order
 
 
+def _ordered(log: Log) -> tuple[Event, ...]:
+    """``log.entries``, without keeping them on ``log``: for a reader that
+    meets the versions of a lineage once each, oldest first, so that only
+    the lineage's latest sorted prefix is kept."""
+    return log._entries or _sorted(log._lineage, log._n)
+
+
 def _arrived(log: Log) -> Iterator[Event]:
     """``log``'s events in arrival order, for readers that need no order."""
     return islice(log._lineage.events, log._n)
@@ -689,20 +696,23 @@ def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
     An author's comments arrive in clock order, so each author's live
     comments form a stack whose top is the most recent one.
     """
-    if edit_log._comments is not None:
-        return edit_log._comments
+    if edit_log._comments is None:
+        edit_log._comments = _replayed(edit_log.entries)
+    return edit_log._comments
+
+
+def _replayed(entries: Iterable[Event]) -> frozenset[tuple[str, str]]:
+    """The comment set of an edit log's ``entries``, in canonical order."""
     comment, delete = Verb.COMMENT, Verb.DELETE_COMMENT  # enum lookups are slow
     live: dict[str, list[str]] = {}
-    for event in edit_log.entries:
+    for event in entries:
         if event.verb is comment:
             live.setdefault(event.by, []).append(make_comment_id(event.by, event.clock))
         elif event.verb is delete:
             own = live.get(event.by)
             if own:
                 own.pop()
-    comments = frozenset((author, cid) for author, ids in live.items() for cid in ids)
-    edit_log._comments = comments
-    return comments
+    return frozenset((author, cid) for author, ids in live.items() for cid in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -778,20 +788,9 @@ def _event_json(event: Event, depth: int) -> str:
     )
 
 
-def _log_json(log: Log, depth: int, texts: dict) -> str:
-    """``log``'s events as a JSON list at ``depth``.  ``texts`` keeps each
-    rendered event and log by ``(id, depth)``, so each is rendered once per
-    depth; the logs and events must outlive it."""
-    text = texts.get((id(log), depth))
-    if text is None:
-        items = []
-        for event in log.entries:
-            item = texts.get((id(event), depth + 1))
-            if item is None:
-                item = texts[id(event), depth + 1] = _event_json(event, depth + 1)
-            items.append(item)
-        text = texts[id(log), depth] = _json_list(items, depth)
-    return text
+def _log_json(log: Log, depth: int) -> str:
+    """``log``'s events as a JSON list at ``depth``."""
+    return _json_list([_event_json(event, depth + 1) for event in log.entries], depth)
 
 
 # Per event kind: its field names, the order ``_event`` reads them in.

@@ -35,6 +35,7 @@ from .errors import (
 from .events import (
     Document,
     EDIT_VERBS,
+    Event,
     Log,
     LogRole,
     OBLIGATION_VERBS,
@@ -48,11 +49,13 @@ from .events import (
     _Channel,
     _PADS,
     _arrived,
+    _event_json,
     _insert_events,
     _json_list,
-    _log_json,
+    _ordered,
     _outbound,
     _received,
+    _replayed,
     _setters,
     empty_log,
     event_to_dict,
@@ -760,60 +763,97 @@ class ScenarioTrace:
     def json_pieces(self) -> Iterator[str]:
         """``json.dumps(self.to_dict(), indent=2)`` in pieces, written from the
         engine's objects one snapshot at a time: no dict tree, no whole text.
-        ``texts`` keeps each rendered log, event and message by ``(id,
-        depth)``, and each held copy and channel by its ``to_dict`` memo key,
-        so each is rendered once per depth; the trace keeps them all alive."""
-        enc, texts = encode_basestring_ascii, {}
-        p4, p5, p6, p7 = _PADS[4:8]
 
-        def state(copy: PeerDocState) -> str:  # at depth 4
+        One walk applies the run's changes forward from the empty state and
+        keeps the texts of the current state only, in key order: per held
+        copy ``[(peer, doc), edit_log, edit, comments, comm_log, comm, text]``
+        and per channel ``[(from, to, doc), messages, message texts, text]``.
+        A command re-renders the copy and the channel it changed, reusing the
+        text of each log and message that is the same object as before.  The
+        walk restarts when a snapshot's index goes back or its run differs.
+        Event texts are kept by id; the trace keeps the events alive."""
+        enc, (p4, p5, p6, p7) = encode_basestring_ascii, _PADS[4:8]
+        events: dict[int, str] = {}
+        copies: list[list] = []
+        channels: list[list] = []
+
+        def log_json(entries: tuple[Event, ...]) -> str:  # at depth 5
+            items = []
+            for event in entries:
+                text = events.get(id(event))
+                if text is None:
+                    text = events[id(event)] = _event_json(event, 6)
+                items.append(text)
+            return _json_list(items, 5)
+
+        def held(copy: PeerDocState) -> None:
             peer, doc_id, edit_log, comm_log, _creator = copy
-            key = (peer, doc_id, id(edit_log), id(comm_log))
-            if key not in texts:
-                pairs = sorted(replay_comments(edit_log))
+            i = bisect_left(copies, [(peer, doc_id)])  # a key sorts before its row
+            if i == len(copies) or copies[i][0] != (peer, doc_id):
+                copies.insert(i, [(peer, doc_id), None, "", "", None, "", ""])
+            row = copies[i]
+            if row[1] is edit_log and row[4] is comm_log:
+                return
+            if row[1] is not edit_log:
+                entries = _ordered(edit_log)
+                pairs = sorted(_replayed(entries))
                 comments = [f"[{p7}{enc(author)},{p7}{enc(cid)}{p6}]" for author, cid in pairs]
-                texts[key] = (
-                    f'{{{p5}"peer": {enc(peer)},{p5}"doc": {enc(doc_id)},'
-                    f'{p5}"edit": {_log_json(edit_log, 5, texts)},'
-                    f'{p5}"comm": {_log_json(comm_log, 5, texts)},'
-                    f'{p5}"comments": {_json_list(comments, 5)}{p4}}}'
-                )
-            return texts[key]
+                row[1:4] = edit_log, log_json(entries), _json_list(comments, 5)
+            if row[4] is not comm_log:
+                row[4:6] = comm_log, log_json(_ordered(comm_log))
+            row[6] = (
+                f'{{{p5}"peer": {enc(peer)},{p5}"doc": {enc(doc_id)},{p5}"edit": {row[2]},'
+                f'{p5}"comm": {row[5]},{p5}"comments": {row[3]}{p4}}}'
+            )
 
-        def message(m: Message) -> str:  # at depth 6
-            key = (id(m), 6)
-            if key not in texts:
-                texts[key] = (
-                    f'{{{p7}"edit": {_log_json(m.edit_log, 7, texts)},'
-                    f'{p7}"comm": {_log_json(m.comm_log, 7, texts)}{p6}}}'
-                )
-            return texts[key]
+        def message(sender: str, doc_id: str, m: Message) -> str:  # at depth 6
+            # Its logs sit at depth 7: their depth-5 texts, two levels deeper.
+            # The walk meets it at its share, right after patching the sender's
+            # copy, whose edit log the message carries.
+            edit = copies[bisect_left(copies, [(sender, doc_id)])][2]
+            comm = log_json(_ordered(m.comm_log))
+            edit, comm = edit.replace("\n", _PADS[2]), comm.replace("\n", _PADS[2])
+            return f'{{{p7}"edit": {edit},{p7}"comm": {comm}{p6}}}'
 
-        def queue(item: Channel) -> str:  # at depth 4
-            (sender, recipient, doc_id), messages = item
-            key = (item[0], id(messages))
-            if key not in texts:
-                texts[key] = (
-                    f'{{{p5}"from": {enc(sender)},{p5}"to": {enc(recipient)},'
-                    f'{p5}"doc": {enc(doc_id)},'
-                    f'{p5}"messages": {_json_list([message(m) for m in messages], 5)}{p4}}}'
-                )
-            return texts[key]
+        def channel(key: tuple[str, str, str], messages: Optional[tuple[Message, ...]]) -> None:
+            i = bisect_left(channels, [key])
+            if messages is None:
+                del channels[i]
+                return
+            if i == len(channels) or channels[i][0] != key:
+                channels.insert(i, [key, (), [], ""])
+            row = channels[i]
+            old = dict(zip(map(id, row[1]), row[2]))
+            texts = [old.get(id(m)) or message(key[0], key[2], m) for m in messages]
+            row[1:] = messages, texts, (
+                f'{{{p5}"from": {enc(key[0])},{p5}"to": {enc(key[1])},{p5}"doc": {enc(key[2])},'
+                f'{p5}"messages": {_json_list(texts, 5)}{p4}}}'
+            )
 
         yield (
             f'{{\n  "name": {enc(self.name)},\n  "mode": {enc(self.mode.value)},'
             f'\n  "trust_model": {enc(self.trust_model)},\n  "snapshots": '
         )
-        opening = "["
+        opening, history, done = "[", None, -1
         for s in self.snapshots:
+            if s._history is not history or s.index < done:
+                history, done = s._history, -1
+                copies.clear()
+                channels.clear()
+            for k in range(done + 1, s.index + 1):
+                if history.copies[k] is not None:
+                    held(history.copies[k])
+                if history.channels[k] is not None:
+                    channel(*history.channels[k])
+            done = s.index
             yield (
                 f'{opening}\n    {{\n      "index": {s.index!r},'
                 f'\n      "command": {_command_json(s.command)},'
                 f'\n      "clock": {s.clock!r},\n      "states": '
             )
-            yield from _list_pieces(map(state, s.held))
+            yield from _list_pieces(row[-1] for row in copies)
             yield ',\n      "queues": '
-            yield from _list_pieces(map(queue, s.pending))
+            yield from _list_pieces(row[-1] for row in channels)
             report = "null" if s.report is None else _report_json(s.report).replace("\n", _PADS[3])
             yield f',\n      "report": {report}\n    }}'
             opening = ","

@@ -94,6 +94,21 @@ def test_run_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_os_errors_name_the_path_and_the_reason(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "no_such.json"]) == 2
+    assert capsys.readouterr() == ("", "error: no_such.json: No such file or directory\n")
+    blocker = tmp_path / "f"
+    blocker.write_text("a regular file", encoding="utf-8")
+    assert main(["run", PAPER, "--export-logs", str(blocker / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {blocker / 'out'}: cannot export logs: Not a directory\n")
+    # a file that cannot be written is named itself
+    (tmp_path / "logs" / "P1_d_edit.json").mkdir(parents=True)
+    assert main(["run", PAPER, "--export-logs", str(tmp_path / "logs")]) == 2
+    where = tmp_path / "logs" / "P1_d_edit.json"
+    assert capsys.readouterr() == ("", f"error: {where}: cannot export logs: Is a directory\n")
+
+
 def test_run_invalid_scenario(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"commands": [{"op": "bogus"}]})
     assert main(["run", path]) == 2
@@ -417,7 +432,7 @@ def test_log_writer_matches_json_dumps_indent_2(log, depth):
     # Nested, ``json.dumps`` output differs only in its indent, because
     # every control character in a string is escaped.
     expected = json.dumps([event_to_dict(e) for e in log.entries], indent=2)
-    assert _log_json(log, depth, {}) == expected.replace("\n", _PADS[depth])
+    assert _log_json(log, depth) == expected.replace("\n", _PADS[depth])
 
 
 EDIT_VERB_VALUES = ["read", "comment", "delete_comment"]

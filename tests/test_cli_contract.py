@@ -19,6 +19,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -239,6 +240,35 @@ def test_output_is_written_in_pieces_of_at_most_1_mib(tmp_path, monkeypatch):
     _write(stdout, ["a", "b" * ((2 << 20) + 1), "c"])
     assert list(map(len, stdout.pieces)) == [1, 1 << 20, 1 << 20, 1, 1, 1]
     assert stdout.getvalue() == "a" + "b" * ((2 << 20) + 1) + "c\n"
+
+
+def test_a_text_stream_takes_a_1_mib_write_whole(tmp_path):
+    # ``_write`` hands a stream at most 1 MiB at a time.  A text stream's
+    # ``write`` of that much returns its full length and loses no byte, to
+    # a regular file and to a pipe, whose reader drains it meanwhile.
+    pieces = [chr(ord("a") + k) * (1 << 20) for k in range(5)]
+    expected = "".join(pieces).encode()
+    path = tmp_path / "out"
+    with open(path, "w", encoding="utf-8") as stream:
+        assert [stream.write(piece) for piece in pieces] == [1 << 20] * 5
+    assert path.read_bytes() == expected
+
+    read_end, write_end = os.pipe()
+    received = []
+
+    def drain():
+        with open(read_end, "rb") as reader:
+            received.extend(iter(lambda: reader.read(1 << 16), b""))
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        with open(write_end, "w", encoding="utf-8") as stream:
+            assert [stream.write(piece) for piece in pieces] == [1 << 20] * 5
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert b"".join(received) == expected
 
 
 class CountingStdout(io.TextIOBase):

@@ -213,6 +213,18 @@ def test_log_ops_return_their_input_when_nothing_changes():
     assert receive_log(log, log, "P2", 9) is log
 
 
+def test_receive_log_with_a_receiver_restamps_nothing_in_an_edit_log():
+    # an edit log holds no obligations: its events keep their clocks and
+    # are the received objects themselves
+    local = Log.from_events(LogRole.EDIT, [PerformedEdit(1, Verb.CREATE, "P1")])
+    edits = [PerformedEdit(2, Verb.COMMENT, "P1"), PerformedEdit(3, Verb.READ, "P2")]
+    received = Log.from_events(LogRole.EDIT, [local.entries[0], *edits])
+    merged = receive_log(local, received, "P2", 9)
+    assert merged == merge_logs(local, received)
+    assert merged.entries == (local.entries[0], *edits)
+    assert all(a is b for a, b in zip(merged.entries[1:], edits))
+
+
 def serialized(log):
     return log_to_dict(log, "d")["events"]
 

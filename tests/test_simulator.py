@@ -451,6 +451,14 @@ def test_parse_scenario_checks_declared_peers():
     assert "P2" in str(exc.value)
 
 
+@pytest.mark.parametrize("peers", [[""], [5], "P1", ["P1", ""]])
+def test_parse_scenario_rejects_a_bad_peers_list(peers):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({"peers": peers, "commands": []})
+    assert exc.value.index is None
+    assert str(exc.value) == "peers must be an array of non-empty strings"
+
+
 def test_run_scenario_wraps_runtime_errors_with_index():
     data = {
         "commands": [

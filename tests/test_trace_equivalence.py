@@ -10,8 +10,10 @@ comparison also shows that later commands never alter an earlier
 snapshot.
 """
 
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -204,6 +206,57 @@ def test_generated_traces_are_byte_identical():
         for piece in trace.json_pieces():
             digest.update(piece.encode())
     assert digest.hexdigest() == TRACES_SHA256
+
+
+def test_writing_a_trace_leaves_its_states_and_logs_as_they_were():
+    # The writer walks the run's changes itself: it builds no snapshot
+    # state, and keeps no sorted entries or comment set on a log.
+    trace = run_scenario(sixteen_documents(PREFIX))
+    history = trace.snapshots[0]._history
+    built = dict(history.built)
+    logs = [log for copy in history.copies if copy for log in copy[2:4]]
+    cached = [(log._entries, log._comments) for log in logs]
+    for _ in trace.json_pieces():
+        pass
+    assert history.built.keys() == built.keys()
+    assert all(history.built[k] is state for k, state in built.items())
+    assert all(
+        log._entries is entries and log._comments is comments
+        for log, (entries, comments) in zip(logs, cached)
+    )
+
+
+def test_any_choice_of_snapshots_writes_json_dumps():
+    # The walk restarts when an index goes back or the run changes.
+    trace = run_scenario(generate_scenario(3, max_peers=8, max_commands=80))
+    other = run_scenario(generate_scenario(4, max_peers=8, max_commands=80))
+    s, o = trace.snapshots, other.snapshots
+    assert len(s) > 40
+    for snapshots in (s[20:40], s[::-1], s[::7], s[5:6] * 2, s[:10] + o[:10] + s[5:15], s[:10] + o[12:20], ()):
+        chosen = dataclasses.replace(trace, snapshots=snapshots)
+        assert "".join(chosen.json_pieces()) == json.dumps(chosen.to_dict(), indent=2)
+
+
+def test_writer_memory_follows_the_largest_snapshot_at_one_document():
+    # On one document every copy's logs grow with the commands, so the
+    # output grows as their square.  The writer keeps the texts of the
+    # current state and one text per event, so its peak follows the
+    # largest snapshot it writes, not the output nor the logs' versions.
+    scenario = generate_scenario(0, max_peers=8, max_commands=1200)
+    assert len(scenario["commands"]) == 865
+    for size in (432, 865):
+        trace = run_scenario({**scenario, "commands": scenario["commands"][:size]})
+        largest = snapshot = 0
+        tracemalloc.start()
+        try:
+            for piece in trace.json_pieces():
+                if piece.startswith(("[\n    {", ",\n    {")):
+                    largest, snapshot = max(largest, snapshot), 0
+                snapshot += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * max(largest, snapshot), (size, peak, largest)
 
 
 def test_snapshots_echo_the_parsed_commands(paper_scenario, monkeypatch):
