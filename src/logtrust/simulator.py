@@ -11,6 +11,7 @@ engine is fully deterministic, so one scenario always yields one trace.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -21,7 +22,6 @@ from .audit import (
     AuditReport,
     CopyAudit,
     _report_json,
-    report_to_dict,
 )
 from .errors import (
     DocumentNotHeldError,
@@ -58,7 +58,6 @@ from .events import (
     _replayed,
     _setters,
     empty_log,
-    event_to_dict,
     replay_comments,
 )
 from .obligations import ObligationAtom, validate_set
@@ -543,77 +542,6 @@ def parse_scenario(data: Any) -> tuple[str, tuple[dict[str, Any], ...]]:
 Channel = tuple[tuple[str, str, str], tuple[Message, ...]]  # ((from, to, doc), messages)
 
 
-def _event_dicts(log: Log, memo: dict[Any, Any]) -> list[dict]:
-    """``event_to_dict`` of every entry, as one list per log per memo.
-
-    Each event is serialized once per memo too.  The memo is keyed by
-    object id, which is safe while the logs and events outlive it.
-    """
-    out = memo.get(id(log))
-    if out is None:
-        out = memo[id(log)] = []
-        for event in log.entries:
-            data = memo.get(id(event))
-            if data is None:
-                data = memo[id(event)] = event_to_dict(event)
-            out.append(data)
-    return out
-
-
-def _state_dicts(held: tuple[PeerDocState, ...], memo: dict[Any, Any]) -> list[dict]:
-    """One dict per held copy.
-
-    A copy whose peer, doc and logs are the same objects as in an earlier
-    call with the same memo gets that call's dict.
-    """
-    out = []
-    for peer, doc_id, edit_log, comm_log, _creator in held:
-        key = (peer, doc_id, id(edit_log), id(comm_log))
-        state = memo.get(key)
-        if state is None:
-            state = memo[key] = {
-                "peer": peer,
-                "doc": doc_id,
-                "edit": _event_dicts(edit_log, memo),
-                "comm": _event_dicts(comm_log, memo),
-                "comments": sorted([author, cid] for author, cid in replay_comments(edit_log)),
-            }
-        out.append(state)
-    return out
-
-
-def _queue_dicts(pending: tuple[Channel, ...], memo: dict[Any, Any]) -> list[dict]:
-    """One dict per non-empty channel, and one per message per memo.
-
-    The engine replaces a channel's messages tuple whenever the channel
-    changes, so a channel with the same tuple object as in an earlier
-    call gets that call's dict.
-    """
-    out = []
-    for channel, messages in pending:
-        key = (channel, id(messages))
-        data = memo.get(key)
-        if data is None:
-            data = memo[key] = {
-                "from": channel[0],
-                "to": channel[1],
-                "doc": channel[2],
-                "messages": [_message_dict(m, memo) for m in messages],
-            }
-        out.append(data)
-    return out
-
-
-def _message_dict(message: Message, memo: dict[Any, Any]) -> dict:
-    data = memo.get(id(message))
-    if data is None:
-        data = memo[id(message)] = {
-            "edit": _event_dicts(message.edit_log, memo),
-            "comm": _event_dicts(message.comm_log, memo),
-        }
-    return data
-
-
 class _History:
     """The engine state after each command of one run, kept as changes.
 
@@ -670,11 +598,10 @@ class CommandSnapshot:
     ``report`` the audit report of an audit command.  ``held`` has the
     engine's ``PeerDocState`` record of each held copy and ``pending``
     the ``((from, to, doc), messages)`` item of each non-empty channel,
-    both in key order; ``states`` and ``queues`` serialize them.  The run
-    stores what each command changed, plus a checkpoint once the commands
-    since the last exceed the state's size by 64; ``held`` and ``pending``
-    are built on first read by patching the nearest built state
-    (``_History.state``).
+    both in key order.  The run stores what each command changed, plus a
+    checkpoint once the commands since the last exceed the state's size
+    by 64; ``held`` and ``pending`` are built on first read by patching
+    the nearest built state (``_History.state``).
     """
 
     index: int
@@ -701,21 +628,6 @@ class CommandSnapshot:
     def pending(self) -> tuple[Channel, ...]:
         return self._history.state(self.index)[1]
 
-    @property
-    def states(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_state_dicts(self.held, {}))
-
-    @property
-    def queues(self) -> tuple[dict[str, Any], ...]:
-        return tuple(_queue_dicts(self.pending, {}))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.command, self.clock, self.held, self.pending, self.report) == (
-            other.index, other.command, other.clock, other.held, other.pending, other.report
-        )
-
 
 _SET_INDEX, _SET_COMMAND, _SET_CLOCK, _SET_REPORT, _SET_HISTORY = _setters(CommandSnapshot)
 
@@ -735,44 +647,30 @@ class ScenarioTrace:
         return tuple(s.report for s in self.snapshots if s.report is not None)
 
     def to_dict(self) -> dict[str, Any]:
-        """The trace as JSON-ready data.
-
-        Each event, log, message and held copy is serialized once per
-        call: every place an event or message appears holds the same
-        dict, every place a log appears the same list, and a held copy
-        or channel unchanged from an earlier snapshot the same dict.
-        """
-        memo: dict[Any, Any] = {}
-        return {
-            "name": self.name,
-            "mode": self.mode.value,
-            "trust_model": self.trust_model,
-            "snapshots": [
-                {
-                    "index": s.index,
-                    "command": s.command,
-                    "clock": s.clock,
-                    "states": _state_dicts(s.held, memo),
-                    "queues": _queue_dicts(s.pending, memo),
-                    "report": None if s.report is None else report_to_dict(s.report),
-                }
-                for s in self.snapshots
-            ],
-        }
+        """The trace as JSON-ready data: ``json_pieces`` parsed, so it is
+        meant for small traces."""
+        return json.loads("".join(self.json_pieces()))
 
     def json_pieces(self) -> Iterator[str]:
-        """``json.dumps(self.to_dict(), indent=2)`` in pieces, written from the
-        engine's objects one snapshot at a time: no dict tree, no whole text.
+        """The trace as JSON text, as ``json.dumps(..., indent=2)`` writes it,
+        in pieces written from the engine's objects one snapshot at a time: no
+        dict tree, no whole text.  The text is ``{name, mode, trust_model,
+        snapshots}``; a snapshot is ``{index, command, clock, states, queues,
+        report}``, with a state ``{peer, doc, edit, comm, comments}`` per held
+        copy and a queue ``{from, to, doc, messages}`` per non-empty channel,
+        a message ``{edit, comm}``, each log an ``event_to_dict`` list and the
+        report ``report_to_dict``'s.
 
         One walk applies the run's changes forward from the empty state and
         keeps the texts of the current state only, in key order: per held
         copy ``[(peer, doc), edit_log, edit, comments, comm_log, comm, text]``
-        and per channel ``[(from, to, doc), messages, message texts, text]``.
+        and per channel ``[(from, to, doc), messages, message texts, head]``;
+        a channel is written as its head, its message texts and its tail.
         A command re-renders the copy and the channel it changed, reusing the
         text of each log and message that is the same object as before.  The
         walk restarts when a snapshot's index goes back or its run differs.
         Event texts are kept by id; the trace keeps the events alive."""
-        enc, (p4, p5, p6, p7) = encode_basestring_ascii, _PADS[4:8]
+        enc, (p3, p4, p5, p6, p7) = encode_basestring_ascii, _PADS[3:8]
         events: dict[int, str] = {}
         copies: list[list] = []
         channels: list[list] = []
@@ -821,19 +719,21 @@ class ScenarioTrace:
                 del channels[i]
                 return
             if i == len(channels) or channels[i][0] != key:
-                channels.insert(i, [key, (), [], ""])
+                head = (
+                    f'{p4}{{{p5}"from": {enc(key[0])},{p5}"to": {enc(key[1])},'
+                    f'{p5}"doc": {enc(key[2])},{p5}"messages": '
+                )
+                channels.insert(i, [key, (), [], head])
             row = channels[i]
             old = dict(zip(map(id, row[1]), row[2]))
-            texts = [old.get(id(m)) or message(key[0], key[2], m) for m in messages]
-            row[1:] = messages, texts, (
-                f'{{{p5}"from": {enc(key[0])},{p5}"to": {enc(key[1])},{p5}"doc": {enc(key[2])},'
-                f'{p5}"messages": {_json_list(texts, 5)}{p4}}}'
-            )
+            row[1:3] = messages, [old.get(id(m)) or message(key[0], key[2], m) for m in messages]
 
         yield (
             f'{{\n  "name": {enc(self.name)},\n  "mode": {enc(self.mode.value)},'
             f'\n  "trust_model": {enc(self.trust_model)},\n  "snapshots": '
         )
+        # The message list of a channel, after its head: pads and a tail.
+        first, after, tail = "[" + p6, "," + p6, f"{p5}]{p4}}}"
         opening, history, done = "[", None, -1
         for s in self.snapshots:
             if s._history is not history or s.index < done:
@@ -852,10 +752,19 @@ class ScenarioTrace:
                 f'\n      "clock": {s.clock!r},\n      "states": '
             )
             yield from _list_pieces(row[-1] for row in copies)
-            yield ',\n      "queues": '
-            yield from _list_pieces(row[-1] for row in channels)
-            report = "null" if s.report is None else _report_json(s.report).replace("\n", _PADS[3])
-            yield f',\n      "report": {report}\n    }}'
+            sep = ',\n      "queues": ['
+            for _, _, texts, head in channels:  # a channel row has messages
+                yield sep + head
+                pad = first
+                for text in texts:
+                    yield pad
+                    yield text
+                    pad = after
+                yield tail
+                sep = ","
+            report = "null" if s.report is None else _report_json(s.report).replace("\n", p3)
+            closing = p3 + "]" if channels else sep + "]"
+            yield f'{closing},\n      "report": {report}\n    }}'
             opening = ","
         yield "\n  ]\n}" if self.snapshots else "[]\n}"
 

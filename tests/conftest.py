@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -63,3 +64,9 @@ def logs_from_state(state):
         LogRole.COMM, [event_from_dict(e) for e in state["comm"]]
     )
     return edit, comm
+
+
+def final_states(trace):
+    """The states of ``trace``'s last snapshot, as the trace writer writes them."""
+    last = dataclasses.replace(trace, snapshots=trace.snapshots[-1:])
+    return last.to_dict()["snapshots"][0]["states"]

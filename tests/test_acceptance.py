@@ -26,7 +26,7 @@ from logtrust import (
     report_to_dict,
     run_scenario,
 )
-from conftest import logs_from_state
+from conftest import final_states, logs_from_state
 from oracle import oracle_status, oracle_violations, violation_tuple
 
 
@@ -52,12 +52,13 @@ def test_criterion_1_golden_trace(paper_scenario, paper_golden):
     trace = run_scenario(paper_scenario)
     elapsed = time.monotonic() - started
 
+    written = trace.to_dict()["snapshots"]
     for checkpoint in paper_golden["checkpoints"]:
-        snapshot = trace.snapshots[checkpoint["after"]]
+        snapshot = written[checkpoint["after"]]
         for expected in checkpoint.get("states", ()):
             matches = [
                 s
-                for s in snapshot.states
+                for s in snapshot["states"]
                 if s["peer"] == expected["peer"] and s["doc"] == expected["doc"]
             ]
             assert matches, (
@@ -73,7 +74,7 @@ def test_criterion_1_golden_trace(paper_scenario, paper_golden):
         for expected_queue in checkpoint.get("queues", ()):
             matches = [
                 q
-                for q in snapshot.queues
+                for q in snapshot["queues"]
                 if (q["from"], q["to"], q["doc"])
                 == (expected_queue["from"], expected_queue["to"], expected_queue["doc"])
             ]
@@ -120,7 +121,7 @@ def test_criterion_3_oracle_equivalence():
         scenario = generate_scenario(seed, max_peers=4, max_commands=12)
         trace = run_scenario(scenario)
         scenarios += 1
-        for state in trace.snapshots[-1].states:
+        for state in final_states(trace):
             for mode, mode_name in ((AuditMode.PROSE, "prose"), (AuditMode.LITERAL, "literal")):
                 engine = _engine_violations(state, mode)
                 oracle = _oracle_violations(state, mode_name)
@@ -174,7 +175,7 @@ def test_criterion_4_invariant_suite():
     checked = 0
     for seed in range(1000, 1200):
         trace = run_scenario(generate_scenario(seed))
-        for state in trace.snapshots[-1].states:
+        for state in final_states(trace):
             creator = _creator_of(state)
             for mode in (AuditMode.PROSE, AuditMode.LITERAL):
                 offenders = {t[0] for t in _engine_violations(state, mode)}
@@ -187,7 +188,7 @@ def test_criterion_4_invariant_suite():
     checked = 0
     for seed in range(2000, 2200):
         trace = run_scenario(generate_scenario(seed))
-        for state in trace.snapshots[-1].states:
+        for state in final_states(trace):
             creator = _creator_of(state)
             obligations = [e for e in state["comm"] if e["kind"] == "obligation"]
             actions = [
@@ -327,7 +328,7 @@ def test_criterion_6_modes_agree_without_overrides_and_diverge_on_one():
     for seed in range(7000, 7200):
         scenario = without_overrides(generate_scenario(seed))
         trace = run_scenario(scenario)
-        for state in trace.snapshots[-1].states:
+        for state in final_states(trace):
             prose = _engine_violations(state, AuditMode.PROSE)
             literal = _engine_violations(state, AuditMode.LITERAL)
             assert prose == literal, (
@@ -351,7 +352,7 @@ def test_criterion_6_modes_agree_without_overrides_and_diverge_on_one():
     }
     trace = run_scenario(override)
     state = next(
-        s for s in trace.snapshots[-1].states if s["peer"] == "P2"
+        s for s in final_states(trace) if s["peer"] == "P2"
     )
     prose = _engine_violations(state, AuditMode.PROSE)
     literal = _engine_violations(state, AuditMode.LITERAL)

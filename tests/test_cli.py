@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import logtrust
 from logtrust import (
     OBLIGATION_VERBS,
     AuditMode,
@@ -36,6 +37,7 @@ from logtrust.cli import main
 from logtrust.events import _PADS, _log_json, log_from_dict, log_to_dict
 
 from conftest import SCENARIOS
+from test_trace_equivalence import assert_same_text, eager_trace_dict
 
 PAPER = str(SCENARIOS / "paper_example.json")
 EMPTY = str(SCENARIOS / "empty.json")
@@ -492,34 +494,37 @@ def scenarios(draw):
 
 @settings(deadline=None)
 @given(scenarios())
-def test_run_json_writer_matches_to_dict(scenario):
-    # The writer against the data API, on ids that need escaping.
+def test_run_json_writer_matches_the_eager_trace(scenario):
+    # The writer against the eager reference, on ids that need escaping.
     with tempfile.TemporaryDirectory() as directory:
         path = write_json(Path(directory) / "scenario.json", scenario)
         for mode in ("prose", "literal"):
             for model in ("multiplicative:0.5", "fixed:0.2"):
-                trace = run_scenario(
+                eager = eager_trace_dict(
                     scenario, mode=AuditMode(mode), trust_model=parse_trust_model(model)
                 )
                 argv = ["run", path, "--format", "json", "--mode", mode, "--trust-model", model]
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = main(argv)
-                assert (code, out.getvalue()) == (0, json.dumps(trace.to_dict(), indent=2) + "\n")
+                assert (code, out.getvalue()) == (0, json.dumps(eager, indent=2) + "\n")
 
 
 def test_run_json_builds_no_trace_dict(paper_scenario, capsys, monkeypatch):
     # the trace is written from the engine's objects; a refactor back to
     # a dict tree fails here
     cases = [([PAPER], paper_scenario), (["--seed", "5"], generate_scenario(5))]
-    expected = [json.dumps(run_scenario(s).to_dict(), indent=2) + "\n" for _, s in cases]
+    expected = [json.dumps(eager_trace_dict(s), indent=2) + "\n" for _, s in cases]
     assert all('"report": {' in text for text in expected)
 
     def no_dict(*args):
         raise AssertionError("run --format json built a dict")
 
-    for name in ("event_to_dict", "_state_dicts", "report_to_dict"):
-        monkeypatch.setattr(simulator, name, no_dict)
+    monkeypatch.setattr(simulator.ScenarioTrace, "to_dict", no_dict)
+    for module in (logtrust.events, logtrust.audit, simulator, logtrust.cli):
+        for name in ("event_to_dict", "report_to_dict"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_dict)
     for (args, _), text in zip(cases, expected):
         assert main(["run", *args, "--format", "json"]) == 0
         assert capsys.readouterr().out == text
@@ -536,6 +541,19 @@ def test_run_json_output_equals_json_dumps(mode, capsys):
         assert main(["run", *args, "--format", "json", "--mode", mode]) == 0
         expected = json.dumps(run_scenario(scenario, mode=audit_mode).to_dict(), indent=2)
         assert capsys.readouterr().out == expected + "\n", args
+
+
+@pytest.mark.parametrize("mode", ["prose", "literal"])
+def test_run_json_output_equals_the_eager_trace(mode, capsys):
+    # The cases of the test above, against the eager reference.
+    cases = [
+        ([path], json.loads(Path(path).read_text(encoding="utf-8"))) for path in (PAPER, EMPTY)
+    ]
+    cases += [(["--seed", str(seed)], generate_scenario(seed)) for seed in range(30)]
+    for args, scenario in cases:
+        assert main(["run", *args, "--format", "json", "--mode", mode]) == 0
+        expected = json.dumps(eager_trace_dict(scenario, mode=AuditMode(mode)), indent=2)
+        assert_same_text(capsys.readouterr().out, expected + "\n", args)
 
 
 def audit_report_dict(edit_path, comm_path, assessor, mode):
@@ -635,52 +653,6 @@ def test_report_writer_matches_json_dumps_indent_2(report):
     assert _report_json(report) == json.dumps(report_to_dict(report), indent=2)
 
 
-def test_to_dict_shares_unchanged_held_copies(paper_scenario):
-    # the JSON writer renders a shared state dict once, so to_dict must
-    # hand out the same dict exactly when a held copy did not change
-    trace = run_scenario(paper_scenario)
-    snapshots = trace.to_dict()["snapshots"]
-    shared = 0
-    for i in range(1, len(trace.snapshots)):
-        before = {
-            held[:2]: (held, state)
-            for held, state in zip(trace.snapshots[i - 1].held, snapshots[i - 1]["states"])
-        }
-        for held, state in zip(trace.snapshots[i].held, snapshots[i]["states"]):
-            if held[:2] not in before:
-                continue
-            old_held, old_state = before[held[:2]]
-            unchanged = all(a is b for a, b in zip(old_held, held))
-            assert (state is old_state) == unchanged
-            shared += unchanged
-    assert shared > 0
-
-
-@pytest.mark.parametrize("mode", ["prose", "literal"])
-def test_to_dict_shares_messages_and_unchanged_channels(paper_scenario, mode):
-    # each message is one dict wherever it is pending, and a channel keeps
-    # its dict exactly while its messages tuple is the same object
-    scenarios = [paper_scenario] + [generate_scenario(seed) for seed in range(60)]
-    reused = 0
-    for k, scenario in enumerate(scenarios):
-        trace = run_scenario(scenario, mode=AuditMode(mode))
-        message_dicts = {}
-        before = {}
-        for snapshot, data in zip(trace.snapshots, trace.to_dict()["snapshots"]):
-            now = {}
-            for (channel, messages), queue in zip(snapshot.pending, data["queues"]):
-                assert len(queue["messages"]) == len(messages), k
-                for message, message_data in zip(messages, queue["messages"]):
-                    assert message_dicts.setdefault(id(message), message_data) is message_data, k
-                if channel in before:
-                    old_messages, old_queue = before[channel]
-                    assert (queue is old_queue) == (messages is old_messages), k
-                    reused += messages is old_messages
-                now[channel] = (messages, queue)
-            before = now
-    assert reused > 0
-
-
 @pytest.mark.large
 @pytest.mark.parametrize("mode", ["prose", "literal"])
 def test_run_json_output_equals_json_dumps_on_large_scenarios(mode, tmp_path, capsys):
@@ -690,8 +662,8 @@ def test_run_json_output_equals_json_dumps_on_large_scenarios(mode, tmp_path, ca
         scenario = generate_scenario(seed, max_peers=8, max_commands=200)
         path = write_json(tmp_path / f"{seed}.json", scenario)
         assert main(["run", path, "--format", "json", "--mode", mode]) == 0
-        expected = json.dumps(run_scenario(scenario, mode=AuditMode(mode)).to_dict(), indent=2)
-        assert capsys.readouterr().out == expected + "\n", seed
+        expected = json.dumps(eager_trace_dict(scenario, mode=AuditMode(mode)), indent=2)
+        assert_same_text(capsys.readouterr().out, expected + "\n", seed)
 
 
 # SHA-256 over the exit code and stdout of ``run`` (both formats and modes)

@@ -227,7 +227,7 @@ def test_output_is_written_in_pieces_of_at_most_1_mib(tmp_path, monkeypatch):
     scenario = generate_scenario(2, max_peers=8, max_commands=100)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
-    text = json.dumps(run_scenario(scenario).to_dict(), indent=2)
+    text = "".join(run_scenario(scenario).json_pieces())
     assert len(text) > 2 << 20  # three pieces and the newline
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)

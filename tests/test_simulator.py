@@ -20,6 +20,7 @@ from logtrust import (
     replay_comments,
     run_scenario,
 )
+from conftest import final_states
 
 A = ObligationAtom
 READ_OK = [A(Verb.READ, True)]
@@ -507,8 +508,8 @@ def test_ignore_obligations_is_annotation_only():
     }
     flagged = json.loads(json.dumps(base))
     flagged["commands"][3]["ignore_obligations"] = True
-    plain_states = run_scenario(base).snapshots[-1].states
-    flagged_states = run_scenario(flagged).snapshots[-1].states
+    plain_states = final_states(run_scenario(base))
+    flagged_states = final_states(run_scenario(flagged))
     assert plain_states == flagged_states
 
     with pytest.raises(ScenarioError):

@@ -1,13 +1,14 @@
-"""Reference snapshots against an eager capture of the engine state.
+"""Traces against an eager capture of the engine state.
 
 ``run_scenario`` keeps, per command, only the held copy and channel the
 command changed, and builds a snapshot's ``held`` and ``pending`` when
-they are first read.  ``EagerCapture`` is an independent reference: it
-serializes the whole engine state right after each command, read through
-public engine calls, with comment sets from the oracle's own replay.  The
-trace is compared with it only after the run has finished, so the
-comparison also shows that later commands never alter an earlier
-snapshot.
+they are first read; ``json_pieces`` walks those changes forward.
+``eager_trace_dict`` is an independent reference: it steps a live
+``Simulation`` and captures the whole engine state right after each
+command, read through public engine calls, with comment sets from the
+oracle's own replay.  The trace is compared with it only after the run
+has finished, so the comparison also shows that later commands never
+alter an earlier snapshot.
 """
 
 import dataclasses
@@ -18,11 +19,14 @@ import tracemalloc
 import pytest
 
 from logtrust import (
+    DEFAULT_TRUST_MODEL,
+    AuditMode,
     Simulation,
     event_to_dict,
     generate_scenario,
     parse_command,
     parse_scenario,
+    report_to_dict,
     run_scenario,
 )
 from logtrust import simulator
@@ -53,9 +57,10 @@ class EagerCapture:
 
     def events(self, log):
         if id(log) not in self._logs:
-            events = [event_to_dict(e) for e in log]
-            digest = hashlib.sha256(json.dumps(events).encode()).digest()
-            self._logs[id(log)] = (log, self._lists.setdefault(digest, events))
+            events = tuple(log)
+            if events not in self._lists:
+                self._lists[events] = [event_to_dict(e) for e in events]
+            self._logs[id(log)] = (log, self._lists[events])
         return self._logs[id(log)][1]
 
     def comments(self, log):
@@ -78,7 +83,7 @@ class EagerCapture:
         return self.states(held), self.queues(pending)
 
     def states(self, held):
-        return tuple(
+        return [
             {
                 "peer": state.peer,
                 "doc": state.doc_id,
@@ -87,10 +92,10 @@ class EagerCapture:
                 "comments": self.comments(state.edit_log),
             }
             for state in held
-        )
+        ]
 
     def queues(self, pending):
-        return tuple(
+        return [
             {
                 "from": sender,
                 "to": recipient,
@@ -101,7 +106,49 @@ class EagerCapture:
                 ],
             }
             for (sender, recipient, doc_id), messages in pending
-        )
+        ]
+
+
+def eager_trace_dict(
+    data, *, mode=AuditMode.PROSE, trust_model=DEFAULT_TRUST_MODEL, capture=None
+):
+    """The trace of scenario ``data`` as data, from a live ``Simulation``
+    stepped by ``apply_command``: after each command, the command and its
+    clock, the whole engine state as ``capture`` (by default a new
+    ``EagerCapture``) reads it, and ``report_to_dict`` of an audit's
+    report.  The trace writer writes ``json.dumps`` of it, ``indent=2``."""
+    name, commands = parse_scenario(data)
+    sim = Simulation(mode=mode, trust_model=trust_model)
+    capture = capture or EagerCapture()
+    peers = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
+    snapshots = []
+    for index, command in enumerate(commands):
+        clock, report = apply_command(sim, command)
+        states, queues = capture.engine(sim, peers)
+        snapshots.append({
+            "index": index,
+            "command": command,
+            "clock": clock,
+            "states": states,
+            "queues": queues,
+            "report": None if report is None else report_to_dict(report),
+        })
+    return {
+        "name": name,
+        "mode": mode.value,
+        "trust_model": trust_model.describe(),
+        "snapshots": snapshots,
+    }
+
+
+def assert_same_text(text, expected, where):
+    """``text == expected``; a difference is reported by its first line,
+    not by a diff of two long texts."""
+    if text != expected:
+        got, want = text.split("\n"), expected.split("\n")
+        differ = (i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        n = next(differ, min(len(got), len(want)))
+        pytest.fail(f"{where}: line {n + 1} is {got[n:n + 1]}, not {want[n:n + 1]}")
 
 
 # The orders in which snapshots are read: each order reads a fresh trace,
@@ -113,33 +160,38 @@ READ_ORDERS = {
 }
 
 
-def check_snapshots(data, where):
-    """Every snapshot of ``data``'s trace, read in each of ``READ_ORDERS``
-    and serialized by ``to_dict``, equals the eager capture."""
-    _, commands = parse_scenario(data)
-    sim = Simulation()
-    capture = EagerCapture()
-    names = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
-    eager = []
-    for command in commands:
-        apply_command(sim, command)
-        eager.append(capture.engine(sim, names))
+def written_snapshots(trace):
+    """The snapshots ``trace.json_pieces()`` writes, each parsed on its own:
+    a snapshot's pieces run from the one that opens it with ``[`` or ``,``
+    up to the next snapshot's or the closing ``]``."""
+    pieces = trace.json_pieces()
+    next(pieces)  # the name, mode and trust model
+    parts = []
+    for piece in pieces:
+        if piece.startswith(("[\n    {", ",\n    {", "\n  ]")) and parts:
+            yield json.loads("".join(parts)[1:])
+            parts = []
+        parts.append(piece)
 
-    serialized = run_scenario(data).to_dict()["snapshots"]
-    assert len(serialized) == len(eager), where
-    for k, (states, queues) in enumerate(eager):
-        assert serialized[k]["states"] == list(states), (where, k)
-        assert serialized[k]["queues"] == list(queues), (where, k)
+
+def check_snapshots(data, where, every=1):
+    """Every ``every``-th snapshot of ``data``'s trace as the writer writes
+    it, parsed, and every snapshot's ``held`` and ``pending`` read in each
+    of ``READ_ORDERS``, equal the eager capture."""
+    capture = EagerCapture()
+    eager = eager_trace_dict(data, capture=capture)
+    trace = run_scenario(data)
+    chosen = dataclasses.replace(trace, snapshots=trace.snapshots[::every])
+    written = zip(written_snapshots(chosen), eager["snapshots"][::every], strict=True)
+    for k, (got, expected) in enumerate(written):
+        assert got == expected, (where, k * every)
     for order, read in READ_ORDERS.items():
         trace = run_scenario(data)
-        assert len(trace.snapshots) == len(eager), where
-        for k in read(len(eager)):
-            snapshot = trace.snapshots[k]
-            if order == "last alone":
-                got = (snapshot.states, snapshot.queues)
-            else:
-                got = (capture.states(snapshot.held), capture.queues(snapshot.pending))
-            assert got == eager[k], (where, order, k)
+        assert len(trace.snapshots) == len(eager["snapshots"]), where
+        for k in read(len(trace.snapshots)):
+            snapshot, expected = trace.snapshots[k], eager["snapshots"][k]
+            got = (capture.states(snapshot.held), capture.queues(snapshot.pending))
+            assert got == (expected["states"], expected["queues"]), (where, order, k)
 
 
 def test_reference_snapshots_match_eager_capture():
@@ -153,12 +205,12 @@ def sixteen_documents(limit=None):
 
 
 def test_reference_snapshots_of_sixteen_documents_match_eager_capture():
-    check_snapshots(sixteen_documents(PREFIX), "docs16 prefix")
+    check_snapshots(sixteen_documents(PREFIX), "docs16 prefix", every=10)
 
 
 @pytest.mark.large
 def test_reference_snapshots_of_a_large_scenario_match_eager_capture():
-    check_snapshots(sixteen_documents(), "docs16")
+    check_snapshots(sixteen_documents(), "docs16", every=100)
 
 
 def test_snapshots_store_about_what_their_commands_change(monkeypatch):
@@ -228,13 +280,21 @@ def test_writing_a_trace_leaves_its_states_and_logs_as_they_were():
 
 def test_any_choice_of_snapshots_writes_json_dumps():
     # The walk restarts when an index goes back or the run changes.
-    trace = run_scenario(generate_scenario(3, max_peers=8, max_commands=80))
-    other = run_scenario(generate_scenario(4, max_peers=8, max_commands=80))
+    data, other_data = (generate_scenario(seed, max_peers=8, max_commands=80) for seed in (3, 4))
+    trace, other = run_scenario(data), run_scenario(other_data)
+    eager = eager_trace_dict(data)
+    expected = {
+        snapshot: snapshot_data
+        for run, scenario in ((trace, eager), (other, eager_trace_dict(other_data)))
+        for snapshot, snapshot_data in zip(run.snapshots, scenario["snapshots"], strict=True)
+    }
     s, o = trace.snapshots, other.snapshots
     assert len(s) > 40
-    for snapshots in (s[20:40], s[::-1], s[::7], s[5:6] * 2, s[:10] + o[:10] + s[5:15], s[:10] + o[12:20], ()):
+    choices = (s[20:40], s[::-1], s[::7], s[5:6] * 2, s[:10] + o[:10] + s[5:15], s[:10] + o[12:20], ())
+    for k, snapshots in enumerate(choices):
         chosen = dataclasses.replace(trace, snapshots=snapshots)
-        assert "".join(chosen.json_pieces()) == json.dumps(chosen.to_dict(), indent=2)
+        want = {**eager, "snapshots": [expected[snapshot] for snapshot in snapshots]}
+        assert_same_text("".join(chosen.json_pieces()), json.dumps(want, indent=2), f"choice {k}")
 
 
 def test_writer_memory_follows_the_largest_snapshot_at_one_document():
