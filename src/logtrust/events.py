@@ -433,9 +433,9 @@ def _arrived(log: Log) -> Iterator[Event]:
 
 
 def _fork(log: Log) -> _Lineage:
-    """A new lineage of ``log``'s events, whose sorted prefix is ``log``'s
-    entries if built: the one place a log's list is copied, for a log
-    derived from an older version."""
+    """A new lineage of ``log``'s events in arrival order, whose sorted
+    prefix is ``log``'s entries if built: the one place a log's list is
+    copied, for a log derived from an older version."""
     return _Lineage(log._lineage.events[: log._n], log._entries or ())
 
 
@@ -579,7 +579,7 @@ def _received(
     """``receive_log``'s result, and the events it added to ``local``.
 
     Reads ``received``'s events in arrival order from the ``start``-th
-    on: ``local`` must hold the ones before (see ``_Channel.unread``).
+    on: ``local`` must hold the ones before (see ``_Channel``).
     """
     role = local._role
     if role is not received._role:
@@ -602,39 +602,28 @@ class _Channel:
     has carried, so that a share or a deliver on it reads only what is new.
 
     ``sent`` is the communication log of the channel's last share, over
-    a lineage the channel owns: the sender's lineage ``source`` filtered
+    a lineage the channel owns: the sender's communication log filtered
     up to its first ``read`` events (``_outbound``).  The last message
-    delivered on the channel carried the first ``edit_n`` events of the
-    lineage ``edit`` and ``comm_n`` of ``comm``, which the recipient
-    holds, since a copy only grows.
+    delivered on the channel carried the first ``edit_n`` events of its
+    edit log's lineage and ``comm_n`` of its communication log's, which
+    the recipient holds, since a copy only grows.  These marks need no
+    record of the lineages they count: each share reads a later version
+    of the sender's log than the last, and each message carries later
+    versions of the sender's edit log and the channel's log.  A later
+    version holds an earlier one's events first, in the same order,
+    whether it extends that lineage or a fork of it (``_fork``).
     ``sent_back`` records that the sender holds a share from the
     recipient, so it may share back without obligations.
     """
 
-    __slots__ = ("sent", "source", "read", "edit", "edit_n", "comm", "comm_n", "sent_back")
+    __slots__ = ("sent", "read", "edit_n", "comm_n", "sent_back")
 
     def __init__(self):
         self.sent: Optional[Log] = None
-        self.source: Optional[_Lineage] = None
         self.read = 0
-        self.edit: Optional[_Lineage] = None
         self.edit_n = 0
-        self.comm: Optional[_Lineage] = None
         self.comm_n = 0
         self.sent_back = False
-
-    def unread(self, edit_log: Log, comm_log: Log) -> tuple[int, int]:
-        """Where a deliver of these logs starts reading each: past the events
-        of the last delivered message when they extend its prefix of one
-        lineage, else at the first event."""
-        edit = self.edit_n if edit_log._lineage is self.edit and self.edit_n <= edit_log._n else 0
-        comm = self.comm_n if comm_log._lineage is self.comm and self.comm_n <= comm_log._n else 0
-        return edit, comm
-
-    def delivered(self, edit_log: Log, comm_log: Log) -> None:
-        """Mark these logs, of a message just delivered, as held by the recipient."""
-        self.edit, self.edit_n = edit_log._lineage, edit_log._n
-        self.comm, self.comm_n = comm_log._lineage, comm_log._n
 
 
 def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> Log:
@@ -643,20 +632,19 @@ def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> 
     The recipient gets the full correspondence history relevant to it,
     but not the sender's grants and shares to other peers.  The result is
     a log over a lineage of the channel's own, made on its first share.
-    When ``comm_log`` extends the prefix ``channel`` has filtered, only
+    ``comm_log`` must extend the prefix ``channel`` has filtered: only
     the events added since are filtered, and those kept are appended to
     the channel's log; ``channel`` then records the result.
     """
-    lineage, n = comm_log._lineage, comm_log._n
-    start, out = 0, None
-    if channel.source is lineage and channel.read <= n:
-        start, out = channel.read, channel.sent
-    kept = [e for e in lineage.events[start:n] if e.by != sender or e.to == recipient]
+    n, out = comm_log._n, channel.sent
+    kept = [
+        e for e in comm_log._lineage.events[channel.read : n] if e.by != sender or e.to == recipient
+    ]
     if out is None:
         out = _appended(LogRole.COMM, _Lineage([]), kept)
     elif kept:
         out = _appended(LogRole.COMM, _extendable(out), kept)
-    channel.sent, channel.source, channel.read = out, lineage, n
+    channel.sent, channel.read = out, n
     return out
 
 
@@ -678,10 +666,6 @@ class Document:
             raise ValueError("doc_id must be non-empty")
         if not isinstance(self.creator, str) or not self.creator:
             raise ValueError("creator must be non-empty")
-
-
-def make_comment_id(author: str, clock: int) -> str:
-    return f"{author}:{clock}"
 
 
 def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:
@@ -707,7 +691,7 @@ def _replayed(entries: Iterable[Event]) -> frozenset[tuple[str, str]]:
     live: dict[str, list[str]] = {}
     for event in entries:
         if event.verb is comment:
-            live.setdefault(event.by, []).append(make_comment_id(event.by, event.clock))
+            live.setdefault(event.by, []).append(f"{event.by}:{event.clock}")
         elif event.verb is delete:
             own = live.get(event.by)
             if own:

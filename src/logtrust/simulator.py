@@ -367,12 +367,11 @@ class Simulation:
                 message.creator,
             )
         link = self._channels[channel]
-        edit_from, comm_from = link.unread(message.edit_log, message.comm_log)
-        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0, edit_from)
+        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0, link.edit_n)
         comm_log, new_comm = _received(
-            state.comm_log, message.comm_log, recipient, clock, comm_from
+            state.comm_log, message.comm_log, recipient, clock, link.comm_n
         )
-        link.delivered(message.edit_log, message.comm_log)
+        link.edit_n, link.comm_n = len(message.edit_log), len(message.comm_log)
         if len(queue) > 1:
             self._queues[channel] = queue[1:]
         else:
@@ -548,46 +547,13 @@ class _History:
     ``copies[k]`` is the held copy that command ``k`` changed, or None,
     and ``channels[k]`` the channel it changed, as ``((from, to, doc),
     messages)`` with messages None once the channel is empty, or None.
-    ``built`` maps an index to its ``(held, pending)`` tuples: the empty
-    state before the first command (-1), the checkpoints ``run_scenario``
-    stores, and every state read since.
     """
 
-    __slots__ = ("copies", "channels", "built")
+    __slots__ = ("copies", "channels")
 
     def __init__(self) -> None:
         self.copies: list[Optional[PeerDocState]] = []
         self.channels: list[Optional[tuple]] = []
-        self.built: dict[int, tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]] = {-1: ((), ())}
-
-    def state(self, k: int) -> tuple[tuple[PeerDocState, ...], tuple[Channel, ...]]:
-        """``(held, pending)`` after command ``k``, built on first read: the
-        nearest earlier built state, copied into lists and patched in place
-        with each later command's changes."""
-        built = self.built.get(k)
-        if built is not None:
-            return built
-        base = k - 1
-        while base not in self.built:
-            base -= 1
-        held, pending = map(list, self.built[base])
-        for i in range(base + 1, k + 1):
-            copy, channel = self.copies[i], self.channels[i]
-            if copy is not None:
-                _patch(held, copy[:2], copy)
-            if channel is not None:
-                _patch(pending, channel[:1], None if channel[1] is None else channel)
-        built = self.built[k] = (tuple(held), tuple(pending))
-        return built
-
-
-def _patch(items: list, key: tuple, item: Any) -> None:
-    """In ``items``, sorted by unique keys, replace the item whose key
-    starts with ``key`` by ``item``, or insert ``item`` in key order, or
-    drop that item when ``item`` is None."""
-    i = bisect_left(items, key)  # ``key`` sorts just before its own item
-    found = i < len(items) and items[i][: len(key)] == key
-    items[i : i + found] = () if item is None else (item,)
 
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
@@ -598,10 +564,10 @@ class CommandSnapshot:
     ``report`` the audit report of an audit command.  ``held`` has the
     engine's ``PeerDocState`` record of each held copy and ``pending``
     the ``((from, to, doc), messages)`` item of each non-empty channel,
-    both in key order.  The run stores what each command changed, plus a
-    checkpoint once the commands since the last exceed the state's size
-    by 64; ``held`` and ``pending`` are built on first read by patching
-    the nearest built state (``_History.state``).
+    both in key order.  The run stores only what each command changed
+    (``_History``), so a read of ``held`` or ``pending`` takes the latest
+    copy or channel of each key among the commands up to this one: it
+    costs those commands and changes nothing that it reads.
     """
 
     index: int
@@ -622,11 +588,15 @@ class CommandSnapshot:
 
     @property
     def held(self) -> tuple[PeerDocState, ...]:
-        return self._history.state(self.index)[0]
+        copies = self._history.copies[: self.index + 1]
+        latest = {copy[:2]: copy for copy in copies if copy is not None}
+        return tuple(sorted(latest.values()))
 
     @property
     def pending(self) -> tuple[Channel, ...]:
-        return self._history.state(self.index)[1]
+        channels = self._history.channels[: self.index + 1]
+        latest = dict(channel for channel in channels if channel is not None)
+        return tuple(sorted(item for item in latest.items() if item[1] is not None))
 
 
 _SET_INDEX, _SET_COMMAND, _SET_CLOCK, _SET_REPORT, _SET_HISTORY = _setters(CommandSnapshot)
@@ -834,7 +804,7 @@ def run_scenario(
     name, commands = parse_scenario(data)
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
-    history, checkpoint = _History(), -1
+    history = _History()
     for i, command in enumerate(commands):
         try:
             clock, report = apply_command(sim, command)
@@ -850,12 +820,6 @@ def run_scenario(
             copy = sim._held[command["peer"], command["doc_id"]]
         history.copies.append(copy)
         history.channels.append(channel)
-        # Checkpoint once the commands since the last one exceed the state's
-        # size by 64: a read then patches at most two items for each of that
-        # many commands, and checkpoints store fewer items than the commands.
-        if i - checkpoint > len(sim._held) + len(sim._queues) + 64:
-            history.built[i] = (tuple(sorted(sim._held.values())), tuple(sorted(sim._queues.items())))
-            checkpoint = i
         snapshots.append(CommandSnapshot(i, command, clock, report, history))
     return ScenarioTrace(
         name=name,

@@ -13,6 +13,7 @@ from logtrust import (
     LogRole,
     MixedRolesError,
     Obligation,
+    ObligationAtom,
     OrderViolationError,
     OriginKey,
     PerformedEdit,
@@ -29,11 +30,14 @@ from logtrust import (
     log_from_dict,
     log_to_dict,
     merge_logs,
+    parse_scenario,
     receive_log,
     run_scenario,
     sort_key,
 )
+from logtrust import events as events_module
 from logtrust.events import _Channel, _insert_events, _outbound, _received
+from logtrust.simulator import apply_command
 from oracle import _canonical, _same_event, oracle_receive
 
 ORG = OriginKey("P1", "P2", 2)
@@ -485,23 +489,62 @@ def test_every_version_of_a_lineage_reads_its_own_entries(steps):
         check_log(log)
 
 
-def test_a_deliver_reads_past_the_last_message_only_on_its_lineage():
-    a1, a2, a3 = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
-    b1, b2 = (PerformedEdit(c, Verb.READ, "P2") for c in (1, 2))
-    since = _insert_events(empty_log(LogRole.EDIT), [a1, a2])
-    later = _insert_events(since, [a3])
-    comm = empty_log(LogRole.COMM)
-    channel = _Channel()
-    assert channel.unread(later, comm) == (0, 0)  # nothing delivered yet
-    channel.delivered(since, comm)
-    assert channel.unread(later, comm) == (2, 0)
-    assert channel.unread(Log.from_events(LogRole.EDIT, [a1, a2, b2]), comm) == (0, 0)
-    channel.delivered(later, comm)
-    assert channel.unread(since, comm) == (0, 0)  # the mark is past ``since``
+def test_a_deliver_reads_past_the_last_delivered_message():
+    sim = Simulation()
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", [ObligationAtom(Verb.READ, True)])
+    sim.edit("P1", "d", Verb.COMMENT)
+    sim.share("P1", "d", "P2", [ObligationAtom(Verb.COMMENT, True)])
+    first, second = sim.pending("P1", "P2", "d")
+    # the sender's copy and the channel each extend one lineage per log, so
+    # a later message extends the logs of the one before
+    for old, new in ((first.edit_log, second.edit_log), (first.comm_log, second.comm_log)):
+        assert new._lineage is old._lineage and len(old) < len(new)
+    channel = sim._channels["P1", "P2", "d"]
+    assert (channel.edit_n, channel.comm_n) == (0, 0)  # nothing delivered yet
+    sim.deliver("P2", "P1", "d")
+    assert (channel.edit_n, channel.comm_n) == (len(first.edit_log), len(first.comm_log))
+    held = sim.peer_state("P2", "d")
+    sim.deliver("P2", "P1", "d")
+    assert (channel.edit_n, channel.comm_n) == (len(second.edit_log), len(second.comm_log))
+    state = sim.peer_state("P2", "d")
+    assert state.edit_log == merge_logs(held.edit_log, second.edit_log)
+    assert state.comm_log == receive_log(held.comm_log, second.comm_log, "P2", 2)
     # ``local`` lacks a1 and a2, so what a receive adds shows what it read
-    local = Log(LogRole.EDIT, (b1,))
+    a1, a2, a3 = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
+    later = _insert_events(_insert_events(empty_log(LogRole.EDIT), [a1, a2]), [a3])
+    local = Log(LogRole.EDIT, (PerformedEdit(1, Verb.READ, "P2"),))
     assert _received(local, later, None, 0, 2)[1] == [a3]
     assert sorted(_received(local, later, None, 0)[1], key=sort_key) == [a1, a2, a3]
+
+
+def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkeypatch):
+    # Appending to a held log or a message's log through the public API
+    # moves its lineage past it, so the engine's next op on it forks a new
+    # lineage.  A fork copies the log's events in arrival order, so a
+    # channel's marks count the same events on it, and no state differs
+    # from a run that nothing touched.
+    forks = []
+    fork = events_module._fork
+    monkeypatch.setattr(events_module, "_fork", lambda log: forks.append(log) or fork(log))
+
+    def state(sim):
+        return sorted(sim._held.values()), sorted(sim._queues.items())
+
+    tick = 0
+    for seed in range(6):
+        _, commands = parse_scenario(generate_scenario(seed, max_peers=5, max_commands=60))
+        quiet, touched = Simulation(), Simulation()
+        for command in commands:
+            apply_command(quiet, command)
+            apply_command(touched, command)
+            messages = [m for queue in touched._queues.values() for m in queue]
+            for held in [*touched._held.values(), *messages]:
+                tick += 1
+                append_event(held.edit_log, PerformedEdit(tick, Verb.READ, "X"))
+                append_event(held.comm_log, PerformedShare(tick, "X", "Y"))
+            assert state(touched) == state(quiet), (seed, command)
+    assert forks
 
 
 def test_an_outbound_filters_only_what_its_source_added():
@@ -512,17 +555,13 @@ def test_an_outbound_filters_only_what_its_source_added():
     channel = _Channel()
     first = _outbound(comm, "P1", "P2", channel)  # nothing dropped, yet the channel's own
     assert first.entries == comm.entries and first._lineage is not comm._lineage
+    assert channel.read == len(comm)
     grown = _insert_events(comm, [grant, PerformedShare(2, "P1", "P3"), theirs])
     second = _outbound(grown, "P1", "P2", channel)
     assert second.entries == (*comm.entries, theirs)
     assert second._lineage is first._lineage  # appended to the channel's lineage
     assert first.entries == comm.entries  # which leaves the earlier message as it was
-    # a record of another lineage is no shortcut
-    other = Log.from_events(LogRole.COMM, [grant, theirs])
-    assert _outbound(other, "P1", "P2", channel).entries == (theirs,)
-    # nor is one that has read past an older log of its lineage
-    _outbound(grown, "P1", "P2", channel)
-    assert _outbound(comm, "P1", "P2", channel).entries == comm.entries
+    assert channel.read == len(grown)
     # a drop with nothing kept leaves the channel's log as it is
     base = _insert_events(empty_log(LogRole.COMM), events)
     channel = _Channel()

@@ -1,8 +1,8 @@
 """Traces against an eager capture of the engine state.
 
 ``run_scenario`` keeps, per command, only the held copy and channel the
-command changed, and builds a snapshot's ``held`` and ``pending`` when
-they are first read; ``json_pieces`` walks those changes forward.
+command changed; a snapshot's ``held`` and ``pending`` are read from
+the changes up to it, and ``json_pieces`` walks them forward.
 ``eager_trace_dict`` is an independent reference: it steps a live
 ``Simulation`` and captures the whole engine state right after each
 command, read through public engine calls, with comment sets from the
@@ -152,7 +152,7 @@ def assert_same_text(text, expected, where):
 
 
 # The orders in which snapshots are read: each order reads a fresh trace,
-# so a read that finds no earlier snapshot built starts from a checkpoint.
+# and each read takes its state from the commands up to its snapshot.
 READ_ORDERS = {
     "front to back": lambda n: range(n),
     "back to front": lambda n: reversed(range(n)),
@@ -213,40 +213,35 @@ def test_reference_snapshots_of_a_large_scenario_match_eager_capture():
     check_snapshots(sixteen_documents(), "docs16", every=100)
 
 
-def test_snapshots_store_about_what_their_commands_change(monkeypatch):
-    """Before any read, a trace stores each command's changed copy and
-    channel, and a full state at checkpoints spaced by more than the
-    state's size in commands, so a few held copies and channels per
-    command; storing all of them after every command grows as commands
-    times state size, about 70 per command here.  A read patches the
-    nearest built state with at most two items per command since, so
-    checkpoints bound what it applies by the state's size plus 64
-    commands, whichever way the snapshots are read."""
+def history_items(history):
+    """What ``history`` holds, each item by identity."""
+    return [
+        (name, [id(item) for item in getattr(history, name)])
+        for name in simulator._History.__slots__
+    ]
+
+
+def test_snapshots_store_about_what_their_commands_change():
+    """A run stores, per command, the held copy and the channel the command
+    changed, or None, and nothing else: storing the whole state after every
+    command would grow as commands times state size, about 70 per command
+    here.  Reading ``held`` and ``pending``, in any order, builds from
+    those changes and stores nothing."""
     trace = run_scenario(sixteen_documents(PREFIX))
     history = trace.snapshots[0]._history
-    stored = sum(item is not None for item in history.copies + history.channels)
-    stored += sum(len(held) + len(pending) for held, pending in history.built.values())
-    assert stored <= 3 * len(trace.snapshots), stored
-    # Reading the last snapshot alone builds and keeps its state only.
-    checkpoints = set(history.built)
-    last = len(trace.snapshots) - 1
-    assert last not in checkpoints
-    trace.snapshots[last].held
-    assert set(history.built) == checkpoints | {last}
-
-    patches = []
-    patch = simulator._patch
-    monkeypatch.setattr(simulator, "_patch", lambda *args: patches.append(args) or patch(*args))
-    for order in ("last alone", "back to front"):
-        trace = run_scenario(sixteen_documents(PREFIX))
-        most = 0
-        for k in READ_ORDERS[order](len(trace.snapshots)):
-            patches.clear()
-            snapshot = trace.snapshots[k]
-            size, applied = len(snapshot.held) + len(snapshot.pending), len(patches)
-            assert applied <= 2 * (size + 64), (order, k, applied, size)
-            most = max(most, applied)
-        assert most > 0, order
+    assert simulator._History.__slots__ == ("copies", "channels")
+    n = len(trace.snapshots)
+    assert len(history.copies) == len(history.channels) == n
+    assert all(s._history is history and s.index == k for k, s in enumerate(trace.snapshots))
+    for k, snapshot in enumerate(trace.snapshots):
+        op = snapshot.command["op"]
+        assert (history.copies[k] is None) == (op == "audit"), k
+        assert (history.channels[k] is None) == (op not in ("share", "deliver")), k
+    stored = history_items(history)
+    for order, read in READ_ORDERS.items():
+        for k in read(n):
+            trace.snapshots[k].held, trace.snapshots[k].pending
+        assert history_items(history) == stored, order
 
 
 def test_generated_traces_are_byte_identical():
@@ -261,17 +256,16 @@ def test_generated_traces_are_byte_identical():
 
 
 def test_writing_a_trace_leaves_its_states_and_logs_as_they_were():
-    # The writer walks the run's changes itself: it builds no snapshot
-    # state, and keeps no sorted entries or comment set on a log.
+    # The writer walks the run's changes itself: it changes none of them,
+    # and keeps no sorted entries or comment set on a log.
     trace = run_scenario(sixteen_documents(PREFIX))
     history = trace.snapshots[0]._history
-    built = dict(history.built)
+    stored = history_items(history)
     logs = [log for copy in history.copies if copy for log in copy[2:4]]
     cached = [(log._entries, log._comments) for log in logs]
     for _ in trace.json_pieces():
         pass
-    assert history.built.keys() == built.keys()
-    assert all(history.built[k] is state for k, state in built.items())
+    assert history_items(history) == stored
     assert all(
         log._entries is entries and log._comments is comments
         for log, (entries, comments) in zip(logs, cached)
