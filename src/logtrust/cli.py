@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Optional, TextIO
 
-from .audit import AuditReport, _report_json, local_trust_assessment, parse_audit_mode
+from .audit import AuditReport, _report_pieces, local_trust_assessment, parse_audit_mode
 from .errors import LogTrustError, ScenarioError
 from .events import LogRole, _log_json, log_from_dict
 from .scengen import generate_scenario
@@ -221,7 +222,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise _CliError(f"{args.edit_log}: {exc}") from None
     report = dataclasses.replace(report, doc_id=edit_doc)
     if args.format == "json":
-        _write(sys.stdout, (_report_json(report),))
+        _write(sys.stdout, _report_pieces(report))
     else:
         _print_report_table(report)
     return 1 if report.violations else 0
@@ -302,6 +303,19 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command with the cyclic collector paused, which would free
+    nothing: the engine makes no reference cycles.  The caller's setting is
+    put back on every exit, argparse's ``SystemExit`` included."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "run" and (args.scenario is None) == (args.seed is None):

@@ -21,7 +21,7 @@ from .audit import (
     AuditMode,
     AuditReport,
     CopyAudit,
-    _report_json,
+    _report_pieces,
 )
 from .errors import (
     DocumentNotHeldError,
@@ -732,9 +732,13 @@ class ScenarioTrace:
                     pad = after
                 yield tail
                 sep = ","
-            report = "null" if s.report is None else _report_json(s.report).replace("\n", p3)
             closing = p3 + "]" if channels else sep + "]"
-            yield f'{closing},\n      "report": {report}\n    }}'
+            if s.report is None:
+                yield f'{closing},\n      "report": null\n    }}'
+            else:
+                yield f'{closing},\n      "report": '
+                yield from _report_pieces(s.report, 3)
+                yield "\n    }"
             opening = ","
         yield "\n  ]\n}" if self.snapshots else "[]\n}"
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from logtrust import (
     run_scenario,
 )
 from logtrust import simulator
-from logtrust.audit import _report_json, derive_creator, local_trust_assessment, report_to_dict
+from logtrust.audit import _report_pieces, derive_creator, local_trust_assessment, report_to_dict
 from logtrust.cli import main
 from logtrust.events import _PADS, _log_json, log_from_dict, log_to_dict
 
@@ -650,7 +651,26 @@ def audit_reports(draw):
 @example(AuditReport("", "", AuditMode.PROSE, (), {}))
 @example(AuditReport("P1", "d", AuditMode.LITERAL, (), {"P1": 1, "P2": 0.5}))
 def test_report_writer_matches_json_dumps_indent_2(report):
-    assert _report_json(report) == json.dumps(report_to_dict(report), indent=2)
+    expected = json.dumps(report_to_dict(report), indent=2)
+    assert "".join(_report_pieces(report)) == expected
+    # a trace nests its reports at depth 3
+    assert "".join(_report_pieces(report, 3)) == expected.replace("\n", _PADS[3])
+
+
+def test_a_report_is_written_without_its_whole_text():
+    forbid = Obligation(1, Verb.COMMENT, False, "P1", "P2", OriginKey("P1", "P2", 1))
+    violations = tuple(Violation("P2", Verb.COMMENT, clock, forbid) for clock in range(2, 20_002))
+    report = AuditReport("P1", "d", AuditMode.PROSE, violations, {"P1": 1.0, "P2": 0.0})
+    size = sum(map(len, _report_pieces(report)))
+    tracemalloc.start()
+    try:
+        for piece in _report_pieces(report):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 4_000_000
+    assert peak < size / 2, (peak, size)
 
 
 @pytest.mark.large

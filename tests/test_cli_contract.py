@@ -11,6 +11,7 @@ disk or no memory.
 
 import copy
 import errno
+import gc
 import io
 import json
 import os
@@ -27,7 +28,7 @@ import pytest
 
 import logtrust
 from logtrust import event_to_dict, generate_scenario, run_scenario
-from logtrust.cli import _write, main
+from logtrust.cli import _parser, _write, main
 
 from conftest import SCENARIOS
 
@@ -328,3 +329,71 @@ def test_run_into_a_closed_pipe_exits_2():
     err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode == 2
     assert err == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.fixture
+def paper_logs(tmp_path, capsys):
+    """The paper example's exported logs: P1's pair audits clean, P3's finds P2."""
+    assert main(["run", str(SCENARIOS / "paper_example.json"), "--export-logs", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return {peer: [str(tmp_path / f"{peer}_d_{role}.json") for role in ("edit", "comm")]
+            for peer in ("P1", "P3")}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_puts_back_the_callers_collector_setting(enabled, paper_logs, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    commands = [
+        (["audit", *paper_logs["P1"], "--assessor", "P1"], 0),
+        (["audit", *paper_logs["P3"], "--assessor", "P3"], 1),
+        (["validate", str(bad)], 2),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, expected in commands:
+            assert main(argv) == expected, argv
+            assert gc.isenabled() is enabled, argv
+        for argv in (["run"], ["frobnicate"], ["--help"]):  # argparse exits
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_commands_leave_no_reference_cycles(paper_logs, tmp_path, capsys):
+    # main pauses the cyclic collector, which is free only while the engine
+    # makes no cycles: whatever a command leaves must be freed by reference
+    # counts alone.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"commands": [{"op": "fly"}]}', encoding="utf-8")
+    paper = str(SCENARIOS / "paper_example.json")
+    commands = [
+        ["run", paper],
+        ["run", paper, "--format", "json"],
+        ["run", "--seed", "7", "--mode", "literal"],
+        ["run", "--seed", "3", "--format", "json", "--export-logs", str(tmp_path / "out")],
+        ["validate", paper],
+        ["validate", paper_logs["P3"][0]],
+        ["validate", str(bad)],
+    ]
+    for mode in ("prose", "literal"):
+        for fmt in ("table", "json"):
+            commands.append(["audit", *paper_logs["P3"], "--assessor", "P3", "--mode", mode,
+                             "--format", fmt])
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        # Building the parser, once per process, leaves 49 objects in cycles.
+        _parser()
+        gc.collect()
+        codes = [main(argv) for argv in commands]
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1]
