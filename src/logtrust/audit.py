@@ -265,17 +265,17 @@ class CopyAudit:
     """The audit of one held copy, kept current as events join its logs.
 
     Events added to the copy's logs are queued on ``pending`` and folded
-    in by the next ``report``, whose cost follows them: a new action is
-    one index query, and an obligation that changes its group's index
-    re-decides only that group's actions after the lowest clock it
-    changed.  Each offender's violations are kept in key order, so a
-    changed verdict is one bisection and a report joins one list per
-    offender.  The report does not depend on how the events were split
-    into folds or ordered within one, so a copy built over a pair of full
-    logs is their from-scratch audit.  Each event must be queued once, as
-    its log holds it.  An action is identified by its actor, clock, verb
-    and, for a share, recipient: two shares by one peer at one clock are
-    two actions.
+    in by the next ``report``.  A fold reads the index answers of each
+    (actor, verb, recipient) group of new actions once and bisects once
+    per action; an obligation that changes its group's index re-decides
+    only that group's actions after the lowest clock it changed.  An
+    offender's violations are kept in key order: those of one without any
+    land as one sorted run, as in a first fold, the others by bisection.
+    The report does not depend on how the events were split into folds or
+    ordered within one, so a copy built over a pair of full logs is their
+    from-scratch audit.  Each event must be queued once, as its log holds
+    it.  An action is identified by its actor, clock, verb and, for a
+    share, recipient: two shares by one peer at one clock are two actions.
     """
 
     __slots__ = (
@@ -293,7 +293,7 @@ class CopyAudit:
         self._index = kernel.GoverningIndex(mode is AuditMode.LITERAL)
         # (actor, verb) -> recipient -> ascending clocks of the audited
         # actions; an edit's recipient is ""
-        self._actions: dict[tuple[str, Verb], dict[str, list[int]]] = {}
+        self._actions: defaultdict[tuple[str, Verb], dict[str, list[int]]] = defaultdict(dict)
         # offender -> its violations' keys (action clock, verb rank,
         # recipient) in ascending order, and its violations in that order
         self._verdicts: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
@@ -341,12 +341,8 @@ class CopyAudit:
 
     def _fold(self) -> None:
         events, self.pending = self.pending, []
-        actions, query, decide = self._actions, self._index.query, self._decide
-        for (by, verb), low in self._index.add(events).items():
-            for to, clocks in actions.get((by, verb), {}).items():
-                for clock in clocks[bisect_right(clocks, low):]:
-                    decide(by, verb, clock, to, query(by, verb, clock))
         peers, creator, share = self._peers, self.creator, Verb.SHARE
+        obligations, new = [], {}  # new: (actor, verb, recipient) -> new action clocks
         for event in events:
             by = event.by
             peers.add(by)
@@ -356,21 +352,38 @@ class CopyAudit:
                 to = event.to
                 peers.add(to)
                 if isinstance(event, Obligation):
+                    obligations.append(event)
                     continue
                 verb = share
             if by != creator:
-                clock = event.clock
-                recipients = actions.get((by, verb))
-                if recipients is None:
-                    recipients = actions[by, verb] = {}
-                clocks = recipients.get(to)
-                if clocks is None:
-                    clocks = recipients[to] = []
-                insort(clocks, clock)
+                new.setdefault((by, verb, to), []).append(event.clock)
+        index, actions, decide = self._index, self._actions, self._decide
+        for (by, verb), low in index.add(obligations).items():
+            for to, clocks in actions.get((by, verb), {}).items():
+                for clock in clocks[bisect_right(clocks, low):]:
+                    decide(by, verb, clock, to, index.query(by, verb, clock))
+        verdicts, runs = self._verdicts, {}  # runs: offender -> (key, violation) pairs
+        for (by, verb, to), clocks in new.items():
+            record = actions[by, verb].setdefault(to, [])
+            for clock in clocks:
+                insort(record, clock)
+            at, found = index.answers(by, verb)
+            for clock in clocks:
+                forbid = found[bisect_left(at, clock)]
                 # A new action has no verdict yet, so only a forbid changes one.
-                forbid = query(by, verb, clock)
-                if forbid is not None and not forbid.allow:
+                if forbid is None or forbid.allow:
+                    continue
+                if verdicts[by][0]:
                     decide(by, verb, clock, to, forbid)
+                else:
+                    violation = Violation(by, verb, clock, forbid)
+                    runs.setdefault(by, []).append(((clock, _VERB_RANK[verb], to), violation))
+        for by, run in runs.items():
+            run.sort()
+            keys, held = verdicts[by]
+            keys += [key for key, _ in run]
+            held += [violation for _, violation in run]
+            self._violations = None
 
     def report(self, doc_id: str, model: TrustModel = DEFAULT_TRUST_MODEL) -> AuditReport:
         """The copy's audit report, with trust under ``model``."""

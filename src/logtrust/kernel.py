@@ -10,17 +10,17 @@ lowest clock it changed per group, so a caller that keeps answers can
 re-ask only the actions after it.  An action is answered with one binary
 search over its group, so an index built over a log of n entries answers
 m actions in O((n + m) log n).  The index is the only way the library
-decides an action: ``audit.CopyAudit`` keeps one per audited copy, and a
-caller that wants one answer builds one, passes a communication log's
-entries to ``add`` and makes one ``query``.  That returns the governing
-``Obligation`` itself (its ``allow``, ``origin`` and ``clock``), or None
-when no obligation governs.
+decides an action: ``audit.CopyAudit`` keeps one per audited copy and
+reads a group once per fold (``answers``); a caller that wants one answer
+builds one, passes a communication log's entries to ``add`` and makes one
+``query``.  That returns the governing ``Obligation`` itself (its
+``allow``, ``origin`` and ``clock``), or None when no obligation governs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .events import Event, Obligation, Verb
 
@@ -80,10 +80,14 @@ class GoverningIndex:
                 changed[key] = clock
         return changed
 
+    def answers(self, by: str, verb: Verb) -> tuple[Sequence[int], Sequence[Optional[Obligation]]]:
+        """The group's ascending clocks, and the answer at ``bisect_left`` of a clock; read only."""
+        return self._groups.get((by, verb), ((), (None,)))
+
     def query(self, by: str, verb: Verb, clock: int) -> Optional[Obligation]:
         """The obligation that decides ``by`` performing ``verb`` at ``clock``, or None."""
-        entry = self._groups.get((by, verb))
-        return None if entry is None else entry[1][bisect_left(entry[0], clock)]
+        clocks, found = self.answers(by, verb)
+        return found[bisect_left(clocks, clock)]
 
 
 def _precedes(new: Obligation, held: Obligation, literal: bool) -> bool:

@@ -20,10 +20,16 @@ from logtrust import (
     Document,
     FixedStepTrust,
     MultiplicativeTrust,
+    Obligation,
+    OriginKey,
+    PerformedEdit,
+    PerformedShare,
     Simulation,
+    Verb,
     event_to_dict,
     generate_scenario,
     local_trust_assessment,
+    sort_key,
 )
 from logtrust.audit import CopyAudit
 from logtrust.simulator import apply_command, parse_scenario
@@ -117,3 +123,56 @@ def test_a_copy_audit_does_not_depend_on_how_its_events_arrive(data, mode):
         assert audit.report(state.doc_id) == fresh.report(state.doc_id), start
         audit.pending += events[start:stop]
     check_audit(audit.report(state.doc_id), state, mode, MULTIPLICATIVE)
+
+
+def obligation(clock, verb, grantor, share_clock, allow=False):
+    return Obligation(clock, verb, allow, grantor, "P2", OriginKey(grantor, "P2", share_clock))
+
+
+def shares(to, *clocks):
+    return [PerformedShare(clock, "P2", to) for clock in clocks]
+
+
+@pytest.mark.parametrize("mode", list(AuditMode))
+def test_hand_made_folds_take_each_path_of_the_fold(mode):
+    """Four folds of P2's comments and shares to P3 and P4 under forbids.
+    The first lands P2's violations of two verbs and two recipients,
+    interleaved in clock order, as one sorted run.  The second adds one
+    after P2's last key, and the third two before it, whose clocks also
+    come before their record's last.  The fourth brings a late forbid,
+    which replaces the verdicts after it, and a late permit, which in
+    prose deletes the verdict it now governs.  Every report equals a fresh
+    audit of the events so far and the oracle's."""
+    folds = [
+        [
+            PerformedEdit(1, Verb.CREATE, "P1"),
+            obligation(1, Verb.COMMENT, "P1", 1),
+            obligation(1, Verb.SHARE, "P1", 1),
+            obligation(8, Verb.COMMENT, "P3", 2, allow=True),
+            *[PerformedEdit(clock, Verb.COMMENT, "P2") for clock in (3, 6, 9)],
+            *shares("P4", 2, 20),
+            *shares("P3", 4, 6, 13),
+        ],
+        shares("P3", 21),
+        shares("P4", 3, 4),
+        [obligation(10, Verb.SHARE, "P3", 3), obligation(5, Verb.SHARE, "P4", 4, allow=True)],
+    ]
+    audit = CopyAudit("P1", "P1", mode, [])
+    seen = []
+    for events in folds:
+        audit.pending += events
+        seen += events
+        report = audit.report("d")
+        assert report == CopyAudit("P1", "P1", mode, seen).report("d")
+        ordered = sorted(seen, key=sort_key)  # log order
+        edit = [event_to_dict(e) for e in ordered if isinstance(e, PerformedEdit)]
+        comm = [event_to_dict(e) for e in ordered if not isinstance(e, PerformedEdit)]
+        want = oracle_report(edit, comm, "P1", "P1", mode.value, *MULTIPLICATIVE[1])
+        assert ([violation_tuple(v) for v in report.violations], report.trust) == want
+        if events is folds[0]:
+            first = [(v.action_clock, v.verb) for v in report.violations[:5]]
+            share, comment = Verb.SHARE, Verb.COMMENT
+            assert first == [(2, share), (3, comment), (4, share), (6, comment), (6, share)]
+    grantors = [v.grantor for v in report.violations if v.verb is Verb.SHARE]
+    cleared = mode is AuditMode.PROSE  # the permit at 5 clears the share at 6 in prose only
+    assert grantors == ["P1"] * (4 if cleared else 5) + ["P3"] * 3

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
@@ -198,7 +199,7 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
     """Every answer of an index fed in random order and batches equals that
     of an index fed the sorted log in one ``add``, and the oracle's, and an
     answer changes only after the lowest clock ``add`` reports for its
-    group."""
+    group.  Each group's ``answers``, read at every clock, are ``query``'s."""
     events, batches = case
     log = Log.from_events(LogRole.COMM, events)
     comm = [event_to_dict(e) for e in log]
@@ -213,6 +214,12 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
             before, answers = answers, [index.query(*action) for action in actions]
             so_far = Log.from_events(LogRole.COMM, arrived)
             assert answers == governing(so_far, actions, literal)
+            for by in (*GRANTEES, "P9"):
+                for verb in GRANTED:
+                    clocks, found = index.answers(by, verb)
+                    assert list(clocks) == sorted(set(clocks)) and len(found) == len(clocks) + 1
+                    read = [found[bisect_left(clocks, clock)] for clock in range(10)]
+                    assert read == [index.query(by, verb, clock) for clock in range(10)]
             for (by, verb, clock), old, new in zip(actions, before, answers):
                 if old is not new:
                     assert clock > changed[by, verb]
