@@ -45,6 +45,7 @@ from .events import (
     _PADS,
     _VERB_RANK,
     _arrived,
+    _new,
     _setters,
 )
 from .trust import (
@@ -344,19 +345,16 @@ class CopyAudit:
         peers, creator, share = self._peers, self.creator, Verb.SHARE
         obligations, new = [], {}  # new: (actor, verb, recipient) -> new action clocks
         for event in events:
-            by = event.by
-            peers.add(by)
             if isinstance(event, PerformedEdit):
-                verb, to = event.verb, ""
+                group = (event.by, event.verb, "")
+            elif isinstance(event, Obligation):
+                obligations.append(event)
+                peers.add(event.by)
+                peers.add(event.to)
+                continue
             else:
-                to = event.to
-                peers.add(to)
-                if isinstance(event, Obligation):
-                    obligations.append(event)
-                    continue
-                verb = share
-            if by != creator:
-                new.setdefault((by, verb, to), []).append(event.clock)
+                group = (event.by, share, event.to)
+            new.setdefault(group, []).append(event.clock)
         index, actions, decide = self._index, self._actions, self._decide
         for (by, verb), low in index.add(obligations).items():
             for to, clocks in actions.get((by, verb), {}).items():
@@ -364,19 +362,35 @@ class CopyAudit:
                     decide(by, verb, clock, to, index.query(by, verb, clock))
         verdicts, runs = self._verdicts, {}  # runs: offender -> (key, violation) pairs
         for (by, verb, to), clocks in new.items():
+            peers.add(by)
+            if to:
+                peers.add(to)
+            if by == creator:
+                continue
             record = actions[by, verb].setdefault(to, [])
-            for clock in clocks:
-                insort(record, clock)
+            clocks.sort()
+            if record and clocks[0] < record[-1]:
+                for clock in clocks:
+                    insort(record, clock)
+            else:
+                record += clocks
             at, found = index.answers(by, verb)
+            keys = by in verdicts and verdicts[by][0]
             for clock in clocks:
                 forbid = found[bisect_left(at, clock)]
                 # A new action has no verdict yet, so only a forbid changes one.
                 if forbid is None or forbid.allow:
                     continue
-                if verdicts[by][0]:
+                if keys:
                     decide(by, verb, clock, to, forbid)
                 else:
-                    violation = Violation(by, verb, clock, forbid)
+                    # The index answered a forbid to by of verb before clock,
+                    # which is all that Violation's constructor checks.
+                    violation = _new(Violation)
+                    _SET_OFFENDER(violation, by)
+                    _SET_VERB(violation, verb)
+                    _SET_ACTION_CLOCK(violation, clock)
+                    _SET_FORBID(violation, forbid)
                     runs.setdefault(by, []).append(((clock, _VERB_RANK[verb], to), violation))
         for by, run in runs.items():
             run.sort()

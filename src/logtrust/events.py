@@ -200,9 +200,9 @@ class Obligation:
         _OBLIGATION_ID(self, key[1:])
 
 
-# Each record's ``__init__`` is its one validator, run alike for code and
-# for the log-file parser (``_event``); once every check has passed, it
-# sets the slots through these setters, an event's keys included.
+# A record's ``__init__`` sets its slots through these setters once every
+# check has passed, an event's keys included.  The log-file parser
+# (``_event``) also sets them, for an event that passes its guard.
 def _setters(cls) -> tuple:
     """The slot setters of a frozen dataclass's fields, in field order."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
@@ -217,6 +217,7 @@ _SHARE_CLOCK, _SHARE_BY, _SHARE_TO, _SHARE_KEY, _SHARE_ID = _setters(PerformedSh
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
 _EVENT_TYPES = (PerformedEdit, PerformedShare, Obligation)
+_new = object.__new__
 _KEY = attrgetter("_key")
 _ID = attrgetter("_id")
 
@@ -263,7 +264,7 @@ def _check(role: LogRole, entries: Iterable[Event]) -> None:
     seen = set()
     previous = ()
     for i, event in enumerate(entries):
-        key = sort_key(event)
+        key = event._key if isinstance(event, _EVENT_TYPES) else sort_key(event)  # raises TypeError
         variant = key[2]  # 0 for obligations, 1 for performed shares, 2 for edits
         if (variant == 2) is not edit:
             raise MixedRolesError(
@@ -790,8 +791,10 @@ _VALUES_BY_KIND = {kind: itemgetter(*names) for kind, names in _FIELDS_BY_KIND.i
 def _event(data) -> Event:
     """Parse one serialized event; a ValueError names its first problem.
 
-    Checks only the JSON shape and leaves every value to the events'
-    constructors.  A message is put together only once a test has failed.
+    The JSON shape is checked first.  An event whose values then pass the
+    constructors' checks on exact classes is built once, through the slot
+    setters; any other goes to the constructors, which give every message.
+    A message is put together only once a test has failed.
     """
     if not isinstance(data, dict):
         raise ValueError("expected an object")
@@ -813,20 +816,62 @@ def _event(data) -> Event:
         verb = _VERB_BY_VALUE[values[2]]
     except (KeyError, TypeError):
         raise ValueError(f"unknown verb {values[2]!r}") from None
+    clock, by = values[1], values[3]
+    # The guard tests exact classes: a ``true`` clock is no int here.
+    fast = data.__class__ is dict and clock.__class__ is int and clock > 0 and by.__class__ is str and by
     if kind == "edit":
-        return PerformedEdit(values[1], verb, values[3])
+        if not fast or verb is _SHARE:
+            return PerformedEdit(clock, verb, by)
+        event = _new(PerformedEdit)
+        _EDIT_CLOCK(event, clock)
+        _EDIT_VERB(event, verb)
+        _EDIT_BY(event, by)
+        key = (clock, by, 2, _VERB_RANK[verb], 0, "", 0)
+        _EDIT_KEY(event, key)
+        _EDIT_ID(event, key)
+        return event
+    to = values[4]
+    fast = fast and to.__class__ is str and to and by != to
     if kind == "share":
         if verb is not _SHARE:
             raise ValueError("share events must carry verb 'share'")
-        return PerformedShare(values[1], values[3], values[4])
-    origin = values[6]
+        if not fast:
+            return PerformedShare(clock, by, to)
+        event = _new(PerformedShare)
+        _SHARE_CLOCK(event, clock)
+        _SHARE_BY(event, by)
+        _SHARE_TO(event, to)
+        key = (clock, by, 1, _SHARE_RANK, 0, to, 0)
+        _SHARE_KEY(event, key)
+        _SHARE_ID(event, key)
+        return event
+    raw, allow = values[6], values[5]
+    if fast and allow.__class__ is bool and verb in OBLIGATION_VERBS and raw.__class__ is dict:
+        grantor, grantee, share_clock = raw.get("grantor"), raw.get("grantee"), raw.get("share_clock")
+        if (len(raw) == 3 and grantor.__class__ is str and grantee.__class__ is str and grantor == by
+                and grantee == to and share_clock.__class__ is int and share_clock > 0):
+            origin = _new(OriginKey)
+            _ORIGIN_GRANTOR(origin, grantor)
+            _ORIGIN_GRANTEE(origin, grantee)
+            _ORIGIN_SHARE_CLOCK(origin, share_clock)
+            event = _new(Obligation)
+            _OBLIGATION_CLOCK(event, clock)
+            _OBLIGATION_VERB(event, verb)
+            _OBLIGATION_ALLOW(event, allow)
+            _OBLIGATION_BY(event, by)
+            _OBLIGATION_TO(event, to)
+            _OBLIGATION_ORIGIN(event, origin)
+            key = (clock, by, 0, _VERB_RANK[verb], 1 if allow else 0, to, share_clock)
+            _OBLIGATION_KEY(event, key)
+            _OBLIGATION_ID(event, key[1:])
+            return event
     try:
-        if not isinstance(origin, dict) or len(origin) != 3:
+        if not isinstance(raw, dict) or len(raw) != 3:
             raise KeyError
-        origin = OriginKey(origin["grantor"], origin["grantee"], origin["share_clock"])
+        origin = OriginKey(raw["grantor"], raw["grantee"], raw["share_clock"])
     except KeyError:
         raise ValueError(_ORIGIN_SHAPE) from None
-    return Obligation(values[1], verb, values[5], values[3], values[4], origin)
+    return Obligation(clock, verb, allow, by, to, origin)
 
 
 def event_from_dict(data: dict, where: str = "event") -> Event:

@@ -215,6 +215,15 @@ def test_an_empty_assessor_is_not_a_peer_in_the_trust_table():
     assert report.trust == {"P1": 1.0, "P2": 0.5}
 
 
+def test_the_trust_table_names_every_peer_the_logs_name():
+    # P3 and P4 are named only by an obligation, P5 only as a recipient,
+    # and the creator P1 by its own actions, which are not audited.
+    edit = edit_log(PerformedEdit(1, Verb.CREATE, "P1"), PerformedEdit(4, Verb.READ, "P6"))
+    comm = comm_log(obl(2, Verb.READ, True, "P3", "P4"), PerformedShare(3, "P1", "P5"))
+    report = local_trust_assessment(edit, comm, Document("d", "P1"), "P7")
+    assert report.trust == dict.fromkeys(["P1", "P3", "P4", "P5", "P6", "P7"], 1.0)
+
+
 def test_report_to_dict_shape():
     comm = comm_log(obl(1, Verb.COMMENT, False))
     report = local_trust_assessment(BASE_EDIT, comm, Document("d", "P1"), "P1")

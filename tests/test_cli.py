@@ -124,6 +124,16 @@ def test_run_and_validate_reject_a_bare_list(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {path}: scenario must be an object\n")
     assert main(["validate", path]) == 2
+    capsys.readouterr()
+    # Only an object holding "events" is a log file, not an array or a string that holds it.
+    for payload in (["events"], "events"):
+        path = write_json(tmp_path / "events.json", payload)
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: {path}: neither a scenario (commands) nor a log (events) file\n",
+        )
 
 
 def test_run_invalid_json_is_line_anchored(tmp_path, capsys):
@@ -184,6 +194,33 @@ def test_export_then_audit_round_trip(tmp_path, capsys):
         }
     ]
     assert report["trust"]["P2"] == 0.5
+
+
+def test_parsing_and_auditing_an_exported_pair_run_no_checking_constructor(
+    tmp_path, capsys, monkeypatch
+):
+    # The parser builds a log file's events, and a first audit fold its
+    # violations, through the slot setters once their checks have passed;
+    # a checking constructor called here would check each value twice.
+    out_dir = tmp_path / "logs"
+    assert main(["run", PAPER, "--export-logs", str(out_dir)]) == 0
+    capsys.readouterr()
+    files = [json.loads((out_dir / f"P3_d_{role}.json").read_text()) for role in ("edit", "comm")]
+    calls = []
+    for cls in (PerformedEdit, PerformedShare, Obligation, OriginKey, Violation):
+        def counted(self, *args, __init__=cls.__init__):
+            calls.append(type(self).__name__)
+            __init__(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    (_, edit_log), (_, comm_log) = (log_from_dict(data) for data in files)
+    assert calls == []
+    assert {type(e) for e in (*edit_log, *comm_log)} == {PerformedEdit, PerformedShare, Obligation}
+    report = local_trust_assessment(edit_log, comm_log, None, "P3")
+    assert calls == []
+    assert report.violations
+    v = report.violations[0]
+    assert Violation(v.offender, v.verb, v.action_clock, v.forbid) == v
+    assert calls == ["Violation"]  # the counter sees a constructor call
 
 
 def test_export_to_an_unwritable_directory_is_an_input_error(tmp_path, capsys):

@@ -137,7 +137,8 @@ def shares(to, *clocks):
 def test_hand_made_folds_take_each_path_of_the_fold(mode):
     """Four folds of P2's comments and shares to P3 and P4 under forbids.
     The first lands P2's violations of two verbs and two recipients,
-    interleaved in clock order, as one sorted run.  The second adds one
+    interleaved in clock order, as one sorted run, and records the shares
+    to P3 in clock order though they were queued against it.  The second adds one
     after P2's last key, and the third two before it, whose clocks also
     come before their record's last.  The fourth brings a late forbid,
     which replaces the verdicts after it, and a late permit, which in
@@ -151,7 +152,7 @@ def test_hand_made_folds_take_each_path_of_the_fold(mode):
             obligation(8, Verb.COMMENT, "P3", 2, allow=True),
             *[PerformedEdit(clock, Verb.COMMENT, "P2") for clock in (3, 6, 9)],
             *shares("P4", 2, 20),
-            *shares("P3", 4, 6, 13),
+            *shares("P3", 13, 6, 4),  # queued against clock order
         ],
         shares("P3", 21),
         shares("P4", 3, 4),
