@@ -5,6 +5,8 @@ other to; merging those logs lets any peer detect, after the fact, who
 acted against an obligation, and lower its local trust in them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audit import (
     AuditMode,
     AuditReport,
@@ -24,7 +26,6 @@ from .errors import (
     MissingObligationError,
     MixedRolesError,
     NoPendingMessageError,
-    OrderViolationError,
     ScenarioError,
     SelfShareError,
     UnknownCreatorError,
@@ -41,7 +42,6 @@ from .events import (
     PerformedEdit,
     PerformedShare,
     Verb,
-    append_event,
     dedup_key,
     empty_log,
     event_from_dict,
@@ -53,14 +53,7 @@ from .events import (
     replay_comments,
     sort_key,
 )
-from .obligations import (
-    ObligationAtom,
-    Ordering,
-    compare_atoms,
-    compare_sets,
-    detect_conflicts,
-    validate_set,
-)
+from .obligations import ObligationAtom, validate_set
 from .scengen import generate_scenario
 from .simulator import (
     CommandSnapshot,
@@ -80,78 +73,15 @@ from .trust import (
     TrustModel,
     TrustTable,
     apply_violations,
-    initial_trust,
     parse_trust_model,
 )
 
 __version__ = "0.1.0"
 
+# Every name imported above, and nothing else: the submodules that the
+# imports bind as attributes of the package are not exports.
 __all__ = [
-    "AuditMode",
-    "AuditReport",
-    "Violation",
-    "derive_creator",
-    "detect_violations",
-    "local_trust_assessment",
-    "parse_audit_mode",
-    "report_to_dict",
-    "violation_to_dict",
-    "LogTrustError",
-    "DuplicateEventError",
-    "OrderViolationError",
-    "MixedRolesError",
-    "UnorderedLogError",
-    "UnknownCreatorError",
-    "InternallyConflictingSetError",
-    "MissingObligationError",
-    "DocumentNotHeldError",
-    "SelfShareError",
-    "NoPendingMessageError",
-    "ScenarioError",
-    "Verb",
-    "LogRole",
-    "Log",
-    "PerformedEdit",
-    "PerformedShare",
-    "Obligation",
-    "OriginKey",
-    "Document",
-    "EDIT_VERBS",
-    "OBLIGATION_VERBS",
-    "append_event",
-    "empty_log",
-    "merge_logs",
-    "receive_log",
-    "sort_key",
-    "dedup_key",
-    "event_to_dict",
-    "event_from_dict",
-    "log_to_dict",
-    "log_from_dict",
-    "ObligationAtom",
-    "Ordering",
-    "compare_atoms",
-    "compare_sets",
-    "detect_conflicts",
-    "validate_set",
-    "generate_scenario",
-    "Simulation",
-    "Message",
-    "PeerDocState",
-    "ScenarioTrace",
-    "CommandSnapshot",
-    "parse_command",
-    "parse_scenario",
-    "replay_comments",
-    "run_scenario",
-    "TrustModel",
-    "TrustTable",
-    "MultiplicativeTrust",
-    "FixedStepTrust",
-    "MAX_TRUST",
-    "DEFAULT_TRUST_MODEL",
-    "apply_violations",
-    "initial_trust",
-    "parse_trust_model",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -9,10 +9,6 @@ class DuplicateEventError(LogTrustError):
     """An event with the same identity is already present in the log."""
 
 
-class OrderViolationError(LogTrustError):
-    """A peer appended an own event with a clock not after its latest one."""
-
-
 class MixedRolesError(LogTrustError):
     """An edit event met a communication log or vice versa."""
 

@@ -24,12 +24,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import (
-    DuplicateEventError,
-    MixedRolesError,
-    OrderViolationError,
-    UnorderedLogError,
-)
+from .errors import DuplicateEventError, MixedRolesError, UnorderedLogError
 
 
 class Verb(enum.Enum):
@@ -488,34 +483,13 @@ def empty_log(role: LogRole) -> Log:
     return Log(role, ())
 
 
-def append_event(log: Log, event: Event) -> Log:
-    """Append a peer's own freshly generated event.
-
-    The event lands at its total-order position.  Raises
-    DuplicateEventError if its identity is already present, and then
-    OrderViolationError if the acting peer already has an event in this
-    log with an equal or later clock (own clocks must strictly increase
-    when events are appended one at a time; the simulator stamps
-    same-tick groups through a dedicated path instead).  A rejected
-    append changes nothing, ``log``'s lineage and identity set included.
-    """
-    lineage, keys = _tip(log)
-    new = _unheld(log._role, keys, [event])
-    latest_own = max((e.clock for e in _arrived(log) if e.by == event.by), default=0)
-    if event.clock <= latest_own:
-        raise OrderViolationError(
-            f"{event.by} appended clock {event.clock} after own clock {latest_own}"
-        )
-    return _appended(log._role, lineage, new, keys)
-
-
 def _insert_events(log: Log, events: Iterable[Event]) -> Log:
-    """Insert events at their sorted positions without order checks.
+    """``log`` with ``events`` added, each at its sorted position.
 
-    Still rejects duplicate identities, and a rejected insert changes
-    nothing, ``log``'s lineage and identity set included.  Used by the
-    simulator for groups of events stamped with one clock tick (a share
-    plus its obligations, or a batch of edits).
+    Rejects an event of the other role and a duplicate identity, and a
+    rejected insert changes nothing, ``log``'s lineage and identity set
+    included.  The simulator adds each group of events stamped with one
+    clock tick (a share plus its obligations, or a batch of edits) here.
     """
     lineage, keys = _tip(log)
     return _appended(log._role, lineage, _unheld(log._role, keys, events), keys)

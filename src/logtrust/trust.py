@@ -100,13 +100,6 @@ class FixedStepTrust:
 DEFAULT_TRUST_MODEL = MultiplicativeTrust()
 
 
-def initial_trust(
-    peers: Iterable[str], model: TrustModel = DEFAULT_TRUST_MODEL
-) -> TrustTable:
-    """Fresh assessor view: full trust in everyone."""
-    return {peer: model.max_value for peer in peers}
-
-
 def apply_violations(
     table: Mapping[str, float],
     violations: Iterable["Violation"],

@@ -15,14 +15,12 @@ from logtrust import (
     MixedRolesError,
     Obligation,
     ObligationAtom,
-    OrderViolationError,
     OriginKey,
     PerformedEdit,
     PerformedShare,
     Simulation,
     UnorderedLogError,
     Verb,
-    append_event,
     dedup_key,
     empty_log,
     event_from_dict,
@@ -177,19 +175,25 @@ def test_constructor_rejects_duplicate_identities():
         Log(LogRole.COMM, (obl(1), obl(7)))
 
 
-def test_append_event_positions_and_guards():
+def test_added_events_land_at_their_positions_and_duplicates_are_rejected():
+    events = [
+        PerformedEdit(1, Verb.READ, "P1"),
+        PerformedEdit(2, Verb.COMMENT, "P1"),
+        PerformedEdit(1, Verb.READ, "P2"),  # another peer's, at an earlier clock
+    ]
     log = empty_log(LogRole.EDIT)
-    log = append_event(log, PerformedEdit(1, Verb.READ, "P1"))
-    log = append_event(log, PerformedEdit(2, Verb.COMMENT, "P1"))
-    with pytest.raises(DuplicateEventError):
-        append_event(log, PerformedEdit(2, Verb.COMMENT, "P1"))
-    with pytest.raises(OrderViolationError):
-        append_event(log, PerformedEdit(2, Verb.READ, "P1"))
-    with pytest.raises(OrderViolationError):
-        append_event(log, PerformedEdit(1, Verb.DELETE_COMMENT, "P1"))
-    # another peer may use any clock it likes
-    log = append_event(log, PerformedEdit(1, Verb.READ, "P2"))
+    for event in events:
+        log = _insert_events(log, [event])
     assert [e.by for e in log] == ["P1", "P2", "P1"]
+    assert log == Log.from_events(LogRole.EDIT, reversed(events))
+    again = PerformedEdit(2, Verb.COMMENT, "P1")
+    with pytest.raises(DuplicateEventError):
+        _insert_events(log, [again])
+    with pytest.raises(DuplicateEventError):
+        Log.from_events(LogRole.EDIT, [*events, again])
+    # one peer's events at one clock go in together, in any order
+    tick = [PerformedEdit(3, Verb.COMMENT, "P1"), PerformedEdit(3, Verb.READ, "P1")]
+    assert _insert_events(log, tick).entries[3:] == tuple(reversed(tick))
 
 
 def test_merge_requires_same_role():
@@ -403,37 +407,41 @@ def test_a_rejected_insert_leaves_the_log_and_its_key_set():
             assert log.entries == (obl(2), share)
             assert log._keys is keys and (keys is None or keys == held)
         for event, error in (
-            (PerformedShare(2, "P1", "P3"), OrderViolationError),
-            (share, DuplicateEventError),  # a duplicate, though out of order too
+            (share, DuplicateEventError),
             (PerformedEdit(1, Verb.READ, "P1"), MixedRolesError),
         ):
             with pytest.raises(error):
-                append_event(log, event)
+                _insert_events(log, [event])
             assert log.entries == (obl(2), share)
             assert log._keys is keys and (keys is None or keys == held)
             check_log(log)
-        # the stale append added nothing, so the event may still go in
+        # the rejected inserts added nothing, so a new event still goes in
         late = _insert_events(log, [PerformedShare(2, "P1", "P3")])
         assert late.entries == (obl(2), share, PerformedShare(2, "P1", "P3"))
         check_log(late)
 
 
-def test_a_rejected_append_leaves_the_lineage_for_the_next_op():
+def test_a_rejected_insert_leaves_the_lineage_for_the_next_op():
     first, second = PerformedEdit(1, Verb.READ, "P1"), PerformedEdit(2, Verb.READ, "P1")
     log = _insert_events(empty_log(LogRole.EDIT), [first, second])
     lineage, keys = log._lineage, log._keys
-    for stale in (PerformedEdit(2, Verb.COMMENT, "P1"), PerformedEdit(1, Verb.COMMENT, "P1")):
-        with pytest.raises(OrderViolationError):
-            append_event(log, stale)
+    fresh = PerformedEdit(3, Verb.COMMENT, "P1")
+    # each rejected batch starts with an event that could go in alone
+    for bad, error in (
+        ([fresh, second], DuplicateEventError),
+        ([fresh, PerformedShare(3, "P1", "P2")], MixedRolesError),
+    ):
+        with pytest.raises(error):
+            _insert_events(log, bad)
         assert lineage.events == [first, second]
         assert keys == {dedup_key(first), dedup_key(second)}
     # the next op appends to the same list and grows the same set: it
     # neither forks nor rebuilds, as if the rejected calls never happened
     third = PerformedEdit(3, Verb.READ, "P1")
-    appended = append_event(log, third)
-    assert appended._lineage is lineage and appended._keys is keys
+    inserted = _insert_events(log, [third])
+    assert inserted._lineage is lineage and inserted._keys is keys
     assert lineage.events == [first, second, third] and len(keys) == 3
-    check_log(appended)
+    check_log(inserted)
 
 
 def test_log_takes_a_tuple_of_its_entries():
@@ -528,7 +536,7 @@ def test_a_deliver_reads_past_the_last_delivered_message():
 
 
 def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkeypatch):
-    # Appending to a held log or a message's log through the public API
+    # Merging into a held log or a message's log through the public API
     # moves its lineage past it, so the engine's next op on it forks a new
     # lineage.  A fork copies the log's events in arrival order, so a
     # channel's marks count the same events on it, and no state differs
@@ -550,8 +558,8 @@ def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkey
             messages = [m for queue in touched._queues.values() for m in queue]
             for held in [*touched._held.values(), *messages]:
                 tick += 1
-                append_event(held.edit_log, PerformedEdit(tick, Verb.READ, "X"))
-                append_event(held.comm_log, PerformedShare(tick, "X", "Y"))
+                merge_logs(held.edit_log, Log(LogRole.EDIT, (PerformedEdit(tick, Verb.READ, "X"),)))
+                merge_logs(held.comm_log, Log(LogRole.COMM, (PerformedShare(tick, "X", "Y"),)))
             assert state(touched) == state(quiet), (seed, command)
     assert forks
 
@@ -1028,24 +1036,39 @@ def test_log_file_round_trip_on_random_logs(role, shift):
 PEER_VALUES = st.sampled_from(["P1", "P2", ""])
 
 
+# The verbs a raw event of each kind may carry.
+KIND_VERBS = {
+    "edit": ["create", "read", "comment", "delete_comment"],
+    "share": ["share"],
+    "obligation": ["read", "comment", "delete_comment", "share"],
+}
+
+
 @st.composite
 def raw_events(draw):
-    # Right shape per kind, values drawn near every check's boundary.
+    # Right shape per kind.  Three draws in four take every value from
+    # those that pass its check, so most are events the parser accepts;
+    # the rest draw each value on its own, near every check's boundary.
     kind = draw(st.sampled_from(["edit", "share", "obligation"]))
+    valid = draw(st.integers(0, 3)) > 0
     raw = {
-        "clock": draw(st.sampled_from([0, 1, 7, True])),
+        "clock": draw(st.sampled_from([1, 7] if valid else [0, 1, 7, True])),
         "kind": kind,
-        "verb": draw(st.sampled_from([v.value for v in Verb])),
-        "by": draw(PEER_VALUES),
+        "verb": draw(st.sampled_from(KIND_VERBS[kind] if valid else [v.value for v in Verb])),
     }
+    if valid:
+        by, to = draw(st.permutations(["P1", "P2"]))
+    else:
+        by, to = draw(PEER_VALUES), draw(PEER_VALUES)
+    raw["by"] = by
     if kind != "edit":
-        raw["to"] = draw(PEER_VALUES)
+        raw["to"] = to
     if kind == "obligation":
         raw["allow"] = draw(st.booleans())
         raw["origin"] = {
-            "grantor": draw(PEER_VALUES),
-            "grantee": draw(PEER_VALUES),
-            "share_clock": draw(st.sampled_from([0, 1, 3])),
+            "grantor": by if valid else draw(PEER_VALUES),
+            "grantee": to if valid else draw(PEER_VALUES),
+            "share_clock": draw(st.sampled_from([1, 3] if valid else [0, 1, 3])),
         }
     return raw
 

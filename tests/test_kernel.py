@@ -145,6 +145,39 @@ def test_prose_scan_returns_governing_permit():
     assert governing(log, [("P1", Verb.SHARE, 5)], literal=True) == [deny_1]
 
 
+# The effective status of an action: the obligation that a prose-mode
+# index over the communication log says governs it.
+
+
+def test_effective_status_latest_governs():
+    log = comm_log((1, Verb.COMMENT, False, "P2"), (3, Verb.COMMENT, True, "P2"))
+    deny_1, permit_3 = obligations(log)
+    assert governing(log, [("P1", Verb.COMMENT, 5), ("P1", Verb.COMMENT, 2)]) == [permit_3, deny_1]
+
+
+def test_effective_status_strictly_before():
+    log = comm_log((3, Verb.COMMENT, False, "P2"))
+    (deny,) = obligations(log)
+    # an obligation taking effect at the action's own clock does not govern it
+    assert governing(log, [("P1", Verb.COMMENT, 3), ("P1", Verb.COMMENT, 4)]) == [None, deny]
+
+
+def test_effective_status_deny_wins_clock_tie():
+    # one grantor's permit and forbid at one clock
+    log = comm_log((2, Verb.COMMENT, True, "P2"), (2, Verb.COMMENT, False, "P2"))
+    (deny,) = [o for o in obligations(log) if not o.allow]
+    (got,) = governing(log, [("P1", Verb.COMMENT, 3)])
+    assert got is deny
+    assert (got.allow, got.clock) == (False, 2)
+
+
+def test_effective_status_filters_peer_and_verb():
+    # obligations to P1 on comment and read, and a share from P9
+    log = comm_log((1, Verb.COMMENT, False, "P2"), (1, Verb.READ, False, "P3"))
+    actions = [("P2", Verb.COMMENT, 9), ("P1", Verb.SHARE, 9), ("P9", Verb.SHARE, 9)]
+    assert governing(log, actions) == [None, None, None]
+
+
 def test_index_tie_rules_follow_log_order_not_arrival_order():
     log = comm_log(
         (2, Verb.READ, True, "P2"),

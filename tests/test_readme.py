@@ -4,6 +4,7 @@ and the names README and ``__all__`` offer exist."""
 import contextlib
 import io
 import re
+import types
 
 import logtrust
 from conftest import REPO_ROOT
@@ -49,6 +50,10 @@ def test_exports_are_unique_and_resolve():
     names = logtrust.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not resolves(name)] == []
+    # ``__all__`` is derived from the package's globals: it must take no
+    # submodule with them, and must add the version
+    assert [name for name in names if isinstance(getattr(logtrust, name), types.ModuleType)] == []
+    assert "__version__" in names
 
 
 def test_readme_entry_points_resolve():

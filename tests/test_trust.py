@@ -13,7 +13,6 @@ from logtrust import (
     Verb,
     Violation,
     apply_violations,
-    initial_trust,
     parse_trust_model,
 )
 
@@ -26,14 +25,9 @@ def forbidden(offender, action_clock=2, forbid_clock=1, grantor="P1"):
     return Violation(offender, Verb.COMMENT, action_clock, forbid)
 
 
-def test_initial_trust_is_full():
-    assert initial_trust(["P2", "P1"]) == {"P1": 1.0, "P2": 1.0}
-    assert MAX_TRUST == 1.0
-
-
 def test_multiplicative_halves_by_default():
     model = MultiplicativeTrust()
-    assert model.max_value == 1.0
+    assert model.max_value == MAX_TRUST == 1.0
     assert model.on_violation(1.0) == 0.5
     assert model.on_violation(0.5) == 0.25
 
@@ -45,19 +39,26 @@ def test_fixed_step_floors_at_zero():
 
 
 def test_model_parameter_validation():
-    with pytest.raises(ValueError):
-        MultiplicativeTrust(0.0)
-    with pytest.raises(ValueError):
-        MultiplicativeTrust(1.0)
-    with pytest.raises(ValueError):
-        FixedStepTrust(0.0)
-    with pytest.raises(ValueError):
-        FixedStepTrust(1.5)
+    factor = "factor must lie strictly between 0 and 1"
+    delta = r"^delta must lie in \(0, 1\]"
+    max_value = r"max_value must lie in \(0, 1\]"
+    for make, message in (
+        (lambda: MultiplicativeTrust(0.0), factor),
+        (lambda: MultiplicativeTrust(1.0), factor),
+        (lambda: MultiplicativeTrust(max_value=0.0), max_value),
+        (lambda: MultiplicativeTrust(max_value=1.5), max_value),
+        (lambda: FixedStepTrust(0.0), delta),
+        (lambda: FixedStepTrust(1.5), delta),
+        (lambda: FixedStepTrust(max_value=0.0), max_value),
+        (lambda: FixedStepTrust(max_value=1.5), max_value),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
     # a step below the float spacing at max_value leaves full trust unchanged
     assert 1.0 - 1e-17 == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"delta must be at least 2\.22"):
         FixedStepTrust(1e-17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"delta must be at least 1\.11"):
         FixedStepTrust(math.ulp(0.5) / 2, max_value=0.5)
     smallest = FixedStepTrust(math.ulp(1.0))
     assert smallest.on_violation(1.0) < 1.0
