@@ -31,12 +31,17 @@ class ObligationAtom:
 def validate_set(atoms: Iterable[ObligationAtom]) -> frozenset[ObligationAtom]:
     """Normalize to a frozenset, rejecting internally conflicting sets."""
     atom_set = frozenset(atoms)
-    allowed = {a.verb for a in atom_set if a.allow}
-    denied = {a.verb for a in atom_set if not a.allow}
-    conflicting = allowed & denied
+    _check_pairs([(a.verb, a.allow) for a in atom_set])
+    return atom_set
+
+
+def _check_pairs(pairs: list[tuple[Verb, bool]]) -> None:
+    """Reject ``(verb, allow)`` pairs that grant and forbid one verb
+    (InternallyConflictingSetError), then pairs that repeat (ValueError)."""
+    distinct = set(pairs)
+    conflicting = {v for v, allow in distinct if allow} & {v for v, allow in distinct if not allow}
     if conflicting:
         verbs = ", ".join(sorted(v.value for v in conflicting))
-        raise InternallyConflictingSetError(
-            f"set grants and forbids the same verb(s): {verbs}"
-        )
-    return atom_set
+        raise InternallyConflictingSetError(f"set grants and forbids the same verb(s): {verbs}")
+    if len(distinct) != len(pairs):
+        raise ValueError("duplicate obligation atoms")

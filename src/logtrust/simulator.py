@@ -60,7 +60,7 @@ from .events import (
     empty_log,
     replay_comments,
 )
-from .obligations import ObligationAtom, validate_set
+from .obligations import ObligationAtom, _check_pairs
 from .trust import DEFAULT_TRUST_MODEL, TrustModel
 
 
@@ -80,7 +80,8 @@ def _listed(values: Any, what: str) -> list:
     return list(iterator)
 
 
-_BATCH_VERBS = EDIT_VERBS | {Verb.CREATE}
+_CREATE = Verb.CREATE  # bound once: an enum member lookup costs 4x a global's
+_BATCH_VERBS = EDIT_VERBS | {_CREATE}
 
 
 def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
@@ -103,8 +104,11 @@ def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
     return sorted(verbs, key=_VERB_RANK.__getitem__)
 
 
-def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[ObligationAtom]:
-    """``atoms`` in canonical order, if one share may carry them.
+_PAIR_RANK = {(v, a): (rank, a) for v, rank in _VERB_RANK.items() for a in (False, True)}
+
+
+def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[tuple[Verb, bool]]:
+    """``atoms`` as ``(verb, allow)`` pairs in canonical order, if one share may carry them.
 
     Each must be an ``ObligationAtom`` whose verb is in
     ``OBLIGATION_VERBS`` and whose ``allow`` is a bool, and none may
@@ -116,13 +120,12 @@ def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[ObligationAtom]:
             raise ValueError(f"{atom!r} is not an obligation atom")
         if not isinstance(atom.allow, bool):
             raise ValueError("obligation allow must be a boolean")
-    atom_set = validate_set(atoms)
-    if len(atom_set) != len(atoms):
-        raise ValueError("duplicate obligation atoms")
-    for atom in atoms:
-        if atom.verb not in OBLIGATION_VERBS:
-            raise ValueError(f"{atom.verb.value} cannot appear in an obligation")
-    return sorted(atoms, key=lambda a: (_VERB_RANK[a.verb], a.allow))
+    pairs = [(atom.verb, atom.allow) for atom in atoms]
+    _check_pairs(pairs)
+    for verb, _ in pairs:
+        if verb not in OBLIGATION_VERBS:
+            raise ValueError(f"{verb.value} cannot appear in an obligation")
+    return sorted(pairs, key=_PAIR_RANK.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ class Simulation:
 
     def create_doc(self, peer: str, doc_id: str) -> int:
         """Create a document; the creating peer becomes its creator."""
-        return self.batch(peer, doc_id, [Verb.CREATE])
+        return self.batch(peer, doc_id, [_CREATE])
 
     def edit(
         self,
@@ -267,9 +270,14 @@ class Simulation:
         """
         del ignore_obligations  # annotation only, never enforced
         ordered = _batch_verbs(verbs)
-        if Verb.CREATE in ordered:
+        if _CREATE in ordered:
             _checked_id(peer, "peer")
             _checked_id(doc_id, "doc_id")
+        return self._batch(peer, doc_id, ordered)
+
+    def _batch(self, peer: str, doc_id: str, ordered: list[Verb]) -> int:
+        """``batch`` past its argument checks: a canonical batch, valid ids with ``create``."""
+        if _CREATE in ordered:
             if doc_id in self._documents:
                 raise LogTrustError(f"document {doc_id!r} already exists")
             state = PeerDocState(
@@ -306,12 +314,16 @@ class Simulation:
         _checked_id(recipient, "recipient")
         if recipient == sender:
             raise SelfShareError(f"{sender} cannot share {doc_id!r} with itself")
-        atoms = _share_atoms(atoms)
+        return self._share(state, recipient, _share_atoms(atoms))
+
+    def _share(self, state: PeerDocState, recipient: str, pairs: list[tuple[Verb, bool]]) -> int:
+        """``share`` from the held copy ``state``, past its argument checks."""
+        sender, doc_id = state.peer, state.doc_id
         channel = (sender, recipient, doc_id)
         link = self._channels.get(channel)
         if link is None:
             link = self._channels[channel] = _Channel()
-        if not atoms and not link.sent_back:
+        if not pairs and not link.sent_back:
             # a copy only grows, so a sender that may share back always may
             if not any(
                 isinstance(e, PerformedShare) and e.by == recipient and e.to == sender
@@ -324,10 +336,8 @@ class Simulation:
         clock = self.clock(sender) + 1
         origin = OriginKey(sender, recipient, clock)
         new_events: list = [PerformedShare(clock, sender, recipient)]
-        for atom in atoms:
-            new_events.append(
-                Obligation(clock, atom.verb, atom.allow, sender, recipient, origin)
-            )
+        for verb, allow in pairs:
+            new_events.append(Obligation(clock, verb, allow, sender, recipient, origin))
         comm_log = _insert_events(state.comm_log, new_events)
         outbound = _outbound(comm_log, sender, recipient, link)
         message = Message(state.creator, state.edit_log, outbound)
@@ -466,14 +476,17 @@ def parse_command(data: Any) -> dict[str, Any]:
         raw = data["obligations"]
         if not isinstance(raw, list):
             raise ValueError("obligations must be an array")
-        atoms = []
+        pairs = []
         for item in raw:
             if not isinstance(item, dict) or item.keys() != {"verb", "allow"}:
                 raise ValueError("each obligation must be {verb, allow}")
             verb = _verb(item["verb"], OBLIGATION_VERBS, "an obligation verb")
-            atoms.append(ObligationAtom(verb, item["allow"]))
+            pairs.append((verb, item["allow"]))
+        for _, allow in pairs:
+            if not isinstance(allow, bool):
+                raise ValueError("obligation allow must be a boolean")
         try:
-            _share_atoms(atoms)
+            _check_pairs(pairs)
         except InternallyConflictingSetError as exc:
             raise ValueError(str(exc)) from None
     for name in fields:
@@ -769,24 +782,25 @@ def _command_json(value: Any, depth: int = 3) -> str:
 def apply_command(
     sim: Simulation, command: dict[str, Any]
 ) -> tuple[int, Optional[AuditReport]]:
-    """Run one command, as ``parse_command`` returns it, on ``sim``.
+    """Run one command, which must be one ``parse_command`` returned, on ``sim``.
 
-    Returns the clock value the command drew (0 for an audit) and the
-    audit report (None for every other command).
+    It calls the op bodies past the argument checks of the public methods,
+    which ``parse_command`` made.  Returns the clock value the command drew
+    (0 for an audit) and the audit report (None for every other command).
     """
     c = command
     op = c["op"]
     if op == "create":
-        return sim.create_doc(c["peer"], c["doc_id"]), None
-    ignore = c.get("ignore_obligations", False)
+        return sim._batch(c["peer"], c["doc_id"], [_CREATE]), None
     if op == "edit":
-        return sim.edit(c["peer"], c["doc_id"], _VERB_BY_VALUE[c["verb"]], ignore), None
+        return sim._batch(c["peer"], c["doc_id"], [_VERB_BY_VALUE[c["verb"]]]), None
     if op == "batch":
-        verbs = [_VERB_BY_VALUE[v] for v in c["verbs"]]
-        return sim.batch(c["peer"], c["doc_id"], verbs, ignore), None
+        verbs = sorted(map(_VERB_BY_VALUE.__getitem__, c["verbs"]), key=_VERB_RANK.__getitem__)
+        return sim._batch(c["peer"], c["doc_id"], verbs), None
     if op == "share":
-        atoms = [ObligationAtom(_VERB_BY_VALUE[a["verb"]], a["allow"]) for a in c["obligations"]]
-        return sim.share(c["from"], c["doc_id"], c["to"], atoms), None
+        pairs = [(_VERB_BY_VALUE[a["verb"]], a["allow"]) for a in c["obligations"]]
+        state = sim.peer_state(c["from"], c["doc_id"])
+        return sim._share(state, c["to"], sorted(pairs, key=_PAIR_RANK.__getitem__)), None
     if op == "deliver":
         return sim.deliver(c["to"], c["from"], c["doc_id"]), None
     return 0, sim.audit(c["peer"], c["doc_id"])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from logtrust import (
     DocumentNotHeldError,
@@ -20,6 +21,7 @@ from logtrust import (
     replay_comments,
     run_scenario,
 )
+from logtrust.simulator import apply_command
 from conftest import final_states
 
 A = ObligationAtom
@@ -432,6 +434,138 @@ def test_parse_command_rejections_are_pinned(raw, message):
         parse_command(raw)
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+# Lists with several faults: the first check in parse_command's order names one.
+FIRST_FAULTS = [
+    (_obl({"verb": "read", "allow": "yes"}, {"verb": "launch", "allow": True}),
+     "unknown verb 'launch'"),
+    (_obl(_READ_OK, {"verb": "read", "allow": False}, _READ_OK),
+     "set grants and forbids the same verb(s): read"),
+    (_obl("read", {"verb": "launch", "allow": True}), "each obligation must be {verb, allow}"),
+    (dict(_BATCH, verbs=["read", "read", "launch"]), "unknown verb 'launch'"),
+]
+
+
+@pytest.mark.parametrize("raw, message", FIRST_FAULTS)
+def test_parse_command_names_the_first_fault_in_check_order(raw, message):
+    with pytest.raises(Exception) as caught:
+        parse_command(raw)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+# -- parse_command and the library check the same arguments ----------------
+
+_VERB_NAMES = [verb.value for verb in Verb] + ["launch"]
+_OBLIGATION_NAMES = {"read", "comment", "delete_comment", "share"}
+_EDIT_NAMES = {"read", "comment", "delete_comment"}
+
+
+class RecordingSimulation(Simulation):
+    """A ``Simulation`` that records the canonical arguments of its op bodies."""
+
+    def __init__(self):
+        super().__init__()
+        self.bodies = []
+
+    def _batch(self, peer, doc_id, ordered):
+        self.bodies.append(list(ordered))
+        return super()._batch(peer, doc_id, ordered)
+
+    def _share(self, state, recipient, pairs):
+        self.bodies.append(list(pairs))
+        return super()._share(state, recipient, pairs)
+
+
+def _engine():
+    """P1 holds ``d``, received from P2, so it may send it back without obligations."""
+    sim = RecordingSimulation()
+    sim.create_doc("P2", "d")
+    sim.share("P2", "d", "P1", READ_OK)
+    sim.deliver("P1", "P2", "d")
+    sim.bodies.clear()
+    return sim
+
+
+def _outcome(call):
+    """``("ok", None)`` if ``call()`` returns, else ``("rejected", message)``."""
+    try:
+        call()
+    except (LogTrustError, ValueError) as exc:
+        return "rejected", str(exc)
+    return "ok", None
+
+
+def _as_verb(name):
+    """The verb ``name`` names, or ``name`` itself, which the library rejects."""
+    return Verb(name) if name in _VERB_NAMES[:-1] else name
+
+
+# Each list is drawn one of three ways: valid, in any order; known verbs
+# that may repeat or conflict; or any value at any place.
+_obligation_lists = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_OBLIGATION_NAMES)), st.booleans()).map(
+        lambda allows: [{"verb": verb, "allow": allow} for verb, allow in allows.items()]
+    ),
+    st.lists(st.fixed_dictionaries({
+        "verb": st.sampled_from(sorted(_OBLIGATION_NAMES)), "allow": st.booleans(),
+    }), max_size=6),
+    st.lists(st.fixed_dictionaries({
+        "verb": st.sampled_from(_VERB_NAMES),
+        "allow": st.sampled_from([True, False, 1, 0, None, "yes"]),
+    }), max_size=6),
+)
+_batch_lists = st.one_of(
+    st.tuples(st.booleans(), st.lists(st.sampled_from(sorted(_EDIT_NAMES)), unique=True)).map(
+        lambda drawn: ["create"] * drawn[0] + drawn[1]
+    ).filter(bool),
+    st.lists(st.sampled_from(sorted(_EDIT_NAMES | {"create"})), min_size=1, max_size=6),
+    st.lists(st.sampled_from(_VERB_NAMES), min_size=1, max_size=6),
+)
+
+
+@given(_obligation_lists)
+def test_a_share_is_checked_alike_by_parse_command_and_the_library(obligations):
+    """``parse_command`` accepts a share exactly when ``Simulation.share``
+    accepts its atoms; with known obligation verbs only, a rejection has
+    the same message on both paths; and ``apply_command`` gives the op
+    body the library's canonical order."""
+    command = _obl(*obligations)
+    library = _engine()
+    atoms = [ObligationAtom(_as_verb(o["verb"]), o["allow"]) for o in obligations]
+    expected = _outcome(lambda: library.share("P1", "d", "P2", atoms))
+    got = _outcome(lambda: parse_command(command))
+    assert got[0] == expected[0]
+    if all(o["verb"] in _OBLIGATION_NAMES for o in obligations):
+        assert got == expected
+    if got[0] == "ok":
+        stepped = _engine()
+        apply_command(stepped, parse_command(command))
+        assert stepped.bodies == library.bodies
+        assert stepped.peer_state("P1", "d") == library.peer_state("P1", "d")
+
+
+@given(_batch_lists)
+def test_a_batch_is_checked_alike_by_parse_command_and_the_library(names):
+    """``parse_command`` accepts a batch exactly when ``Simulation.batch``
+    accepts its verbs and ``create``, if present, comes first, as a
+    scenario requires (the library sorts it first); with a known verb at
+    each place, a rejection has the same message on both paths; and
+    ``apply_command`` gives the op body the library's canonical order."""
+    doc_id = "e" if "create" in names else "d"
+    command = dict(_BATCH, doc_id=doc_id, verbs=names)
+    library = _engine()
+    expected = _outcome(lambda: library.batch("P1", doc_id, [_as_verb(n) for n in names]))
+    got = _outcome(lambda: parse_command(command))
+    assert got[0] == ("rejected" if "create" in names[1:] else expected[0])
+    if names[0] in _EDIT_NAMES | {"create"} and set(names[1:]) <= _EDIT_NAMES:
+        assert got == expected
+    if got[0] == "ok":
+        stepped = _engine()
+        apply_command(stepped, parse_command(command))
+        assert stepped.bodies == library.bodies
+        assert stepped.peer_state("P1", doc_id) == library.peer_state("P1", doc_id)
 
 
 def test_parse_scenario_reports_command_index():

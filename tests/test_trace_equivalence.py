@@ -4,9 +4,9 @@
 command changed; a snapshot's ``held`` and ``pending`` are read from
 the changes up to it, and ``json_pieces`` walks them forward.
 ``eager_trace_dict`` is an independent reference: it steps a live
-``Simulation`` and captures the whole engine state right after each
-command, read through public engine calls, with comment sets from the
-oracle's own replay.  The trace is compared with it only after the run
+``Simulation`` through its public, fully checked methods and captures
+the whole engine state right after each command, read through public
+engine calls, with comment sets from the oracle's own replay.  The trace is compared with it only after the run
 has finished, so the comparison also shows that later commands never
 alter an earlier snapshot.
 """
@@ -21,7 +21,9 @@ import pytest
 from logtrust import (
     DEFAULT_TRUST_MODEL,
     AuditMode,
+    ObligationAtom,
     Simulation,
+    Verb,
     event_to_dict,
     generate_scenario,
     parse_command,
@@ -30,7 +32,6 @@ from logtrust import (
     run_scenario,
 )
 from logtrust import simulator
-from logtrust.simulator import apply_command
 from oracle import oracle_comments
 from test_large_logs import PREFIX, interleaved
 
@@ -109,11 +110,31 @@ class EagerCapture:
         ]
 
 
+def step_public(sim, command):
+    """Run one ``parse_command`` dict through the public ``Simulation``
+    methods, with the verbs and obligation atoms built here, and return
+    the clock the command drew (0 for an audit) and the audit report."""
+    c = command
+    op, ignore = c["op"], c.get("ignore_obligations", False)
+    if op == "create":
+        return sim.create_doc(c["peer"], c["doc_id"]), None
+    if op == "edit":
+        return sim.edit(c["peer"], c["doc_id"], Verb(c["verb"]), ignore), None
+    if op == "batch":
+        return sim.batch(c["peer"], c["doc_id"], [Verb(v) for v in c["verbs"]], ignore), None
+    if op == "share":
+        atoms = [ObligationAtom(Verb(a["verb"]), a["allow"]) for a in c["obligations"]]
+        return sim.share(c["from"], c["doc_id"], c["to"], atoms), None
+    if op == "deliver":
+        return sim.deliver(c["to"], c["from"], c["doc_id"]), None
+    return 0, sim.audit(c["peer"], c["doc_id"])
+
+
 def eager_trace_dict(
     data, *, mode=AuditMode.PROSE, trust_model=DEFAULT_TRUST_MODEL, capture=None
 ):
     """The trace of scenario ``data`` as data, from a live ``Simulation``
-    stepped by ``apply_command``: after each command, the command and its
+    stepped by ``step_public``: after each command, the command and its
     clock, the whole engine state as ``capture`` (by default a new
     ``EagerCapture``) reads it, and ``report_to_dict`` of an audit's
     report.  The trace writer writes ``json.dumps`` of it, ``indent=2``."""
@@ -123,7 +144,7 @@ def eager_trace_dict(
     peers = sorted({c[k] for c in commands for k in ("from", "to") if k in c})
     snapshots = []
     for index, command in enumerate(commands):
-        clock, report = apply_command(sim, command)
+        clock, report = step_public(sim, command)
         states, queues = capture.engine(sim, peers)
         snapshots.append({
             "index": index,
