@@ -91,10 +91,7 @@ class Violation:
             raise ValueError("the forbid must govern the offender's verb")
         if type(action_clock) is not int or action_clock <= forbid.clock:
             raise ValueError("the action must come after the forbid that condemns it")
-        _SET_OFFENDER(self, offender)
-        _SET_VERB(self, verb)
-        _SET_ACTION_CLOCK(self, action_clock)
-        _SET_FORBID(self, forbid)
+        _violation(self, offender, verb, action_clock, forbid)
 
     @property
     def forbid_clock(self) -> int:
@@ -110,6 +107,16 @@ class Violation:
 
 
 _SET_OFFENDER, _SET_VERB, _SET_ACTION_CLOCK, _SET_FORBID = _setters(Violation)
+
+
+def _violation(
+    record: Violation, offender: str, verb: Verb, action_clock: int, forbid: Obligation
+) -> Violation:
+    _SET_OFFENDER(record, offender)
+    _SET_VERB(record, verb)
+    _SET_ACTION_CLOCK(record, action_clock)
+    _SET_FORBID(record, forbid)
+    return record
 
 
 @dataclass(frozen=True)
@@ -322,7 +329,7 @@ class CopyAudit:
     def _decide(
         self, by: str, verb: Verb, clock: int, to: str, forbid: Optional[Obligation]
     ) -> None:
-        """Record that ``forbid`` now decides the action, if it is a forbid."""
+        """Record that ``forbid``, the index's answer for the action, decides it if a forbid."""
         if forbid is not None and forbid.allow:
             forbid = None
         keys, found = self._verdicts[by]
@@ -333,11 +340,11 @@ class CopyAudit:
             return
         if held is None:
             keys.insert(i, key)
-            found.insert(i, Violation(by, verb, clock, forbid))
+            found.insert(i, _violation(_new(Violation), by, verb, clock, forbid))
         elif forbid is None:
             del keys[i], found[i]
         else:
-            found[i] = Violation(by, verb, clock, forbid)
+            found[i] = _violation(_new(Violation), by, verb, clock, forbid)
         self._violations = None
 
     def _fold(self) -> None:
@@ -376,6 +383,7 @@ class CopyAudit:
                 record += clocks
             at, found = index.answers(by, verb)
             keys = by in verdicts and verdicts[by][0]
+            rank, run = _VERB_RANK[verb], runs.setdefault(by, [])
             for clock in clocks:
                 forbid = found[bisect_left(at, clock)]
                 # A new action has no verdict yet, so only a forbid changes one.
@@ -383,21 +391,16 @@ class CopyAudit:
                     continue
                 if keys:
                     decide(by, verb, clock, to, forbid)
-                else:
-                    # The index answered a forbid to by of verb before clock,
-                    # which is all that Violation's constructor checks.
-                    violation = _new(Violation)
-                    _SET_OFFENDER(violation, by)
-                    _SET_VERB(violation, verb)
-                    _SET_ACTION_CLOCK(violation, clock)
-                    _SET_FORBID(violation, forbid)
-                    runs.setdefault(by, []).append(((clock, _VERB_RANK[verb], to), violation))
+                else:  # a forbid the index answered, as ``_decide`` takes it
+                    violation = _violation(_new(Violation), by, verb, clock, forbid)
+                    run.append(((clock, rank, to), violation))
         for by, run in runs.items():
-            run.sort()
-            keys, held = verdicts[by]
-            keys += [key for key, _ in run]
-            held += [violation for _, violation in run]
-            self._violations = None
+            if run:
+                run.sort()
+                keys, held = verdicts[by]
+                keys += [key for key, _ in run]
+                held += [violation for _, violation in run]
+                self._violations = None
 
     def report(self, doc_id: str, model: TrustModel = DEFAULT_TRUST_MODEL) -> AuditReport:
         """The copy's audit report, with trust under ``model``."""

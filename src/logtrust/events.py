@@ -87,9 +87,7 @@ class OriginKey:
             raise ValueError("share_clock must be >= 1")
         if not grantor or not grantee:
             raise ValueError("grantor and grantee must be non-empty strings")
-        _ORIGIN_GRANTOR(self, grantor)
-        _ORIGIN_GRANTEE(self, grantee)
-        _ORIGIN_SHARE_CLOCK(self, share_clock)
+        _origin_key(self, grantor, grantee, share_clock)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -112,12 +110,7 @@ class PerformedEdit:
             raise ValueError("by must be a non-empty string")
         if verb is _SHARE:
             raise ValueError("share actions belong in the communication log")
-        _EDIT_CLOCK(self, clock)
-        _EDIT_VERB(self, verb)
-        _EDIT_BY(self, by)
-        key = (clock, by, 2, _VERB_RANK[verb], 0, "", 0)
-        _EDIT_KEY(self, key)
-        _EDIT_ID(self, key)
+        _performed_edit(self, clock, verb, by)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -139,12 +132,7 @@ class PerformedShare:
             raise ValueError("to must be a non-empty string")
         if by == to:
             raise ValueError("cannot share with oneself")
-        _SHARE_CLOCK(self, clock)
-        _SHARE_BY(self, by)
-        _SHARE_TO(self, to)
-        key = (clock, by, 1, _SHARE_RANK, 0, to, 0)
-        _SHARE_KEY(self, key)
-        _SHARE_ID(self, key)
+        _performed_share(self, clock, by, to)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -184,20 +172,9 @@ class Obligation:
             raise ValueError("origin does not match grantor/grantee")
         if verb not in OBLIGATION_VERBS:
             raise ValueError(f"obligations cannot govern {verb.value}")
-        _OBLIGATION_CLOCK(self, clock)
-        _OBLIGATION_VERB(self, verb)
-        _OBLIGATION_ALLOW(self, allow)
-        _OBLIGATION_BY(self, by)
-        _OBLIGATION_TO(self, to)
-        _OBLIGATION_ORIGIN(self, origin)
-        key = (clock, by, 0, _VERB_RANK[verb], int(allow), to, origin.share_clock)
-        _OBLIGATION_KEY(self, key)
-        _OBLIGATION_ID(self, key[1:])
+        _obligation(self, clock, verb, allow, origin)
 
 
-# A record's ``__init__`` sets its slots through these setters once every
-# check has passed, an event's keys included.  The log-file parser
-# (``_event``) also sets them, for an event that passes its guard.
 def _setters(cls) -> tuple:
     """The slot setters of a frozen dataclass's fields, in field order."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
@@ -208,6 +185,52 @@ _EDIT_CLOCK, _EDIT_VERB, _EDIT_BY, _EDIT_KEY, _EDIT_ID = _setters(PerformedEdit)
 _SHARE_CLOCK, _SHARE_BY, _SHARE_TO, _SHARE_KEY, _SHARE_ID = _setters(PerformedShare)
 (_OBLIGATION_CLOCK, _OBLIGATION_VERB, _OBLIGATION_ALLOW, _OBLIGATION_BY,
  _OBLIGATION_TO, _OBLIGATION_ORIGIN, _OBLIGATION_KEY, _OBLIGATION_ID) = _setters(Obligation)
+
+
+# A record kind's slots, keys included, are set by its builder, which fills and
+# returns ``record``: its constructor's, once the checks pass, or ``_new(cls)``
+# with values the engine checked.  ``_event`` sets them inline, for speed.
+def _origin_key(record: OriginKey, grantor: str, grantee: str, share_clock: int) -> OriginKey:
+    _ORIGIN_GRANTOR(record, grantor)
+    _ORIGIN_GRANTEE(record, grantee)
+    _ORIGIN_SHARE_CLOCK(record, share_clock)
+    return record
+
+
+def _performed_edit(record: PerformedEdit, clock: int, verb: Verb, by: str) -> PerformedEdit:
+    _EDIT_CLOCK(record, clock)
+    _EDIT_VERB(record, verb)
+    _EDIT_BY(record, by)
+    key = (clock, by, 2, _VERB_RANK[verb], 0, "", 0)
+    _EDIT_KEY(record, key)
+    _EDIT_ID(record, key)
+    return record
+
+
+def _performed_share(record: PerformedShare, clock: int, by: str, to: str) -> PerformedShare:
+    _SHARE_CLOCK(record, clock)
+    _SHARE_BY(record, by)
+    _SHARE_TO(record, to)
+    key = (clock, by, 1, _SHARE_RANK, 0, to, 0)
+    _SHARE_KEY(record, key)
+    _SHARE_ID(record, key)
+    return record
+
+
+def _obligation(
+    record: Obligation, clock: int, verb: Verb, allow: bool, origin: OriginKey
+) -> Obligation:
+    by, to = origin.grantor, origin.grantee
+    _OBLIGATION_CLOCK(record, clock)
+    _OBLIGATION_VERB(record, verb)
+    _OBLIGATION_ALLOW(record, allow)
+    _OBLIGATION_BY(record, by)
+    _OBLIGATION_TO(record, to)
+    _OBLIGATION_ORIGIN(record, origin)
+    key = (clock, by, 0, _VERB_RANK[verb], 1 if allow else 0, to, origin.share_clock)
+    _OBLIGATION_KEY(record, key)
+    _OBLIGATION_ID(record, key[1:])
+    return record
 
 
 Event = Union[PerformedEdit, PerformedShare, Obligation]
@@ -488,8 +511,7 @@ def _insert_events(log: Log, events: Iterable[Event]) -> Log:
 
     Rejects an event of the other role and a duplicate identity, and a
     rejected insert changes nothing, ``log``'s lineage and identity set
-    included.  The simulator adds each group of events stamped with one
-    clock tick (a share plus its obligations, or a batch of edits) here.
+    included.  It is the checked reference for the engine's appends.
     """
     lineage, keys = _tip(log)
     return _appended(log._role, lineage, _unheld(log._role, keys, events), keys)
@@ -546,6 +568,8 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     lineage's head, and to a copy of ``local``'s otherwise (see ``Log``),
     never to ``received``'s, even when ``local`` is empty.
     """
+    if receiver is not None and (type(clock) is not int or clock < 1):
+        raise ValueError("clock must be a positive integer")
     return _received(local, received, receiver, clock)[0]
 
 
@@ -555,7 +579,8 @@ def _received(
     """``receive_log``'s result, and the events it added to ``local``.
 
     Reads ``received``'s events in arrival order from the ``start``-th
-    on: ``local`` must hold the ones before (see ``_Channel``).
+    on: ``local`` must hold the ones before (see ``_Channel``).  With a
+    ``receiver``, ``clock`` must be a positive int (the re-stamp trusts it).
     """
     role = local._role
     if role is not received._role:
@@ -567,9 +592,9 @@ def _received(
     if not new:
         return local, new
     if receiver is not None and role is LogRole.COMM:  # an edit log holds no obligations
-        for i, event in enumerate(new):
-            if event.to == receiver and isinstance(event, Obligation):
-                new[i] = Obligation(clock, event.verb, event.allow, event.by, event.to, event.origin)
+        for i, e in enumerate(new):
+            if e.to == receiver and isinstance(e, Obligation):
+                new[i] = _obligation(_new(Obligation), clock, e.verb, e.allow, e.origin)
     return _appended(role, lineage, new, keys), new
 
 

@@ -48,12 +48,18 @@ from .events import (
     _VERB_BY_VALUE,
     _Channel,
     _PADS,
+    _appended,
     _arrived,
     _event_json,
-    _insert_events,
+    _extendable,
     _json_list,
+    _new,
+    _obligation,
     _ordered,
+    _origin_key,
     _outbound,
+    _performed_edit,
+    _performed_share,
     _received,
     _replayed,
     _setters,
@@ -128,7 +134,7 @@ def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[tuple[Verb, bool]]:
     return sorted(pairs, key=_PAIR_RANK.__getitem__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One in-flight share: the document's creator plus the sender's logs.
 
@@ -182,6 +188,10 @@ class Simulation:
     channel's outbound log appends only to a lineage of its own
     (``events._Lineage``), so every message of a channel after its first
     extends the last one's lineages, and no op copies a log's list.
+
+    An op builds each record once, from values it made or checked, through the
+    records' builders, and appends a command's events as they are: they carry
+    the actor's fresh clock, so the copy holds none of them yet.
     """
 
     def __init__(
@@ -224,11 +234,14 @@ class Simulation:
     def documents(self) -> tuple[str, ...]:
         return tuple(sorted(self._documents))
 
-    def _hold(self, state: PeerDocState, *added: Iterable) -> None:
-        """Hold ``state``, and queue each ``added`` run of events for its audit."""
-        key = (state.peer, state.doc_id)
-        self._held[key] = state
-        self._documents.add(state.doc_id)
+    def _hold(
+        self, peer: str, doc_id: str, edit_log: Log, comm_log: Log, creator: str, *added: Iterable
+    ) -> None:
+        """Hold the copy these fields make (``tuple.__new__`` builds it, not the
+        NamedTuple's Python ``__new__``), and queue each ``added`` run for its audit."""
+        key = (peer, doc_id)
+        self._held[key] = tuple.__new__(PeerDocState, (peer, doc_id, edit_log, comm_log, creator))
+        self._documents.add(doc_id)
         audit = self._audits.get(key)
         if audit is not None:
             for events in added:
@@ -253,7 +266,11 @@ class Simulation:
         never blocked either way, the flag just marks deliberate
         disregard for readability of scenario files.
         """
-        return self.batch(peer, doc_id, [verb], ignore_obligations)
+        if not isinstance(verb, Verb):
+            raise ValueError(f"{verb!r} is not a Verb")
+        if verb not in EDIT_VERBS:
+            raise ValueError(f"{verb.value} is not an edit verb")
+        return self._batch(peer, doc_id, [verb])
 
     def batch(
         self,
@@ -286,10 +303,10 @@ class Simulation:
         else:
             state = self.peer_state(peer, doc_id)
         clock = self.clock(peer) + 1
-        events = [PerformedEdit(clock, verb, peer) for verb in ordered]
-        edit_log = _insert_events(state.edit_log, events)
+        events = [_performed_edit(_new(PerformedEdit), clock, verb, peer) for verb in ordered]
+        edit_log = _appended(LogRole.EDIT, _extendable(state.edit_log), events)
         self._clocks[peer] = clock
-        self._hold(PeerDocState(peer, doc_id, edit_log, state.comm_log, state.creator), events)
+        self._hold(peer, doc_id, edit_log, state.comm_log, state.creator, events)
         return clock
 
     def share(
@@ -334,15 +351,15 @@ class Simulation:
                 )
             link.sent_back = True
         clock = self.clock(sender) + 1
-        origin = OriginKey(sender, recipient, clock)
-        new_events: list = [PerformedShare(clock, sender, recipient)]
+        origin = _origin_key(_new(OriginKey), sender, recipient, clock)
+        new_events: list = [_performed_share(_new(PerformedShare), clock, sender, recipient)]
         for verb, allow in pairs:
-            new_events.append(Obligation(clock, verb, allow, sender, recipient, origin))
-        comm_log = _insert_events(state.comm_log, new_events)
+            new_events.append(_obligation(_new(Obligation), clock, verb, allow, origin))
+        comm_log = _appended(LogRole.COMM, _extendable(state.comm_log), new_events)
         outbound = _outbound(comm_log, sender, recipient, link)
         message = Message(state.creator, state.edit_log, outbound)
         self._clocks[sender] = clock
-        self._hold(PeerDocState(sender, doc_id, state.edit_log, comm_log, state.creator), new_events)
+        self._hold(sender, doc_id, state.edit_log, comm_log, state.creator, new_events)
         self._queues[channel] = self._queues.get(channel, ()) + (message,)
         return clock
 
@@ -387,7 +404,7 @@ class Simulation:
         else:
             del self._queues[channel]
         self._clocks[recipient] = clock
-        self._hold(PeerDocState(recipient, doc_id, edit_log, comm_log, state.creator), new_edits, new_comm)
+        self._hold(recipient, doc_id, edit_log, comm_log, state.creator, new_edits, new_comm)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:

@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import find, settings, strategies as st
 
 from logtrust import Log, LogRole, event_from_dict
 
@@ -41,6 +41,18 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "large" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_character_map():
+    """Have Hypothesis build its Unicode character map before any test runs.
+
+    Without a ``.hypothesis/`` directory, as on a fresh checkout, the first
+    ``st.text()`` draw builds the map (seconds), and the test that draws it
+    fails Hypothesis's too_slow health check.  Built here, it is in memory
+    for every test and cached under ``.hypothesis/`` for later runs.
+    """
+    find(st.text(min_size=1), lambda text: True)
 
 
 @pytest.fixture()

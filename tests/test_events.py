@@ -203,6 +203,17 @@ def test_merge_requires_same_role():
         receive_log(empty_log(LogRole.EDIT), empty_log(LogRole.COMM), "P2", 1)
 
 
+@pytest.mark.parametrize("clock", [0, -1, True, 1.0, None])
+def test_receive_log_checks_the_receipt_clock_before_it_appends(clock):
+    # the re-stamp builds obligations without their constructor's checks
+    local = Log(LogRole.COMM, (PerformedShare(1, "P1", "P2"),))
+    received = Log(LogRole.COMM, (obl(2),))
+    with pytest.raises(ValueError, match="^clock must be a positive integer$"):
+        receive_log(local, received, "P2", clock)
+    assert len(local._lineage.events) == 1
+    assert receive_log(local, received, "P2", 3).entries == (*local.entries, obl(3))
+
+
 def test_merge_unions_and_deduplicates():
     shared = PerformedEdit(1, Verb.CREATE, "P1")
     left = Log.from_events(LogRole.EDIT, [shared, PerformedEdit(2, Verb.READ, "P1")])

@@ -165,6 +165,8 @@ def test_bad_ids_are_rejected_before_any_state_changes(call):
          "share atoms must be iterable, not ObligationAtom"),
         (("batch", "P1", "d", Verb.READ), "batch verbs must be iterable, not Verb"),
         (("batch", "P1", "d", None), "batch verbs must be iterable, not NoneType"),
+        (("edit", "P1", "e", Verb.CREATE), "create is not an edit verb"),
+        (("edit", "P1", "d", Verb.CREATE), "create is not an edit verb"),
     ],
 )
 def test_bad_verbs_and_atoms_are_rejected_before_any_state_changes(call, message):
