@@ -568,8 +568,6 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     lineage's head, and to a copy of ``local``'s otherwise (see ``Log``),
     never to ``received``'s, even when ``local`` is empty.
     """
-    if receiver is not None and (type(clock) is not int or clock < 1):
-        raise ValueError("clock must be a positive integer")
     return _received(local, received, receiver, clock)[0]
 
 
@@ -579,8 +577,7 @@ def _received(
     """``receive_log``'s result, and the events it added to ``local``.
 
     Reads ``received``'s events in arrival order from the ``start``-th
-    on: ``local`` must hold the ones before (see ``_Channel``).  With a
-    ``receiver``, ``clock`` must be a positive int (the re-stamp trusts it).
+    on: ``local`` must hold the ones before (see ``_Channel``).
     """
     role = local._role
     if role is not received._role:
@@ -594,6 +591,8 @@ def _received(
     if receiver is not None and role is LogRole.COMM:  # an edit log holds no obligations
         for i, e in enumerate(new):
             if e.to == receiver and isinstance(e, Obligation):
+                if type(clock) is not int or clock < 1:  # Obligation's own check
+                    raise ValueError("clock must be a positive integer")
                 new[i] = _obligation(_new(Obligation), clock, e.verb, e.allow, e.origin)
     return _appended(role, lineage, new, keys), new
 

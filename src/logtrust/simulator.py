@@ -90,11 +90,12 @@ _CREATE = Verb.CREATE  # bound once: an enum member lookup costs 4x a global's
 _BATCH_VERBS = EDIT_VERBS | {_CREATE}
 
 
-def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
+def _batch_verbs(verbs: Iterable[Verb], allowed: frozenset = _BATCH_VERBS) -> list[Verb]:
     """``verbs`` in canonical verb order, if they make a batch.
 
     A batch is at least one verb, all distinct, each ``create`` or an
-    edit verb.  Canonical order is the order the edit log replays them in.
+    edit verb (each in ``allowed``: an edit passes ``EDIT_VERBS``).
+    Canonical order is the order the edit log replays them in.
     """
     verbs = _listed(verbs, "batch verbs")
     if not verbs:
@@ -105,7 +106,7 @@ def _batch_verbs(verbs: Iterable[Verb]) -> list[Verb]:
     if len(set(verbs)) != len(verbs):
         raise ValueError("batch verbs must be distinct")
     for verb in verbs:
-        if verb not in _BATCH_VERBS:
+        if verb not in allowed:
             raise ValueError(f"{verb.value} is not an edit verb")
     return sorted(verbs, key=_VERB_RANK.__getitem__)
 
@@ -266,11 +267,7 @@ class Simulation:
         never blocked either way, the flag just marks deliberate
         disregard for readability of scenario files.
         """
-        if not isinstance(verb, Verb):
-            raise ValueError(f"{verb!r} is not a Verb")
-        if verb not in EDIT_VERBS:
-            raise ValueError(f"{verb.value} is not an edit verb")
-        return self._batch(peer, doc_id, [verb])
+        return self._batch(peer, doc_id, _batch_verbs([verb], EDIT_VERBS))
 
     def batch(
         self,

@@ -212,6 +212,10 @@ def test_receive_log_checks_the_receipt_clock_before_it_appends(clock):
         receive_log(local, received, "P2", clock)
     assert len(local._lineage.events) == 1
     assert receive_log(local, received, "P2", 3).entries == (*local.entries, obl(3))
+    # only a re-stamp reads the clock, and the role check comes first
+    assert receive_log(local, received, "P3", clock).entries == (*local.entries, obl(2))
+    with pytest.raises(MixedRolesError):
+        receive_log(empty_log(LogRole.EDIT), received, "P2", clock)
 
 
 def test_merge_unions_and_deduplicates():
