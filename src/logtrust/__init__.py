@@ -53,7 +53,7 @@ from .events import (
     replay_comments,
     sort_key,
 )
-from .obligations import ObligationAtom, validate_set
+from .obligations import ObligationAtom
 from .scengen import generate_scenario
 from .simulator import (
     CommandSnapshot,

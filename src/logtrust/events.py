@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -598,8 +599,9 @@ def _received(
 
 
 class _Channel:
-    """What one channel, from a sender to a recipient for one document,
-    has carried, so that a share or a deliver on it reads only what is new.
+    """One channel, from a sender to a recipient for one document: its
+    undelivered messages, oldest first, in ``messages``, and what it has
+    carried, so that a share or a deliver on it reads only what is new.
 
     ``sent`` is the communication log of the channel's last share, over
     a lineage the channel owns: the sender's communication log filtered
@@ -616,9 +618,10 @@ class _Channel:
     recipient, so it may share back without obligations.
     """
 
-    __slots__ = ("sent", "read", "edit_n", "comm_n", "sent_back")
+    __slots__ = ("messages", "sent", "read", "edit_n", "comm_n", "sent_back")
 
     def __init__(self):
+        self.messages: deque = deque()
         self.sent: Optional[Log] = None
         self.read = 0
         self.edit_n = 0

@@ -10,7 +10,6 @@ Which obligation governs a logged action is not decided here but by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InternallyConflictingSetError
 from .events import Verb
@@ -26,13 +25,6 @@ class ObligationAtom:
     def __str__(self) -> str:
         sign = "+" if self.allow else "-"
         return f"{self.verb.value}{sign}"
-
-
-def validate_set(atoms: Iterable[ObligationAtom]) -> frozenset[ObligationAtom]:
-    """Normalize to a frozenset, rejecting internally conflicting sets."""
-    atom_set = frozenset(atoms)
-    _check_pairs([(a.verb, a.allow) for a in atom_set])
-    return atom_set
 
 
 def _check_pairs(pairs: list[tuple[Verb, bool]]) -> None:

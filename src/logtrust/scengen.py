@@ -27,8 +27,8 @@ def generate_scenario(
     """Generate one scenario as a plain JSON-ready dict."""
     if max_peers < 2:
         raise ValueError("need at least two peers")
-    if max_commands < 2:
-        raise ValueError("need room for at least two commands")
+    if max_commands < 3:
+        raise ValueError("need room for at least three commands")
     rng = random.Random(seed)
     n_peers = rng.randint(2, max_peers)
     peers = [f"P{i}" for i in range(1, n_peers + 1)]

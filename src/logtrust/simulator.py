@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
@@ -174,21 +175,20 @@ class Simulation:
     Each peer has one Lamport counter, shared across all documents it
     touches, so every event it generates gets a globally fresh value.
     Message channels are keyed by (sender, recipient, document) and
-    delivered explicitly, so a scenario controls interleaving exactly.
-    A channel is an immutable tuple of messages, replaced by each share
-    and deliver and removed once empty.  A held copy that has been
-    audited keeps its ``CopyAudit``, which queues the events each
-    command adds to the copy once the command has succeeded.
+    delivered explicitly, so a scenario controls interleaving exactly.  A
+    held copy that has been audited keeps its ``CopyAudit``, which queues
+    the events each command adds to the copy once the command has succeeded.
 
-    Each channel also keeps a record of what it has carried
-    (``events._Channel``), so that an op reads only what is new on it: a
-    share filters only the sender's communication events added since the
-    channel's last share, and a deliver reads only the events of the
-    message past those of the channel's last delivered message, which the
-    recipient holds, since a copy only grows.  Each held log and each
-    channel's outbound log appends only to a lineage of its own
-    (``events._Lineage``), so every message of a channel after its first
-    extends the last one's lineages, and no op copies a log's list.
+    A channel is one record (``events._Channel``): its undelivered
+    messages, which ``pending`` reads as a new tuple, and what it has
+    carried, so that an op reads only what is new on it: a share filters
+    only the sender's communication events added since the channel's last
+    share, and a deliver reads only the events of the message past those
+    of the channel's last delivered message, which the recipient holds,
+    since a copy only grows.  Each held log and each channel's outbound
+    log appends only to a lineage of its own (``events._Lineage``), so
+    every message of a channel after its first extends the last one's
+    lineages, and no op copies a log's list.
 
     An op builds each record once, from values it made or checked, through the
     records' builders, and appends a command's events as they are: they carry
@@ -205,7 +205,6 @@ class Simulation:
         self._clocks: dict[str, int] = {}
         self._held: dict[tuple[str, str], PeerDocState] = {}
         self._documents: set[str] = set()  # every doc id in ``_held``
-        self._queues: dict[tuple[str, str, str], tuple[Message, ...]] = {}
         self._audits: dict[tuple[str, str], CopyAudit] = {}
         self._channels: dict[tuple[str, str, str], _Channel] = {}
 
@@ -227,7 +226,8 @@ class Simulation:
             raise DocumentNotHeldError(f"{peer} does not hold {doc_id!r}") from None
 
     def pending(self, sender: str, recipient: str, doc_id: str) -> tuple[Message, ...]:
-        return self._queues.get((sender, recipient, doc_id), ())
+        channel = self._channels.get((sender, recipient, doc_id))
+        return () if channel is None else tuple(channel.messages)
 
     def peers(self) -> tuple[str, ...]:
         return tuple(sorted({peer for peer, _ in self._held}))
@@ -357,7 +357,7 @@ class Simulation:
         message = Message(state.creator, state.edit_log, outbound)
         self._clocks[sender] = clock
         self._hold(sender, doc_id, state.edit_log, comm_log, state.creator, new_events)
-        self._queues[channel] = self._queues.get(channel, ()) + (message,)
+        link.messages.append(message)
         return clock
 
     def deliver(self, recipient: str, sender: str, doc_id: str) -> int:
@@ -367,19 +367,19 @@ class Simulation:
         message that is new to the recipient and addressed to it is
         re-stamped with it.  The logs are merged into the recipient's
         copy, whose own events win duplicates; a recipient that did not
-        hold the document receives into empty logs.
+        hold the document receives into empty logs.  The message leaves its
+        channel once the receive has succeeded.
         """
-        channel = (sender, recipient, doc_id)
         try:
-            queue = self._queues[channel]
-        except (KeyError, TypeError):  # a channel's ids are valid: only a miss checks them
+            link = self._channels[sender, recipient, doc_id]
+            message = link.messages[0]
+        except (KeyError, TypeError, IndexError):  # a channel's ids are valid: a miss checks
             _checked_id(recipient, "recipient")
             _checked_id(sender, "sender")
             _checked_id(doc_id, "doc_id")
             raise NoPendingMessageError(
                 f"no pending message from {sender} to {recipient} for {doc_id!r}"
             ) from None
-        message = queue[0]
         clock = self.clock(recipient) + 1
         state = self._held.get((recipient, doc_id))
         if state is None:
@@ -390,16 +390,12 @@ class Simulation:
                 empty_log(LogRole.COMM),
                 message.creator,
             )
-        link = self._channels[channel]
         edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0, link.edit_n)
         comm_log, new_comm = _received(
             state.comm_log, message.comm_log, recipient, clock, link.comm_n
         )
         link.edit_n, link.comm_n = len(message.edit_log), len(message.comm_log)
-        if len(queue) > 1:
-            self._queues[channel] = queue[1:]
-        else:
-            del self._queues[channel]
+        link.messages.popleft()
         self._clocks[recipient] = clock
         self._hold(recipient, doc_id, edit_log, comm_log, state.creator, new_edits, new_comm)
         return clock
@@ -565,15 +561,13 @@ def parse_scenario(data: Any) -> tuple[str, tuple[dict[str, Any], ...]]:
     return name, tuple(commands)
 
 
-Channel = tuple[tuple[str, str, str], tuple[Message, ...]]  # ((from, to, doc), messages)
-
-
 class _History:
     """The engine state after each command of one run, kept as changes.
 
-    ``copies[k]`` is the held copy that command ``k`` changed, or None,
-    and ``channels[k]`` the channel it changed, as ``((from, to, doc),
-    messages)`` with messages None once the channel is empty, or None.
+    ``copies[k]`` is the held copy that command ``k`` changed, or None, and
+    ``channels[k]`` the channel it changed, or None, as ``((from, to, doc),
+    messages, delivered, sent)``: the run's one list of every message the
+    channel carried, and how many of them were delivered and sent by then.
     """
 
     __slots__ = ("copies", "channels")
@@ -620,10 +614,13 @@ class CommandSnapshot:
         return tuple(sorted(latest.values()))
 
     @property
-    def pending(self) -> tuple[Channel, ...]:
+    def pending(self) -> tuple[tuple[tuple[str, str, str], tuple[Message, ...]], ...]:
         channels = self._history.channels[: self.index + 1]
-        latest = dict(channel for channel in channels if channel is not None)
-        return tuple(sorted(item for item in latest.items() if item[1] is not None))
+        latest = {channel[0]: channel for channel in channels if channel is not None}
+        return tuple(
+            (key, tuple(messages[delivered:sent]))
+            for key, messages, delivered, sent in sorted(latest.values()) if delivered < sent
+        )
 
 
 _SET_INDEX, _SET_COMMAND, _SET_CLOCK, _SET_REPORT, _SET_HISTORY = _setters(CommandSnapshot)
@@ -661,12 +658,13 @@ class ScenarioTrace:
         One walk applies the run's changes forward from the empty state and
         keeps the texts of the current state only, in key order: per held
         copy ``[(peer, doc), edit_log, edit, comments, comm_log, comm, text]``
-        and per channel ``[(from, to, doc), messages, message texts, head]``;
+        and per non-empty channel ``[(from, to, doc), message texts, head]``;
         a channel is written as its head, its message texts and its tail.
-        A command re-renders the copy and the channel it changed, reusing the
-        text of each log and message that is the same object as before.  The
-        walk restarts when a snapshot's index goes back or its run differs.
-        Event texts are kept by id; the trace keeps the events alive."""
+        A command re-renders the copy it changed, reusing the text of each
+        log that is the same object as before; a share renders its message
+        once and a deliver drops the oldest text.  The walk restarts when a
+        snapshot's index goes back or its run differs.  Event texts are kept
+        by id; the trace keeps the events alive."""
         enc, (p3, p4, p5, p6, p7) = encode_basestring_ascii, _PADS[3:8]
         events: dict[int, str] = {}
         copies: list[list] = []
@@ -710,20 +708,21 @@ class ScenarioTrace:
             edit, comm = edit.replace("\n", _PADS[2]), comm.replace("\n", _PADS[2])
             return f'{{{p7}"edit": {edit},{p7}"comm": {comm}{p6}}}'
 
-        def channel(key: tuple[str, str, str], messages: Optional[tuple[Message, ...]]) -> None:
+        def channel(key: tuple[str, str, str], messages: list, delivered: int, sent: int) -> None:
             i = bisect_left(channels, [key])
-            if messages is None:
-                del channels[i]
-                return
             if i == len(channels) or channels[i][0] != key:
                 head = (
                     f'{p4}{{{p5}"from": {enc(key[0])},{p5}"to": {enc(key[1])},'
                     f'{p5}"doc": {enc(key[2])},{p5}"messages": '
                 )
-                channels.insert(i, [key, (), [], head])
-            row = channels[i]
-            old = dict(zip(map(id, row[1]), row[2]))
-            row[1:3] = messages, [old.get(id(m)) or message(key[0], key[2], m) for m in messages]
+                channels.insert(i, [key, deque(), head])
+            texts = channels[i][1]
+            if delivered + len(texts) < sent:  # a share
+                texts.append(message(key[0], key[2], messages[sent - 1]))
+            else:  # a deliver
+                texts.popleft()
+                if not texts:
+                    del channels[i]
 
         yield (
             f'{{\n  "name": {enc(self.name)},\n  "mode": {enc(self.mode.value)},'
@@ -750,7 +749,7 @@ class ScenarioTrace:
             )
             yield from _list_pieces(row[-1] for row in copies)
             sep = ',\n      "queues": ['
-            for _, _, texts, head in channels:  # a channel row has messages
+            for _, texts, head in channels:  # a channel row has messages
                 yield sep + head
                 pad = first
                 for text in texts:
@@ -837,6 +836,7 @@ def run_scenario(
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
     history = _History()
+    carried: dict[tuple[str, str, str], list[Message]] = {}  # per channel, every message
     for i, command in enumerate(commands):
         try:
             clock, report = apply_command(sim, command)
@@ -846,7 +846,11 @@ def run_scenario(
         op = command["op"]
         if op == "share" or op == "deliver":
             key = (command["from"], command["to"], command["doc_id"])
-            channel = (key, sim._queues.get(key))
+            queued = sim._channels[key].messages
+            messages = carried.setdefault(key, [])
+            if op == "share":
+                messages.append(queued[-1])
+            channel = (key, messages, len(messages) - len(queued), len(messages))
             copy = sim._held[key[0] if op == "share" else key[1], key[2]]
         elif op != "audit":
             copy = sim._held[command["peer"], command["doc_id"]]

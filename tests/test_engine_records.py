@@ -46,7 +46,7 @@ def assert_checked(sim, reports):
     """Every event ``sim`` holds or has in flight, and every violation in
     ``reports``, equals its constructor's copy, slots and keys included."""
     logs = [log for state in sim._held.values() for log in state[2:4]]
-    messages = [m for queue in sim._queues.values() for m in queue]
+    messages = [m for key in sim._channels for m in sim.pending(*key)]
     logs += [log for m in messages for log in (m.edit_log, m.comm_log)]
     for log in logs:
         for event in log.entries:

@@ -561,7 +561,7 @@ def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkey
     monkeypatch.setattr(events_module, "_fork", lambda log: forks.append(log) or fork(log))
 
     def state(sim):
-        return sorted(sim._held.values()), sorted(sim._queues.items())
+        return sorted(sim._held.values()), sorted((k, sim.pending(*k)) for k in sim._channels)
 
     tick = 0
     for seed in range(6):
@@ -570,7 +570,7 @@ def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkey
         for command in commands:
             apply_command(quiet, command)
             apply_command(touched, command)
-            messages = [m for queue in touched._queues.values() for m in queue]
+            messages = [m for key in touched._channels for m in touched.pending(*key)]
             for held in [*touched._held.values(), *messages]:
                 tick += 1
                 merge_logs(held.edit_log, Log(LogRole.EDIT, (PerformedEdit(tick, Verb.READ, "X"),)))

@@ -21,6 +21,7 @@ from logtrust import (
     replay_comments,
     run_scenario,
 )
+from logtrust import simulator
 from logtrust.simulator import apply_command
 from conftest import final_states
 
@@ -200,17 +201,42 @@ def test_channels_are_fifo():
     sim.share("P1", "d", "P2", READ_OK)
     sim.edit("P1", "d", Verb.COMMENT)
     sim.share("P1", "d", "P2", [A(Verb.COMMENT, True)])
+    sent = sim.pending("P1", "P2", "d")
     sim.deliver("P2", "P1", "d")
     state = sim.peer_state("P2", "d")
     # only the first message arrived: no comment obligation yet
     assert not any(
         isinstance(e, Obligation) and e.verb is Verb.COMMENT for e in state.comm_log
     )
+    assert sim.pending("P1", "P2", "d") == sent[1:]
     sim.deliver("P2", "P1", "d")
     state = sim.peer_state("P2", "d")
     assert any(
         isinstance(e, Obligation) and e.verb is Verb.COMMENT for e in state.comm_log
     )
+    # a tuple read earlier never changes, and the emptied channel holds nothing
+    assert len(sent) == 2 and sim.pending("P1", "P2", "d") == ()
+    assert not sim._channels["P1", "P2", "d"].messages
+    with pytest.raises(NoPendingMessageError):
+        sim.deliver("P2", "P1", "d")
+
+
+def test_a_failed_receive_leaves_its_message_pending(monkeypatch):
+    sim = Simulation()
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", READ_OK)
+    before = (sim.clock("P2"), sim.holds("P2", "d"), sim.pending("P1", "P2", "d"))
+
+    def failing(*args):
+        raise ValueError("receive failed")
+
+    monkeypatch.setattr(simulator, "_received", failing)
+    with pytest.raises(ValueError, match="receive failed"):
+        sim.deliver("P2", "P1", "d")
+    assert (sim.clock("P2"), sim.holds("P2", "d"), sim.pending("P1", "P2", "d")) == before
+    monkeypatch.undo()
+    sim.deliver("P2", "P1", "d")
+    assert sim.pending("P1", "P2", "d") == () and sim.holds("P2", "d")
 
 
 def test_receipt_restamps_obligations_with_receiver_clock():

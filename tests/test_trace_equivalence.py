@@ -274,6 +274,10 @@ def test_generated_traces_are_byte_identical():
         for piece in trace.json_pieces():
             digest.update(piece.encode())
     assert digest.hexdigest() == TRACES_SHA256
+    # A generated scenario has at least three commands, and asking for fewer says so.
+    assert len(generate_scenario(0, max_commands=3)["commands"]) == 3
+    with pytest.raises(ValueError, match="need room for at least three commands"):
+        generate_scenario(0, max_commands=2)
 
 
 def test_writing_a_trace_leaves_its_states_and_logs_as_they_were():
@@ -332,6 +336,33 @@ def test_writer_memory_follows_the_largest_snapshot_at_one_document():
         finally:
             tracemalloc.stop()
         assert peak < 3 * max(largest, snapshot), (size, peak, largest)
+
+
+def backlog(shares):
+    """P1 creates ``d``, then shares it with P2 ``shares`` times; nothing is delivered."""
+    read = [{"verb": "read", "allow": True}]
+    share = {"op": "share", "from": "P1", "to": "P2", "doc_id": "d", "obligations": read}
+    create = {"op": "create", "peer": "P1", "doc_id": "d"}
+    return {"name": f"backlog-{shares}", "commands": [create] + [share] * shares}
+
+
+def test_a_run_stores_each_message_of_a_backlog_once():
+    # A share adds one message to its channel, and a run keeps one list of
+    # them per channel: its memory grows with the backlog (4x for 4x the
+    # shares), not with its square (16x), as a copy per share would.
+    peaks = {}
+    for shares in (1000, 4000):
+        tracemalloc.start()
+        try:
+            trace = run_scenario(backlog(shares))
+            peaks[shares] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] < 6 * peaks[1000], peaks
+    ((key, messages),) = trace.snapshots[-1].pending
+    assert key == ("P1", "P2", "d")
+    # in send order: the k-th message carries k shares and their k grants
+    assert [len(m.comm_log) for m in messages] == list(range(2, 8001, 2))
 
 
 def test_snapshots_echo_the_parsed_commands(paper_scenario, monkeypatch):
