@@ -44,7 +44,6 @@ from .events import (
     Verb,
     dedup_key,
     empty_log,
-    event_from_dict,
     event_to_dict,
     log_from_dict,
     log_to_dict,

@@ -17,6 +17,7 @@ collapse to a single entry each.
 from __future__ import annotations
 
 import enum
+import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -188,9 +189,9 @@ _SHARE_CLOCK, _SHARE_BY, _SHARE_TO, _SHARE_KEY, _SHARE_ID = _setters(PerformedSh
  _OBLIGATION_TO, _OBLIGATION_ORIGIN, _OBLIGATION_KEY, _OBLIGATION_ID) = _setters(Obligation)
 
 
-# A record kind's slots, keys included, are set by its builder, which fills and
-# returns ``record``: its constructor's, once the checks pass, or ``_new(cls)``
-# with values the engine checked.  ``_event`` sets them inline, for speed.
+# A record kind's slots, keys included, are set only by its builder, which
+# fills and returns ``record``: its constructor's, once the checks pass, or
+# ``_new(cls)`` with values the engine or the log parser (``_event``) checked.
 def _origin_key(record: OriginKey, grantor: str, grantee: str, share_clock: int) -> OriginKey:
     _ORIGIN_GRANTOR(record, grantor)
     _ORIGIN_GRANTEE(record, grantee)
@@ -507,36 +508,6 @@ def empty_log(role: LogRole) -> Log:
     return Log(role, ())
 
 
-def _insert_events(log: Log, events: Iterable[Event]) -> Log:
-    """``log`` with ``events`` added, each at its sorted position.
-
-    Rejects an event of the other role and a duplicate identity, and a
-    rejected insert changes nothing, ``log``'s lineage and identity set
-    included.  It is the checked reference for the engine's appends.
-    """
-    lineage, keys = _tip(log)
-    return _appended(log._role, lineage, _unheld(log._role, keys, events), keys)
-
-
-def _unheld(role: LogRole, keys: set, events: Iterable[Event]) -> list[Event]:
-    """``events`` as a list, if each is of ``role`` and its identity is
-    neither in ``keys`` nor repeated."""
-    edit = role is LogRole.EDIT
-    new = []
-    added = set()
-    for event in events:
-        identity = dedup_key(event)
-        if isinstance(event, PerformedEdit) is not edit:
-            raise MixedRolesError(
-                f"{type(event).__name__} does not belong in a {role.value} log"
-            )
-        if identity in keys or identity in added:
-            raise DuplicateEventError(f"duplicate event {event!r}")
-        added.add(identity)
-        new.append(event)
-    return new
-
-
 def merge_logs(local: Log, received: Log) -> Log:
     """Deduplicated union of two logs of the same role.
 
@@ -706,38 +677,6 @@ def _replayed(entries: Iterable[Event]) -> frozenset[tuple[str, str]]:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def event_to_dict(event: Event) -> dict:
-    """Serialize one event.  Field order is part of the wire format."""
-    if isinstance(event, PerformedEdit):
-        return {
-            "clock": event.clock,
-            "kind": "edit",
-            "verb": event.verb.value,
-            "by": event.by,
-        }
-    if isinstance(event, PerformedShare):
-        return {
-            "clock": event.clock,
-            "kind": "share",
-            "verb": Verb.SHARE.value,
-            "by": event.by,
-            "to": event.to,
-        }
-    return {
-        "clock": event.clock,
-        "kind": "obligation",
-        "verb": event.verb.value,
-        "allow": event.allow,
-        "by": event.by,
-        "to": event.to,
-        "origin": {
-            "grantor": event.origin.grantor,
-            "grantee": event.origin.grantee,
-            "share_clock": event.origin.share_clock,
-        },
-    }
-
-
 # Per depth, the newline and indent that open a line of ``json.dumps(...,
 # indent=2)`` output nested that deep; a trace nests 10 deep.
 _PADS = tuple("\n" + "  " * depth for depth in range(11))
@@ -753,8 +692,9 @@ def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def _event_json(event: Event, depth: int) -> str:
-    """``event_to_dict(event)`` as JSON at ``depth``, one template per kind.
-    Clocks are exact ints (the constructors check): ``!r`` is their JSON."""
+    """``event`` as JSON at ``depth``, one template per kind: the wire
+    format, whose field order is part of it.  Clocks are exact ints (the
+    constructors check): ``!r`` is their JSON."""
     enc, i, o = encode_basestring_ascii, _PADS[depth + 1], _PADS[depth]
     if isinstance(event, PerformedEdit):
         return (
@@ -780,6 +720,11 @@ def _log_json(log: Log, depth: int) -> str:
     return _json_list([_event_json(event, depth + 1) for event in log.entries], depth)
 
 
+def event_to_dict(event: Event) -> dict:
+    """Serialize one event: its JSON template (``_event_json``), parsed."""
+    return json.loads(_event_json(event, 0))
+
+
 # Per event kind: its field names, the order ``_event`` reads them in.
 _FIELDS_BY_KIND = {
     "edit": ("kind", "clock", "verb", "by"),
@@ -793,8 +738,8 @@ def _event(data) -> Event:
     """Parse one serialized event; a ValueError names its first problem.
 
     The JSON shape is checked first.  An event whose values then pass the
-    constructors' checks on exact classes is built once, through the slot
-    setters; any other goes to the constructors, which give every message.
+    constructors' checks on exact classes is built once, by its kind's
+    builder; any other goes to the constructors, which give every message.
     A message is put together only once a test has failed.
     """
     if not isinstance(data, dict):
@@ -823,14 +768,7 @@ def _event(data) -> Event:
     if kind == "edit":
         if not fast or verb is _SHARE:
             return PerformedEdit(clock, verb, by)
-        event = _new(PerformedEdit)
-        _EDIT_CLOCK(event, clock)
-        _EDIT_VERB(event, verb)
-        _EDIT_BY(event, by)
-        key = (clock, by, 2, _VERB_RANK[verb], 0, "", 0)
-        _EDIT_KEY(event, key)
-        _EDIT_ID(event, key)
-        return event
+        return _performed_edit(_new(PerformedEdit), clock, verb, by)
     to = values[4]
     fast = fast and to.__class__ is str and to and by != to
     if kind == "share":
@@ -838,34 +776,14 @@ def _event(data) -> Event:
             raise ValueError("share events must carry verb 'share'")
         if not fast:
             return PerformedShare(clock, by, to)
-        event = _new(PerformedShare)
-        _SHARE_CLOCK(event, clock)
-        _SHARE_BY(event, by)
-        _SHARE_TO(event, to)
-        key = (clock, by, 1, _SHARE_RANK, 0, to, 0)
-        _SHARE_KEY(event, key)
-        _SHARE_ID(event, key)
-        return event
+        return _performed_share(_new(PerformedShare), clock, by, to)
     raw, allow = values[6], values[5]
     if fast and allow.__class__ is bool and verb in OBLIGATION_VERBS and raw.__class__ is dict:
         grantor, grantee, share_clock = raw.get("grantor"), raw.get("grantee"), raw.get("share_clock")
         if (len(raw) == 3 and grantor.__class__ is str and grantee.__class__ is str and grantor == by
                 and grantee == to and share_clock.__class__ is int and share_clock > 0):
-            origin = _new(OriginKey)
-            _ORIGIN_GRANTOR(origin, grantor)
-            _ORIGIN_GRANTEE(origin, grantee)
-            _ORIGIN_SHARE_CLOCK(origin, share_clock)
-            event = _new(Obligation)
-            _OBLIGATION_CLOCK(event, clock)
-            _OBLIGATION_VERB(event, verb)
-            _OBLIGATION_ALLOW(event, allow)
-            _OBLIGATION_BY(event, by)
-            _OBLIGATION_TO(event, to)
-            _OBLIGATION_ORIGIN(event, origin)
-            key = (clock, by, 0, _VERB_RANK[verb], 1 if allow else 0, to, share_clock)
-            _OBLIGATION_KEY(event, key)
-            _OBLIGATION_ID(event, key[1:])
-            return event
+            origin = _origin_key(_new(OriginKey), grantor, grantee, share_clock)
+            return _obligation(_new(Obligation), clock, verb, allow, origin)
     try:
         if not isinstance(raw, dict) or len(raw) != 3:
             raise KeyError
@@ -873,14 +791,6 @@ def _event(data) -> Event:
     except KeyError:
         raise ValueError(_ORIGIN_SHAPE) from None
     return Obligation(clock, verb, allow, by, to, origin)
-
-
-def event_from_dict(data: dict, where: str = "event") -> Event:
-    """Parse one serialized event, validating shape and field values."""
-    try:
-        return _event(data)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def log_to_dict(log: Log, doc_id: str) -> dict:

@@ -22,10 +22,6 @@ class ObligationAtom:
     verb: Verb
     allow: bool
 
-    def __str__(self) -> str:
-        sign = "+" if self.allow else "-"
-        return f"{self.verb.value}{sign}"
-
 
 def _check_pairs(pairs: list[tuple[Verb, bool]]) -> None:
     """Reject ``(verb, allow)`` pairs that grant and forbid one verb

@@ -685,8 +685,6 @@ class ScenarioTrace:
             if i == len(copies) or copies[i][0] != (peer, doc_id):
                 copies.insert(i, [(peer, doc_id), None, "", "", None, "", ""])
             row = copies[i]
-            if row[1] is edit_log and row[4] is comm_log:
-                return
             if row[1] is not edit_log:
                 entries = _ordered(edit_log)
                 pairs = sorted(_replayed(entries))

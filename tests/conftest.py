@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import find, settings, strategies as st
 
-from logtrust import Log, LogRole, event_from_dict
+from logtrust import log_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -69,13 +69,10 @@ def paper_golden():
 
 def logs_from_state(state):
     """Rebuild Log objects from one serialized trace state entry."""
-    edit = Log.from_events(
-        LogRole.EDIT, [event_from_dict(e) for e in state["edit"]]
+    return tuple(
+        log_from_dict({"doc_id": state["doc"], "role": role, "events": state[role]})[1]
+        for role in ("edit", "comm")
     )
-    comm = Log.from_events(
-        LogRole.COMM, [event_from_dict(e) for e in state["comm"]]
-    )
-    return edit, comm
 
 
 def final_states(trace):

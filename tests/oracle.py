@@ -5,7 +5,9 @@ no code with the library: candidate filtering is re-derived from the
 rules with plain list comprehensions, and ``oracle_engine`` keeps each
 held log as a plain list that it re-sorts after every op, and finds
 duplicates by comparing events' JSON text, so a bug in the library kernel
-or log model cannot hide in the oracle.
+or log model cannot hide in the oracle.  ``oracle_event_dict`` turns a
+library event into such a dict from its attributes alone, so that the
+library's own serializer can be checked against it.
 """
 
 from __future__ import annotations
@@ -156,6 +158,29 @@ def violation_tuple(violation):
 # order, polarity, grantee and origin share clock.
 _KIND_ORDER = ("obligation", "share", "edit")
 _VERB_ORDER = ("create", "read", "comment", "delete_comment", "share")
+
+
+def oracle_event_dict(event):
+    """The serialized form of a library event, read off its attributes, with
+    the fields in the log file format's order."""
+    if hasattr(event, "origin"):
+        origin = event.origin
+        return {
+            "clock": event.clock,
+            "kind": "obligation",
+            "verb": event.verb.value,
+            "allow": event.allow,
+            "by": event.by,
+            "to": event.to,
+            "origin": {
+                "grantor": origin.grantor,
+                "grantee": origin.grantee,
+                "share_clock": origin.share_clock,
+            },
+        }
+    if hasattr(event, "to"):
+        return {"clock": event.clock, "kind": "share", "verb": "share", "by": event.by, "to": event.to}
+    return {"clock": event.clock, "kind": "edit", "verb": event.verb.value, "by": event.by}
 
 
 def _canonical(e):

@@ -27,7 +27,6 @@ from logtrust import (
     Verb,
     Violation,
     dedup_key,
-    event_to_dict,
     generate_scenario,
     parse_trust_model,
     run_scenario,
@@ -38,6 +37,7 @@ from logtrust.cli import main
 from logtrust.events import _PADS, _log_json, log_from_dict, log_to_dict
 
 from conftest import SCENARIOS
+from oracle import oracle_event_dict
 from test_trace_equivalence import assert_same_text, eager_trace_dict
 
 PAPER = str(SCENARIOS / "paper_example.json")
@@ -244,6 +244,27 @@ def test_audit_rejects_mismatched_documents(tmp_path, capsys):
     )
     assert main(["audit", edit, comm, "--assessor", "P1"]) == 2
     assert "different documents" in capsys.readouterr().err
+
+
+def test_audit_of_logs_without_a_create_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # The logs parse, but the audit cannot tell who created the document.
+    monkeypatch.chdir(tmp_path)
+    edit = write_json(
+        Path("e.json"),
+        {"doc_id": "d", "role": "edit", "events": [{"clock": 1, "kind": "edit", "verb": "read", "by": "P1"}]},
+    )
+    comm = write_json(Path("c.json"), {"doc_id": "d", "role": "comm", "events": []})
+    assert main(["audit", edit, comm, "--assessor", "P1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: e.json: edit log has entries but no create event\n")
+
+
+def test_run_and_validate_reject_a_scenario_name_that_is_no_string(tmp_path, capsys):
+    path = write_json(tmp_path / "name.json", {"name": 5, "commands": []})
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: name must be a string\n")
 
 
 def test_audit_rejects_wrong_role(tmp_path, capsys):
@@ -471,7 +492,7 @@ def test_log_writer_matches_json_dumps_indent_2(log, depth):
     # ``--export-logs``, at every depth a trace or a log file nests a log.
     # Nested, ``json.dumps`` output differs only in its indent, because
     # every control character in a string is escaped.
-    expected = json.dumps([event_to_dict(e) for e in log.entries], indent=2)
+    expected = json.dumps([oracle_event_dict(e) for e in log.entries], indent=2)
     assert _log_json(log, depth) == expected.replace("\n", _PADS[depth])
 
 

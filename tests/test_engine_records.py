@@ -2,9 +2,10 @@
 
 ``Simulation`` and ``CopyAudit`` build events and violations from values
 they made or checked themselves, without the public constructors' checks,
-and a command appends its events to its logs without ``_insert_events``'
-role and duplicate checks.  These tests rebuild every such record through
-its constructor and every grown log through ``_insert_events``.
+and a command appends its events to its logs without a role, order or
+duplicate check.  These tests rebuild every such record through its
+constructor, and every grown log from its events through
+``Log.from_events``, which sorts and checks them from scratch.
 
 ``pytest tests/test_engine_records.py --hypothesis-profile=events`` runs
 ten times as many scenarios.
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from logtrust import (
     AuditMode,
+    Log,
     LogRole,
     Obligation,
     OriginKey,
@@ -26,7 +28,7 @@ from logtrust import (
     parse_scenario,
     run_scenario,
 )
-from logtrust.events import _arrived, _insert_events
+from logtrust.events import _arrived
 from logtrust.simulator import apply_command
 from test_events import slot_values
 
@@ -71,7 +73,7 @@ def test_engine_records_equal_checked_ones(seed, peers, commands, mode):
             held = before[key][2:4] if key in before else map(empty_log, LogRole)
             for old, new in zip(held, state[2:4]):
                 added = list(_arrived(new))[len(old) :]
-                assert new == _insert_events(old, added)
+                assert new == Log.from_events(new.role, (*old.entries, *added))
     # every held copy's audit, in both modes, decides each action once more
     for peer, doc_id in sorted(sim._held):
         reports.append(sim.audit(peer, doc_id))

@@ -23,7 +23,6 @@ from logtrust import (
     Verb,
     dedup_key,
     empty_log,
-    event_from_dict,
     event_to_dict,
     generate_scenario,
     log_from_dict,
@@ -35,9 +34,9 @@ from logtrust import (
     sort_key,
 )
 from logtrust import events as events_module
-from logtrust.events import _Channel, _insert_events, _outbound, _received
+from logtrust.events import _Channel, _outbound, _received
 from logtrust.simulator import apply_command
-from oracle import _canonical, _same_event, oracle_receive
+from oracle import _canonical, _identity, _same_event, oracle_event_dict, oracle_receive
 
 ORG = OriginKey("P1", "P2", 2)
 
@@ -57,6 +56,17 @@ def check_log(log):
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
     return Obligation(clock, verb, allow, by, to, OriginKey(by, to, share_clock))
+
+
+def grown_by(log, *events):
+    """``log`` merged with a log of ``events``, which arrive in sorted order."""
+    return merge_logs(log, Log.from_events(log.role, events))
+
+
+def parsed(raw, where="e"):
+    """``raw`` parsed as the one event of a log file of its kind's role."""
+    role = "edit" if isinstance(raw, dict) and raw.get("kind") == "edit" else "comm"
+    return log_from_dict({"doc_id": "d", "role": role, "events": [raw]}, where=where)[1].entries[0]
 
 
 def test_peer_clock_counts_from_one():
@@ -183,17 +193,16 @@ def test_added_events_land_at_their_positions_and_duplicates_are_rejected():
     ]
     log = empty_log(LogRole.EDIT)
     for event in events:
-        log = _insert_events(log, [event])
+        log = grown_by(log, event)
     assert [e.by for e in log] == ["P1", "P2", "P1"]
     assert log == Log.from_events(LogRole.EDIT, reversed(events))
     again = PerformedEdit(2, Verb.COMMENT, "P1")
-    with pytest.raises(DuplicateEventError):
-        _insert_events(log, [again])
+    assert grown_by(log, again) is log  # a merge adds no held identity
     with pytest.raises(DuplicateEventError):
         Log.from_events(LogRole.EDIT, [*events, again])
-    # one peer's events at one clock go in together, in any order
+    # one peer's events at one clock go in together, in canonical order
     tick = [PerformedEdit(3, Verb.COMMENT, "P1"), PerformedEdit(3, Verb.READ, "P1")]
-    assert _insert_events(log, tick).entries[3:] == tuple(reversed(tick))
+    assert grown_by(log, *tick).entries[3:] == tuple(reversed(tick))
 
 
 def test_merge_requires_same_role():
@@ -258,7 +267,7 @@ def test_receive_log_with_a_receiver_restamps_nothing_in_an_edit_log():
 
 
 def serialized(log):
-    return log_to_dict(log, "d")["events"]
+    return [oracle_event_dict(e) for e in log.entries]
 
 
 def expected_receive(local, received, receiver, clock):
@@ -321,27 +330,22 @@ def test_receive_log_matches_reference(local_events, received_events, case, rece
         assert got._lineage is not received._lineage
 
 
-def insert_rejection(log, events):
-    """The error ``_insert_events(log, events)`` must raise, or None."""
-    held = {dedup_key(e) for e in log}
-    for event in events:
-        if isinstance(event, PerformedEdit) is not (log.role is LogRole.EDIT):
-            return MixedRolesError
-        if dedup_key(event) in held:
-            return DuplicateEventError
-        held.add(dedup_key(event))
-    return None
+def restamps(local, received, receiver):
+    """Whether receiving ``received`` into ``local`` re-stamps an obligation,
+    which makes ``receive_log`` check its clock."""
+    held = {_identity(e) for e in serialized(local)}
+    return any(
+        e["kind"] == "obligation" and e["to"] == receiver and _identity(e) not in held
+        for e in serialized(received)
+    )
 
 
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(("insert", "receive", "merge")),
+            st.sampled_from(("reject", "receive", "merge")),
             st.integers(0, 99),
-            st.lists(
-                st.one_of(comm_events(), st.just(PerformedEdit(1, Verb.READ, "P1"))),
-                max_size=4,
-            ),
+            st.lists(comm_events(), max_size=4),
             st.sampled_from(RECEIVE_PEERS),
             st.integers(1, 9),
         ),
@@ -350,34 +354,30 @@ def insert_rejection(log, events):
 )
 def test_chained_log_ops_hand_the_key_set_on(steps):
     # Each step derives a log from an earlier version, often not the
-    # latest, so two logs derived from one parent are common.
+    # latest, so two logs derived from one parent are common.  A "reject"
+    # step receives at clock 0, which fails once the receive re-stamps.
     versions = [empty_log(LogRole.COMM)]
     for op, pick, events, receiver, clock in steps:
         base = versions[pick % len(versions)]
-        if op == "insert":
-            error = insert_rejection(base, events)
-            keys, entries = base._keys, base.entries
-            held = None if keys is None else set(keys)
-            if error is not None:
-                with pytest.raises(error):
-                    _insert_events(base, events)
-                assert base.entries == entries and base._keys is keys
-                assert keys is None or keys == held
+        received = comm_log(events) if events else versions[(pick // 7) % len(versions)]
+        if op == "reject":
+            clock = 0
+            if restamps(base, received, receiver):
+                lineage, arrived, keys = base._lineage, list(base._lineage.events), base._keys
+                held = None if keys is None else set(keys)
+                with pytest.raises(ValueError, match="^clock must be a positive integer$"):
+                    receive_log(base, received, receiver, clock)
+                assert base._lineage is lineage and list(lineage.events) == arrived
+                assert base._keys is keys and (keys is None or keys == held)
                 check_log(base)
                 continue
-            got = _insert_events(base, events)
-            assert got == Log.from_events(LogRole.COMM, [*base, *events])
+        if op == "merge":
+            got = merge_logs(base, received)
+            want = expected_receive(base, received, None, 0)
         else:
-            received = versions[(pick // 7) % len(versions)]
-            if events and not any(isinstance(e, PerformedEdit) for e in events):
-                received = comm_log(events)
-            if op == "merge":
-                got = merge_logs(base, received)
-                want = expected_receive(base, received, None, 0)
-            else:
-                got = receive_log(base, received, receiver, clock)
-                want = expected_receive(base, received, receiver, clock)
-            assert serialized(got) == want
+            got = receive_log(base, received, receiver, clock)
+            want = expected_receive(base, received, receiver, clock)
+        assert serialized(got) == want
         versions.append(got)
         for log in {id(log): log for log in versions}.values():
             check_log(log)
@@ -385,9 +385,9 @@ def test_chained_log_ops_hand_the_key_set_on(steps):
 
 def test_a_derived_log_shares_and_grows_its_parents_key_set():
     first, second, third = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
-    parent = _insert_events(empty_log(LogRole.EDIT), [first])
+    parent = grown_by(empty_log(LogRole.EDIT), first)
     keys = parent._keys
-    child = _insert_events(parent, [second])
+    child = grown_by(parent, second)
     # the set was grown rather than rebuilt, and the child holds the
     # parent's event objects rather than copies
     assert child._keys is keys and parent._keys is keys
@@ -396,67 +396,60 @@ def test_a_derived_log_shares_and_grows_its_parents_key_set():
     assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._keys is keys
     # the parent's set is now larger than the parent, so a second
     # derivation from the parent builds a new one
-    sibling = _insert_events(parent, [third])
+    sibling = grown_by(parent, third)
     assert sibling._keys is not keys
     assert sibling._keys == {dedup_key(first), dedup_key(third)}
     for log in (parent, child, sibling):
         check_log(log)
 
 
-def test_a_rejected_insert_leaves_the_log_and_its_key_set():
+def test_a_rejected_receive_leaves_the_log_and_its_key_set():
+    # A receive checks its clock only when it re-stamps an obligation new
+    # to the receiver, after it has read, or built, the local key set.
     share = PerformedShare(2, "P1", "P2")
+    new = Log.from_events(LogRole.COMM, [PerformedShare(3, "P1", "P3"), obl(9, Verb.COMMENT)])
     for log in (
-        Log.from_events(LogRole.COMM, [share, obl(2)]),
-        _insert_events(Log(LogRole.COMM), [share, obl(2)]),
+        Log.from_events(LogRole.COMM, [share, obl(2)]),  # holds no key set yet
+        grown_by(Log(LogRole.COMM), share, obl(2)),
     ):
         keys = log._keys
         held = None if keys is None else set(keys)
-        for bad in (
-            [obl(9)],
-            [PerformedShare(3, "P1", "P3"), obl(9)],
-            [PerformedShare(3, "P1", "P3"), PerformedShare(3, "P1", "P3")],
-            [PerformedEdit(3, Verb.READ, "P1")],
-        ):
-            with pytest.raises((DuplicateEventError, MixedRolesError)):
-                _insert_events(log, bad)
-            assert log.entries == (obl(2), share)
-            assert log._keys is keys and (keys is None or keys == held)
-        for event, error in (
-            (share, DuplicateEventError),
-            (PerformedEdit(1, Verb.READ, "P1"), MixedRolesError),
+        for received, clock, error in (
+            (new, 0, ValueError),
+            (new, True, ValueError),
+            (Log(LogRole.EDIT, (PerformedEdit(1, Verb.READ, "P1"),)), 1, MixedRolesError),
         ):
             with pytest.raises(error):
-                _insert_events(log, [event])
+                receive_log(log, received, "P2", clock)
             assert log.entries == (obl(2), share)
             assert log._keys is keys and (keys is None or keys == held)
             check_log(log)
-        # the rejected inserts added nothing, so a new event still goes in
-        late = _insert_events(log, [PerformedShare(2, "P1", "P3")])
-        assert late.entries == (obl(2), share, PerformedShare(2, "P1", "P3"))
+        # a receive that re-stamps nothing never reads its clock
+        assert receive_log(log, Log.from_events(LogRole.COMM, [obl(7), share]), "P2", 0) is log
+        # the rejected receives added nothing, so the new events still go in
+        late = receive_log(log, new, "P2", 5)
+        assert late.entries == (obl(2), share, PerformedShare(3, "P1", "P3"), obl(5, Verb.COMMENT))
         check_log(late)
 
 
-def test_a_rejected_insert_leaves_the_lineage_for_the_next_op():
-    first, second = PerformedEdit(1, Verb.READ, "P1"), PerformedEdit(2, Verb.READ, "P1")
-    log = _insert_events(empty_log(LogRole.EDIT), [first, second])
+def test_a_rejected_receive_leaves_the_lineage_for_the_next_op():
+    first, second = PerformedShare(1, "P1", "P2"), PerformedShare(2, "P1", "P2")
+    log = grown_by(empty_log(LogRole.COMM), first, second)
     lineage, keys = log._lineage, log._keys
-    fresh = PerformedEdit(3, Verb.COMMENT, "P1")
-    # each rejected batch starts with an event that could go in alone
-    for bad, error in (
-        ([fresh, second], DuplicateEventError),
-        ([fresh, PerformedShare(3, "P1", "P2")], MixedRolesError),
-    ):
-        with pytest.raises(error):
-            _insert_events(log, bad)
-        assert lineage.events == [first, second]
-        assert keys == {dedup_key(first), dedup_key(second)}
+    # the rejected receive's first new event could go in alone; its second
+    # is an obligation to re-stamp
+    third = PerformedShare(3, "P1", "P3")
+    bad = Log.from_events(LogRole.COMM, [third, obl(4)])
+    with pytest.raises(ValueError, match="^clock must be a positive integer$"):
+        receive_log(log, bad, "P2", 0)
+    assert lineage.events == [first, second]
+    assert keys == {dedup_key(first), dedup_key(second)}
     # the next op appends to the same list and grows the same set: it
-    # neither forks nor rebuilds, as if the rejected calls never happened
-    third = PerformedEdit(3, Verb.READ, "P1")
-    inserted = _insert_events(log, [third])
-    assert inserted._lineage is lineage and inserted._keys is keys
+    # neither forks nor rebuilds, as if the rejected call never happened
+    received = grown_by(log, third)
+    assert received._lineage is lineage and received._keys is keys
     assert lineage.events == [first, second, third] and len(keys) == 3
-    check_log(inserted)
+    check_log(received)
 
 
 def test_log_takes_a_tuple_of_its_entries():
@@ -511,7 +504,7 @@ def test_every_version_of_a_lineage_reads_its_own_entries(steps):
         event = PerformedEdit(clock, Verb.READ, by)
         if event in events:
             continue
-        versions.append((_insert_events(base, [event]), [*events, event]))
+        versions.append((grown_by(base, event), [*events, event]))
     for pick, _, _ in reversed(steps):
         log, events = versions[pick % len(versions)]
         assert log.entries == Log.from_events(LogRole.EDIT, events).entries
@@ -544,7 +537,7 @@ def test_a_deliver_reads_past_the_last_delivered_message():
     assert state.comm_log == receive_log(held.comm_log, second.comm_log, "P2", 2)
     # ``local`` lacks a1 and a2, so what a receive adds shows what it read
     a1, a2, a3 = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
-    later = _insert_events(_insert_events(empty_log(LogRole.EDIT), [a1, a2]), [a3])
+    later = grown_by(grown_by(empty_log(LogRole.EDIT), a1, a2), a3)
     local = Log(LogRole.EDIT, (PerformedEdit(1, Verb.READ, "P2"),))
     assert _received(local, later, None, 0, 2)[1] == [a3]
     assert sorted(_received(local, later, None, 0)[1], key=sort_key) == [a1, a2, a3]
@@ -583,24 +576,24 @@ def test_an_outbound_filters_only_what_its_source_added():
     grant = obl(2, by="P1", to="P3", share_clock=2)  # to a third peer: dropped
     theirs = obl(3, by="P2", to="P1", share_clock=3)
     events = [PerformedShare(1, "P1", "P2"), obl(1, by="P1", to="P2", share_clock=1)]
-    comm = _insert_events(empty_log(LogRole.COMM), events)
+    comm = grown_by(empty_log(LogRole.COMM), *events)
     channel = _Channel()
     first = _outbound(comm, "P1", "P2", channel)  # nothing dropped, yet the channel's own
     assert first.entries == comm.entries and first._lineage is not comm._lineage
     assert channel.read == len(comm)
-    grown = _insert_events(comm, [grant, PerformedShare(2, "P1", "P3"), theirs])
+    grown = grown_by(comm, grant, PerformedShare(2, "P1", "P3"), theirs)
     second = _outbound(grown, "P1", "P2", channel)
     assert second.entries == (*comm.entries, theirs)
     assert second._lineage is first._lineage  # appended to the channel's lineage
     assert first.entries == comm.entries  # which leaves the earlier message as it was
     assert channel.read == len(grown)
     # a drop with nothing kept leaves the channel's log as it is
-    base = _insert_events(empty_log(LogRole.COMM), events)
+    base = grown_by(empty_log(LogRole.COMM), *events)
     channel = _Channel()
     sent = _outbound(base, "P1", "P2", channel)
-    dropped = _insert_events(base, [grant])
+    dropped = grown_by(base, grant)
     assert _outbound(dropped, "P1", "P2", channel) is sent
-    later = _insert_events(dropped, [theirs])
+    later = grown_by(dropped, theirs)
     appended = _outbound(later, "P1", "P2", channel)
     assert appended.entries == (*base.entries, theirs) and appended._lineage is sent._lineage
     for out in (sent, appended):
@@ -610,13 +603,13 @@ def test_an_outbound_filters_only_what_its_source_added():
 
 def test_copies_and_the_original_derive_alike():
     first, second = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2))
-    log = _insert_events(empty_log(LogRole.EDIT), [first])
+    log = grown_by(empty_log(LogRole.EDIT), first)
     assert log._keys is not None
     for copied in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
         assert copied == log
         check_log(copied)
         for parent in (copied, log):
-            derived = _insert_events(parent, [second])
+            derived = grown_by(parent, second)
             assert derived.entries == (first, second)
             check_log(derived)
         check_log(log)
@@ -634,25 +627,7 @@ def test_copies_and_the_original_derive_alike():
     )
 )
 def test_event_json_round_trip(event):
-    assert event_from_dict(event_to_dict(event)) == event
-
-
-def test_event_from_dict_rejects_malformed():
-    good = event_to_dict(obl(1))
-    for mutate in (
-        lambda d: d.update(kind="bogus"),
-        lambda d: d.update(verb="destroy"),
-        lambda d: d.update(clock=0),
-        lambda d: d.update(clock=True),
-        lambda d: d.update(allow="yes"),
-        lambda d: d.pop("origin"),
-        lambda d: d.update(extra=1),
-        lambda d: d.update(origin={"grantor": "P1"}),
-    ):
-        bad = {k: (dict(v) if isinstance(v, dict) else v) for k, v in good.items()}
-        mutate(bad)
-        with pytest.raises(ValueError):
-            event_from_dict(bad)
+    assert parsed(event_to_dict(event)) == event
 
 
 def test_log_file_round_trip():
@@ -735,7 +710,7 @@ def _key_test_events():
 
 def test_event_keys_match_the_oracle():
     for events in _key_test_events():
-        raws = [event_to_dict(e) for e in events]
+        raws = [oracle_event_dict(e) for e in events]
         for e, raw in zip(events, raws):
             assert sort_key(e) == _canonical(raw)
         for a, raw_a in zip(events, raws):
@@ -749,7 +724,7 @@ def test_event_keys_survive_copies_and_replace():
             for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
                 assert (copied._key, copied._id) == (e._key, e._id)
             moved = dataclasses.replace(e, clock=e.clock + 1)
-            assert sort_key(moved) == _canonical(event_to_dict(moved))
+            assert sort_key(moved) == _canonical(oracle_event_dict(moved))
             assert dedup_key(moved) == (e._id if isinstance(e, Obligation) else sort_key(moved))
 
 
@@ -905,10 +880,6 @@ def test_log_file_event_rejections_are_pinned(raw, message):
         log_from_dict(data, where="f.json")
     assert type(caught.value) is ValueError
     assert str(caught.value) == f"f.json: events[1]: {message}"
-    with pytest.raises(Exception) as caught:
-        event_from_dict(raw, where="e")
-    assert type(caught.value) is ValueError
-    assert str(caught.value) == f"e: {message}"
 
 
 FILE_REJECTIONS = [
@@ -985,8 +956,6 @@ def test_obligations_cannot_govern_create():
     with pytest.raises(ValueError, match="^obligations cannot govern create$"):
         obl(1, Verb.CREATE)
     raw = bad_event("obligation", verb="create")
-    with pytest.raises(ValueError, match=r"^e: obligations cannot govern create$"):
-        event_from_dict(raw, where="e")
     data = {"doc_id": "d", "role": "comm", "events": [dict(GOOD_EVENT["share"], clock=1), raw]}
     with pytest.raises(ValueError, match=r"^f\.json: events\[1\]: obligations cannot govern create$"):
         log_from_dict(data, where="f.json")
@@ -1093,7 +1062,7 @@ def test_parsed_events_pass_their_own_checks(raw):
     # Every event the parser accepts passes the constructors' checks
     # again, compares equal when rebuilt and serializes back to its input.
     try:
-        event = event_from_dict(raw)
+        event = parsed(raw)
     except ValueError:
         return
     if isinstance(event, Obligation):
@@ -1178,11 +1147,11 @@ class Raw(dict):
 def test_constructors_and_parser_agree_on_raw_events(raw):
     assume(well_shaped(raw))
     try:
-        event = event_from_dict(raw, where="e")
+        event = parsed(raw, where="e")
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
             constructed(raw)
-        assert f"e: {caught.value}" == str(exc)
+        assert f"e: events[0]: {caught.value}" == str(exc)
     else:
         assert slot_values(event) == slot_values(constructed(raw))
 
@@ -1215,7 +1184,6 @@ def test_constructed_events_round_trip(kind, clock, verb, allow, by, to, share_c
         event = make_event(kind, clock, verb, allow, by, to, share_clock)
     except ValueError:
         return
-    assert event_from_dict(event_to_dict(event)) == event
     role = LogRole.EDIT if kind == "edit" else LogRole.COMM
     assert log_from_dict(log_to_dict(Log(role, (event,)), "d")) == ("d", Log(role, (event,)))
 

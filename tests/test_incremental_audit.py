@@ -26,14 +26,13 @@ from logtrust import (
     PerformedShare,
     Simulation,
     Verb,
-    event_to_dict,
     generate_scenario,
     local_trust_assessment,
     sort_key,
 )
 from logtrust.audit import CopyAudit
 from logtrust.simulator import apply_command, parse_scenario
-from oracle import oracle_report, violation_tuple
+from oracle import oracle_event_dict, oracle_report, violation_tuple
 
 # Each trust model with its ``oracle_trust`` arguments
 MULTIPLICATIVE = (MultiplicativeTrust(), ("multiplicative", 0.5))
@@ -47,8 +46,8 @@ def check_audit(report, state, mode, model):
         state.edit_log, state.comm_log, document, state.peer, model[0], mode=mode
     )
     assert report == fresh
-    edit = [event_to_dict(e) for e in state.edit_log]
-    comm = [event_to_dict(e) for e in state.comm_log]
+    edit = [oracle_event_dict(e) for e in state.edit_log]
+    comm = [oracle_event_dict(e) for e in state.comm_log]
     want = oracle_report(edit, comm, state.creator, state.peer, mode.value, *model[1])
     assert ([violation_tuple(v) for v in report.violations], report.trust) == want
 
@@ -166,8 +165,8 @@ def test_hand_made_folds_take_each_path_of_the_fold(mode):
         report = audit.report("d")
         assert report == CopyAudit("P1", "P1", mode, seen).report("d")
         ordered = sorted(seen, key=sort_key)  # log order
-        edit = [event_to_dict(e) for e in ordered if isinstance(e, PerformedEdit)]
-        comm = [event_to_dict(e) for e in ordered if not isinstance(e, PerformedEdit)]
+        edit = [oracle_event_dict(e) for e in ordered if isinstance(e, PerformedEdit)]
+        comm = [oracle_event_dict(e) for e in ordered if not isinstance(e, PerformedEdit)]
         want = oracle_report(edit, comm, "P1", "P1", mode.value, *MULTIPLICATIVE[1])
         assert ([violation_tuple(v) for v in report.violations], report.trust) == want
         if events is folds[0]:

@@ -14,10 +14,9 @@ from logtrust import (
     PerformedShare,
     Verb,
     detect_violations,
-    event_to_dict,
 )
 from logtrust.kernel import GoverningIndex
-from oracle import oracle_status, oracle_violations, violation_tuple
+from oracle import oracle_event_dict, oracle_status, oracle_violations, violation_tuple
 
 PEERS = ("P1", "P2", "P3", "P4", "P5")
 ACTION_VERBS = (Verb.READ, Verb.COMMENT, Verb.DELETE_COMMENT)
@@ -235,7 +234,7 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
     group.  Each group's ``answers``, read at every clock, are ``query``'s."""
     events, batches = case
     log = Log.from_events(LogRole.COMM, events)
-    comm = [event_to_dict(e) for e in log]
+    comm = [oracle_event_dict(e) for e in log]
     actions = [(to, verb, clock) for to in GRANTEES for verb in GRANTED for clock in range(1, 9)]
     for literal in (False, True):
         index = GoverningIndex(literal)
@@ -260,9 +259,9 @@ def test_index_answers_do_not_depend_on_arrival_order(case):
         mode = "literal" if literal else "prose"
         for (by, verb, clock), got in zip(actions, answers):
             if verb is Verb.SHARE:
-                edits, comms = [], comm + [event_to_dict(PerformedShare(clock, by, "P9"))]
+                edits, comms = [], comm + [oracle_event_dict(PerformedShare(clock, by, "P9"))]
             else:
-                edits, comms = [event_to_dict(PerformedEdit(clock, verb, by))], comm
+                edits, comms = [oracle_event_dict(PerformedEdit(clock, verb, by))], comm
             want = oracle_violations(edits, comms, "P0", mode)
             if got is None or got.allow:
                 assert want == set()
@@ -320,8 +319,8 @@ def test_detect_violations_matches_oracle(n_cases, n_shares, shift):
         edit, comm = random_logs(rng, n_shares, shift)
         if n_shares == 3000:
             assert len(edit) + len(comm) >= 10**4
-        edit_events = [event_to_dict(e) for e in edit]
-        comm_events = [event_to_dict(e) for e in comm]
+        edit_events = [oracle_event_dict(e) for e in edit]
+        comm_events = [oracle_event_dict(e) for e in comm]
         for mode in AuditMode:
             got = {violation_tuple(v) for v in detect_violations(edit, comm, mode=mode)}
             assert got == oracle_by_group(edit_events, comm_events, mode.value)
@@ -334,7 +333,7 @@ def test_effective_status_matches_oracle():
     for shift in (0, 2**31):
         for _ in range(100):
             _, comm = random_logs(rng, 6, shift)
-            comm_events = [event_to_dict(e) for e in comm]
+            comm_events = [oracle_event_dict(e) for e in comm]
             actions = [
                 (peer, verb, shift + rng.randint(1, 26)) for peer in PEERS for verb in OBLIGATION_VERBS
             ]

@@ -622,6 +622,13 @@ def test_parse_scenario_rejects_a_bad_peers_list(peers):
     assert str(exc.value) == "peers must be an array of non-empty strings"
 
 
+def test_parse_scenario_rejects_a_name_that_is_no_string():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({"name": 5, "commands": []})
+    assert exc.value.index is None
+    assert str(exc.value) == "name must be a string"
+
+
 def test_run_scenario_wraps_runtime_errors_with_index():
     data = {
         "commands": [

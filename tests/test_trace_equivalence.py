@@ -24,7 +24,6 @@ from logtrust import (
     ObligationAtom,
     Simulation,
     Verb,
-    event_to_dict,
     generate_scenario,
     parse_command,
     parse_scenario,
@@ -32,7 +31,7 @@ from logtrust import (
     run_scenario,
 )
 from logtrust import simulator
-from oracle import oracle_comments
+from oracle import oracle_comments, oracle_event_dict
 from test_large_logs import PREFIX, interleaved
 
 # SHA-256 over the JSON text (``ScenarioTrace.json_pieces``, which ``run
@@ -60,7 +59,7 @@ class EagerCapture:
         if id(log) not in self._logs:
             events = tuple(log)
             if events not in self._lists:
-                self._lists[events] = [event_to_dict(e) for e in events]
+                self._lists[events] = [oracle_event_dict(e) for e in events]
             self._logs[id(log)] = (log, self._lists[events])
         return self._logs[id(log)][1]
 
@@ -265,6 +264,25 @@ def test_snapshots_store_about_what_their_commands_change():
         assert history_items(history) == stored, order
 
 
+def test_every_recorded_copy_grows_a_log():
+    """Each command that records a held copy adds to one of its logs, so the
+    writer re-renders every recorded copy without checking for an unchanged
+    one: create, edit and batch add an edit, a share appends the sender's
+    share event, and a deliver brings the share event of its own channel,
+    which the outbound filter sends no other peer."""
+    for seed in range(100):
+        trace = run_scenario(generate_scenario(seed, max_peers=6, max_commands=80))
+        last = {}
+        for k, copy in enumerate(trace.snapshots[0]._history.copies):
+            if copy is None:
+                continue
+            before = last.get(copy[:2])
+            if before is not None:
+                grown = [len(new) > len(old) for new, old in zip(copy[2:4], before[2:4])]
+                assert any(grown), (seed, k)
+            last[copy[:2]] = copy
+
+
 def test_generated_traces_are_byte_identical():
     # Pins the JSON of 200 generated scenarios: any change to the engine,
     # the trace or the writer that moves one byte of output fails here.
@@ -274,10 +292,13 @@ def test_generated_traces_are_byte_identical():
         for piece in trace.json_pieces():
             digest.update(piece.encode())
     assert digest.hexdigest() == TRACES_SHA256
-    # A generated scenario has at least three commands, and asking for fewer says so.
+    # A generated scenario has at least three commands and two peers, and
+    # asking for fewer says so.
     assert len(generate_scenario(0, max_commands=3)["commands"]) == 3
     with pytest.raises(ValueError, match="need room for at least three commands"):
         generate_scenario(0, max_commands=2)
+    with pytest.raises(ValueError, match="^need at least two peers$"):
+        generate_scenario(0, max_peers=1)
 
 
 def test_writing_a_trace_leaves_its_states_and_logs_as_they_were():
