@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DuplicateEventError, MixedRolesError, UnorderedLogError
@@ -278,24 +278,31 @@ def _check(role: LogRole, entries: Iterable[Event]) -> None:
     entry as ``events[i]``.  A performed event's identity is its sort key,
     so in sorted entries its duplicates are neighbours; only obligations,
     whose identity leaves out their clock, need a set of the identities
-    seen.
+    seen.  Only a value whose class is not one of the role's is role-checked.
     """
     edit = role is LogRole.EDIT
+    performed, obligation = (PerformedEdit, None) if edit else (PerformedShare, Obligation)
     seen = set()
     previous = ()
     for i, event in enumerate(entries):
-        key = event._key if isinstance(event, _EVENT_TYPES) else sort_key(event)  # raises TypeError
-        variant = key[2]  # 0 for obligations, 1 for performed shares, 2 for edits
-        if (variant == 2) is not edit:
-            raise MixedRolesError(
-                f"events[{i}]: {type(event).__name__} does not belong in a {role.value} log"
-            )
-        if variant == 0:
-            if event._id in seen:
+        cls = event.__class__
+        if cls is not performed and cls is not obligation:
+            key = event._key if isinstance(event, _EVENT_TYPES) else sort_key(event)  # raises TypeError
+            variant = key[2]  # 0 for obligations, 1 for performed shares, 2 for edits
+            if (variant == 2) is not edit:
+                raise MixedRolesError(
+                    f"events[{i}]: {type(event).__name__} does not belong in a {role.value} log"
+                )
+            cls = obligation if variant == 0 else performed
+        key = event._key
+        if cls is performed:
+            if key == previous:
                 raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
+        else:
+            n = len(seen)
             seen.add(event._id)
-        elif key == previous:
-            raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
+            if len(seen) == n:
+                raise DuplicateEventError(f"events[{i}] duplicates an earlier event")
         if key < previous:
             raise UnorderedLogError(f"events[{i}] is out of order")
         previous = key
@@ -374,12 +381,6 @@ class Log:
         if entries is None:
             entries = self._entries = _sorted(self._lineage, self._n)
         return entries
-
-    @property
-    def _keys(self) -> Optional[set]:
-        """The lineage's identity set, or None: a superset of the log's
-        identities, and exactly them while the log is the lineage's head."""
-        return self._lineage.keys
 
     def __len__(self) -> int:
         return self._n
@@ -725,72 +726,89 @@ def event_to_dict(event: Event) -> dict:
     return json.loads(_event_json(event, 0))
 
 
-# Per event kind: its field names, the order ``_event`` reads them in.
+# Per event kind: its field names.
 _FIELDS_BY_KIND = {
-    "edit": ("kind", "clock", "verb", "by"),
-    "share": ("kind", "clock", "verb", "by", "to"),
-    "obligation": ("kind", "clock", "verb", "by", "to", "allow", "origin"),
+    "edit": {"kind", "clock", "verb", "by"},
+    "share": {"kind", "clock", "verb", "by", "to"},
+    "obligation": {"kind", "clock", "verb", "by", "to", "allow", "origin"},
 }
-_VALUES_BY_KIND = {kind: itemgetter(*names) for kind, names in _FIELDS_BY_KIND.items()}
+
+
+# A kind's decoder builds by its builder an event whose fields, all there (a
+# missing one reads None), pass an exact-class guard on the constructors' checks.
+def _edit_event(data: dict) -> Event:
+    clock, verb, by = data.get("clock"), _VERB_BY_VALUE.get(data.get("verb")), data.get("by")
+    if (len(data) == 4 and clock.__class__ is int and clock > 0 and by.__class__ is str and by
+            and verb is not None and verb is not _SHARE):
+        return _performed_edit(_new(PerformedEdit), clock, verb, by)
+    return _constructed(data)
+
+
+def _share_event(data: dict) -> Event:
+    clock, by, to = data.get("clock"), data.get("by"), data.get("to")
+    if (len(data) == 5 and clock.__class__ is int and clock > 0 and by.__class__ is str and by
+            and to.__class__ is str and to and by != to and data.get("verb") == "share"):
+        return _performed_share(_new(PerformedShare), clock, by, to)
+    return _constructed(data)
+
+
+def _obligation_event(data: dict) -> Event:
+    clock, verb, allow = data.get("clock"), _VERB_BY_VALUE.get(data.get("verb")), data.get("allow")
+    by, to, raw = data.get("by"), data.get("to"), data.get("origin")
+    if (len(data) == 7 and clock.__class__ is int and clock > 0 and by.__class__ is str and by
+            and to.__class__ is str and to and by != to and allow.__class__ is bool
+            and verb in OBLIGATION_VERBS and raw.__class__ is dict and len(raw) == 3):
+        grantor, grantee, share_clock = raw.get("grantor"), raw.get("grantee"), raw.get("share_clock")
+        if (grantor.__class__ is str and grantor == by and grantee.__class__ is str and grantee == to
+                and share_clock.__class__ is int and share_clock > 0):
+            origin = _origin_key(_new(OriginKey), grantor, grantee, share_clock)
+            return _obligation(_new(Obligation), clock, verb, allow, origin)
+    return _constructed(data)
+
+
+_DECODERS = {"edit": _edit_event, "share": _share_event, "obligation": _obligation_event}
 
 
 def _event(data) -> Event:
-    """Parse one serialized event; a ValueError names its first problem.
+    """Parse one serialized event: a plain ``dict`` by its kind's decoder, and
+    any other value, or a bad or unhashable kind or verb, by ``_constructed``."""
+    try:
+        return _DECODERS[data["kind"]](data) if data.__class__ is dict else _constructed(data)
+    except (KeyError, TypeError):
+        return _constructed(data)
 
-    The JSON shape is checked first.  An event whose values then pass the
-    constructors' checks on exact classes is built once, by its kind's
-    builder; any other goes to the constructors, which give every message.
-    A message is put together only once a test has failed.
-    """
+
+def _constructed(data) -> Event:
+    """Parse one serialized event by the constructors, which check its
+    values and give every message, once its JSON shape is checked: an
+    object, its kind, its exact field set and its verb by value."""
     if not isinstance(data, dict):
         raise ValueError("expected an object")
     kind = data.get("kind")
-    values_of = _VALUES_BY_KIND.get(kind) if isinstance(kind, str) else None
-    if values_of is None:
+    names = _FIELDS_BY_KIND.get(kind) if isinstance(kind, str) else None
+    if names is None:
         raise ValueError(f"unknown kind {kind!r}")
+    missing, unexpected = sorted(names - data.keys()), sorted(data.keys() - names)
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    if unexpected:
+        raise ValueError(f"unexpected fields {unexpected}")
     try:
-        if len(data) != len(_FIELDS_BY_KIND[kind]):
-            raise KeyError
-        values = values_of(data)
-    except KeyError:
-        expected = set(_FIELDS_BY_KIND[kind])
-        missing = expected - data.keys()
-        if missing:
-            raise ValueError(f"missing fields {sorted(missing)}") from None
-        raise ValueError(f"unexpected fields {sorted(data.keys() - expected)}") from None
-    try:
-        verb = _VERB_BY_VALUE[values[2]]
+        verb = _VERB_BY_VALUE[data["verb"]]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown verb {values[2]!r}") from None
-    clock, by = values[1], values[3]
-    # The guard tests exact classes: a ``true`` clock is no int here.
-    fast = data.__class__ is dict and clock.__class__ is int and clock > 0 and by.__class__ is str and by
+        raise ValueError(f"unknown verb {data['verb']!r}") from None
+    clock, by = data["clock"], data["by"]
     if kind == "edit":
-        if not fast or verb is _SHARE:
-            return PerformedEdit(clock, verb, by)
-        return _performed_edit(_new(PerformedEdit), clock, verb, by)
-    to = values[4]
-    fast = fast and to.__class__ is str and to and by != to
+        return PerformedEdit(clock, verb, by)
     if kind == "share":
         if verb is not _SHARE:
             raise ValueError("share events must carry verb 'share'")
-        if not fast:
-            return PerformedShare(clock, by, to)
-        return _performed_share(_new(PerformedShare), clock, by, to)
-    raw, allow = values[6], values[5]
-    if fast and allow.__class__ is bool and verb in OBLIGATION_VERBS and raw.__class__ is dict:
-        grantor, grantee, share_clock = raw.get("grantor"), raw.get("grantee"), raw.get("share_clock")
-        if (len(raw) == 3 and grantor.__class__ is str and grantee.__class__ is str and grantor == by
-                and grantee == to and share_clock.__class__ is int and share_clock > 0):
-            origin = _origin_key(_new(OriginKey), grantor, grantee, share_clock)
-            return _obligation(_new(Obligation), clock, verb, allow, origin)
-    try:
-        if not isinstance(raw, dict) or len(raw) != 3:
-            raise KeyError
-        origin = OriginKey(raw["grantor"], raw["grantee"], raw["share_clock"])
-    except KeyError:
-        raise ValueError(_ORIGIN_SHAPE) from None
-    return Obligation(clock, verb, allow, by, to, origin)
+        return PerformedShare(clock, by, data["to"])
+    raw = data["origin"]
+    if not isinstance(raw, dict) or raw.keys() != {"grantor", "grantee", "share_clock"}:
+        raise ValueError(_ORIGIN_SHAPE)
+    origin = OriginKey(raw["grantor"], raw["grantee"], raw["share_clock"])
+    return Obligation(clock, verb, data["allow"], by, data["to"], origin)
 
 
 def log_to_dict(log: Log, doc_id: str) -> dict:
@@ -823,14 +841,16 @@ def log_from_dict(data: dict, where: str = "log") -> tuple[str, Log]:
     raw_events = data["events"]
     if not isinstance(raw_events, list):
         raise ValueError(f"{where}: events must be an array")
-    events = []
     try:
-        for raw in raw_events:
-            events.append(_event(raw))
-    except ValueError as exc:
-        raise ValueError(f"{where}: events[{len(events)}]: {exc}") from None
+        events = tuple([_event(raw) for raw in raw_events])
+    except ValueError:
+        for i, raw in enumerate(raw_events):  # find the first bad event
+            try:
+                _event(raw)
+            except ValueError as exc:
+                raise ValueError(f"{where}: events[{i}]: {exc}") from None
     try:
-        log = Log(role, tuple(events))
+        log = Log(role, events)
     except (DuplicateEventError, MixedRolesError, UnorderedLogError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
     return doc_id, log

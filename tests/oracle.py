@@ -210,6 +210,35 @@ def _same_event(a, b):
     return _identity(a) == _identity(b)
 
 
+_ROLE_KINDS = {"edit": ("edit",), "comm": ("share", "obligation")}
+
+
+def oracle_log_fault(role, events):
+    """The first event at which a serialized log of ``role`` breaks the log
+    invariant, as (index, "role" | "order" | "duplicate"), or None.
+
+    Every event must be of a kind ``role`` holds, sort no earlier than its
+    predecessor and have an identity no earlier event has.  An event that
+    breaks two of these gets the first fault named, except that an
+    obligation's repeat is a duplicate even out of order: its identity
+    leaves out its clock.
+    """
+    seen = set()
+    for i, e in enumerate(events):
+        if e["kind"] not in _ROLE_KINDS[role]:
+            return i, "role"
+        identity = _identity(e)
+        repeat = identity in seen
+        if repeat and e["kind"] == "obligation":
+            return i, "duplicate"
+        if i and _canonical(e) < _canonical(events[i - 1]):
+            return i, "order"
+        if repeat:
+            return i, "duplicate"
+        seen.add(identity)
+    return None
+
+
 def oracle_receive(local, incoming, receiver, clock):
     """``local`` plus every incoming event it lacks (looked up in a set of
     ``local``'s identities), the obligations among those addressed to

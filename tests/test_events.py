@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import pickle
@@ -36,7 +37,14 @@ from logtrust import (
 from logtrust import events as events_module
 from logtrust.events import _Channel, _outbound, _received
 from logtrust.simulator import apply_command
-from oracle import _canonical, _identity, _same_event, oracle_event_dict, oracle_receive
+from oracle import (
+    _canonical,
+    _identity,
+    _same_event,
+    oracle_event_dict,
+    oracle_log_fault,
+    oracle_receive,
+)
 
 ORG = OriginKey("P1", "P2", 2)
 
@@ -49,9 +57,10 @@ def check_log(log):
         fresh = dataclasses.replace(e)
         assert (e._key, e._id) == (sort_key(fresh), dedup_key(fresh))
     identities = {dedup_key(e) for e in log.entries}
-    assert log._keys is None or log._keys >= identities
-    if log._keys is not None and len(log._keys) == len(log):
-        assert log._keys == identities
+    keys = log._lineage.keys
+    assert keys is None or keys >= identities
+    if keys is not None and len(keys) == len(log):
+        assert keys == identities
 
 
 def obl(clock, verb=Verb.READ, allow=True, by="P1", to="P2", share_clock=2):
@@ -363,12 +372,13 @@ def test_chained_log_ops_hand_the_key_set_on(steps):
         if op == "reject":
             clock = 0
             if restamps(base, received, receiver):
-                lineage, arrived, keys = base._lineage, list(base._lineage.events), base._keys
+                lineage = base._lineage
+                arrived, keys = list(lineage.events), lineage.keys
                 held = None if keys is None else set(keys)
                 with pytest.raises(ValueError, match="^clock must be a positive integer$"):
                     receive_log(base, received, receiver, clock)
                 assert base._lineage is lineage and list(lineage.events) == arrived
-                assert base._keys is keys and (keys is None or keys == held)
+                assert base._lineage.keys is keys and (keys is None or keys == held)
                 check_log(base)
                 continue
         if op == "merge":
@@ -386,19 +396,19 @@ def test_chained_log_ops_hand_the_key_set_on(steps):
 def test_a_derived_log_shares_and_grows_its_parents_key_set():
     first, second, third = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
     parent = grown_by(empty_log(LogRole.EDIT), first)
-    keys = parent._keys
+    keys = parent._lineage.keys
     child = grown_by(parent, second)
     # the set was grown rather than rebuilt, and the child holds the
     # parent's event objects rather than copies
-    assert child._keys is keys and parent._keys is keys
+    assert child._lineage.keys is keys and parent._lineage.keys is keys
     assert keys == {dedup_key(first), dedup_key(second)}
     assert child.entries[0] is parent.entries[0] is first
-    assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._keys is keys
+    assert merge_logs(child, Log.from_events(LogRole.EDIT, [third]))._lineage.keys is keys
     # the parent's set is now larger than the parent, so a second
     # derivation from the parent builds a new one
     sibling = grown_by(parent, third)
-    assert sibling._keys is not keys
-    assert sibling._keys == {dedup_key(first), dedup_key(third)}
+    assert sibling._lineage.keys is not keys
+    assert sibling._lineage.keys == {dedup_key(first), dedup_key(third)}
     for log in (parent, child, sibling):
         check_log(log)
 
@@ -412,7 +422,7 @@ def test_a_rejected_receive_leaves_the_log_and_its_key_set():
         Log.from_events(LogRole.COMM, [share, obl(2)]),  # holds no key set yet
         grown_by(Log(LogRole.COMM), share, obl(2)),
     ):
-        keys = log._keys
+        keys = log._lineage.keys
         held = None if keys is None else set(keys)
         for received, clock, error in (
             (new, 0, ValueError),
@@ -422,7 +432,7 @@ def test_a_rejected_receive_leaves_the_log_and_its_key_set():
             with pytest.raises(error):
                 receive_log(log, received, "P2", clock)
             assert log.entries == (obl(2), share)
-            assert log._keys is keys and (keys is None or keys == held)
+            assert log._lineage.keys is keys and (keys is None or keys == held)
             check_log(log)
         # a receive that re-stamps nothing never reads its clock
         assert receive_log(log, Log.from_events(LogRole.COMM, [obl(7), share]), "P2", 0) is log
@@ -435,7 +445,7 @@ def test_a_rejected_receive_leaves_the_log_and_its_key_set():
 def test_a_rejected_receive_leaves_the_lineage_for_the_next_op():
     first, second = PerformedShare(1, "P1", "P2"), PerformedShare(2, "P1", "P2")
     log = grown_by(empty_log(LogRole.COMM), first, second)
-    lineage, keys = log._lineage, log._keys
+    lineage, keys = log._lineage, log._lineage.keys
     # the rejected receive's first new event could go in alone; its second
     # is an obligation to re-stamp
     third = PerformedShare(3, "P1", "P3")
@@ -447,7 +457,7 @@ def test_a_rejected_receive_leaves_the_lineage_for_the_next_op():
     # the next op appends to the same list and grows the same set: it
     # neither forks nor rebuilds, as if the rejected call never happened
     received = grown_by(log, third)
-    assert received._lineage is lineage and received._keys is keys
+    assert received._lineage is lineage and received._lineage.keys is keys
     assert lineage.events == [first, second, third] and len(keys) == 3
     check_log(received)
 
@@ -604,7 +614,7 @@ def test_an_outbound_filters_only_what_its_source_added():
 def test_copies_and_the_original_derive_alike():
     first, second = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2))
     log = grown_by(empty_log(LogRole.EDIT), first)
-    assert log._keys is not None
+    assert log._lineage.keys is not None
     for copied in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
         assert copied == log
         check_log(copied)
@@ -939,6 +949,25 @@ FILE_REJECTIONS = [
         DuplicateEventError,
         "f.json: events[1] duplicates an earlier event",
     ),
+    # A bad event anywhere wins over an order or role fault before it.
+    (
+        {
+            "doc_id": "d",
+            "role": "comm",
+            "events": [GOOD_EVENT["share"], GOOD_EVENT["obligation"], bad_event("edit", kind="bogus")],
+        },
+        ValueError,
+        "f.json: events[2]: unknown kind 'bogus'",
+    ),
+    (
+        {
+            "doc_id": "d",
+            "role": "comm",
+            "events": [GOOD_EVENT["obligation"], GOOD_EVENT["edit"], bad_event("share", clock=0)],
+        },
+        ValueError,
+        "f.json: events[2]: clock must be a positive integer",
+    ),
 ]
 
 
@@ -1015,6 +1044,108 @@ def test_log_file_round_trip_on_random_logs(role, shift):
                 error,
                 f"f.json: {message}",
             )
+
+
+class SubEdit(PerformedEdit):
+    pass
+
+
+class SubShare(PerformedShare):
+    pass
+
+
+class SubObligation(Obligation):
+    pass
+
+
+SUBCLASSES = {PerformedEdit: SubEdit, PerformedShare: SubShare, Obligation: SubObligation}
+
+
+def subclassed(event):
+    """An event equal in every field to ``event``, of its class's subclass."""
+    cls = SUBCLASSES.get(type(event), type(event))
+    return cls(*(getattr(event, name) for name in cls.__match_args__))
+
+
+LOG_PEERS = ("P1", "P2", "P3")
+
+
+@st.composite
+def log_events(draw, kind):
+    by = draw(st.sampled_from(LOG_PEERS))
+    clock = draw(st.integers(1, 4))
+    if kind == "edit":
+        return PerformedEdit(clock, draw(st.sampled_from((Verb.READ, Verb.COMMENT))), by)
+    to = draw(st.sampled_from([p for p in LOG_PEERS if p != by]))
+    if kind == "share":
+        return PerformedShare(clock, by, to)
+    verb = draw(st.sampled_from((Verb.READ, Verb.SHARE)))
+    return obl(clock, verb, draw(st.booleans()), by, to, share_clock=draw(st.integers(1, 2)))
+
+
+ROLE_KINDS = {LogRole.EDIT: ["edit"], LogRole.COMM: ["share", "obligation"]}
+
+
+@st.composite
+def faulty_logs(draw):
+    """A role and entries: a valid log's, then swapped, repeated, re-clocked,
+    mixed with the other role's events and turned into subclass instances."""
+    role = draw(st.sampled_from(LogRole))
+    events = draw(st.lists(st.sampled_from(ROLE_KINDS[role]).flatmap(log_events), max_size=8))
+    entries = list(Log.from_events(role, {dedup_key(e): e for e in events}.values()).entries)
+    other = LogRole.COMM if role is LogRole.EDIT else LogRole.EDIT
+    steps = st.sampled_from(["swap", "repeat", "reclock", "role", "subclass"])
+    for step in draw(st.lists(steps, max_size=3)):
+        n = len(entries)
+        if step == "role":
+            event = draw(st.sampled_from(ROLE_KINDS[other]).flatmap(log_events))
+            entries.insert(draw(st.integers(0, n)), subclassed(event) if draw(st.booleans()) else event)
+        elif step == "swap" and n >= 2:
+            i = draw(st.integers(0, n - 2))
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        elif step == "repeat" and n:
+            j = draw(st.integers(0, n - 1))
+            entries.insert(draw(st.integers(j + 1, n)), entries[j])
+        elif step == "reclock" and any(isinstance(e, Obligation) for e in entries):
+            o = draw(st.sampled_from([e for e in entries if isinstance(e, Obligation)]))
+            moved = dataclasses.replace(o, clock=draw(st.integers(1, 5)))
+            entries.insert(draw(st.integers(0, n)), moved)
+        elif step == "subclass" and n:
+            j = draw(st.integers(0, n - 1))
+            entries[j] = subclassed(entries[j])
+    return role, entries
+
+
+FAULTS = {
+    "role": (MixedRolesError, "events[{i}]: {name} does not belong in a {role} log"),
+    "order": (UnorderedLogError, "events[{i}] is out of order"),
+    "duplicate": (DuplicateEventError, "events[{i}] duplicates an earlier event"),
+}
+EXACT_CLASS_NAMES = {"edit": "PerformedEdit", "share": "PerformedShare", "obligation": "Obligation"}
+
+
+@given(faulty_logs())
+def test_log_faults_match_the_oracle(case):
+    # The log invariant against an oracle that shares no code with _check:
+    # the constructor and the parser raise its fault at its index.
+    role, entries = case
+    raws = [oracle_event_dict(e) for e in entries]
+    data = {"doc_id": "d", "role": role.value, "events": raws}
+    fault = oracle_log_fault(role.value, raws)
+    if fault is None:
+        assert serialized(Log(role, tuple(entries))) == raws
+        assert serialized(log_from_dict(data)[1]) == raws
+        return
+    i, kind = fault
+    error, text = FAULTS[kind]
+    assert rejection(lambda: Log(role, tuple(entries))) == (
+        error,
+        text.format(i=i, name=type(entries[i]).__name__, role=role.value),
+    )
+    assert rejection(lambda: log_from_dict(data, where="f.json")) == (
+        error,
+        "f.json: " + text.format(i=i, name=EXACT_CLASS_NAMES[raws[i]["kind"]], role=role.value),
+    )
 
 
 PEER_VALUES = st.sampled_from(["P1", "P2", ""])
@@ -1154,6 +1285,58 @@ def test_constructors_and_parser_agree_on_raw_events(raw):
         assert f"e: events[0]: {caught.value}" == str(exc)
     else:
         assert slot_values(event) == slot_values(constructed(raw))
+
+
+def counting_builders(monkeypatch):
+    """A count per name of the builders' and the event constructors' calls."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    for name in ("_performed_edit", "_performed_share", "_origin_key", "_obligation"):
+        monkeypatch.setattr(events_module, name, counted(name, getattr(events_module, name)))
+    for cls in (PerformedEdit, PerformedShare, Obligation, OriginKey):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    return calls
+
+
+def test_a_well_formed_file_is_built_by_the_builders_alone(monkeypatch):
+    # Each event of an exported pair is built once, by its kind's builder,
+    # with no constructor call: the parser's guard lets all of it through.
+    held = run_scenario(generate_scenario(3)).snapshots[-1].held
+    copy_ = max(held, key=lambda c: len(c.comm_log))
+    files = [log_to_dict(log, "d") for log in (copy_.edit_log, copy_.comm_log)]
+    kinds = collections.Counter(type(e).__name__ for log in (copy_.edit_log, copy_.comm_log) for e in log)
+    assert min(kinds.values()) > 0 and len(kinds) == 3
+    calls = counting_builders(monkeypatch)
+    for data in files:
+        log_from_dict(data)
+    assert calls == {
+        "_performed_edit": kinds["PerformedEdit"],
+        "_performed_share": kinds["PerformedShare"],
+        "_obligation": kinds["Obligation"],
+        "_origin_key": kinds["Obligation"],
+    }
+
+
+@pytest.mark.parametrize(
+    "raw, constructors",
+    [
+        ({**GOOD_EVENT["edit"], "by": Name("P2")}, ["PerformedEdit"]),
+        ({**GOOD_EVENT["share"], "to": Name("P2")}, ["PerformedShare"]),
+        ({**GOOD_EVENT["obligation"], "to": Name("P2")}, ["Obligation", "OriginKey"]),
+    ],
+)
+def test_a_value_the_guard_leaves_out_goes_through_its_constructor(monkeypatch, raw, constructors):
+    calls = counting_builders(monkeypatch)
+    parsed(raw)
+    built = {name: n for name, n in calls.items() if not name.startswith("_")}
+    assert built == dict.fromkeys(constructors, 1)
 
 
 def make_event(kind, clock, verb, allow, by, to, share_clock):

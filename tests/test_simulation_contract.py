@@ -72,9 +72,10 @@ def check_log(log):
         fresh = dataclasses.replace(e)  # an equal event whose keys are computed anew
         assert (e._key, e._id) == (sort_key(fresh), dedup_key(fresh))
     held = identities(log)
-    assert log._keys is None or log._keys >= held
-    if log._keys is not None and len(log._keys) == len(log):
-        assert log._keys == held  # a key set of the log's size is exact
+    keys = log._lineage.keys
+    assert keys is None or keys >= held
+    if keys is not None and len(keys) == len(log):
+        assert keys == held  # a key set of the log's size is exact
 
 
 def events(log, doc):
