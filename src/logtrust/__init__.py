@@ -16,7 +16,6 @@ from .audit import (
     local_trust_assessment,
     parse_audit_mode,
     report_to_dict,
-    violation_to_dict,
 )
 from .errors import (
     DocumentNotHeldError,

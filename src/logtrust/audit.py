@@ -167,28 +167,26 @@ def detect_violations(
     return CopyAudit.of_logs(edit_log, comm_log, doc, "", mode).report("").violations
 
 
-def violation_to_dict(violation: Violation) -> dict:
-    origin = violation.origin
-    return {
-        "offender": violation.offender,
-        "verb": violation.verb.value,
-        "action_clock": violation.action_clock,
-        "forbid_clock": violation.forbid_clock,
-        "grantor": violation.grantor,
-        "origin": {
-            "grantor": origin.grantor,
-            "grantee": origin.grantee,
-            "share_clock": origin.share_clock,
-        },
-    }
-
-
 def report_to_dict(report: "AuditReport") -> dict:
     return {
         "assessor": report.assessor,
         "doc_id": report.doc_id,
         "mode": report.mode.value,
-        "violations": [violation_to_dict(v) for v in report.violations],
+        "violations": [
+            {
+                "offender": v.offender,
+                "verb": v.verb.value,
+                "action_clock": v.action_clock,
+                "forbid_clock": v.forbid_clock,
+                "grantor": v.grantor,
+                "origin": {
+                    "grantor": v.origin.grantor,
+                    "grantee": v.origin.grantee,
+                    "share_clock": v.origin.share_clock,
+                },
+            }
+            for v in report.violations
+        ],
         "trust": {peer: report.trust[peer] for peer in sorted(report.trust)},
     }
 
@@ -272,32 +270,32 @@ def local_trust_assessment(
 class CopyAudit:
     """The audit of one held copy, kept current as events join its logs.
 
-    Events added to the copy's logs are queued on ``pending`` and folded
-    in by the next ``report``.  A fold reads the index answers of each
-    (actor, verb, recipient) group of new actions once and bisects once
-    per action; an obligation that changes its group's index re-decides
-    only that group's actions after the lowest clock it changed.  An
-    offender's violations are kept in key order: those of one without any
-    land as one sorted run, as in a first fold, the others by bisection.
-    The report does not depend on how the events were split into folds or
-    ordered within one, so a copy built over a pair of full logs is their
-    from-scratch audit.  Each event must be queued once, as its log holds
-    it.  An action is identified by its actor, clock, verb and, for a
-    share, recipient: two shares by one peer at one clock are two actions.
+    ``read`` folds in the events of the copy's logs past the number it
+    has folded of each, so the copy must only grow: each log it reads must
+    hold the events of the one read before first, in the same order, as a
+    log derived from it does (``events._fork``).  A fold reads the index
+    answers of each (actor, verb, recipient) group of new actions once and
+    bisects once per action; an obligation that changes its group's index
+    re-decides only that group's actions after the lowest clock it changed.
+    An offender's violations are kept in key order: those of one without
+    any land as one sorted run, as in a first fold, the others by
+    bisection.  The report does not depend on how the events were split
+    into folds or ordered within one, so a copy built over a pair of full
+    logs is their from-scratch audit.  An action is identified by its
+    actor, clock, verb and, for a share, recipient: two shares by one peer
+    at one clock are two actions.
     """
 
     __slots__ = (
-        "assessor", "creator", "mode", "pending",
+        "assessor", "creator", "mode", "_edits", "_comms",
         "_index", "_actions", "_verdicts", "_peers", "_violations", "_ladder",
     )
 
-    def __init__(
-        self, assessor: str, creator: Optional[str], mode: AuditMode, events: Iterable
-    ):
+    def __init__(self, assessor: str, creator: Optional[str], mode: AuditMode):
         self.assessor = assessor
         self.creator = creator
         self.mode = mode
-        self.pending = list(events)
+        self._edits = self._comms = 0  # the events folded of each log
         self._index = kernel.GoverningIndex(mode is AuditMode.LITERAL)
         # (actor, verb) -> recipient -> ascending clocks of the audited
         # actions; an edit's recipient is ""
@@ -323,8 +321,16 @@ class CopyAudit:
             raise MixedRolesError("first argument must be an edit log")
         if comm_log.role is not LogRole.COMM:
             raise MixedRolesError("second argument must be a communication log")
-        creator = doc.creator if doc is not None else derive_creator(edit_log)
-        return cls(assessor, creator, mode, chain(_arrived(edit_log), _arrived(comm_log)))
+        audit = cls(assessor, doc.creator if doc is not None else derive_creator(edit_log), mode)
+        audit.read(edit_log, comm_log)
+        return audit
+
+    def read(self, edit_log: Log, comm_log: Log) -> None:
+        """Fold in the events the copy's logs hold past those folded."""
+        edits, comms = len(edit_log), len(comm_log)
+        if edits != self._edits or comms != self._comms:
+            self._fold(chain(_arrived(edit_log, self._edits), _arrived(comm_log, self._comms)))
+            self._edits, self._comms = edits, comms
 
     def _decide(
         self, by: str, verb: Verb, clock: int, to: str, forbid: Optional[Obligation]
@@ -347,8 +353,7 @@ class CopyAudit:
             found[i] = _violation(_new(Violation), by, verb, clock, forbid)
         self._violations = None
 
-    def _fold(self) -> None:
-        events, self.pending = self.pending, []
+    def _fold(self, events: Iterable) -> None:
         peers, creator, share = self._peers, self.creator, Verb.SHARE
         obligations, new = [], {}  # new: (actor, verb, recipient) -> new action clocks
         for event in events:
@@ -404,8 +409,6 @@ class CopyAudit:
 
     def report(self, doc_id: str, model: TrustModel = DEFAULT_TRUST_MODEL) -> AuditReport:
         """The copy's audit report, with trust under ``model``."""
-        if self.pending:
-            self._fold()
         verdicts = self._verdicts
         if self._violations is None:
             violations: list[Violation] = []

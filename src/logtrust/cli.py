@@ -21,13 +21,12 @@ import gc
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Optional, TextIO
 
 from .audit import AuditReport, _report_pieces, local_trust_assessment, parse_audit_mode
 from .errors import LogTrustError, ScenarioError
-from .events import LogRole, _log_json, log_from_dict
+from .events import LogRole, _log_file_pieces, log_from_dict
 from .scengen import generate_scenario
 from .simulator import PeerDocState, parse_scenario, run_scenario
 from .trust import DEFAULT_TRUST_MODEL, parse_trust_model
@@ -139,12 +138,8 @@ def _export_logs(trace, directory: str) -> list[str]:
         for name, copy in owners.items():
             for log in (copy.edit_log, copy.comm_log):
                 path = out_dir / f"{name}_{log.role.value}.json"
-                head = (
-                    f'{{\n  "doc_id": {encode_basestring_ascii(copy.doc_id)},'
-                    f'\n  "role": "{log.role.value}",\n  "events": '
-                )
                 with path.open("w", encoding="utf-8") as handle:
-                    _write(handle, (head, _log_json(log, 1), "\n}"))
+                    _write(handle, _log_file_pieces(log, copy.doc_id))
                 written.append(str(path))
     except OSError as exc:
         where = exc.filename or directory

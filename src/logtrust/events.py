@@ -450,9 +450,10 @@ def _ordered(log: Log) -> tuple[Event, ...]:
     return log._entries or _sorted(log._lineage, log._n)
 
 
-def _arrived(log: Log) -> Iterator[Event]:
-    """``log``'s events in arrival order, for readers that need no order."""
-    return islice(log._lineage.events, log._n)
+def _arrived(log: Log, start: int = 0) -> Iterator[Event]:
+    """``log``'s events in arrival order from the ``start``-th on, for
+    readers that need no order."""
+    return islice(log._lineage.events, start, log._n)
 
 
 def _fork(log: Log) -> _Lineage:
@@ -541,17 +542,14 @@ def receive_log(local: Log, received: Log, receiver: Optional[str], clock: int) 
     lineage's head, and to a copy of ``local``'s otherwise (see ``Log``),
     never to ``received``'s, even when ``local`` is empty.
     """
-    return _received(local, received, receiver, clock)[0]
+    return _received(local, received, receiver, clock)
 
 
 def _received(
     local: Log, received: Log, receiver: Optional[str], clock: int, start: int = 0
-) -> tuple[Log, list[Event]]:
-    """``receive_log``'s result, and the events it added to ``local``.
-
-    Reads ``received``'s events in arrival order from the ``start``-th
-    on: ``local`` must hold the ones before (see ``_Channel``).
-    """
+) -> Log:
+    """``receive_log``, reading ``received``'s events in arrival order from
+    the ``start``-th on: ``local`` must hold the ones before (see ``_Channel``)."""
     role = local._role
     if role is not received._role:
         raise MixedRolesError(
@@ -560,14 +558,14 @@ def _received(
     lineage, keys = _tip(local)
     new = [e for e in received._lineage.events[start : received._n] if e._id not in keys]
     if not new:
-        return local, new
+        return local
     if receiver is not None and role is LogRole.COMM:  # an edit log holds no obligations
         for i, e in enumerate(new):
             if e.to == receiver and isinstance(e, Obligation):
                 if type(clock) is not int or clock < 1:  # Obligation's own check
                     raise ValueError("clock must be a positive integer")
                 new[i] = _obligation(_new(Obligation), clock, e.verb, e.allow, e.origin)
-    return _appended(role, lineage, new, keys), new
+    return _appended(role, lineage, new, keys)
 
 
 class _Channel:
@@ -811,13 +809,15 @@ def _constructed(data) -> Event:
     return Obligation(clock, verb, data["allow"], by, data["to"], origin)
 
 
+def _log_file_pieces(log: Log, doc_id: str) -> tuple[str, str, str]:
+    """A log file's text, in pieces: ``log`` with its document envelope."""
+    head = f'{{\n  "doc_id": {encode_basestring_ascii(doc_id)},\n  "role": "{log.role.value}"'
+    return f'{head},\n  "events": ', _log_json(log, 1), "\n}"
+
+
 def log_to_dict(log: Log, doc_id: str) -> dict:
-    """Serialize a log with its document envelope."""
-    return {
-        "doc_id": doc_id,
-        "role": log.role.value,
-        "events": [event_to_dict(e) for e in log.entries],
-    }
+    """Serialize a log with its document envelope: its file text, parsed."""
+    return json.loads("".join(_log_file_pieces(log, doc_id)))
 
 
 def log_from_dict(data: dict, where: str = "log") -> tuple[str, Log]:

@@ -176,8 +176,8 @@ class Simulation:
     touches, so every event it generates gets a globally fresh value.
     Message channels are keyed by (sender, recipient, document) and
     delivered explicitly, so a scenario controls interleaving exactly.  A
-    held copy that has been audited keeps its ``CopyAudit``, which queues
-    the events each command adds to the copy once the command has succeeded.
+    held copy that has been audited keeps its ``CopyAudit``, which reads the
+    copy's logs past what it has folded at the next audit.
 
     A channel is one record (``events._Channel``): its undelivered
     messages, which ``pending`` reads as a new tuple, and what it has
@@ -235,18 +235,13 @@ class Simulation:
     def documents(self) -> tuple[str, ...]:
         return tuple(sorted(self._documents))
 
-    def _hold(
-        self, peer: str, doc_id: str, edit_log: Log, comm_log: Log, creator: str, *added: Iterable
-    ) -> None:
+    def _hold(self, peer: str, doc_id: str, edit_log: Log, comm_log: Log, creator: str) -> None:
         """Hold the copy these fields make (``tuple.__new__`` builds it, not the
-        NamedTuple's Python ``__new__``), and queue each ``added`` run for its audit."""
+        NamedTuple's Python ``__new__``).  A held copy is replaced only by logs
+        derived from its own, so it only grows, as its ``CopyAudit`` needs."""
         key = (peer, doc_id)
         self._held[key] = tuple.__new__(PeerDocState, (peer, doc_id, edit_log, comm_log, creator))
         self._documents.add(doc_id)
-        audit = self._audits.get(key)
-        if audit is not None:
-            for events in added:
-                audit.pending += events
 
     # -- commands -----------------------------------------------------
 
@@ -303,7 +298,7 @@ class Simulation:
         events = [_performed_edit(_new(PerformedEdit), clock, verb, peer) for verb in ordered]
         edit_log = _appended(LogRole.EDIT, _extendable(state.edit_log), events)
         self._clocks[peer] = clock
-        self._hold(peer, doc_id, edit_log, state.comm_log, state.creator, events)
+        self._hold(peer, doc_id, edit_log, state.comm_log, state.creator)
         return clock
 
     def share(
@@ -356,7 +351,7 @@ class Simulation:
         outbound = _outbound(comm_log, sender, recipient, link)
         message = Message(state.creator, state.edit_log, outbound)
         self._clocks[sender] = clock
-        self._hold(sender, doc_id, state.edit_log, comm_log, state.creator, new_events)
+        self._hold(sender, doc_id, state.edit_log, comm_log, state.creator)
         link.messages.append(message)
         return clock
 
@@ -390,23 +385,22 @@ class Simulation:
                 empty_log(LogRole.COMM),
                 message.creator,
             )
-        edit_log, new_edits = _received(state.edit_log, message.edit_log, None, 0, link.edit_n)
-        comm_log, new_comm = _received(
-            state.comm_log, message.comm_log, recipient, clock, link.comm_n
-        )
+        edit_log = _received(state.edit_log, message.edit_log, None, 0, link.edit_n)
+        comm_log = _received(state.comm_log, message.comm_log, recipient, clock, link.comm_n)
         link.edit_n, link.comm_n = len(message.edit_log), len(message.comm_log)
         link.messages.popleft()
         self._clocks[recipient] = clock
-        self._hold(recipient, doc_id, edit_log, comm_log, state.creator, new_edits, new_comm)
+        self._hold(recipient, doc_id, edit_log, comm_log, state.creator)
         return clock
 
     def audit(self, peer: str, doc_id: str) -> AuditReport:
         """Run a local trust assessment over everything the peer holds.
 
-        The copy's ``CopyAudit`` is built over the full logs, as
-        ``local_trust_assessment`` builds one, on the first audit and
-        after ``mode`` changes; later audits fold in only the events added
-        since the last one, so the cost follows those events, not the logs'
+        The copy's ``CopyAudit`` is built on the first audit and after
+        ``mode`` changes, and each audit folds in the events its logs hold
+        past those it has folded: all of them on a new one, as
+        ``local_trust_assessment`` does, and later only those added since
+        the last audit, so the cost follows those events, not the logs'
         length.  Trust under the current ``trust_model`` starts at the
         maximum for all peers, and one decrement is applied per violation
         instance found.
@@ -414,9 +408,8 @@ class Simulation:
         state = self.peer_state(peer, doc_id)
         audit = self._audits.get((peer, doc_id))
         if audit is None or audit.mode is not self.mode:
-            document = Document(doc_id, state.creator)
-            audit = CopyAudit.of_logs(state.edit_log, state.comm_log, document, peer, self.mode)
-            self._audits[peer, doc_id] = audit
+            audit = self._audits[peer, doc_id] = CopyAudit(peer, state.creator, self.mode)
+        audit.read(state.edit_log, state.comm_log)
         return audit.report(doc_id, self.trust_model)
 
 

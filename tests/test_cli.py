@@ -648,7 +648,8 @@ def test_audit_json_output_equals_json_dumps(tmp_path, capsys):
 
 def test_audit_json_builds_no_violation_dict(tmp_path, capsys, monkeypatch):
     # the report is written from the violations themselves; a refactor
-    # back to one dict per violation fails here
+    # back to one dict per violation, which only ``report_to_dict`` builds,
+    # fails here
     out_dir = tmp_path / "logs"
     assert main(["run", PAPER, "--export-logs", str(out_dir)]) == 0
     capsys.readouterr()
@@ -656,10 +657,10 @@ def test_audit_json_builds_no_violation_dict(tmp_path, capsys, monkeypatch):
     expected = audit_report_dict(edit, comm, "P3", "prose")
     assert expected["violations"]
 
-    def no_dict(violation):
-        raise AssertionError("audit --format json built a dict for a violation")
+    def no_dict(report):
+        raise AssertionError("audit --format json built the report's dict")
 
-    monkeypatch.setattr("logtrust.audit.violation_to_dict", no_dict)
+    monkeypatch.setattr("logtrust.audit.report_to_dict", no_dict)
     code = main(["audit", str(edit), str(comm), "--assessor", "P3", "--format", "json"])
     assert code == 1
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

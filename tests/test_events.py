@@ -35,7 +35,7 @@ from logtrust import (
     sort_key,
 )
 from logtrust import events as events_module
-from logtrust.events import _Channel, _outbound, _received
+from logtrust.events import _Channel, _arrived, _outbound, _received
 from logtrust.simulator import apply_command
 from oracle import (
     _canonical,
@@ -549,8 +549,9 @@ def test_a_deliver_reads_past_the_last_delivered_message():
     a1, a2, a3 = (PerformedEdit(c, Verb.READ, "P1") for c in (1, 2, 3))
     later = grown_by(grown_by(empty_log(LogRole.EDIT), a1, a2), a3)
     local = Log(LogRole.EDIT, (PerformedEdit(1, Verb.READ, "P2"),))
-    assert _received(local, later, None, 0, 2)[1] == [a3]
-    assert sorted(_received(local, later, None, 0)[1], key=sort_key) == [a1, a2, a3]
+    assert list(_arrived(_received(local, later, None, 0, 2), len(local))) == [a3]
+    added = _arrived(_received(local, later, None, 0), len(local))
+    assert sorted(added, key=sort_key) == [a1, a2, a3]
 
 
 def test_logs_extended_outside_the_engine_leave_its_channels_as_they_were(monkeypatch):

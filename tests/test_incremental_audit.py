@@ -1,7 +1,8 @@
 """``Simulation.audit`` against ``tests/oracle.py`` and a fresh assessment.
 
-The engine folds into each held copy's audit only the rows added since
-that copy's last audit.  Every audit must equal ``oracle_report`` of the
+Each held copy's audit reads the copy's logs past the events it has
+folded, so the engine folds in only the rows added since that copy's
+last audit.  Every audit must equal ``oracle_report`` of the
 copy's serialized logs, order and trust included, and the same audit
 built over the full logs at once (``local_trust_assessment``), which
 checks that the fold order does not matter.  The generated runs reach
@@ -19,8 +20,11 @@ from logtrust import (
     AuditMode,
     Document,
     FixedStepTrust,
+    Log,
+    LogRole,
     MultiplicativeTrust,
     Obligation,
+    ObligationAtom,
     OriginKey,
     PerformedEdit,
     PerformedShare,
@@ -28,8 +32,10 @@ from logtrust import (
     Verb,
     generate_scenario,
     local_trust_assessment,
+    receive_log,
     sort_key,
 )
+from logtrust import simulator
 from logtrust.audit import CopyAudit
 from logtrust.simulator import apply_command, parse_scenario
 from oracle import oracle_event_dict, oracle_report, violation_tuple
@@ -105,6 +111,14 @@ def held_copies():
     return [sim.peer_state(peer, "d") for peer in sim.peers()]
 
 
+def fed(assessor, creator, mode, *folds):
+    """A ``CopyAudit`` that has folded each of ``folds`` in turn."""
+    audit = CopyAudit(assessor, creator, mode)
+    for events in folds:
+        audit._fold(events)
+    return audit
+
+
 @given(st.data(), st.sampled_from(AuditMode))
 def test_a_copy_audit_does_not_depend_on_how_its_events_arrive(data, mode):
     """Every report of a copy fed its events in folds equals the report of a
@@ -116,11 +130,11 @@ def test_a_copy_audit_does_not_depend_on_how_its_events_arrive(data, mode):
     cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
     alone = data.draw(st.integers(0, 40))
     ends = sorted({*cuts, *range(len(events) - alone, len(events) + 1)})
-    audit = CopyAudit(state.peer, state.creator, mode, events[: ends[0]])
+    audit = fed(state.peer, state.creator, mode, events[: ends[0]])
     for start, stop in zip(ends, ends[1:]):
-        fresh = CopyAudit(state.peer, state.creator, mode, events[:start])
+        fresh = fed(state.peer, state.creator, mode, events[:start])
         assert audit.report(state.doc_id) == fresh.report(state.doc_id), start
-        audit.pending += events[start:stop]
+        audit._fold(events[start:stop])
     check_audit(audit.report(state.doc_id), state, mode, MULTIPLICATIVE)
 
 
@@ -157,13 +171,13 @@ def test_hand_made_folds_take_each_path_of_the_fold(mode):
         shares("P4", 3, 4),
         [obligation(10, Verb.SHARE, "P3", 3), obligation(5, Verb.SHARE, "P4", 4, allow=True)],
     ]
-    audit = CopyAudit("P1", "P1", mode, [])
+    audit = fed("P1", "P1", mode)
     seen = []
     for events in folds:
-        audit.pending += events
+        audit._fold(events)
         seen += events
         report = audit.report("d")
-        assert report == CopyAudit("P1", "P1", mode, seen).report("d")
+        assert report == fed("P1", "P1", mode, seen).report("d")
         ordered = sorted(seen, key=sort_key)  # log order
         edit = [oracle_event_dict(e) for e in ordered if isinstance(e, PerformedEdit)]
         comm = [oracle_event_dict(e) for e in ordered if not isinstance(e, PerformedEdit)]
@@ -176,3 +190,67 @@ def test_hand_made_folds_take_each_path_of_the_fold(mode):
     grantors = [v.grantor for v in report.violations if v.verb is Verb.SHARE]
     cleared = mode is AuditMode.PROSE  # the permit at 5 clears the share at 6 in prose only
     assert grantors == ["P1"] * (4 if cleared else 5) + ["P3"] * 3
+
+
+def audited(sim, peer):
+    """``peer``'s audit of ``d``, checked against a fresh one and the oracle."""
+    report = sim.audit(peer, "d")
+    check_audit(report, sim.peer_state(peer, "d"), AuditMode.PROSE, MULTIPLICATIVE)
+    return report
+
+
+def test_an_audit_reads_its_held_copy_not_its_lineage():
+    """A merge outside the engine into a held log appends to the log's
+    lineage past it.  The audit reads the held log alone, also when its edit
+    log grew, and the counts it keeps still fit the fork that the engine's
+    next op on the grown log makes."""
+    sim = Simulation(trust_model=MULTIPLICATIVE[0])
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", [ObligationAtom(Verb.SHARE, False), ObligationAtom(Verb.READ, True)])
+    sim.deliver("P2", "P1", "d")
+    sim.edit("P2", "d", Verb.READ)
+    first = audited(sim, "P2")
+    held = sim.peer_state("P2", "d").comm_log
+    origin = OriginKey("P3", "P4", 1)
+    outside = [PerformedShare(1, "P3", "P4"), Obligation(1, Verb.COMMENT, False, "P3", "P4", origin)]
+    grown = receive_log(held, Log.from_events(LogRole.COMM, outside), "P2", 5)
+    assert grown._lineage is held._lineage and len(held._lineage.events) > len(held)
+    assert audited(sim, "P2") == first
+    sim.edit("P2", "d", Verb.READ)  # the held comm log stays behind its lineage's end
+    assert sim.peer_state("P2", "d").comm_log is held
+    audited(sim, "P2")
+    sim.share("P2", "d", "P3", [ObligationAtom(Verb.READ, True)])
+    assert sim.peer_state("P2", "d").comm_log._lineage is not held._lineage  # a fork
+    report = audited(sim, "P2")
+    assert [(v.offender, v.verb) for v in report.violations] == [("P2", Verb.SHARE)]
+
+
+def test_a_failed_deliver_leaves_the_audit_as_it_was(monkeypatch):
+    """A deliver that fails in its comm-log receive, after its edit-log
+    receive appended to the held edit log's lineage, changes no audit."""
+    sim = Simulation(trust_model=MULTIPLICATIVE[0])
+    sim.create_doc("P1", "d")
+    sim.share("P1", "d", "P2", [ObligationAtom(Verb.COMMENT, False)])
+    sim.edit("P1", "d", Verb.COMMENT)
+    sim.share("P1", "d", "P2", [ObligationAtom(Verb.READ, False)])
+    sim.deliver("P2", "P1", "d")
+    sim.edit("P2", "d", Verb.COMMENT)
+    before = audited(sim, "P2")
+    assert before.violations
+    held = sim.peer_state("P2", "d")
+    received = simulator._received
+
+    def failing(local, log, receiver, clock, start):
+        if log.role is LogRole.COMM:
+            raise ValueError("receive failed")
+        return received(local, log, receiver, clock, start)
+
+    monkeypatch.setattr(simulator, "_received", failing)
+    with pytest.raises(ValueError, match="receive failed"):
+        sim.deliver("P2", "P1", "d")
+    assert sim.peer_state("P2", "d") is held
+    assert len(held.edit_log._lineage.events) > len(held.edit_log)
+    assert sim.audit("P2", "d") == before
+    monkeypatch.undo()
+    sim.deliver("P2", "P1", "d")
+    audited(sim, "P2")
