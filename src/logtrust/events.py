@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -549,7 +548,8 @@ def _received(
     local: Log, received: Log, receiver: Optional[str], clock: int, start: int = 0
 ) -> Log:
     """``receive_log``, reading ``received``'s events in arrival order from
-    the ``start``-th on: ``local`` must hold the ones before (see ``_Channel``)."""
+    the ``start``-th on: ``local`` must hold the ones before (see
+    ``simulator._Channel``)."""
     role = local._role
     if role is not received._role:
         raise MixedRolesError(
@@ -566,59 +566,6 @@ def _received(
                     raise ValueError("clock must be a positive integer")
                 new[i] = _obligation(_new(Obligation), clock, e.verb, e.allow, e.origin)
     return _appended(role, lineage, new, keys)
-
-
-class _Channel:
-    """One channel, from a sender to a recipient for one document: its
-    undelivered messages, oldest first, in ``messages``, and what it has
-    carried, so that a share or a deliver on it reads only what is new.
-
-    ``sent`` is the communication log of the channel's last share, over
-    a lineage the channel owns: the sender's communication log filtered
-    up to its first ``read`` events (``_outbound``).  The last message
-    delivered on the channel carried the first ``edit_n`` events of its
-    edit log's lineage and ``comm_n`` of its communication log's, which
-    the recipient holds, since a copy only grows.  These marks need no
-    record of the lineages they count: each share reads a later version
-    of the sender's log than the last, and each message carries later
-    versions of the sender's edit log and the channel's log.  A later
-    version holds an earlier one's events first, in the same order,
-    whether it extends that lineage or a fork of it (``_fork``).
-    ``sent_back`` records that the sender holds a share from the
-    recipient, so it may share back without obligations.
-    """
-
-    __slots__ = ("messages", "sent", "read", "edit_n", "comm_n", "sent_back")
-
-    def __init__(self):
-        self.messages: deque = deque()
-        self.sent: Optional[Log] = None
-        self.read = 0
-        self.edit_n = 0
-        self.comm_n = 0
-        self.sent_back = False
-
-
-def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> Log:
-    """What a share from ``sender`` to ``recipient`` carries of ``comm_log``.
-
-    The recipient gets the full correspondence history relevant to it,
-    but not the sender's grants and shares to other peers.  The result is
-    a log over a lineage of the channel's own, made on its first share.
-    ``comm_log`` must extend the prefix ``channel`` has filtered: only
-    the events added since are filtered, and those kept are appended to
-    the channel's log; ``channel`` then records the result.
-    """
-    n, out = comm_log._n, channel.sent
-    kept = [
-        e for e in comm_log._lineage.events[channel.read : n] if e.by != sender or e.to == recipient
-    ]
-    if out is None:
-        out = _appended(LogRole.COMM, _Lineage([]), kept)
-    elif kept:
-        out = _appended(LogRole.COMM, _extendable(out), kept)
-    channel.sent, channel.read = out, n
-    return out
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .events import (
     Verb,
     _VERB_RANK,
     _VERB_BY_VALUE,
-    _Channel,
+    _Lineage,
     _PADS,
     _appended,
     _arrived,
@@ -58,7 +58,6 @@ from .events import (
     _obligation,
     _ordered,
     _origin_key,
-    _outbound,
     _performed_edit,
     _performed_share,
     _received,
@@ -142,12 +141,58 @@ class Message:
 
     The channel that carries it names the sender, recipient and document.
     The communication log is already filtered to the sender/recipient
-    correspondence (see ``events._outbound``).
+    correspondence (see ``_outbound``).
     """
 
     creator: str
     edit_log: Log
     comm_log: Log
+
+
+class _Channel:
+    """One channel, from a sender to a recipient for one document: every
+    message it carried, oldest first, of which the first ``delivered`` have
+    been delivered, and the length ``read`` of the sender's communication
+    log that its last share filtered (``_outbound``) into a lineage of the
+    channel's own.  A deliver reads its message's logs past the lengths of
+    the last delivered message's, whose events the recipient holds, since a
+    copy only grows.  These marks need no record of the lineages they
+    count: each share reads a later version of the sender's log than the
+    last, and each message carries later versions of the sender's edit log
+    and the channel's log.  A later version holds an earlier one's events
+    first, in the same order, whether it extends that lineage or a fork of
+    it (``events._fork``).  ``sent_back`` records that the sender holds a
+    share from the recipient, so it may share back without obligations.
+    """
+
+    __slots__ = ("messages", "delivered", "read", "sent_back")
+
+    def __init__(self):
+        self.messages: list[Message] = []
+        self.delivered = 0
+        self.read = 0
+        self.sent_back = False
+
+
+def _outbound(comm_log: Log, sender: str, recipient: str, channel: _Channel) -> Log:
+    """What a share from ``sender`` to ``recipient`` carries of ``comm_log``.
+
+    The recipient gets the full correspondence history relevant to it,
+    but not the sender's grants and shares to other peers.  The result
+    extends the log of the channel's last message, or starts a lineage of
+    the channel's own on its first share.  ``comm_log`` must extend the
+    prefix ``channel`` has read: only the events added since are filtered,
+    and ``channel`` then records how far it has read.
+    """
+    n = comm_log._n
+    kept = [
+        e for e in comm_log._lineage.events[channel.read : n] if e.by != sender or e.to == recipient
+    ]
+    channel.read = n
+    if not channel.messages:
+        return _appended(LogRole.COMM, _Lineage([]), kept)
+    out = channel.messages[-1].comm_log
+    return _appended(LogRole.COMM, _extendable(out), kept) if kept else out
 
 
 class PeerDocState(NamedTuple):
@@ -179,16 +224,15 @@ class Simulation:
     held copy that has been audited keeps its ``CopyAudit``, which reads the
     copy's logs past what it has folded at the next audit.
 
-    A channel is one record (``events._Channel``): its undelivered
-    messages, which ``pending`` reads as a new tuple, and what it has
-    carried, so that an op reads only what is new on it: a share filters
-    only the sender's communication events added since the channel's last
-    share, and a deliver reads only the events of the message past those
-    of the channel's last delivered message, which the recipient holds,
-    since a copy only grows.  Each held log and each channel's outbound
-    log appends only to a lineage of its own (``events._Lineage``), so
-    every message of a channel after its first extends the last one's
-    lineages, and no op copies a log's list.
+    A channel is one record (``_Channel``): every message it carried, of
+    which ``pending`` reads the undelivered ones as a new tuple, and marks
+    so that a share filters only the sender's communication events added
+    since the channel's last share and a deliver reads only its message's
+    events past those the recipient holds.  Each held log and each
+    channel's outbound log appends only to a lineage of its own
+    (``events._Lineage``), so every message of a channel after its first
+    extends the last one's lineages: no op copies a log's list, and a kept
+    message costs one ``Message`` and two small ``Log`` objects.
 
     An op builds each record once, from values it made or checked, through the
     records' builders, and appends a command's events as they are: they carry
@@ -215,7 +259,11 @@ class Simulation:
         return self._clocks.get(peer, 0)
 
     def holds(self, peer: str, doc_id: str) -> bool:
-        return (peer, doc_id) in self._held
+        try:
+            self.peer_state(peer, doc_id)  # checks the ids on a miss
+        except DocumentNotHeldError:
+            return False
+        return True
 
     def peer_state(self, peer: str, doc_id: str) -> PeerDocState:
         try:
@@ -226,8 +274,14 @@ class Simulation:
             raise DocumentNotHeldError(f"{peer} does not hold {doc_id!r}") from None
 
     def pending(self, sender: str, recipient: str, doc_id: str) -> tuple[Message, ...]:
-        channel = self._channels.get((sender, recipient, doc_id))
-        return () if channel is None else tuple(channel.messages)
+        try:
+            link = self._channels[sender, recipient, doc_id]
+        except (KeyError, TypeError):  # a channel's ids are valid: a miss checks
+            _checked_id(sender, "sender")
+            _checked_id(recipient, "recipient")
+            _checked_id(doc_id, "doc_id")
+            return ()
+        return tuple(link.messages[link.delivered :])
 
     def peers(self) -> tuple[str, ...]:
         return tuple(sorted({peer for peer, _ in self._held}))
@@ -329,9 +383,7 @@ class Simulation:
         """``share`` from the held copy ``state``, past its argument checks."""
         sender, doc_id = state.peer, state.doc_id
         channel = (sender, recipient, doc_id)
-        link = self._channels.get(channel)
-        if link is None:
-            link = self._channels[channel] = _Channel()
+        link = self._channels.get(channel) or _Channel()  # stored once the share succeeds
         if not pairs and not link.sent_back:
             # a copy only grows, so a sender that may share back always may
             if not any(
@@ -353,6 +405,7 @@ class Simulation:
         self._clocks[sender] = clock
         self._hold(sender, doc_id, state.edit_log, comm_log, state.creator)
         link.messages.append(message)
+        self._channels[channel] = link
         return clock
 
     def deliver(self, recipient: str, sender: str, doc_id: str) -> int:
@@ -362,12 +415,12 @@ class Simulation:
         message that is new to the recipient and addressed to it is
         re-stamped with it.  The logs are merged into the recipient's
         copy, whose own events win duplicates; a recipient that did not
-        hold the document receives into empty logs.  The message leaves its
-        channel once the receive has succeeded.
+        hold the document receives into empty logs.  The channel counts the
+        message delivered once the receive has succeeded.
         """
         try:
             link = self._channels[sender, recipient, doc_id]
-            message = link.messages[0]
+            message = link.messages[link.delivered]
         except (KeyError, TypeError, IndexError):  # a channel's ids are valid: a miss checks
             _checked_id(recipient, "recipient")
             _checked_id(sender, "sender")
@@ -385,10 +438,12 @@ class Simulation:
                 empty_log(LogRole.COMM),
                 message.creator,
             )
-        edit_log = _received(state.edit_log, message.edit_log, None, 0, link.edit_n)
-        comm_log = _received(state.comm_log, message.comm_log, recipient, clock, link.comm_n)
-        link.edit_n, link.comm_n = len(message.edit_log), len(message.comm_log)
-        link.messages.popleft()
+        # the recipient holds the events of the last delivered message, if any
+        last = link.messages[link.delivered - 1] if link.delivered else None
+        edit_n, comm_n = (len(last.edit_log), len(last.comm_log)) if last else (0, 0)
+        edit_log = _received(state.edit_log, message.edit_log, None, 0, edit_n)
+        comm_log = _received(state.comm_log, message.comm_log, recipient, clock, comm_n)
+        link.delivered += 1
         self._clocks[recipient] = clock
         self._hold(recipient, doc_id, edit_log, comm_log, state.creator)
         return clock
@@ -559,8 +614,9 @@ class _History:
 
     ``copies[k]`` is the held copy that command ``k`` changed, or None, and
     ``channels[k]`` the channel it changed, or None, as ``((from, to, doc),
-    messages, delivered, sent)``: the run's one list of every message the
-    channel carried, and how many of them were delivered and sent by then.
+    messages, delivered, sent)``: the engine's own list of every message
+    the channel carried (``_Channel``), and how many of them were delivered
+    and sent by then.
     """
 
     __slots__ = ("copies", "channels")
@@ -827,7 +883,6 @@ def run_scenario(
     sim = Simulation(mode=mode, trust_model=trust_model)
     snapshots: list[CommandSnapshot] = []
     history = _History()
-    carried: dict[tuple[str, str, str], list[Message]] = {}  # per channel, every message
     for i, command in enumerate(commands):
         try:
             clock, report = apply_command(sim, command)
@@ -837,11 +892,8 @@ def run_scenario(
         op = command["op"]
         if op == "share" or op == "deliver":
             key = (command["from"], command["to"], command["doc_id"])
-            queued = sim._channels[key].messages
-            messages = carried.setdefault(key, [])
-            if op == "share":
-                messages.append(queued[-1])
-            channel = (key, messages, len(messages) - len(queued), len(messages))
+            link = sim._channels[key]
+            channel = (key, link.messages, link.delivered, len(link.messages))
             copy = sim._held[key[0] if op == "share" else key[1], key[2]]
         elif op != "audit":
             copy = sim._held[command["peer"], command["doc_id"]]

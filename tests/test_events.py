@@ -35,8 +35,8 @@ from logtrust import (
     sort_key,
 )
 from logtrust import events as events_module
-from logtrust.events import _Channel, _arrived, _outbound, _received
-from logtrust.simulator import apply_command
+from logtrust.events import _arrived, _received
+from logtrust.simulator import Message, _Channel, _outbound, apply_command
 from oracle import (
     _canonical,
     _identity,
@@ -536,12 +536,18 @@ def test_a_deliver_reads_past_the_last_delivered_message():
     for old, new in ((first.edit_log, second.edit_log), (first.comm_log, second.comm_log)):
         assert new._lineage is old._lineage and len(old) < len(new)
     channel = sim._channels["P1", "P2", "d"]
-    assert (channel.edit_n, channel.comm_n) == (0, 0)  # nothing delivered yet
+
+    def marks():
+        # how many messages were delivered, and the log lengths of the last one
+        last = channel.messages[channel.delivered - 1] if channel.delivered else None
+        return channel.delivered, last and (len(last.edit_log), len(last.comm_log))
+
+    assert marks() == (0, None)  # nothing delivered yet
     sim.deliver("P2", "P1", "d")
-    assert (channel.edit_n, channel.comm_n) == (len(first.edit_log), len(first.comm_log))
+    assert marks() == (1, (len(first.edit_log), len(first.comm_log)))
     held = sim.peer_state("P2", "d")
     sim.deliver("P2", "P1", "d")
-    assert (channel.edit_n, channel.comm_n) == (len(second.edit_log), len(second.comm_log))
+    assert marks() == (2, (len(second.edit_log), len(second.comm_log)))
     state = sim.peer_state("P2", "d")
     assert state.edit_log == merge_logs(held.edit_log, second.edit_log)
     assert state.comm_log == receive_log(held.comm_log, second.comm_log, "P2", 2)
@@ -588,12 +594,19 @@ def test_an_outbound_filters_only_what_its_source_added():
     theirs = obl(3, by="P2", to="P1", share_clock=3)
     events = [PerformedShare(1, "P1", "P2"), obl(1, by="P1", to="P2", share_clock=1)]
     comm = grown_by(empty_log(LogRole.COMM), *events)
+
+    def sent(comm_log, channel):
+        # what a share from P1 to P2 carries of ``comm_log``, appended as a share does
+        out = _outbound(comm_log, "P1", "P2", channel)
+        channel.messages.append(Message("P1", empty_log(LogRole.EDIT), out))
+        return out
+
     channel = _Channel()
-    first = _outbound(comm, "P1", "P2", channel)  # nothing dropped, yet the channel's own
+    first = sent(comm, channel)  # nothing dropped, yet the channel's own
     assert first.entries == comm.entries and first._lineage is not comm._lineage
     assert channel.read == len(comm)
     grown = grown_by(comm, grant, PerformedShare(2, "P1", "P3"), theirs)
-    second = _outbound(grown, "P1", "P2", channel)
+    second = sent(grown, channel)
     assert second.entries == (*comm.entries, theirs)
     assert second._lineage is first._lineage  # appended to the channel's lineage
     assert first.entries == comm.entries  # which leaves the earlier message as it was
@@ -601,13 +614,13 @@ def test_an_outbound_filters_only_what_its_source_added():
     # a drop with nothing kept leaves the channel's log as it is
     base = grown_by(empty_log(LogRole.COMM), *events)
     channel = _Channel()
-    sent = _outbound(base, "P1", "P2", channel)
+    kept = sent(base, channel)
     dropped = grown_by(base, grant)
-    assert _outbound(dropped, "P1", "P2", channel) is sent
+    assert sent(dropped, channel) is kept
     later = grown_by(dropped, theirs)
-    appended = _outbound(later, "P1", "P2", channel)
-    assert appended.entries == (*base.entries, theirs) and appended._lineage is sent._lineage
-    for out in (sent, appended):
+    appended = sent(later, channel)
+    assert appended.entries == (*base.entries, theirs) and appended._lineage is kept._lineage
+    for out in (kept, appended):
         assert out._lineage is not base._lineage
         check_log(out)
 

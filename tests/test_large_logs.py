@@ -2,7 +2,8 @@
 engine, and the work its log ops and audits do as the logs grow.
 
 A log is a prefix of an append-only lineage, and a share or deliver reads
-only what is new on its channel (``events._outbound``, ``events._received``).
+only what is new on its channel (``simulator._outbound``,
+``events._received``).
 These tests are the safety net for that storage.  The reference engine
 keeps plain sorted lists and re-sorts and rescans them on every op, so
 Tier-1 runs each scenario's first ``PREFIX`` commands.  The whole
@@ -12,10 +13,11 @@ documents of about 5.5k commands) are marked ``large``: they run with
 """
 
 import math
+import tracemalloc
 
 import pytest
 
-from logtrust import Simulation, generate_scenario, log_to_dict
+from logtrust import ObligationAtom, Simulation, Verb, generate_scenario, log_to_dict
 from logtrust import events as events_module
 from logtrust import simulator as simulator_module
 from logtrust.audit import CopyAudit
@@ -244,3 +246,27 @@ def test_audit_work_grows_about_linearly_with_commands(monkeypatch):
     assert work[2000] > 0
     slope = math.log(work[8000] / work[2000]) / math.log(8000 / 2000)
     assert slope <= 1.3, (work, slope)
+
+
+def test_a_session_that_delivers_keeps_memory_linear_in_its_shares():
+    # A channel keeps every message it carried, delivered or not: one
+    # ``Message`` and two logs over lineages it shares with the messages
+    # before it.  So the session's memory grows with the shares (4x for 4x
+    # the shares), not with their square (16x), as a copy per message would.
+    read = [ObligationAtom(Verb.READ, True)]
+    peaks = {}
+    for shares in (1000, 4000):
+        tracemalloc.start()
+        try:
+            sim = Simulation()
+            sim.create_doc("P1", "d")
+            for _ in range(shares):
+                sim.share("P1", "d", "P2", read)
+                sim.deliver("P2", "P1", "d")
+            peaks[shares] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] < 6 * peaks[1000], peaks
+    channel = sim._channels["P1", "P2", "d"]
+    assert channel.delivered == len(channel.messages) == 4000
+    assert sim.pending("P1", "P2", "d") == ()

@@ -65,10 +65,13 @@ def test_share_validation():
     sim.create_doc("P1", "d")
     with pytest.raises(SelfShareError):
         sim.share("P1", "d", "P1", READ_OK)
+    assert sim._channels == {}  # a rejected share leaves no channel behind
     with pytest.raises(InternallyConflictingSetError):
         sim.share("P1", "d", "P2", [A(Verb.READ, True), A(Verb.READ, False)])
+    assert sim._channels == {}
     with pytest.raises(MissingObligationError):
         sim.share("P1", "d", "P2", [])
+    assert sim._channels == {}
 
 
 def test_share_accepts_atoms_as_generator():
@@ -124,6 +127,11 @@ def test_deliver_requires_pending_message():
         ("audit", ["P1"], "d"),
         ("edit", "P1", ["d"], Verb.READ),
         ("deliver", "P2", ["P1"], "d"),
+        ("pending", ["x"], "P2", "d"),
+        ("pending", 1, "P2", "d"),
+        ("pending", "P1", "P2", ""),
+        ("holds", ["x"], "d"),
+        ("holds", "P1", None),
     ],
     ids=lambda call: call[0] + repr(tuple(a for a in call[1:] if not isinstance(a, (Verb, list)))),
 )
@@ -214,9 +222,11 @@ def test_channels_are_fifo():
     assert any(
         isinstance(e, Obligation) and e.verb is Verb.COMMENT for e in state.comm_log
     )
-    # a tuple read earlier never changes, and the emptied channel holds nothing
+    # a tuple read earlier never changes, and the emptied channel holds only
+    # the messages it delivered
     assert len(sent) == 2 and sim.pending("P1", "P2", "d") == ()
-    assert not sim._channels["P1", "P2", "d"].messages
+    channel = sim._channels["P1", "P2", "d"]
+    assert channel.delivered == len(channel.messages)
     with pytest.raises(NoPendingMessageError):
         sim.deliver("P2", "P1", "d")
 
