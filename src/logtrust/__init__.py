@@ -70,7 +70,6 @@ from .trust import (
     MultiplicativeTrust,
     TrustModel,
     TrustTable,
-    apply_violations,
     parse_trust_model,
 )
 

@@ -15,22 +15,22 @@ was granted after a forbid for the same peer and verb.
 
 ``CopyAudit`` is the one audit: it decides each action with the
 kernel's ``GoverningIndex`` and keeps its report current as events join
-the logs.  ``detect_violations`` and ``local_trust_assessment`` build
-one over a pair of full logs; ``Simulation.audit`` keeps one per held
-copy and folds in only the events added since that copy's last audit.
+the logs.  ``local_trust_assessment`` is the one builder of an audit
+over a pair of full logs (``detect_violations`` returns its
+violations); ``Simulation.audit`` keeps one per held copy and folds in
+only the events added since that copy's last audit.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import kernel
 from .errors import MixedRolesError, UnknownCreatorError
@@ -48,12 +48,7 @@ from .events import (
     _new,
     _setters,
 )
-from .trust import (
-    DEFAULT_TRUST_MODEL,
-    TrustModel,
-    TrustTable,
-    apply_violations,
-)
+from .trust import DEFAULT_TRUST_MODEL, TrustModel, TrustTable
 
 class AuditMode(enum.Enum):
     PROSE = "prose"
@@ -164,7 +159,7 @@ def detect_violations(
     Results are ordered by offender, then action clock, then verb, then
     a share's recipient.
     """
-    return CopyAudit.of_logs(edit_log, comm_log, doc, "", mode).report("").violations
+    return local_trust_assessment(edit_log, comm_log, doc, mode=mode).violations
 
 
 def report_to_dict(report: "AuditReport") -> dict:
@@ -237,34 +232,23 @@ def local_trust_assessment(
     model: TrustModel = DEFAULT_TRUST_MODEL,
     *,
     mode: AuditMode = AuditMode.PROSE,
-    prior_trust: Optional[Mapping[str, float]] = None,
 ) -> AuditReport:
     """Audit the logs and fold the findings into local trust values.
 
-    Without ``prior_trust`` the assessment starts from full trust in every
-    peer named in the logs, and in ``assessor`` unless it is empty;
-    passing a previous assessment's trust table carries values forward
-    instead; each value must be a finite number, not a bool, in
-    ``[0, model.max_value]``.  Each violation instance applies one
-    decrement under ``model``.
+    The one audit over a pair of full logs.  The creator is ``doc``'s when
+    given and derived from the edit log otherwise.  Every peer named in
+    the logs, and ``assessor`` unless it is empty, starts at the model's
+    maximum, and each violation instance applies one decrement under
+    ``model``.
     """
-    for peer, value in (prior_trust or {}).items():
-        if not (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and 0.0 <= value <= model.max_value
-        ):
-            raise ValueError(
-                f"prior trust in {peer!r} must lie in [0, {model.max_value:g}], got {value!r}"
-            )
-    report = CopyAudit.of_logs(edit_log, comm_log, doc, assessor, mode).report(
-        doc.doc_id if doc is not None else "", model
-    )
-    if prior_trust is not None:
-        offenders = [v for v in report.violations if v.offender in prior_trust]
-        report.trust.update(apply_violations(prior_trust, offenders, model))
-    return report
+    if edit_log.role is not LogRole.EDIT:
+        raise MixedRolesError("first argument must be an edit log")
+    if comm_log.role is not LogRole.COMM:
+        raise MixedRolesError("second argument must be a communication log")
+    creator = doc.creator if doc is not None else derive_creator(edit_log)
+    audit = CopyAudit(assessor, creator, mode)
+    audit.read(edit_log, comm_log)
+    return audit.report(doc.doc_id if doc is not None else "", model)
 
 
 class CopyAudit:
@@ -307,23 +291,6 @@ class CopyAudit:
         self._violations: Optional[tuple[Violation, ...]] = ()
         # A trust model and its value after 0, 1, 2, ... violations
         self._ladder: tuple[Optional[TrustModel], list[float]] = (None, [])
-
-    @classmethod
-    def of_logs(
-        cls, edit_log: Log, comm_log: Log, doc: Optional[Document], assessor: str, mode: AuditMode
-    ) -> "CopyAudit":
-        """The audit of a pair of logs, by ``assessor`` under ``mode``.
-
-        The creator is ``doc``'s when given and derived from the edit log
-        otherwise.
-        """
-        if edit_log.role is not LogRole.EDIT:
-            raise MixedRolesError("first argument must be an edit log")
-        if comm_log.role is not LogRole.COMM:
-            raise MixedRolesError("second argument must be a communication log")
-        audit = cls(assessor, doc.creator if doc is not None else derive_creator(edit_log), mode)
-        audit.read(edit_log, comm_log)
-        return audit
 
     def read(self, edit_log: Log, comm_log: Log) -> None:
         """Fold in the events the copy's logs hold past those folded."""
@@ -422,7 +389,7 @@ class CopyAudit:
         trust = {}
         for peer in sorted(self._peers):
             count = len(verdicts[peer][1]) if peer in verdicts else 0
-            # apply_violations' fold: one decrement per violation, from the maximum
+            # one decrement per violation, from the maximum
             while len(ladder) <= count:
                 ladder.append(model.on_violation(ladder[-1]))
             trust[peer] = ladder[count]

@@ -20,10 +20,9 @@ import enum
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DuplicateEventError, MixedRolesError, UnorderedLogError
 
@@ -449,10 +448,11 @@ def _ordered(log: Log) -> tuple[Event, ...]:
     return log._entries or _sorted(log._lineage, log._n)
 
 
-def _arrived(log: Log, start: int = 0) -> Iterator[Event]:
+def _arrived(log: Log, start: int = 0) -> list[Event]:
     """``log``'s events in arrival order from the ``start``-th on, for
-    readers that need no order."""
-    return islice(log._lineage.events, start, log._n)
+    readers that need no order: a slice, so a reader past ``start`` steps
+    over none of the events before it."""
+    return log._lineage.events[start : log._n]
 
 
 def _fork(log: Log) -> _Lineage:

@@ -454,11 +454,11 @@ class Simulation:
         The copy's ``CopyAudit`` is built on the first audit and after
         ``mode`` changes, and each audit folds in the events its logs hold
         past those it has folded: all of them on a new one, as
-        ``local_trust_assessment`` does, and later only those added since
-        the last audit, so the cost follows those events, not the logs'
-        length.  Trust under the current ``trust_model`` starts at the
-        maximum for all peers, and one decrement is applied per violation
-        instance found.
+        ``local_trust_assessment``, the one builder of an audit over two
+        full logs, does, and later only those added since the last audit,
+        so the cost follows those events, not the logs' length.  Trust
+        under the current ``trust_model`` starts at the maximum for all
+        peers, and one decrement is applied per violation instance found.
         """
         state = self.peer_state(peer, doc_id)
         audit = self._audits.get((peer, doc_id))

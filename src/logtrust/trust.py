@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
-
-if TYPE_CHECKING:
-    from .audit import Violation
+from typing import Protocol, runtime_checkable
 
 MAX_TRUST = 1.0
 
@@ -98,24 +95,6 @@ class FixedStepTrust:
 
 
 DEFAULT_TRUST_MODEL = MultiplicativeTrust()
-
-
-def apply_violations(
-    table: Mapping[str, float],
-    violations: Iterable["Violation"],
-    model: TrustModel = DEFAULT_TRUST_MODEL,
-) -> TrustTable:
-    """Apply one decrement per violation to its offender.
-
-    Peers appearing only as offenders start from the model's maximum.
-    The input table is not mutated.
-    """
-    updated = dict(table)
-    for violation in violations:
-        offender = violation.offender
-        value = updated.get(offender, model.max_value)
-        updated[offender] = model.on_violation(value)
-    return updated
 
 
 def parse_trust_model(text: str) -> TrustModel:

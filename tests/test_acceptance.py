@@ -18,10 +18,9 @@ from logtrust import (
     OriginKey,
     PerformedEdit,
     Verb,
-    Violation,
-    apply_violations,
     detect_violations,
     generate_scenario,
+    local_trust_assessment,
     merge_logs,
     report_to_dict,
     run_scenario,
@@ -281,24 +280,36 @@ def test_criterion_4_invariant_suite():
 
 
 def test_criterion_5_trust_monotonicity_and_exact_halving(paper_scenario):
-    def fake_violations(offender, count):
-        forbid = Obligation(1, Verb.COMMENT, False, "G", offender, OriginKey("G", offender, 1))
-        return [Violation(offender, Verb.COMMENT, 2 + i, forbid) for i in range(count)]
+    def trust_by_count(model, most):
+        """Trust after k violations, for k up to ``most``: one audit of logs
+        in which G forbade P0, P1, ... to comment and Pk commented k times."""
+        edits, forbids, clock = [PerformedEdit(1, Verb.CREATE, "G")], [], 1
+        for k in range(most + 1):
+            peer = f"P{k}"
+            forbids.append(Obligation(1, Verb.COMMENT, False, "G", peer, OriginKey("G", peer, 1)))
+            for _ in range(k):
+                clock += 1
+                edits.append(PerformedEdit(clock, Verb.COMMENT, peer))
+        report = local_trust_assessment(
+            Log.from_events(LogRole.EDIT, edits), Log.from_events(LogRole.COMM, forbids),
+            model=model,
+        )
+        assert len(report.violations) == most * (most + 1) // 2
+        return [report.trust[f"P{k}"] for k in range(most + 1)]
 
     # exactness: one violation under the default model lands on 0.5 exactly
-    assert apply_violations(
-        {"P2": 1.0}, fake_violations("P2", 1), MultiplicativeTrust()
-    ) == {"P2": 0.5}
+    assert trust_by_count(MultiplicativeTrust(), 1) == [1.0, 0.5]
     trace = run_scenario(paper_scenario)
     assert trace.reports[0].trust["P2"] == 0.5
 
     rng = random.Random(99)
     for model in (MultiplicativeTrust(), MultiplicativeTrust(0.3), FixedStepTrust(), FixedStepTrust(0.45)):
+        trust = trust_by_count(model, 12)
+        assert trust[0] == model.max_value == 1.0
         for _ in range(200):
             low = rng.randint(0, 6)
             high = low + rng.randint(0, 6)
-            t_low = apply_violations({"P": 1.0}, fake_violations("P", low), model)["P"]
-            t_high = apply_violations({"P": 1.0}, fake_violations("P", high), model)["P"]
+            t_low, t_high = trust[low], trust[high]
             assert 0.0 <= t_high <= t_low <= 1.0, (
                 f"{model.describe()}: {high} violations -> {t_high}"
                 f" vs {low} -> {t_low}"

@@ -174,38 +174,15 @@ def test_assessment_decrements_trust_per_instance():
     assert report.doc_id == "d"
 
 
-def test_assessment_with_prior_trust_and_fixed_model():
+def test_assessment_under_a_fixed_model():
     edit = edit_log(
         PerformedEdit(1, Verb.CREATE, "P1"),
         PerformedEdit(2, Verb.COMMENT, "P2"),
     )
     comm = comm_log(obl(1, Verb.COMMENT, False))
-    report = local_trust_assessment(
-        edit,
-        comm,
-        Document("d", "P1"),
-        "P1",
-        FixedStepTrust(0.2),
-        prior_trust={"P2": 0.5},
-    )
-    assert report.trust["P2"] == pytest.approx(0.3)
+    report = local_trust_assessment(edit, comm, Document("d", "P1"), "P1", FixedStepTrust(0.2))
+    assert report.trust["P2"] == pytest.approx(0.8)
     assert report.trust["P1"] == 1.0
-
-
-@pytest.mark.parametrize(
-    "value", [7.0, -0.1, 1.0000001, float("nan"), float("inf"), "1", True, False]
-)
-def test_prior_trust_outside_the_model_range_is_rejected(value):
-    with pytest.raises(ValueError, match="prior trust in 'P2'"):
-        local_trust_assessment(
-            BASE_EDIT, empty_log(LogRole.COMM), Document("d", "P1"), "P1",
-            prior_trust={"P2": value},
-        )
-    report = local_trust_assessment(
-        BASE_EDIT, empty_log(LogRole.COMM), Document("d", "P1"), "P1",
-        prior_trust={"P2": 0.0, "P3": 1},
-    )
-    assert report.trust["P2"] == 0.0 and report.trust["P3"] == 1
 
 
 def test_an_empty_assessor_is_not_a_peer_in_the_trust_table():

@@ -210,6 +210,17 @@ def test_a_failed_write_exits_2_with_one_error_line(tmp_path, capsys, monkeypatc
                 assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
 
 
+def test_an_error_line_that_cannot_be_written_still_exits_2(tmp_path, monkeypatch):
+    closed = io.StringIO()
+    closed.close()
+    for stderr in (FailingStdout(0, OSError(errno.EIO, "Input/output error")), closed):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["validate", str(tmp_path / "missing.json")]) == 2
+        monkeypatch.setattr(sys, "stdout", FailingStdout(0, OSError(errno.ENOSPC, "No space")))
+        assert main(["run", "--seed", "5"]) == 2
+        monkeypatch.undo()
+
+
 class RecordingStdout(io.StringIO):
     """A stdout that keeps each piece of text it is given."""
 

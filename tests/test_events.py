@@ -154,6 +154,14 @@ def test_dedup_key_ignores_obligation_clock():
     assert dedup_key(obl(1, share_clock=2)) != dedup_key(obl(1, share_clock=3))
 
 
+def test_dedup_key_and_log_equality_refuse_other_types():
+    with pytest.raises(TypeError, match="^str is not a log event$"):
+        dedup_key("P1")
+    log = Log(LogRole.EDIT, ())
+    assert log.__eq__(()) is NotImplemented
+    assert (log == ()) is False and log != ()
+
+
 def test_log_role_enforced():
     with pytest.raises(MixedRolesError):
         Log(LogRole.EDIT, (PerformedShare(1, "P1", "P2"),))

@@ -4,25 +4,35 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from logtrust import (
+    DEFAULT_TRUST_MODEL,
     FixedStepTrust,
     MAX_TRUST,
+    Log,
+    LogRole,
     MultiplicativeTrust,
     Obligation,
     OriginKey,
+    PerformedEdit,
     TrustModel,
     Verb,
-    Violation,
-    apply_violations,
+    local_trust_assessment,
     parse_trust_model,
 )
 
 
-def forbidden(offender, action_clock=2, forbid_clock=1, grantor="P1"):
-    forbid = Obligation(
-        forbid_clock, Verb.COMMENT, False, grantor, offender,
-        OriginKey(grantor, offender, forbid_clock),
+def assessed(*offenders, model=DEFAULT_TRUST_MODEL, assessor=""):
+    """The trust table of an audit of a copy of P1's document in which P1
+    forbade each offender to comment and each offender commented anyway,
+    one action per entry of ``offenders``, in that order."""
+    edits = [PerformedEdit(1, Verb.CREATE, "P1")]
+    edits += [PerformedEdit(2 + i, Verb.COMMENT, peer) for i, peer in enumerate(offenders)]
+    comm = Log.from_events(
+        LogRole.COMM,
+        [Obligation(1, Verb.COMMENT, False, "P1", peer, OriginKey("P1", peer, 1)) for peer in set(offenders)],
     )
-    return Violation(offender, Verb.COMMENT, action_clock, forbid)
+    report = local_trust_assessment(Log.from_events(LogRole.EDIT, edits), comm, None, assessor, model)
+    assert len(report.violations) == len(offenders)
+    return report.trust
 
 
 def test_multiplicative_halves_by_default():
@@ -65,34 +75,41 @@ def test_model_parameter_validation():
 
 
 def test_apply_violations_one_decrement_per_instance():
-    trust = {"P1": 1.0, "P2": 1.0}
-    updated = apply_violations(
-        trust, [forbidden("P2"), forbidden("P2", action_clock=3)], MultiplicativeTrust()
-    )
-    assert updated == {"P1": 1.0, "P2": 0.25}
-    assert trust["P2"] == 1.0, "input table must not be mutated"
+    assert assessed("P2", "P2", model=MultiplicativeTrust()) == {"P1": 1.0, "P2": 0.25}
+    for model in (MultiplicativeTrust(0.3), FixedStepTrust(0.35, max_value=0.9)):
+        value = model.max_value
+        for count in range(1, 5):
+            value = model.on_violation(value)
+            assert assessed(*["P2"] * count, model=model)["P2"] == value
 
 
 def test_apply_violations_unknown_peer_starts_full():
-    updated = apply_violations({}, [forbidden("P9")], MultiplicativeTrust())
-    assert updated == {"P9": 0.5}
+    # P9 is named only by its violation and the forbid that condemns it
+    assert assessed("P9", model=MultiplicativeTrust()) == {"P1": 1.0, "P9": 0.5}
+    model = MultiplicativeTrust(max_value=0.8)
+    assert assessed("P9", model=model) == {"P1": 0.8, "P9": model.on_violation(0.8)}
 
 
 def test_apply_violations_empty_list_is_identity():
-    table = {"P1": 0.5, "P2": 1.0}
-    assert apply_violations(table, []) == table
+    for model in (DEFAULT_TRUST_MODEL, FixedStepTrust(max_value=0.6)):
+        assert assessed(model=model, assessor="P3") == {"P1": model.max_value, "P3": model.max_value}
+    # a permitted action lowers nobody
+    edit = Log.from_events(
+        LogRole.EDIT, [PerformedEdit(1, Verb.CREATE, "P1"), PerformedEdit(2, Verb.COMMENT, "P2")]
+    )
+    comm = Log.from_events(
+        LogRole.COMM, [Obligation(1, Verb.COMMENT, True, "P1", "P2", OriginKey("P1", "P2", 1))]
+    )
+    assert local_trust_assessment(edit, comm).trust == {"P1": 1.0, "P2": 1.0}
 
 
 def test_apply_violations_order_independent():
-    violations = [
-        forbidden("P2"),
-        forbidden("P3"),
-        forbidden("P2", action_clock=4),
-    ]
+    # which offender acted first does not matter; the order of one copy's
+    # folds is checked against the oracle in test_incremental_audit.py
     for model in (MultiplicativeTrust(), FixedStepTrust(0.3)):
-        forward = apply_violations({}, violations, model)
-        backward = apply_violations({}, list(reversed(violations)), model)
-        assert forward == backward
+        forward = assessed("P2", "P3", "P2", model=model)
+        assert forward == assessed("P2", "P2", "P3", model=model)
+        assert forward == assessed("P3", "P2", "P2", model=model)
 
 
 def test_parse_trust_model():
