@@ -27,7 +27,6 @@ import enum
 import json
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
@@ -43,6 +42,7 @@ from .events import (
     PerformedEdit,
     Verb,
     _PADS,
+    _Record,
     _VERB_RANK,
     _arrived,
     _new,
@@ -64,8 +64,7 @@ def parse_audit_mode(text: str) -> AuditMode:
         ) from None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Violation:
+class Violation(_Record):
     """One performed action that its governing obligation forbade.
 
     ``forbid`` is that obligation as the audited communication log holds
@@ -74,6 +73,7 @@ class Violation:
     for the action's verb, before the action.
     """
 
+    __slots__ = ("offender", "verb", "action_clock", "forbid")
     offender: str
     verb: Verb
     action_clock: int
@@ -114,15 +114,31 @@ def _violation(
     return record
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Everything a local audit produces: violations plus updated trust."""
+class AuditReport(_Record):
+    """Everything a local audit produces: violations plus updated trust.
 
+    ``trust`` is a new empty table when not given.
+    """
+
+    __slots__ = ("assessor", "doc_id", "mode", "violations", "trust")
     assessor: str
     doc_id: str
     mode: AuditMode
     violations: tuple[Violation, ...]
-    trust: TrustTable = field(default_factory=dict)
+    trust: TrustTable
+
+    def __init__(
+        self, assessor: str, doc_id: str, mode: AuditMode, violations: tuple[Violation, ...],
+        trust: Optional[TrustTable] = None,
+    ):
+        _SET_ASSESSOR(self, assessor)
+        _SET_DOC_ID(self, doc_id)
+        _SET_MODE(self, mode)
+        _SET_VIOLATIONS(self, violations)
+        _SET_TRUST(self, {} if trust is None else trust)
+
+
+_SET_ASSESSOR, _SET_DOC_ID, _SET_MODE, _SET_VIOLATIONS, _SET_TRUST = _setters(AuditReport)
 
 
 def derive_creator(edit_log: Log) -> Optional[str]:

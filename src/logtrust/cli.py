@@ -15,7 +15,6 @@ an error too: it exits 2, never 0 or 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -215,7 +214,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
     except LogTrustError as exc:
         raise _CliError(f"{args.edit_log}: {exc}") from None
-    report = dataclasses.replace(report, doc_id=edit_doc)
+    report = AuditReport(report.assessor, edit_doc, report.mode, report.violations, report.trust)
     if args.format == "json":
         _write(sys.stdout, _report_pieces(report))
     else:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Optional, Union
@@ -65,8 +64,61 @@ class LogRole(enum.Enum):
 _ORIGIN_SHAPE = "origin must carry grantor, grantee, share_clock"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class OriginKey:
+def _setters(cls) -> tuple:
+    """The slot setters of a record class's fields, in ``__slots__`` order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class _Record:
+    """An immutable record whose fields are its ``__slots__``.
+
+    Equality, hashing and ``repr`` read the public fields, those without a
+    leading underscore, in a frozen dataclass's format; a record of another
+    class is never equal.  Assigning or deleting an attribute raises
+    AttributeError: only a record's constructor or builder sets its fields,
+    through ``_setters`` or ``_fill``.  ``__match_args__`` names the
+    constructor's arguments: the public fields, unless a class names its
+    own.  Copying and pickling rebuild a record from them by its
+    constructor, with its checks.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields, cls._values = fields, attrgetter(*fields)
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _fill(record: _Record, *values) -> None:
+    """Set ``record``'s fields to ``values``, in ``__slots__`` order."""
+    for name, value in zip(record.__slots__, values):
+        object.__setattr__(record, name, value)
+
+
+class OriginKey(_Record):
     """Stable identity of an obligation across receipt-time re-stamping.
 
     ``share_clock`` is the grantor-side clock of the share event the
@@ -74,6 +126,7 @@ class OriginKey:
     equal no matter how their own clocks were rewritten downstream.
     """
 
+    __slots__ = ("grantor", "grantee", "share_clock")
     grantor: str
     grantee: str
     share_clock: int
@@ -90,16 +143,16 @@ class OriginKey:
         _origin_key(self, grantor, grantee, share_clock)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PerformedEdit:
+class PerformedEdit(_Record):
     """A local action a peer actually performed (edit logs only)."""
 
+    __slots__ = ("clock", "verb", "by", "_key", "_id")
     clock: int
     verb: Verb
     by: str
     # The event's sort key and identity (``sort_key``, ``dedup_key``).
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _id: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple
+    _id: tuple
 
     def __init__(self, clock: int, verb: Verb, by: str):
         if type(clock) is not int or clock < 1:
@@ -113,15 +166,15 @@ class PerformedEdit:
         _performed_edit(self, clock, verb, by)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PerformedShare:
+class PerformedShare(_Record):
     """A share action a peer actually performed (communication logs only)."""
 
+    __slots__ = ("clock", "by", "to", "_key", "_id")
     clock: int
     by: str
     to: str
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _id: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple
+    _id: tuple
 
     def __init__(self, clock: int, by: str, to: str):
         if type(clock) is not int or clock < 1:
@@ -135,8 +188,7 @@ class PerformedShare:
         _performed_share(self, clock, by, to)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Obligation:
+class Obligation(_Record):
     """A usage-policy event granted within a share.
 
     ``allow=False`` encodes the forbidding form of the verb ("may not
@@ -144,14 +196,15 @@ class Obligation:
     match ``origin``.
     """
 
+    __slots__ = ("clock", "verb", "allow", "by", "to", "origin", "_key", "_id")
     clock: int
     verb: Verb
     allow: bool
     by: str
     to: str
     origin: OriginKey
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _id: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple
+    _id: tuple
 
     def __init__(self, clock: int, verb: Verb, allow: bool, by: str, to: str, origin: OriginKey):
         if type(clock) is not int or clock < 1:
@@ -173,11 +226,6 @@ class Obligation:
         if verb not in OBLIGATION_VERBS:
             raise ValueError(f"obligations cannot govern {verb.value}")
         _obligation(self, clock, verb, allow, origin)
-
-
-def _setters(cls) -> tuple:
-    """The slot setters of a frozen dataclass's fields, in field order."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 _ORIGIN_GRANTOR, _ORIGIN_GRANTEE, _ORIGIN_SHARE_CLOCK = _setters(OriginKey)
@@ -568,8 +616,7 @@ def _received(
     return _appended(role, lineage, new, keys)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     """A shared document: identity, creator, and its set of comments.
 
     Content is modeled as the comment set alone; comments are identified
@@ -577,15 +624,19 @@ class Document:
     of the comment action.
     """
 
+    __slots__ = ("doc_id", "creator", "comments")
     doc_id: str
     creator: str
-    comments: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    comments: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        if not isinstance(self.doc_id, str) or not self.doc_id:
+    def __init__(
+        self, doc_id: str, creator: str, comments: frozenset[tuple[str, str]] = frozenset()
+    ):
+        if not isinstance(doc_id, str) or not doc_id:
             raise ValueError("doc_id must be non-empty")
-        if not isinstance(self.creator, str) or not self.creator:
+        if not isinstance(creator, str) or not creator:
             raise ValueError("creator must be non-empty")
+        _fill(self, doc_id, creator, comments)
 
 
 def replay_comments(edit_log: Log) -> frozenset[tuple[str, str]]:

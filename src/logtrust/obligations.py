@@ -9,18 +9,19 @@ Which obligation governs a logged action is not decided here but by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternallyConflictingSetError
-from .events import Verb
+from .events import Verb, _Record, _fill
 
 
-@dataclass(frozen=True, slots=True)
-class ObligationAtom:
+class ObligationAtom(_Record):
     """A verb plus polarity, detached from any particular grant."""
 
+    __slots__ = ("verb", "allow")
     verb: Verb
     allow: bool
+
+    def __init__(self, verb: Verb, allow: bool):
+        _fill(self, verb, allow)
 
 
 def _check_pairs(pairs: list[tuple[Verb, bool]]) -> None:

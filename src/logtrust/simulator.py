@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
@@ -49,10 +48,12 @@ from .events import (
     _VERB_BY_VALUE,
     _Lineage,
     _PADS,
+    _Record,
     _appended,
     _arrived,
     _event_json,
     _extendable,
+    _fill,
     _json_list,
     _new,
     _obligation,
@@ -135,8 +136,7 @@ def _share_atoms(atoms: Iterable[ObligationAtom]) -> list[tuple[Verb, bool]]:
     return sorted(pairs, key=_PAIR_RANK.__getitem__)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(_Record):
     """One in-flight share: the document's creator plus the sender's logs.
 
     The channel that carries it names the sender, recipient and document.
@@ -144,9 +144,18 @@ class Message:
     correspondence (see ``_outbound``).
     """
 
+    __slots__ = ("creator", "edit_log", "comm_log")
     creator: str
     edit_log: Log
     comm_log: Log
+
+    def __init__(self, creator: str, edit_log: Log, comm_log: Log):
+        _SET_CREATOR(self, creator)
+        _SET_EDIT_LOG(self, edit_log)
+        _SET_COMM_LOG(self, comm_log)
+
+
+_SET_CREATOR, _SET_EDIT_LOG, _SET_COMM_LOG = _setters(Message)
 
 
 class _Channel:
@@ -626,8 +635,7 @@ class _History:
         self.channels: list[Optional[tuple]] = []
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
-class CommandSnapshot:
+class CommandSnapshot(_Record):
     """Full engine state right after one command.
 
     ``command`` is the command as ``parse_command`` returned it, and
@@ -637,14 +645,17 @@ class CommandSnapshot:
     both in key order.  The run stores only what each command changed
     (``_History``), so a read of ``held`` or ``pending`` takes the latest
     copy or channel of each key among the commands up to this one: it
-    costs those commands and changes nothing that it reads.
+    costs those commands and changes nothing that it reads.  A snapshot
+    equals only itself.
     """
 
+    __slots__ = __match_args__ = ("index", "command", "clock", "report", "_history")
+    __eq__, __hash__ = object.__eq__, object.__hash__
     index: int
     command: dict[str, Any]
     clock: int
     report: Optional[AuditReport]
-    _history: _History = field(repr=False)
+    _history: _History
 
     def __init__(
         self, index: int, command: dict[str, Any], clock: int, report: Optional[AuditReport],
@@ -675,14 +686,19 @@ class CommandSnapshot:
 _SET_INDEX, _SET_COMMAND, _SET_CLOCK, _SET_REPORT, _SET_HISTORY = _setters(CommandSnapshot)
 
 
-@dataclass(frozen=True)
-class ScenarioTrace:
+class ScenarioTrace(_Record):
     """Everything a scenario run produced, in execution order."""
 
+    __slots__ = ("name", "mode", "trust_model", "snapshots")
     name: str
     mode: AuditMode
     trust_model: str
     snapshots: tuple[CommandSnapshot, ...]
+
+    def __init__(
+        self, name: str, mode: AuditMode, trust_model: str, snapshots: tuple[CommandSnapshot, ...]
+    ):
+        _fill(self, name, mode, trust_model, snapshots)
 
     @property
     def reports(self) -> tuple[AuditReport, ...]:

@@ -9,8 +9,9 @@ twice ends up lower than a peer caught once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+
+from .events import _Record, _fill
 
 MAX_TRUST = 1.0
 
@@ -43,18 +44,19 @@ def _number(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplicativeTrust:
+class MultiplicativeTrust(_Record):
     """Halving-style decay: each violation multiplies trust by a factor."""
 
-    factor: float = 0.5
-    max_value: float = MAX_TRUST
+    __slots__ = ("factor", "max_value")
+    factor: float
+    max_value: float
 
-    def __post_init__(self):
-        if not 0.0 < self.factor < 1.0:
+    def __init__(self, factor: float = 0.5, max_value: float = MAX_TRUST):
+        if not 0.0 < factor < 1.0:
             raise ValueError("factor must lie strictly between 0 and 1")
-        if not 0.0 < self.max_value <= 1.0:
+        if not 0.0 < max_value <= 1.0:
             raise ValueError("max_value must lie in (0, 1]")
+        _fill(self, factor, max_value)
 
     def on_violation(self, current: float) -> float:
         lowered = current * self.factor
@@ -67,25 +69,26 @@ class MultiplicativeTrust:
         return f"multiplicative:{_number(self.factor)}"
 
 
-@dataclass(frozen=True, slots=True)
-class FixedStepTrust:
+class FixedStepTrust(_Record):
     """Linear decay: each violation subtracts a fixed delta, floored at 0."""
 
-    delta: float = 0.2
-    max_value: float = MAX_TRUST
+    __slots__ = ("delta", "max_value")
+    delta: float
+    max_value: float
 
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
+    def __init__(self, delta: float = 0.2, max_value: float = MAX_TRUST):
+        if not 0.0 < delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if not 0.0 < self.max_value <= 1.0:
+        if not 0.0 < max_value <= 1.0:
             raise ValueError("max_value must lie in (0, 1]")
         # No trust value up to max_value has a wider float spacing, so a
         # delta of at least that spacing lowers every positive value.
-        if self.delta < math.ulp(self.max_value):
+        if delta < math.ulp(max_value):
             raise ValueError(
-                f"delta must be at least {math.ulp(self.max_value)!r}, "
+                f"delta must be at least {math.ulp(max_value)!r}, "
                 "or a violation would leave trust unchanged"
             )
+        _fill(self, delta, max_value)
 
     def on_violation(self, current: float) -> float:
         return min(self.max_value, max(0.0, current - self.delta))

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import find, settings, strategies as st
 
-from logtrust import log_from_dict
+from logtrust import ScenarioTrace, log_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -77,5 +76,5 @@ def logs_from_state(state):
 
 def final_states(trace):
     """The states of ``trace``'s last snapshot, as the trace writer writes them."""
-    last = dataclasses.replace(trace, snapshots=trace.snapshots[-1:])
+    last = ScenarioTrace(trace.name, trace.mode, trace.trust_model, trace.snapshots[-1:])
     return last.to_dict()["snapshots"][0]["states"]

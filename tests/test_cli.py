@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -621,7 +620,9 @@ def audit_report_dict(edit_path, comm_path, assessor, mode):
     creator = derive_creator(edit_log)
     doc = Document(doc_id, creator) if creator else None
     report = local_trust_assessment(edit_log, comm_log, doc, assessor, mode=AuditMode(mode))
-    return report_to_dict(dataclasses.replace(report, doc_id=doc_id))
+    return report_to_dict(
+        AuditReport(report.assessor, doc_id, report.mode, report.violations, report.trust)
+    )
 
 
 def test_audit_json_output_equals_json_dumps(tmp_path, capsys):

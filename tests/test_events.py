@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import pickle
 import random
 from types import SimpleNamespace
@@ -49,12 +48,18 @@ from oracle import (
 ORG = OriginKey("P1", "P2", 2)
 
 
+def rebuilt(event, **changes):
+    """``event`` built anew by its constructor, from its fields and ``changes``."""
+    fields = {name: getattr(event, name) for name in type(event).__match_args__}
+    return type(event)(**{**fields, **changes})
+
+
 def check_log(log):
     """Each entry's cached keys are those of a freshly built equal event, and
     ``log``'s key set (if it holds one) holds their identities, exactly so
     when it has the log's size."""
     for e in log.entries:
-        fresh = dataclasses.replace(e)
+        fresh = rebuilt(e)
         assert (e._key, e._id) == (sort_key(fresh), dedup_key(fresh))
     identities = {dedup_key(e) for e in log.entries}
     keys = log._lineage.keys
@@ -755,7 +760,7 @@ def test_event_keys_survive_copies_and_replace():
         for e in events:
             for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
                 assert (copied._key, copied._id) == (e._key, e._id)
-            moved = dataclasses.replace(e, clock=e.clock + 1)
+            moved = rebuilt(e, clock=e.clock + 1)
             assert sort_key(moved) == _canonical(oracle_event_dict(moved))
             assert dedup_key(moved) == (e._id if isinstance(e, Obligation) else sort_key(moved))
 
@@ -1020,8 +1025,8 @@ def shifted(event, by=CLOCK_SHIFT):
     if isinstance(event, Obligation):
         o = event.origin
         origin = OriginKey(o.grantor, o.grantee, o.share_clock + by)
-        return dataclasses.replace(event, clock=event.clock + by, origin=origin)
-    return dataclasses.replace(event, clock=event.clock + by)
+        return rebuilt(event, clock=event.clock + by, origin=origin)
+    return rebuilt(event, clock=event.clock + by)
 
 
 def rejection(build):
@@ -1130,7 +1135,7 @@ def faulty_logs(draw):
             entries.insert(draw(st.integers(j + 1, n)), entries[j])
         elif step == "reclock" and any(isinstance(e, Obligation) for e in entries):
             o = draw(st.sampled_from([e for e in entries if isinstance(e, Obligation)]))
-            moved = dataclasses.replace(o, clock=draw(st.integers(1, 5)))
+            moved = rebuilt(o, clock=draw(st.integers(1, 5)))
             entries.insert(draw(st.integers(0, n)), moved)
         elif step == "subclass" and n:
             j = draw(st.integers(0, n - 1))
@@ -1220,9 +1225,9 @@ def test_parsed_events_pass_their_own_checks(raw):
         return
     if isinstance(event, Obligation):
         o = event.origin
-        assert dataclasses.replace(event, origin=OriginKey(o.grantor, o.grantee, o.share_clock)) == event
+        assert rebuilt(event, origin=OriginKey(o.grantor, o.grantee, o.share_clock)) == event
     else:
-        assert dataclasses.replace(event) == event
+        assert rebuilt(event) == event
     assert event_to_dict(event) == raw
 
 
@@ -1269,8 +1274,8 @@ def test_constructors_reject_value_faults_with_the_parsers_message(raw, message)
 
 def slot_values(value):
     """Every slot of ``value``, keys and origin included, with its exact class."""
-    if dataclasses.is_dataclass(value):
-        return [(f.name, slot_values(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, (OriginKey, PerformedEdit, PerformedShare, Obligation)):
+        return [(name, slot_values(getattr(value, name))) for name in type(value).__slots__]
     if isinstance(value, tuple):
         return [slot_values(item) for item in value]
     return (type(value), value)

@@ -11,7 +11,6 @@ has finished, so the comparison also shows that later commands never
 alter an earlier snapshot.
 """
 
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -201,7 +200,9 @@ def check_snapshots(data, where, every=1):
     capture = EagerCapture()
     eager = eager_trace_dict(data, capture=capture)
     trace = run_scenario(data)
-    chosen = dataclasses.replace(trace, snapshots=trace.snapshots[::every])
+    chosen = simulator.ScenarioTrace(
+        trace.name, trace.mode, trace.trust_model, trace.snapshots[::every]
+    )
     written = zip(written_snapshots(chosen), eager["snapshots"][::every], strict=True)
     for k, (got, expected) in enumerate(written):
         assert got == expected, (where, k * every)
@@ -332,7 +333,7 @@ def test_any_choice_of_snapshots_writes_json_dumps():
     assert len(s) > 40
     choices = (s[20:40], s[::-1], s[::7], s[5:6] * 2, s[:10] + o[:10] + s[5:15], s[:10] + o[12:20], ())
     for k, snapshots in enumerate(choices):
-        chosen = dataclasses.replace(trace, snapshots=snapshots)
+        chosen = simulator.ScenarioTrace(trace.name, trace.mode, trace.trust_model, snapshots)
         want = {**eager, "snapshots": [expected[snapshot] for snapshot in snapshots]}
         assert_same_text("".join(chosen.json_pieces()), json.dumps(want, indent=2), f"choice {k}")
 
